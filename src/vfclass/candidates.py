@@ -319,16 +319,23 @@ def pos_tag(word: str, tagger) -> str:
     return category
 
 
+def _pos_and_count_filter(
+    tokens: list[str], tagger, config: FilterConfig
+) -> tuple[dict[str, int], Counter]:
+    """Stage 3 on a token list: keep allowed POS categories, then threshold.
+
+    Returns the names at or above ``min_count`` and the counts before it.
+    """
+    counts = Counter(t for t in tokens if pos_tag(t, tagger) in config.allowed_pos)
+    entries = {name: n for name, n in counts.items() if n >= config.min_count}
+    return entries, counts
+
+
 def filter_candidates(
     tokens: list[str], tagger, config: FilterConfig | None = None
 ) -> CandidateSet:
     """Stage 3: keep allowed POS categories, then apply the count threshold."""
-    config = config or FilterConfig()
-    survivors = [t for t in tokens if pos_tag(t, tagger) in config.allowed_pos]
-    counts = Counter(survivors)
-    entries = {
-        name: count for name, count in counts.items() if count >= config.min_count
-    }
+    entries, _ = _pos_and_count_filter(tokens, tagger, config or FilterConfig())
     return CandidateSet(dict(sorted(entries.items())))
 
 
@@ -353,15 +360,7 @@ def extract_candidates(
     all_tokens = [t for _, toks in per_caption for t in toks]
 
     if config.apply_filter:
-        survivors = [
-            t for t in all_tokens if pos_tag(t, tagger) in config.allowed_pos
-        ]
-        counts = Counter(survivors)
-        entries = {
-            name: count
-            for name, count in counts.items()
-            if count >= config.min_count
-        }
+        entries, counts = _pos_and_count_filter(all_tokens, tagger, config)
         if not entries:
             raise EmptyCandidateSetError(
                 "no candidate survived filtering", surviving=dict(counts)

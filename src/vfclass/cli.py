@@ -15,12 +15,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import benchmark as bench_mod
 from .candidates import FilterConfig, LexiconTagger, load_word_list
 from .embedding import HashEmbedder, PrecomputedStore, RemoteEmbeddingClient
-from .errors import EmptyInputError, VfcError
+from .errors import EmptyInputError, SchemaError, VfcError
 from .evaluation import (
     evaluate_predictions,
     join_predictions,
@@ -33,6 +33,7 @@ from .ingestion import (
     canonical_jsonl,
     corpus_stats,
     ingest_corpus,
+    json_lines,
     load_manifest,
     validate_manifest,
 )
@@ -69,18 +70,28 @@ def resolve_option(name, flag_value, file_conf, cast=str, default=None):
     """flags > VFC_<NAME> env > config file > default."""
     if flag_value is not None:
         return flag_value
-    env_value = os.environ.get(f"VFC_{name.upper()}")
-    if env_value is not None:
-        return cast(env_value)
-    if name in file_conf:
-        return cast(file_conf[name])
-    return default
+    raw = os.environ.get(f"VFC_{name.upper()}", file_conf.get(name))
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
-def _parse_probes(value):
-    if value is None or value == "all":
+def _parse_probes(value: str):
+    """``all`` or a partition count of at least 1."""
+    if value == "all":
         return value
-    return int(value)
+    try:
+        probes = int(value)
+    except ValueError:
+        probes = 0
+    if probes < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 'all' or an integer >= 1, got {value!r}"
+        )
+    return probes
 
 
 def _out_handle(path):
@@ -131,8 +142,8 @@ def _classifier_config(args, file_conf) -> ClassifierConfig:
         prompt_template=resolve_option(
             "prompt", getattr(args, "prompt", None), file_conf, default=""
         ),
-        probes=_parse_probes(
-            resolve_option("probes", getattr(args, "probes", None), file_conf)
+        probes=resolve_option(
+            "probes", getattr(args, "probes", None), file_conf, cast=_parse_probes
         ),
         filter=_filter_config(args),
     )
@@ -207,21 +218,25 @@ def _cmd_build_index(args, file_conf) -> int:
 
 def _read_queries(path) -> list[tuple[str, object]]:
     queries: list[tuple[str, object]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            qid = str(obj.get("id", f"line-{lineno}"))
-            if "embedding" in obj:
-                queries.append((qid, obj["embedding"]))
-            elif "image_ref" in obj:
-                queries.append((qid, str(obj["image_ref"])))
-            else:
-                raise EmptyInputError(
-                    f"queries line {lineno}: need 'embedding' or 'image_ref'"
+    for lineno, obj in json_lines(path, "queries"):
+        qid = str(obj.get("id", f"line-{lineno}"))
+        if "embedding" in obj:
+            query = obj["embedding"]
+            if not isinstance(query, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in query
+            ):
+                raise SchemaError(
+                    f"queries line {lineno}: 'embedding' must be a list of numbers"
                 )
+        elif "image_ref" in obj:
+            query = obj["image_ref"]
+            if not isinstance(query, str):
+                raise SchemaError(f"queries line {lineno}: 'image_ref' must be a string")
+        else:
+            raise EmptyInputError(
+                f"queries line {lineno}: need 'embedding' or 'image_ref'"
+            )
+        queries.append((qid, query))
     if not queries:
         raise EmptyInputError("queries file is empty")
     return queries
@@ -299,11 +314,7 @@ class AblationSpec:
             raise EmptyInputError("sweep needs at least one value")
 
     def config_for(self, value: str) -> ClassifierConfig:
-        config = ClassifierConfig(
-            k=self.base.k, alpha=self.base.alpha,
-            prompt_template=self.base.prompt_template, probes=self.base.probes,
-            filter=self.base.filter,
-        )
+        config = replace(self.base)
         try:
             if self.sweep == "alpha":
                 config.alpha = float(value)
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-timeout", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--probes")
+    p.add_argument("--probes", type=_parse_probes)
     p.add_argument("--prompt")
     p.add_argument("--threads", type=int)
     p.add_argument("--lexicon", help="word<TAB>pos lexicon file")
@@ -514,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-timeout", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--probes")
+    p.add_argument("--probes", type=_parse_probes)
     p.add_argument("--prompt")
     p.add_argument("--num-queries", type=int, default=200)
     p.add_argument("--lexicon", help="word<TAB>pos lexicon file")

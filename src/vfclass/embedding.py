@@ -204,27 +204,25 @@ class PrecomputedStore:
         return load_store(path, identity=identity)
 
 
-def store_payload(store: PrecomputedStore) -> bytes:
-    """Serialize a store to the ``VFCE`` binary layout."""
-    matrix = store._materialize()
+def pack_string(value: str) -> bytes:
+    """A u32 LE byte length followed by the UTF-8 bytes of ``value``."""
+    encoded = value.encode("utf-8")
+    return struct.pack("<I", len(encoded)) + encoded
+
+
+def store_payload(dim: int, rows: np.ndarray, keys: Sequence[str]) -> bytes:
+    """Serialize ``rows`` (count x dim) keyed by ``keys`` to the ``VFCE`` layout."""
     parts = [
-        STORE_MAGIC,
-        struct.pack("<I", STORE_VERSION),
-        struct.pack("<I", store.dim),
-        struct.pack("<Q", len(store)),
-        struct.pack("<B", DTYPE_F32),
-        matrix.astype("<f4").tobytes(),
+        struct.pack("<4sIIQB", STORE_MAGIC, STORE_VERSION, dim, len(keys), DTYPE_F32),
+        rows.astype("<f4").tobytes(),
     ]
-    for key in store.keys():
-        encoded = key.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
+    parts.extend(pack_string(key) for key in keys)
     return b"".join(parts)
 
 
 def save_store(store: PrecomputedStore, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(store_payload(store))
+        fh.write(store_payload(store.dim, store._materialize(), store.keys()))
 
 
 class _Reader:
@@ -258,7 +256,8 @@ class _Reader:
             raise CorruptFileError("malformed UTF-8 in key table") from exc
 
 
-def read_store_payload(reader: _Reader, identity: str | None = None) -> PrecomputedStore:
+def read_store_payload(reader: _Reader) -> tuple[int, np.ndarray, list[str]]:
+    """Parse one ``VFCE`` payload into (dim, float32 rows, keys)."""
     magic = reader.take(4)
     if magic != STORE_MAGIC:
         raise CorruptFileError(f"bad magic {magic!r}, expected {STORE_MAGIC!r}")
@@ -272,25 +271,25 @@ def read_store_payload(reader: _Reader, identity: str | None = None) -> Precompu
         raise CorruptFileError(f"unsupported dtype code {dtype}")
     if dim == 0:
         raise CorruptFileError("store declares dim 0")
-    matrix = np.frombuffer(reader.take(count * dim * 4), dtype="<f4").reshape(count, dim)
-    store = PrecomputedStore(dim, identity=identity or "precomputed")
+    rows = np.frombuffer(reader.take(count * dim * 4), dtype="<f4").reshape(count, dim)
     keys = [reader.string() for _ in range(count)]
     if len(set(keys)) != len(keys):
         raise CorruptFileError("duplicate keys in store file")
-    store._keys = keys
-    store._rows = {k: i for i, k in enumerate(keys)}
-    store._matrix = np.array(matrix, dtype=np.float32)
-    store._chunks = [store._matrix]
-    return store
+    return dim, np.array(rows, dtype=np.float32), keys
 
 
 def load_store(path, identity: str | None = None) -> PrecomputedStore:
     with open(path, "rb") as fh:
         data = fh.read()
     reader = _Reader(data)
-    store = read_store_payload(reader, identity=identity)
+    dim, rows, keys = read_store_payload(reader)
     if reader.offset != len(data):
         raise CorruptFileError("trailing bytes after store payload")
+    store = PrecomputedStore(dim, identity=identity or "precomputed")
+    store._keys = keys
+    store._rows = {k: i for i, k in enumerate(keys)}
+    store._matrix = rows
+    store._chunks = [rows]
     return store
 
 

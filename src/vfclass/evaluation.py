@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .embedding import cosine_similarity
 from .errors import EmptyInputError, MissingTruthError, SchemaError
+from .ingestion import json_lines, json_object
 
 _WORD_SPLIT = re.compile(r"[\s\-]+")
 
@@ -187,6 +187,15 @@ def contingency(
     return clusters, labels, counts
 
 
+def _resolve_mode(preds: list[LabeledPrediction], mode: str) -> str:
+    """Map ``auto`` to one-to-one when there are no more clusters than labels."""
+    if mode != "auto":
+        return mode
+    clusters = {p.predicted for p in preds}
+    labels = {p.truth for p in preds}
+    return "one-to-one" if len(clusters) <= len(labels) else "many-to-one"
+
+
 def cluster_accuracy(preds: list[LabeledPrediction], mode: str = "auto") -> float:
     """Accuracy after matching predicted-label clusters to truth classes.
 
@@ -195,18 +204,16 @@ def cluster_accuracy(preds: list[LabeledPrediction], mode: str = "auto") -> floa
     ``auto`` picks one-to-one when there are no more clusters than labels,
     many-to-one otherwise.
     """
-    clusters, labels, counts = contingency(preds)
-    total = int(counts.sum())
-    if mode == "auto":
-        mode = "one-to-one" if len(clusters) <= len(labels) else "many-to-one"
+    counts = contingency(preds)[2]
+    mode = _resolve_mode(preds, mode)
     if mode == "one-to-one":
-        pairs = hungarian(-counts.astype(np.float64))
-        matched = sum(int(counts[r, c]) for r, c in pairs)
+        # the counts are integers, so the optimum's float64 value is exact
+        matched = -_assignment_value(-counts.astype(np.float64))
     elif mode == "many-to-one":
-        matched = int(counts.max(axis=1).sum())
+        matched = counts.max(axis=1).sum()
     else:
         raise EmptyInputError(f"unknown cluster accuracy mode {mode!r}")
-    return matched / total
+    return int(matched) / int(counts.sum())
 
 
 def ground_to_vocabulary(
@@ -277,10 +284,7 @@ def evaluate_predictions(
     """Compute all three metrics plus a per-class breakdown."""
     if not preds:
         raise EmptyInputError("no predictions to evaluate")
-    if mode == "auto":
-        clusters = {p.predicted for p in preds}
-        labels = {p.truth for p in preds}
-        mode = "one-to-one" if len(clusters) <= len(labels) else "many-to-one"
+    mode = _resolve_mode(preds, mode)
     ious = [semantic_iou(p.predicted, p.truth) for p in preds]
     sims = [
         semantic_similarity(p.predicted, p.truth, sentence_embedder)
@@ -327,22 +331,12 @@ def aggregate_reports(reports: list[EvaluationReport]) -> dict[str, float]:
 def load_predictions(path) -> list[tuple[str, str]]:
     """Read classifier output JSONL into (id, label) pairs."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"predictions line {lineno}: {exc}") from exc
-            if "error" in obj:
-                continue
-            if "id" not in obj or "label" not in obj:
-                raise SchemaError(
-                    f"predictions line {lineno}: need 'id' and 'label'"
-                )
-            pairs.append((str(obj["id"]), str(obj["label"])))
+    for lineno, obj in json_lines(path, "predictions"):
+        if "error" in obj:
+            continue
+        if "id" not in obj or "label" not in obj:
+            raise SchemaError(f"predictions line {lineno}: need 'id' and 'label'")
+        pairs.append((str(obj["id"]), str(obj["label"])))
     if not pairs:
         raise EmptyInputError("predictions file contains no predictions")
     return pairs
@@ -357,10 +351,7 @@ def load_truths(path) -> dict[str, str]:
             if not line.strip():
                 continue
             if line.lstrip().startswith("{"):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"truths line {lineno}: {exc}") from exc
+                obj = json_object(line, "truths", lineno)
                 if "id" not in obj or "label" not in obj:
                     raise SchemaError(f"truths line {lineno}: need 'id' and 'label'")
                 key, value = str(obj["id"]), str(obj["label"])

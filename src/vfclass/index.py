@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import (
-    STORE_MAGIC,
     _Reader,
     as_vector,
     body_crc,
     normalize,
+    pack_string,
+    read_store_payload,
+    store_payload,
 )
 from .errors import (
     CorruptFileError,
@@ -289,23 +291,13 @@ def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
 
 
 def _index_body(index: CaptionIndex) -> bytes:
-    parts = [STORE_MAGIC, struct.pack("<I", 1)]
-    parts.append(struct.pack("<I", index.dim))
-    parts.append(struct.pack("<Q", len(index)))
-    parts.append(struct.pack("<B", 0))
-    parts.append(index.vectors.astype("<f4").tobytes())
+    parts = [
+        store_payload(index.dim, index.vectors, [rec.id for rec in index.records]),
+        pack_string(index.provider_identity),
+    ]
     for rec in index.records:
-        encoded = rec.id.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-    ident = index.provider_identity.encode("utf-8")
-    parts.append(struct.pack("<I", len(ident)))
-    parts.append(ident)
-    for rec in index.records:
-        for value in (rec.text, rec.source):
-            encoded = value.encode("utf-8")
-            parts.append(struct.pack("<I", len(encoded)))
-            parts.append(encoded)
+        parts.append(pack_string(rec.text))
+        parts.append(pack_string(rec.source))
     if index.structure == "partitioned":
         parts.append(struct.pack("<B", STRUCTURE_PARTITIONED))
         parts.append(struct.pack("<I", index.num_partitions))
@@ -345,34 +337,17 @@ def load_index(path) -> CaptionIndex:
         raise CorruptFileError("CRC mismatch: file is corrupt or truncated")
 
     reader = _Reader(body)
-    if reader.take(4) != STORE_MAGIC:
-        raise CorruptFileError("missing embedding payload")
-    if reader.u32() != 1:
-        raise CorruptFileError("unsupported embedding payload version")
-    dim = reader.u32()
-    count = reader.u64()
-    if reader.u8() != 0:
-        raise CorruptFileError("unsupported vector dtype")
-    vectors = np.frombuffer(reader.take(count * dim * 4), dtype="<f4").reshape(
-        count, dim
-    )
+    dim, vectors, ids = read_store_payload(reader)
+    count = len(ids)
     if count and not np.allclose(
         np.linalg.norm(vectors.astype(np.float64), axis=1), 1.0, atol=1e-5
     ):
         raise CorruptFileError("index rows are not unit-normalized")
-    ids = [reader.string() for _ in range(count)]
     identity = reader.string()
-    records = []
-    for rid in ids:
-        text = reader.string()
-        source = reader.string()
-        records.append(CaptionRecord(rid, text, source))
+    records = [CaptionRecord(rid, reader.string(), reader.string()) for rid in ids]
     structure_code = reader.u8()
     index = CaptionIndex(
-        dim=dim,
-        records=records,
-        vectors=np.array(vectors, dtype=np.float32),
-        provider_identity=identity,
+        dim=dim, records=records, vectors=vectors, provider_identity=identity
     )
     if structure_code == STRUCTURE_PARTITIONED:
         num_partitions = reader.u32()

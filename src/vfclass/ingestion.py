@@ -41,28 +41,42 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
             except SchemaError as err:
                 if strict:
                     raise
-                log.warning("skipping corpus line %d: %s", lineno, err)
+                log.warning("skipping %s", err)
     return records
+
+
+def json_object(line: str, what: str, lineno: int) -> dict:
+    """Parse one JSON-lines line that must hold an object."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} line {lineno}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} line {lineno}: expected a JSON object")
+    return obj
+
+
+def json_lines(path, what: str):
+    """Yield ``(lineno, object)`` for every non-blank line of a JSON-lines file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, json_object(line, what, lineno)
 
 
 def _parse_line(line: str, lineno: int, fmt: str) -> CaptionRecord:
     if fmt == "plain":
         return CaptionRecord(id=f"line-{lineno}", text=line.strip(), source="plain")
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError(f"line {lineno}: expected an object")
+    obj = json_object(line, "corpus", lineno)
     rid = obj.get("id")
     text = obj.get("text")
     if not isinstance(rid, str) or not rid:
-        raise SchemaError(f"line {lineno}: missing or empty 'id'")
+        raise SchemaError(f"corpus line {lineno}: missing or empty 'id'")
     if not isinstance(text, str) or not text.strip():
-        raise SchemaError(f"line {lineno}: missing or empty 'text'")
+        raise SchemaError(f"corpus line {lineno}: missing or empty 'text'")
     source = obj.get("source", "")
     if not isinstance(source, str):
-        raise SchemaError(f"line {lineno}: 'source' must be a string")
+        raise SchemaError(f"corpus line {lineno}: 'source' must be a string")
     return CaptionRecord(id=rid, text=text, source=source)
 
 

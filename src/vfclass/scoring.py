@@ -24,8 +24,6 @@ from .errors import (
 )
 from .index import CaptionIndex, RetrievedCaption, retrieve_topk
 
-FUSION_AXES = ("candidates", "modalities")
-
 
 @dataclass
 class ScoreBreakdown:
@@ -43,7 +41,6 @@ class ClassifierConfig:
     alpha: float = 0.7
     prompt_template: str = ""
     probes: int | str | None = None
-    fusion_axis: str = "candidates"
     filter: FilterConfig = field(default_factory=FilterConfig)
 
     def __post_init__(self):
@@ -51,8 +48,6 @@ class ClassifierConfig:
             raise EmptyInputError("k must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise EmptyInputError("alpha must be in [0, 1]")
-        if self.fusion_axis not in FUSION_AXES:
-            raise EmptyInputError(f"fusion_axis must be one of {FUSION_AXES}")
         if self.prompt_template and "{}" not in self.prompt_template:
             raise EmptyInputError("prompt_template must contain a {} placeholder")
 
@@ -114,13 +109,11 @@ def softmax(values) -> np.ndarray:
     return exp / exp.sum()
 
 
-def fuse(visual, textual, alpha: float, axis: str = "candidates") -> list[float]:
+def fuse(visual, textual, alpha: float) -> list[float]:
     """Mix the two score vectors: ``alpha * s(visual) + (1-alpha) * s(textual)``.
 
-    With ``axis="candidates"`` (the default) the softmax runs across the
-    candidate set per modality, so the result is a probability vector over
-    candidates. ``axis="modalities"`` instead softmaxes each candidate's
-    (visual, textual) pair, kept for ablation comparisons.
+    The softmax ``s`` runs across the candidate set per modality, so the
+    result is a probability vector over candidates.
     """
     vis = np.asarray(visual, dtype=np.float64)
     tex = np.asarray(textual, dtype=np.float64)
@@ -130,15 +123,7 @@ def fuse(visual, textual, alpha: float, axis: str = "candidates") -> list[float]
         raise EmptyInputError("score lists must be non-empty")
     if not 0.0 <= alpha <= 1.0:
         raise EmptyInputError("alpha must be in [0, 1]")
-    if axis == "candidates":
-        fused = alpha * softmax(vis) + (1.0 - alpha) * softmax(tex)
-    elif axis == "modalities":
-        pairs = np.stack([vis, tex], axis=1)
-        weights = np.exp(pairs - pairs.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        fused = alpha * weights[:, 0] + (1.0 - alpha) * weights[:, 1]
-    else:
-        raise EmptyInputError(f"unknown fusion axis {axis!r}")
+    fused = alpha * softmax(vis) + (1.0 - alpha) * softmax(tex)
     return [float(x) for x in fused]
 
 
@@ -162,7 +147,7 @@ def _score_candidates(
     cand_vecs = provider.embed_texts(texts)
     vis = visual_scores(image_vec, cand_vecs)
     tex = text_scores(centroid, cand_vecs)
-    fused = fuse(vis, tex, config.alpha, config.fusion_axis)
+    fused = fuse(vis, tex, config.alpha)
     ranked = [
         ScoreBreakdown(name, v, t, f)
         for name, v, t, f in zip(names, vis, tex, fused)

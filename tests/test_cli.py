@@ -224,6 +224,74 @@ class TestConfigPrecedence:
         assert file_only != flag_only      # alpha changes fused scores
 
 
+def assert_json_error(code, capsys, expected):
+    """Exit 1 with one JSON error object on stderr and no traceback."""
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip())["error"] == expected
+
+
+class TestMalformedInput:
+    def classify(self, world, built_index, queries):
+        return run(["classify", "--index", str(built_index),
+                    "--queries", str(queries),
+                    "--embeddings", str(world["store"])])
+
+    def test_queries_line_with_bad_json(self, world, built_index, tmp_path,
+                                        capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id": "q1", "image_ref": "x"}\n{bad json\n')
+        code = self.classify(world, built_index, queries)
+        assert_json_error(code, capsys, "schema-violation")
+
+    @pytest.mark.parametrize("query", [
+        {"id": "q1", "embedding": "abc"},
+        {"id": "q1", "embedding": [0.5, True]},
+        {"id": "q1", "image_ref": 5},
+    ])
+    def test_query_field_of_the_wrong_type(self, world, built_index, tmp_path,
+                                           capsys, query):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps(query) + "\n")
+        code = self.classify(world, built_index, queries)
+        assert_json_error(code, capsys, "schema-violation")
+
+    def test_predictions_line_that_is_not_an_object(self, world, tmp_path,
+                                                    capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "q1", "label": "dog"}\n5\n')
+        code = run(["evaluate", "--predictions", str(preds),
+                    "--truths", str(world["truths"])])
+        assert_json_error(code, capsys, "schema-violation")
+
+    def test_probes_flag_is_a_usage_error(self, world, built_index, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["classify", "--index", str(built_index),
+                 "--queries", str(world["queries"]),
+                 "--embeddings", str(world["store"]), "--probes", "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --probes" in err
+        assert "Traceback" not in err
+
+    def test_probes_from_env_exits_1(self, world, built_index, monkeypatch,
+                                     capsys):
+        monkeypatch.setenv("VFC_PROBES", "x")
+        code = self.classify(world, built_index, world["queries"])
+        assert_json_error(code, capsys, "empty-input")
+
+    def test_probes_from_config_file_exits_1(self, world, built_index,
+                                             tmp_path, capsys):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("probes=0\n")
+        code = run(["--config", str(conf), "classify",
+                    "--index", str(built_index),
+                    "--queries", str(world["queries"]),
+                    "--embeddings", str(world["store"])])
+        assert_json_error(code, capsys, "empty-input")
+
+
 class TestAblate:
     def test_alpha_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -362,6 +362,15 @@ class TestEvaluate:
         assert report.mode == "one-to-one"
         assert report.sample_count == 20
 
+    def test_report_names_many_to_one_when_clusters_outnumber_labels(self):
+        preds = [
+            LabeledPrediction(f"i{k}", f"cluster{k % 3}", f"class{k % 2}")
+            for k in range(12)
+        ]
+        report = evaluate_predictions(preds, HashEmbedder(16))
+        assert report.mode == "many-to-one"
+        assert report.cluster_accuracy == cluster_accuracy(preds, "many-to-one")
+
     def test_per_class_breakdown(self):
         report = evaluate_predictions(golden_fixture(), golden_embedder())
         moss = report.per_class["moss"]

@@ -135,10 +135,6 @@ class TestFuse:
         with pytest.raises(EmptyInputError):
             fuse([0.1, 0.2], [0.3], 0.5)
 
-    def test_modalities_axis_stays_in_unit_interval(self):
-        fused = fuse([0.9, 0.1], [0.2, 0.8], 0.5, axis="modalities")
-        assert all(0.0 <= x <= 1.0 for x in fused)
-
 
 def planted_world(caption_vec, captions=None):
     """Corpus of four captions mentioning dog/cat/park, embeddings planted."""
