@@ -35,7 +35,7 @@ for alpha in (0.0, 0.3, 0.7, 1.0):
 
 print("\n== batch accuracy with defaults (alpha=0.7, k=10) ==")
 results = classify_batch(bench.queries, index, bench.store, tagger,
-                         ClassifierConfig(), threads=4)
+                         ClassifierConfig())
 correct = sum(
     1 for item in results
     if item.prediction is not None

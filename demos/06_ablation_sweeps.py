@@ -25,7 +25,7 @@ embedder = HashEmbedder(64)
 def sweep(bench, index, configs, eval_mode="auto"):
     for name, config in configs:
         results = classify_batch(bench.queries, index, bench.store, tagger,
-                                 config, threads=4)
+                                 config)
         labeled = [
             LabeledPrediction(r.id, r.prediction.label, bench.truths[r.id])
             for r in results if r.prediction is not None

@@ -10,6 +10,7 @@ error on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -47,7 +48,6 @@ DEFAULTS = {
     "k": 10,
     "probes": None,
     "seed": 42,
-    "threads": os.cpu_count() or 1,
     "embed_timeout": 10.0,
 }
 
@@ -79,40 +79,40 @@ def resolve_option(name, flag_value, file_conf, cast=str, default=None):
         raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
+def _parse_count(value: str, expected: str = "an integer >= 1") -> int:
+    """A partition count of at least 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+    return count
+
+
 def _parse_probes(value: str):
     """``all`` or a partition count of at least 1."""
-    if value == "all":
-        return value
-    try:
-        probes = int(value)
-    except ValueError:
-        probes = 0
-    if probes < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'all' or an integer >= 1, got {value!r}"
-        )
-    return probes
+    return value if value == "all" else _parse_count(value, "'all' or an integer >= 1")
 
 
-def _out_handle(path):
+@contextlib.contextmanager
+def _output(path):
+    """Stdout for ``-`` (or no path), else the file, closed afterwards."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _provider(args, file_conf):
-    embeddings = getattr(args, "embeddings", None)
-    embed_url = resolve_option("embed_url", getattr(args, "embed_url", None), file_conf)
-    if embeddings:
-        return PrecomputedStore.load(embeddings)
+    embed_url = resolve_option("embed_url", args.embed_url, file_conf)
+    if args.embeddings:
+        return PrecomputedStore.load(args.embeddings)
     if embed_url:
-        timeout = resolve_option(
-            "embed_timeout", getattr(args, "embed_timeout", None), file_conf,
-            cast=float, default=DEFAULTS["embed_timeout"],
-        )
-        dim = resolve_option(
-            "embed_dim", getattr(args, "embed_dim", None), file_conf, cast=int
-        )
+        timeout = resolve_option("embed_timeout", args.embed_timeout, file_conf,
+                                 cast=float, default=DEFAULTS["embed_timeout"])
+        dim = resolve_option("embed_dim", args.embed_dim, file_conf, cast=int)
         return RemoteEmbeddingClient(embed_url, dim=dim, timeout=timeout)
     raise EmptyInputError(
         "no embedding provider: pass --embeddings or --embed-url",
@@ -121,16 +121,14 @@ def _provider(args, file_conf):
 
 
 def _filter_config(args) -> FilterConfig:
-    stop_path = getattr(args, "stop_words", None)
-    meta_path = getattr(args, "meta_words", None)
     return FilterConfig(
-        stop_words=load_word_list(stop_path) if stop_path else None,
-        meta_words=load_word_list(meta_path) if meta_path else None,
+        stop_words=load_word_list(args.stop_words) if args.stop_words else None,
+        meta_words=load_word_list(args.meta_words) if args.meta_words else None,
     )
 
 
 def _tagger(args) -> LexiconTagger:
-    return LexiconTagger(lexicon_path=getattr(args, "lexicon", None))
+    return LexiconTagger(lexicon_path=args.lexicon)
 
 
 def _classifier_config(args, file_conf) -> ClassifierConfig:
@@ -139,12 +137,8 @@ def _classifier_config(args, file_conf) -> ClassifierConfig:
         alpha=resolve_option(
             "alpha", args.alpha, file_conf, cast=float, default=DEFAULTS["alpha"]
         ),
-        prompt_template=resolve_option(
-            "prompt", getattr(args, "prompt", None), file_conf, default=""
-        ),
-        probes=resolve_option(
-            "probes", getattr(args, "probes", None), file_conf, cast=_parse_probes
-        ),
+        prompt_template=resolve_option("prompt", args.prompt, file_conf, default=""),
+        probes=resolve_option("probes", args.probes, file_conf, cast=_parse_probes),
         filter=_filter_config(args),
     )
 
@@ -174,12 +168,8 @@ def _prediction_json(item) -> dict:
 
 def _cmd_ingest(args, file_conf) -> int:
     records = ingest_corpus(args.corpus, fmt=args.format, strict=args.strict)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         handle.write(canonical_jsonl(records))
-    finally:
-        if close:
-            handle.close()
     log.info("ingested %d records", len(records))
     return 0
 
@@ -187,13 +177,9 @@ def _cmd_ingest(args, file_conf) -> int:
 def _cmd_stats(args, file_conf) -> int:
     records = ingest_corpus(args.corpus, fmt=args.format)
     stats = corpus_stats(records, _tagger(args), _filter_config(args))
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         json.dump(stats.to_dict(), handle, indent=2)
         handle.write("\n")
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -246,29 +232,19 @@ def _cmd_classify(args, file_conf) -> int:
     index = load_index(args.index)
     provider = _provider(args, file_conf)
     config = _classifier_config(args, file_conf)
-    threads = resolve_option("threads", args.threads, file_conf, cast=int,
-                             default=DEFAULTS["threads"])
     queries = _read_queries(args.queries)
-    results = classify_batch(
-        queries, index, provider, _tagger(args), config, threads=threads
-    )
-    handle, close = _out_handle(args.out)
-    try:
+    results = classify_batch(queries, index, provider, _tagger(args), config)
+    with _output(args.out) as handle:
         for item in results:
             handle.write(json.dumps(_prediction_json(item), ensure_ascii=False))
             handle.write("\n")
-    finally:
-        if close:
-            handle.close()
     failures = sum(1 for r in results if r.error is not None)
     log.info("classified %d queries (%d failures)", len(results), failures)
     return 0
 
 
 def _make_eval_embedder(args, file_conf):
-    if getattr(args, "embeddings", None) or resolve_option(
-        "embed_url", getattr(args, "embed_url", None), file_conf
-    ):
+    if args.embeddings or resolve_option("embed_url", args.embed_url, file_conf):
         return _provider(args, file_conf)
     return HashEmbedder(64)
 
@@ -279,13 +255,9 @@ def _cmd_evaluate(args, file_conf) -> int:
     labeled = join_predictions(pairs, truths)
     report = evaluate_predictions(labeled, _make_eval_embedder(args, file_conf),
                                   mode=args.mode)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
-    finally:
-        if close:
-            handle.close()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
@@ -405,19 +377,14 @@ def _cmd_ablate(args, file_conf) -> int:
         num_queries=args.num_queries,
     )
     rows = _sweep_rows(spec, args, file_conf)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         writer = csv.DictWriter(
             handle,
             fieldnames=["sweep", "value", "cluster_accuracy",
                         "semantic_similarity", "semantic_iou", "samples"],
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if close:
-            handle.close()
+        writer.writerows(rows)
     return 0
 
 
@@ -450,6 +417,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flag groups shared by several subcommands, declared once
+    provider = argparse.ArgumentParser(add_help=False)
+    provider.add_argument("--embeddings", help="precomputed store (.vfce)")
+    provider.add_argument("--embed-url", help="remote embedding service URL")
+    provider.add_argument("--embed-dim", type=int)
+    provider.add_argument("--embed-timeout", type=float)
+    words = argparse.ArgumentParser(add_help=False)
+    words.add_argument("--lexicon", help="word<TAB>pos lexicon file")
+    words.add_argument("--stop-words", help="stop-word list, one word per line")
+    words.add_argument("--meta-words", help="meta-word list, one word per line")
+    classifier = argparse.ArgumentParser(add_help=False)
+    classifier.add_argument("--alpha", type=float)
+    classifier.add_argument("--k", type=int)
+    classifier.add_argument("--probes", type=_parse_probes)
+    classifier.add_argument("--prompt")
+
     p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
@@ -457,80 +440,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("stats", help="corpus token and POS statistics")
+    p = sub.add_parser("stats", help="corpus token and POS statistics",
+                       parents=[words])
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
-    p.add_argument("--lexicon", help="word<TAB>pos lexicon file")
-    p.add_argument("--stop-words", help="stop-word list, one word per line")
-    p.add_argument("--meta-words", help="meta-word list, one word per line")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("build-index", help="embed a corpus and build an index")
+    p = sub.add_parser("build-index", help="embed a corpus and build an index",
+                       parents=[provider])
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--embeddings", help="precomputed store (.vfce)")
-    p.add_argument("--embed-url", help="remote embedding service URL")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--embed-timeout", type=float)
     p.add_argument("--structure", choices=["flat", "partitioned"], default="flat")
-    p.add_argument("--partitions", type=int, default=16)
+    p.add_argument("--partitions", type=_parse_count, default=16)
     p.add_argument("--dedup", action="store_true",
                    help="drop records with duplicate caption text")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_index)
 
-    p = sub.add_parser("classify", help="label queries against an index")
+    p = sub.add_parser("classify", help="label queries against an index",
+                       parents=[provider, classifier, words])
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True,
                    help="JSONL of {id, embedding} or {id, image_ref}")
-    p.add_argument("--embeddings")
-    p.add_argument("--embed-url")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--embed-timeout", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--probes", type=_parse_probes)
-    p.add_argument("--prompt")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--lexicon", help="word<TAB>pos lexicon file")
-    p.add_argument("--stop-words", help="stop-word list, one word per line")
-    p.add_argument("--meta-words", help="meta-word list, one word per line")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("evaluate", help="score predictions against truths")
+    p = sub.add_parser("evaluate", help="score predictions against truths",
+                       parents=[provider])
     p.add_argument("--predictions", required=True)
     p.add_argument("--truths", required=True)
     p.add_argument("--mode", choices=["auto", "one-to-one", "many-to-one"],
                    default="auto")
-    p.add_argument("--embeddings")
-    p.add_argument("--embed-url")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--embed-timeout", type=float)
     p.add_argument("--out", default="-")
     p.add_argument("--csv", help="also write a flat CSV report")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="sweep one variable, emit metric rows")
+    p = sub.add_parser("ablate", help="sweep one variable, emit metric rows",
+                       parents=[provider, classifier, words])
     p.add_argument("--sweep", choices=SWEEPS, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--benchmark", help="dataset manifest (default: synthetic)")
     p.add_argument("--index", help="index for --benchmark runs")
-    p.add_argument("--embeddings")
-    p.add_argument("--embed-url")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--embed-timeout", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--probes", type=_parse_probes)
-    p.add_argument("--prompt")
     p.add_argument("--num-queries", type=int, default=200)
-    p.add_argument("--lexicon", help="word<TAB>pos lexicon file")
-    p.add_argument("--stop-words", help="stop-word list, one word per line")
-    p.add_argument("--meta-words", help="meta-word list, one word per line")
     p.add_argument("--eval-mode", choices=["auto", "one-to-one", "many-to-one"],
                    default="auto")
     p.add_argument("--seed", type=int)

@@ -15,7 +15,10 @@ Vectors are stored at float32; all similarity math runs at float64.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import secrets
 import struct
 import zlib
 from typing import Iterable, Sequence
@@ -28,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     ProviderUnavailableError,
+    SchemaError,
     UnknownKeyError,
     ZeroVectorError,
 )
@@ -44,6 +48,27 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         raise EmptyInputError(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise EmptyInputError(f"{name} contains non-finite values")
+    return arr
+
+
+def as_matrix(values, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """Coerce to a non-empty ``count x dim`` float64 array of finite values.
+
+    Providers may hand back a list of equal-length vectors or a 2-D array;
+    ragged rows or non-numeric values are a :class:`SchemaError`.
+    """
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
+    if arr.ndim != 2 or arr.size == 0:
+        raise EmptyInputError(f"{name} must be a non-empty count x dim matrix")
+    if dim is not None and arr.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"{name}: rows have dim {arr.shape[1]}, expected {dim}"
+        )
+    if not np.isfinite(arr).all():
+        raise EmptyInputError(f"{name}: non-finite values")
     return arr
 
 
@@ -169,32 +194,30 @@ class PrecomputedStore:
         return self._matrix
 
     def vector(self, key: str) -> np.ndarray:
-        if key not in self._rows:
-            raise UnknownKeyError(f"no embedding stored for key {key!r}")
-        return self._materialize()[self._rows[key]].astype(np.float64)
+        return self._gather([key])[0]
 
-    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
-        cleaned = _check_texts(texts)
-        missing = [t for t in cleaned if t not in self._rows]
+    def _gather(self, keys: list[str]) -> np.ndarray:
+        missing = [k for k in keys if k not in self._rows]
         if missing:
             raise UnknownKeyError(
-                f"store has no embedding for {len(missing)} text(s), "
+                f"store has no embedding for {len(missing)} key(s), "
                 f"first missing: {missing[0]!r}"
             )
-        return [self.vector(t) for t in cleaned]
+        return self._materialize()[[self._rows[k] for k in keys]].astype(np.float64)
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return self._gather(_check_texts(texts))
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         if not image_ref:
             raise EmptyInputError("image_ref must be non-empty")
         return self.vector(image_ref)
 
-    def embed_records(self, ids: Sequence[str], texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_records(self, ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
         """Resolve caption embeddings by id when present, else by text."""
-        out = []
-        for rid, text in zip(ids, texts):
-            key = rid if rid in self._rows else text
-            out.append(self.vector(key))
-        return out
+        return self._gather(
+            [rid if rid in self._rows else text for rid, text in zip(ids, texts)]
+        )
 
     def save(self, path) -> None:
         save_store(self, path)
@@ -220,8 +243,26 @@ def store_payload(dim: int, rows: np.ndarray, keys: Sequence[str]) -> bytes:
     return b"".join(parts)
 
 
+@contextlib.contextmanager
+def replacing_file(path):
+    """Open a new file beside ``path`` for binary writing; it is synced to
+    disk and replaces ``path`` only when the block completes, so a failed
+    save leaves the previous file as it was and no partial file behind."""
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_store(store: PrecomputedStore, path) -> None:
-    with open(path, "wb") as fh:
+    with replacing_file(path) as fh:
         fh.write(store_payload(store.dim, store._materialize(), store.keys()))
 
 
@@ -320,7 +361,7 @@ class RemoteEmbeddingClient:
         self.timeout = timeout
         self.identity = identity or f"remote:{base_url}"
 
-    def _post(self, inputs: Sequence[str], modality: str) -> list[np.ndarray]:
+    def _post(self, inputs: Sequence[str], modality: str) -> np.ndarray:
         try:
             resp = requests.post(
                 self.base_url,
@@ -351,17 +392,10 @@ class RemoteEmbeddingClient:
             raise ProviderUnavailableError(
                 f"service returned {len(vectors)} vectors for {len(inputs)} inputs"
             )
-        out = []
-        for vec in vectors:
-            arr = as_vector(vec, "service vector")
-            if arr.shape[0] != self.dim:
-                raise DimensionMismatchError(
-                    f"service vector has dim {arr.shape[0]}, expected {self.dim}"
-                )
-            out.append(arr.astype(np.float32).astype(np.float64))
-        return out
+        matrix = as_matrix(vectors, "service vectors", self.dim)
+        return matrix.astype(np.float32).astype(np.float64)
 
-    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self._post(_check_texts(texts), "text")
 
     def embed_image(self, image_ref: str) -> np.ndarray:

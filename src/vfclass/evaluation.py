@@ -328,15 +328,20 @@ def aggregate_reports(reports: list[EvaluationReport]) -> dict[str, float]:
     }
 
 
+def _id_and_label(obj: dict, what: str, lineno: int) -> tuple[str, str]:
+    if "id" not in obj or "label" not in obj:
+        raise SchemaError(f"{what} line {lineno}: need 'id' and 'label'")
+    if not isinstance(obj["label"], str):
+        raise SchemaError(f"{what} line {lineno}: 'label' must be a string")
+    return str(obj["id"]), obj["label"]
+
+
 def load_predictions(path) -> list[tuple[str, str]]:
     """Read classifier output JSONL into (id, label) pairs."""
     pairs = []
     for lineno, obj in json_lines(path, "predictions"):
-        if "error" in obj:
-            continue
-        if "id" not in obj or "label" not in obj:
-            raise SchemaError(f"predictions line {lineno}: need 'id' and 'label'")
-        pairs.append((str(obj["id"]), str(obj["label"])))
+        if "error" not in obj:
+            pairs.append(_id_and_label(obj, "predictions", lineno))
     if not pairs:
         raise EmptyInputError("predictions file contains no predictions")
     return pairs
@@ -352,9 +357,7 @@ def load_truths(path) -> dict[str, str]:
                 continue
             if line.lstrip().startswith("{"):
                 obj = json_object(line, "truths", lineno)
-                if "id" not in obj or "label" not in obj:
-                    raise SchemaError(f"truths line {lineno}: need 'id' and 'label'")
-                key, value = str(obj["id"]), str(obj["label"])
+                key, value = _id_and_label(obj, "truths", lineno)
             else:
                 parts = line.split("\t")
                 if len(parts) != 2:

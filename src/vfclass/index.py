@@ -21,11 +21,13 @@ import numpy as np
 
 from .embedding import (
     _Reader,
+    as_matrix,
     as_vector,
     body_crc,
     normalize,
     pack_string,
     read_store_payload,
+    replacing_file,
     store_payload,
 )
 from .errors import (
@@ -35,6 +37,8 @@ from .errors import (
     EmptyCorpusError,
     EmptyIndexError,
     EmptyInputError,
+    ProviderUnavailableError,
+    ZeroVectorError,
 )
 
 INDEX_MAGIC = b"VFCI"
@@ -44,6 +48,7 @@ STRUCTURE_PARTITIONED = 1
 
 KMEANS_ITERS = 25
 DEFAULT_PROBES = 8
+EMBED_CHUNK = 1024  # records per provider call while building
 
 
 @dataclass(frozen=True)
@@ -89,21 +94,28 @@ class CaptionIndex:
 
 
 def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
-    texts = [r.text for r in records]
-    if hasattr(provider, "embed_records"):
-        vecs = provider.embed_records([r.id for r in records], texts)
-    else:
-        vecs = provider.embed_texts(texts)
-    matrix = np.empty((len(records), provider.dim), dtype=np.float64)
-    for i, vec in enumerate(vecs):
-        arr = as_vector(vec, f"embedding for record {records[i].id!r}")
-        if arr.shape[0] != provider.dim:
-            raise DimensionMismatchError(
-                f"provider returned dim {arr.shape[0]} for record "
-                f"{records[i].id!r}, declared dim {provider.dim}"
+    """Unit float32 rows for ``records``, embedded ``EMBED_CHUNK`` at a time."""
+    out = None
+    for start in range(0, len(records), EMBED_CHUNK):
+        chunk = records[start : start + EMBED_CHUNK]
+        texts = [r.text for r in chunk]
+        if hasattr(provider, "embed_records"):
+            vecs = provider.embed_records([r.id for r in chunk], texts)
+        else:
+            vecs = provider.embed_texts(texts)
+        matrix = as_matrix(vecs, "record embeddings", provider.dim)
+        if matrix.shape[0] != len(chunk):
+            raise ProviderUnavailableError(
+                f"provider returned {matrix.shape[0]} vectors for {len(chunk)} records"
             )
-        matrix[i] = normalize(arr)
-    return matrix.astype(np.float32)
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        if not norms.all():
+            zero = chunk[int(np.argmin(norms))].id
+            raise ZeroVectorError(f"embedding for record {zero!r} is a zero vector")
+        if out is None:  # a remote client learns its dim from the first reply
+            out = np.empty((len(records), matrix.shape[1]), dtype=np.float32)
+        np.divide(matrix, norms, out=out[start : start + len(chunk)])
+    return out
 
 
 def _farthest_point_init(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -161,8 +173,13 @@ def build_index(
     Records are validated (non-empty corpus, unique non-empty ids, non-blank
     text), sorted by id, optionally deduplicated on identical text, embedded,
     and normalized. ``structure="partitioned"`` additionally learns
-    ``num_partitions`` centroids by iterative refinement (seeded).
+    ``num_partitions`` centroids (at least 1, at most one per record) by
+    iterative refinement (seeded).
     """
+    if structure not in ("flat", "partitioned"):
+        raise EmptyInputError(f"unknown index structure {structure!r}")
+    if structure == "partitioned" and num_partitions < 1:
+        raise EmptyInputError(f"num_partitions must be >= 1, got {num_partitions}")
     records = list(records)
     if not records:
         raise EmptyCorpusError("cannot build an index from an empty corpus")
@@ -195,7 +212,7 @@ def build_index(
         provider_identity=getattr(provider, "identity", ""),
     )
     if structure == "partitioned":
-        k = max(1, min(num_partitions, len(records)))
+        k = min(num_partitions, len(records))
         centroids, assign = _refine_centroids(vectors, k, seed)
         partitions = [
             np.flatnonzero(assign == c).astype(np.int64) for c in range(k)
@@ -203,8 +220,6 @@ def build_index(
         index.structure = "partitioned"
         index.centroids = centroids
         index.partitions = partitions
-    elif structure != "flat":
-        raise EmptyInputError(f"unknown index structure {structure!r}")
     return index
 
 
@@ -313,7 +328,7 @@ def _index_body(index: CaptionIndex) -> bytes:
 def save_index(index: CaptionIndex, path) -> None:
     """Write the ``VFCI`` file: magic, version, body, trailing CRC32."""
     body = _index_body(index)
-    with open(path, "wb") as fh:
+    with replacing_file(path) as fh:
         fh.write(INDEX_MAGIC)
         fh.write(struct.pack("<I", INDEX_VERSION))
         fh.write(body)

@@ -9,18 +9,19 @@ the visual side. The label is the argmax of the fused distribution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .candidates import FilterConfig, extract_candidates
-from .embedding import as_vector, cosine_similarity
+from .embedding import as_matrix, as_vector
 from .errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
     EmptyInputError,
+    ProviderUnavailableError,
     VfcError,
+    ZeroVectorError,
 )
 from .index import CaptionIndex, RetrievedCaption, retrieve_topk
 
@@ -70,31 +71,23 @@ class BatchItem:
     error_code: str | None = None
 
 
-def _candidate_matrix(vecs) -> np.ndarray:
-    if not len(vecs):
-        raise EmptyInputError("candidate list must be non-empty")
-    rows = [as_vector(v, "candidate vector") for v in vecs]
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed candidate dims: {sorted(dims)}")
-    return np.stack(rows)
-
-
 def visual_scores(image_vec, candidate_vecs) -> list[float]:
     """Cosine of the query embedding against each candidate embedding."""
-    matrix = _candidate_matrix(candidate_vecs)
+    matrix = as_matrix(candidate_vecs, "candidate vectors")
     query = as_vector(image_vec, "image vector")
     if query.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(
             f"image dim {query.shape[0]} != candidate dim {matrix.shape[1]}"
         )
-    return [cosine_similarity(query, row) for row in matrix]
+    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query)
+    if not norms.all():
+        raise ZeroVectorError("cosine similarity undefined for zero vectors")
+    return np.clip(matrix @ query / norms, -1.0, 1.0).tolist()
 
 
 def caption_centroid(caption_vecs) -> np.ndarray:
     """Arithmetic mean of the retrieved-caption embeddings (not re-normalized)."""
-    matrix = _candidate_matrix(caption_vecs)
-    return matrix.mean(axis=0)
+    return as_matrix(caption_vecs, "caption vectors").mean(axis=0)
 
 
 def text_scores(centroid, candidate_vecs) -> list[float]:
@@ -144,7 +137,11 @@ def _score_candidates(
         texts = [config.prompt_template.format(name) for name in names]
     else:
         texts = list(names)
-    cand_vecs = provider.embed_texts(texts)
+    cand_vecs = as_matrix(provider.embed_texts(texts), "candidate vectors")
+    if cand_vecs.shape[0] != len(texts):
+        raise ProviderUnavailableError(
+            f"provider returned {cand_vecs.shape[0]} vectors for {len(texts)} texts"
+        )
     vis = visual_scores(image_vec, cand_vecs)
     tex = text_scores(centroid, cand_vecs)
     fused = fuse(vis, tex, config.alpha)
@@ -197,7 +194,6 @@ def classify_batch(
     provider,
     tagger,
     config: ClassifierConfig | None = None,
-    threads: int = 1,
 ) -> list[BatchItem]:
     """Classify ``(id, query)`` pairs, collecting per-query errors.
 
@@ -205,16 +201,11 @@ def classify_batch(
     error recorded instead of aborting the batch.
     """
     config = config or ClassifierConfig()
-    items = list(queries)
-
-    def one(pair) -> BatchItem:
-        qid, query = pair
+    items = []
+    for qid, query in queries:
         try:
-            return BatchItem(qid, prediction=classify(query, index, provider, tagger, config))
+            prediction = classify(query, index, provider, tagger, config)
+            items.append(BatchItem(qid, prediction=prediction))
         except VfcError as err:
-            return BatchItem(qid, error=str(err), error_code=err.code)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, items))
-    return [one(pair) for pair in items]
+            items.append(BatchItem(qid, error=str(err), error_code=err.code))
+    return items

@@ -142,7 +142,7 @@ class TestClassifyEvaluate:
         code = run(["classify", "--index", str(built_index),
                     "--queries", str(world["queries"]),
                     "--embeddings", str(world["store"]),
-                    "--out", str(out), "--threads", "1"])
+                    "--out", str(out)])
         assert code == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == 24
@@ -274,6 +274,38 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "argument --probes" in err
         assert "Traceback" not in err
+
+    def test_threads_flag_is_gone(self, world, built_index, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["classify", "--index", str(built_index),
+                 "--queries", str(world["queries"]),
+                 "--embeddings", str(world["store"]), "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_partitions_below_one_is_a_usage_error(self, world, tmp_path,
+                                                   capsys, value):
+        out = tmp_path / "part.vfci"
+        with pytest.raises(SystemExit) as excinfo:
+            run(["build-index", "--corpus", str(world["corpus"]),
+                 "--embeddings", str(world["store"]),
+                 "--structure", "partitioned", "--partitions", value,
+                 "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --partitions" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_null_prediction_label_exits_1(self, world, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        # both ids have truths, so only the null label is at fault
+        preds.write_text('{"id": "query-0000", "label": null}\n'
+                         '{"id": "query-0001", "label": "bicycle"}\n')
+        code = run(["evaluate", "--predictions", str(preds),
+                    "--truths", str(world["truths"])])
+        assert_json_error(code, capsys, "schema-violation")
 
     def test_probes_from_env_exits_1(self, world, built_index, monkeypatch,
                                      capsys):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import vfclass.embedding as embedding_mod
 from vfclass.embedding import (
     HashEmbedder,
     PrecomputedStore,
+    as_matrix,
     cosine_similarity,
     hashed_vector,
     load_store,
@@ -16,6 +18,7 @@ from vfclass.errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyInputError,
+    SchemaError,
     UnknownKeyError,
     ZeroVectorError,
 )
@@ -46,6 +49,35 @@ class TestNormalize:
     def test_rejects_nan(self):
         with pytest.raises(EmptyInputError):
             normalize([1.0, float("nan")])
+
+
+class TestAsMatrix:
+    def test_list_of_vectors_becomes_float64_matrix(self):
+        got = as_matrix([[1, 2], [3, 4], [5, 6]])
+        assert got.dtype == np.float64
+        assert got.shape == (3, 2)
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 2.0], [3.0]],
+        [[1.0, "x"]],
+        [[1.0, {}]],
+    ])
+    def test_ragged_or_non_numeric_is_a_schema_error(self, values):
+        with pytest.raises(SchemaError):
+            as_matrix(values, "service vectors")
+
+    @pytest.mark.parametrize("values", [[], [[]], [1.0, 2.0]])
+    def test_empty_or_not_two_dimensional_rejected(self, values):
+        with pytest.raises(EmptyInputError):
+            as_matrix(values)
+
+    def test_declared_dim_enforced(self):
+        with pytest.raises(DimensionMismatchError):
+            as_matrix([[1.0, 2.0, 3.0]], dim=2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(EmptyInputError):
+            as_matrix([[1.0, float("inf")]])
 
 
 class TestCosineSimilarity:
@@ -151,6 +183,20 @@ class TestPrecomputedStore:
         assert loaded.keys() == store.keys()
         for key in store.keys():
             assert np.array_equal(loaded.vector(key), store.vector(key))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vectors.vfce"
+        save_store(self.make_store(), path)
+        before = path.read_bytes()
+
+        def fail(dim, rows, keys):
+            raise RuntimeError("crash while writing")
+
+        monkeypatch.setattr(embedding_mod, "store_payload", fail)
+        with pytest.raises(RuntimeError):
+            save_store(self.make_store(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.vfce"]
 
     def test_truncated_file_rejected(self, tmp_path):
         store = self.make_store()

@@ -425,6 +425,16 @@ class TestPredictionIo:
         with pytest.raises(SchemaError):
             load_truths(path)
 
+    @pytest.mark.parametrize("label", [None, 5, ["dog"]])
+    def test_non_string_labels_rejected(self, tmp_path, label):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps({"id": "a", "label": "dog"}) + "\n"
+                        + json.dumps({"id": "b", "label": label}) + "\n")
+        with pytest.raises(SchemaError, match="predictions line 2: 'label'"):
+            load_predictions(path)
+        with pytest.raises(SchemaError, match="truths line 2: 'label'"):
+            load_truths(path)
+
     def test_missing_truth_raises(self, tmp_path):
         with pytest.raises(MissingTruthError):
             join_predictions([("zz", "dog")], {"a": "dog"})

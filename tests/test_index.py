@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from vfclass.embedding import PrecomputedStore
+import vfclass.index as index_mod
+from vfclass.embedding import HashEmbedder, PrecomputedStore
 from vfclass.errors import (
     CorruptFileError,
     DimensionMismatchError,
     DuplicateIdError,
     EmptyCorpusError,
     EmptyIndexError,
+    EmptyInputError,
+    ProviderUnavailableError,
+    ZeroVectorError,
 )
 from vfclass.index import (
     CaptionIndex,
@@ -93,6 +97,61 @@ class TestBuildIndex:
         assert index.num_partitions == 16
         members = np.concatenate(index.partitions)
         assert sorted(members.tolist()) == list(range(1000))
+
+    @pytest.mark.parametrize("num_partitions", [0, -5])
+    def test_partition_count_below_one_rejected(self, num_partitions):
+        rng = np.random.default_rng(13)
+        records, store = random_corpus(rng, 30, 4)
+        with pytest.raises(EmptyInputError, match="num_partitions"):
+            build_index(records, store, structure="partitioned",
+                        num_partitions=num_partitions)
+
+    def test_more_partitions_than_records_clamps(self):
+        rng = np.random.default_rng(14)
+        records, store = random_corpus(rng, 5, 4)
+        index = build_index(records, store, structure="partitioned",
+                            num_partitions=16)
+        assert index.num_partitions == 5
+
+    def test_short_provider_reply_rejected(self):
+        class ShortProvider(HashEmbedder):
+            def embed_texts(self, texts):
+                return super().embed_texts(texts)[:-1]
+
+        records = [CaptionRecord(f"r{i}", f"caption {i}") for i in range(4)]
+        with pytest.raises(ProviderUnavailableError, match="3 vectors for 4"):
+            build_index(records, ShortProvider(8))
+
+    def test_zero_embedding_names_its_record(self):
+        store = PrecomputedStore(2)
+        store.add("a", [1.0, 0.0])
+        store.add("b", [0.0, 0.0])
+        records = [CaptionRecord("a", "x"), CaptionRecord("b", "y")]
+        with pytest.raises(ZeroVectorError, match="'b'"):
+            build_index(records, store)
+
+    def test_provider_called_in_bounded_chunks(self, monkeypatch):
+        class RecordingProvider(HashEmbedder):
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.calls = []
+
+            def embed_texts(self, texts):
+                self.calls.append(len(texts))
+                return super().embed_texts(texts)
+
+        count = 2 * index_mod.EMBED_CHUNK + 7
+        records = [CaptionRecord(f"r{i:05d}", f"caption {i}") for i in range(count)]
+        chunked = RecordingProvider(8)
+        index = build_index(records, chunked)
+        assert max(chunked.calls) <= index_mod.EMBED_CHUNK
+        assert sum(chunked.calls) == count
+
+        monkeypatch.setattr(index_mod, "EMBED_CHUNK", count)
+        single = RecordingProvider(8)
+        reference = build_index(records, single)
+        assert single.calls == [count]
+        assert np.array_equal(index.vectors, reference.vectors)
 
     def test_dedup_drops_repeated_text(self):
         records = [
@@ -296,6 +355,20 @@ class TestSerialization:
         save_index(index, path)
         with pytest.raises(CorruptFileError, match="normalized"):
             load_index(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "small.vfci"
+        save_index(basis_index(), path)
+        before = path.read_bytes()
+
+        def fail(data):
+            raise RuntimeError("crash while writing")
+
+        monkeypatch.setattr(index_mod, "body_crc", fail)
+        with pytest.raises(RuntimeError):
+            save_index(basis_index(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["small.vfci"]
 
     def test_partitioned_roundtrip_preserves_retrieval(self, tmp_path):
         rng = np.random.default_rng(30)

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+import requests
 
-from vfclass.embedding import RemoteEmbeddingClient, hashed_vector
-from vfclass.errors import DimensionMismatchError, EmptyInputError, ProviderUnavailableError
+from vfclass.candidates import LexiconTagger
+from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, hashed_vector
+from vfclass.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    ProviderUnavailableError,
+    SchemaError,
+)
+from vfclass.index import CaptionRecord, build_index
+from vfclass.scoring import ClassifierConfig, classify_batch
 from vfclass.stubserver import running_stub
 
 
@@ -69,3 +78,59 @@ class TestRemoteClient:
         client = RemoteEmbeddingClient(stub_url)
         [vec] = client.embed_texts(["quantized"])
         assert np.array_equal(vec, vec.astype(np.float32).astype(np.float64))
+
+
+class FakeResponse:
+    def __init__(self, body):
+        self.body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+class FakeService:
+    """Stands in for ``requests.post``: answers from a store, except that
+    the vector for ``bad-ref`` has a non-numeric element."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def __call__(self, url, json, timeout):
+        vectors = [
+            [1.0, "x", 0.0, 0.0] if key == "bad-ref" else self.store.vector(key).tolist()
+            for key in json["inputs"]
+        ]
+        return FakeResponse({"dim": self.store.dim, "vectors": vectors})
+
+
+class TestMalformedReply:
+    def world(self, monkeypatch):
+        store = PrecomputedStore(4)
+        e = np.eye(4)
+        for key, vec in [("dog", e[0]), ("cat", e[1]), ("park", e[2]),
+                         ("dog-ref", e[0])]:
+            store.add(key, vec)
+        records = [CaptionRecord(f"cap-{i}", "a dog and a cat in a park")
+                   for i in range(4)]
+        for i, rec in enumerate(records):
+            store.add(rec.id, e[i % 2])
+        monkeypatch.setattr(requests, "post", FakeService(store))
+        return build_index(records, store)
+
+    def test_non_numeric_vector_is_a_schema_error(self, monkeypatch):
+        self.world(monkeypatch)
+        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        with pytest.raises(SchemaError):
+            client.embed_image("bad-ref")
+
+    def test_non_numeric_vector_fails_only_its_query(self, monkeypatch):
+        index = self.world(monkeypatch)
+        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        queries = [("before", "dog-ref"), ("bad", "bad-ref"), ("after", "dog-ref")]
+        results = classify_batch(queries, index, client, LexiconTagger(),
+                                 ClassifierConfig(k=4))
+        assert [r.error_code for r in results] == [None, "schema-violation", None]
+        assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]

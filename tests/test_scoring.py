@@ -291,15 +291,6 @@ class TestClassifyBatch:
                 b.fused for b in single.ranked
             ]
 
-    def test_threaded_matches_serial(self, tagger):
-        index, store, queries = self.world()
-        config = ClassifierConfig(k=4)
-        serial = classify_batch(queries, index, store, tagger, config, threads=1)
-        threaded = classify_batch(queries, index, store, tagger, config, threads=4)
-        assert [i.prediction.label for i in serial] == [
-            i.prediction.label for i in threaded
-        ]
-
     def test_permuted_batch_permutes_results(self, tagger):
         index, store, queries = self.world()
         config = ClassifierConfig(k=4)
