@@ -205,7 +205,9 @@ def _cmd_build_index(args, file_conf) -> int:
 def _read_queries(path) -> list[tuple[str, object]]:
     queries: list[tuple[str, object]] = []
     for lineno, obj in json_lines(path, "queries"):
-        qid = str(obj.get("id", f"line-{lineno}"))
+        qid = obj.get("id", f"line-{lineno}")
+        if not isinstance(qid, str):
+            raise SchemaError(f"queries line {lineno}: 'id' must be a string")
         if "embedding" in obj:
             query = obj["embedding"]
             if not isinstance(query, list) or not all(

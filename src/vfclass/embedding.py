@@ -39,11 +39,20 @@ from .errors import (
 STORE_MAGIC = b"VFCE"
 STORE_VERSION = 1
 DTYPE_F32 = 0
+EMBED_CHUNK = 1024  # texts per provider call when embedding in bulk
+
+
+def _as_float64(values, name: str, shape: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name} is not a numeric {shape}: {exc}") from exc
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting NaN/Inf and empty input."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Coerce to a 1-D float64 array, rejecting NaN/Inf and empty input;
+    non-numeric values are a :class:`SchemaError`."""
+    arr = _as_float64(values, name, "vector")
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInputError(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -51,16 +60,20 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_matrix(values, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+def as_matrix(
+    values, name: str = "matrix", dim: int | None = None, count: int | None = None
+) -> np.ndarray:
     """Coerce to a non-empty ``count x dim`` float64 array of finite values.
 
     Providers may hand back a list of equal-length vectors or a 2-D array;
-    ragged rows or non-numeric values are a :class:`SchemaError`.
+    ragged rows or non-numeric values are a :class:`SchemaError`, and a reply
+    without ``count`` rows is a :class:`ProviderUnavailableError`.
     """
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
+    arr = _as_float64(values, name, "matrix")
+    if count is not None and arr.ndim and len(arr) != count:
+        raise ProviderUnavailableError(
+            f"{name}: provider returned {len(arr)} vectors for {count}"
+        )
     if arr.ndim != 2 or arr.size == 0:
         raise EmptyInputError(f"{name} must be a non-empty count x dim matrix")
     if dim is not None and arr.shape[1] != dim:
@@ -70,6 +83,16 @@ def as_matrix(values, name: str = "matrix", dim: int | None = None) -> np.ndarra
     if not np.isfinite(arr).all():
         raise EmptyInputError(f"{name}: non-finite values")
     return arr
+
+
+def row_norms(matrix: np.ndarray, keys: Sequence[str], name: str) -> np.ndarray:
+    """Euclidean norms of ``matrix``'s rows; a zero row raises
+    :class:`ZeroVectorError` naming its key."""
+    norms = np.linalg.norm(matrix, axis=1)
+    if not norms.all():
+        key = keys[int(np.argmin(norms))]
+        raise ZeroVectorError(f"{name}: the vector for {key!r} is a zero vector")
+    return norms
 
 
 def normalize(v) -> np.ndarray:
@@ -106,21 +129,14 @@ def hashed_vector(text: str, modality: str = "text", dim: int = 64) -> np.ndarra
     """
     if dim <= 0:
         raise EmptyInputError("dim must be positive")
-    raw = np.empty(dim, dtype=np.float64)
-    filled = 0
-    block = 0
     seed = f"{modality}\x00{text}".encode("utf-8")
-    while filled < dim:
-        digest = hashlib.sha256(seed + b"\x00" + str(block).encode()).digest()
-        # 8 eight-byte words per digest, mapped into (-1, 1)
-        words = struct.unpack("<4Q", digest[:32])
-        for w in words:
-            if filled >= dim:
-                break
-            raw[filled] = (w / 2**64) * 2.0 - 1.0
-            filled += 1
-        block += 1
-    return normalize(raw)
+    digests = [
+        hashlib.sha256(seed + b"\x00" + str(block).encode()).digest()
+        for block in range(-(-dim // 4))
+    ]
+    # 4 eight-byte words per digest, mapped into (-1, 1)
+    words = np.frombuffer(b"".join(digests), "<u8")[:dim]
+    return normalize(words / 2.0**64 * 2.0 - 1.0)
 
 
 def _check_texts(texts: Sequence[str]) -> list[str]:
@@ -388,11 +404,7 @@ class RemoteEmbeddingClient:
             raise DimensionMismatchError(
                 f"service returned dim {dim}, expected {self.dim}"
             )
-        if len(vectors) != len(inputs):
-            raise ProviderUnavailableError(
-                f"service returned {len(vectors)} vectors for {len(inputs)} inputs"
-            )
-        matrix = as_matrix(vectors, "service vectors", self.dim)
+        matrix = as_matrix(vectors, "service vectors", self.dim, count=len(inputs))
         return matrix.astype(np.float32).astype(np.float64)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
@@ -419,8 +431,10 @@ class HashEmbedder:
         self.dim = int(dim)
         self.identity = f"hash-v1:{dim}"
 
-    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [hashed_vector(t, "text", self.dim) for t in _check_texts(texts)]
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return np.array(
+            [hashed_vector(t, "text", self.dim) for t in _check_texts(texts)]
+        )
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         if not image_ref:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embedding import cosine_similarity
+from .embedding import EMBED_CHUNK, as_matrix, row_norms
 from .errors import EmptyInputError, MissingTruthError, SchemaError
 from .ingestion import json_lines, json_object
 
@@ -52,71 +52,84 @@ def semantic_iou(predicted: str, truth: str) -> float:
     return len(a & b) / len(a | b)
 
 
+def _embed_labels(labels: list[str], embedder) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings of ``labels`` and their row norms, ``EMBED_CHUNK`` labels
+    per provider call."""
+    chunks = [labels[i : i + EMBED_CHUNK] for i in range(0, len(labels), EMBED_CHUNK)]
+    rows = np.concatenate([
+        as_matrix(embedder.embed_texts(chunk), "label embeddings", count=len(chunk))
+        for chunk in chunks
+    ])
+    return rows, row_norms(rows, labels, "label embeddings")
+
+
+def _similarities(pairs: list[tuple[str, str]], embedder) -> np.ndarray:
+    """Embedding cosine of every (predicted, truth) pair, clipped to [0, 1];
+    each distinct label is embedded, and each distinct pair scored, once."""
+    distinct = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+    labels = sorted({label for pair in distinct for label in pair})
+    rows, norms = _embed_labels(labels, embedder)
+    row_of = {label: i for i, label in enumerate(labels)}
+    left, right = ([row_of[pair[k]] for pair in distinct] for k in (0, 1))
+    # the dots and the norms come from the same row sum, so a label paired
+    # with itself scores exactly 1
+    dots = (rows[left] * rows[right]).sum(axis=1)
+    sims = np.clip(dots / (norms[left] * norms[right]), 0.0, 1.0)
+    return sims[[distinct[pair] for pair in pairs]]
+
+
 def semantic_similarity(predicted: str, truth: str, sentence_embedder) -> float:
     """Embedding cosine of the two labels, clamped to [0, 1] for reporting."""
-    vec_p, vec_t = sentence_embedder.embed_texts([predicted, truth])
-    return max(0.0, cosine_similarity(vec_p, vec_t))
+    return float(_similarities([(predicted, truth)], sentence_embedder)[0])
 
 
-def _solve_assignment(cost: np.ndarray) -> tuple[float, list[int]]:
-    """Minimum-cost assignment for an n x m matrix with n <= m.
+def _solve_assignment(cost: np.ndarray) -> float:
+    """Minimum total cost of assigning every row of an n x m matrix, n <= m.
 
     Shortest-augmenting-path formulation with row/column potentials,
-    O(n^2 m). Returns (total cost, column index per row).
+    O(n^2 m); each step scans the free columns as one array expression.
     """
     n, m = cost.shape
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    match = [0] * (m + 1)  # match[j] = row (1-based) assigned to column j
-    way = [0] * (m + 1)
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    match = np.zeros(m + 1, dtype=np.intp)  # match[j] = row (1-based) of column j
+    way = np.zeros(m + 1, dtype=np.intp)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = ~used[1:] & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            # the free column of least reduced cost; argmin takes the
+            # lowest index on ties
+            free_minv = np.where(used, np.inf, minv)
+            j0 = int(np.argmin(free_minv))
+            delta = free_minv[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             if match[j0] == 0:
                 break
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    col_of_row = [-1] * n
-    for j in range(1, m + 1):
-        if match[j]:
-            col_of_row[match[j] - 1] = j - 1
-    total = float(sum(cost[i, col_of_row[i]] for i in range(n)))
-    return total, col_of_row
+    # the m - n free columns hold row 0 and sort first; the others follow in
+    # row order, so the total is summed row by row
+    col_of_row = np.argsort(match[1:], kind="stable")[m - n :]
+    return float(sum(cost[np.arange(n), col_of_row].tolist()))
 
 
 def _assignment_value(cost: np.ndarray) -> float:
     if cost.size == 0:
         return 0.0
-    if cost.shape[0] <= cost.shape[1]:
-        return _solve_assignment(cost)[0]
-    return _solve_assignment(cost.T)[0]
+    return _solve_assignment(cost if cost.shape[0] <= cost.shape[1] else cost.T)
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
@@ -171,20 +184,17 @@ def hungarian(cost) -> list[tuple[int, int]]:
     return pairs
 
 
-def contingency(
-    preds: list[LabeledPrediction],
-) -> tuple[list[str], list[str], np.ndarray]:
-    """Cluster-by-truth co-occurrence counts, labels sorted for determinism."""
+def contingency(preds: list[LabeledPrediction]) -> np.ndarray:
+    """Cluster-by-truth co-occurrence counts; rows and columns follow the
+    sorted predicted and truth labels, for determinism."""
     if not preds:
         raise EmptyInputError("no predictions to evaluate")
-    clusters = sorted({p.predicted for p in preds})
-    labels = sorted({p.truth for p in preds})
-    row = {c: i for i, c in enumerate(clusters)}
-    col = {t: j for j, t in enumerate(labels)}
-    counts = np.zeros((len(clusters), len(labels)), dtype=np.int64)
-    for p in preds:
-        counts[row[p.predicted], col[p.truth]] += 1
-    return clusters, labels, counts
+    row = {c: i for i, c in enumerate(sorted({p.predicted for p in preds}))}
+    col = {t: j for j, t in enumerate(sorted({p.truth for p in preds}))}
+    counts = np.zeros((len(row), len(col)), dtype=np.int64)
+    cells = ([row[p.predicted] for p in preds], [col[p.truth] for p in preds])
+    np.add.at(counts, cells, 1)
+    return counts
 
 
 def _resolve_mode(preds: list[LabeledPrediction], mode: str) -> str:
@@ -204,7 +214,7 @@ def cluster_accuracy(preds: list[LabeledPrediction], mode: str = "auto") -> floa
     ``auto`` picks one-to-one when there are no more clusters than labels,
     many-to-one otherwise.
     """
-    counts = contingency(preds)[2]
+    counts = contingency(preds)
     mode = _resolve_mode(preds, mode)
     if mode == "one-to-one":
         # the counts are integers, so the optimum's float64 value is exact
@@ -223,15 +233,10 @@ def ground_to_vocabulary(
     if not vocabulary:
         raise EmptyInputError("vocabulary must be non-empty",
                               code="empty-vocabulary")
-    query = text_embedder.embed_texts([predicted_text])[0]
     entries = sorted(set(vocabulary))
-    vectors = text_embedder.embed_texts(entries)
-    scored = [
-        (cosine_similarity(query, vec), entry)
-        for entry, vec in zip(entries, vectors)
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return scored[0][1]
+    rows, norms = _embed_labels([predicted_text] + entries, text_embedder)
+    scores = np.clip(rows[1:] @ rows[0] / (norms[1:] * norms[0]), -1.0, 1.0)
+    return min(zip(-scores, entries))[1]
 
 
 @dataclass
@@ -245,15 +250,7 @@ class EvaluationReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_accuracy": self.cluster_accuracy,
-            "semantic_similarity": self.semantic_similarity,
-            "semantic_iou": self.semantic_iou,
-            "mode": self.mode,
-            "sample_count": self.sample_count,
-            "per_class": self.per_class,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -286,23 +283,19 @@ def evaluate_predictions(
         raise EmptyInputError("no predictions to evaluate")
     mode = _resolve_mode(preds, mode)
     ious = [semantic_iou(p.predicted, p.truth) for p in preds]
-    sims = [
-        semantic_similarity(p.predicted, p.truth, sentence_embedder)
-        for p in preds
-    ]
+    sims = _similarities([(p.predicted, p.truth) for p in preds], sentence_embedder)
     accuracy = cluster_accuracy(preds, mode)
-    per_class: dict[str, dict[str, float]] = {}
-    for p, iou, sim in zip(preds, ious, sims):
-        stats = per_class.setdefault(
-            p.truth,
-            {"samples": 0, "semantic_similarity": 0.0, "semantic_iou": 0.0},
-        )
-        stats["samples"] += 1
-        stats["semantic_similarity"] += sim
-        stats["semantic_iou"] += iou
-    for stats in per_class.values():
-        stats["semantic_similarity"] /= stats["samples"]
-        stats["semantic_iou"] /= stats["samples"]
+    classes = {t: j for j, t in enumerate(dict.fromkeys(p.truth for p in preds))}
+    of_pred = [classes[p.truth] for p in preds]
+    samples = np.bincount(of_pred)
+    # bincount sums each class's values in input order
+    sim_means = np.bincount(of_pred, weights=sims) / samples
+    iou_means = np.bincount(of_pred, weights=ious) / samples
+    per_class = {
+        t: {"samples": int(samples[j]), "semantic_similarity": float(sim_means[j]),
+            "semantic_iou": float(iou_means[j])}
+        for t, j in classes.items()
+    }
     return EvaluationReport(
         cluster_accuracy=accuracy,
         semantic_similarity=float(np.mean(sims)),
@@ -331,9 +324,10 @@ def aggregate_reports(reports: list[EvaluationReport]) -> dict[str, float]:
 def _id_and_label(obj: dict, what: str, lineno: int) -> tuple[str, str]:
     if "id" not in obj or "label" not in obj:
         raise SchemaError(f"{what} line {lineno}: need 'id' and 'label'")
-    if not isinstance(obj["label"], str):
-        raise SchemaError(f"{what} line {lineno}: 'label' must be a string")
-    return str(obj["id"]), obj["label"]
+    for key in ("id", "label"):
+        if not isinstance(obj[key], str):
+            raise SchemaError(f"{what} line {lineno}: {key!r} must be a string")
+    return obj["id"], obj["label"]
 
 
 def load_predictions(path) -> list[tuple[str, str]]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import (
+    EMBED_CHUNK,
     _Reader,
     as_matrix,
     as_vector,
@@ -28,6 +29,7 @@ from .embedding import (
     pack_string,
     read_store_payload,
     replacing_file,
+    row_norms,
     store_payload,
 )
 from .errors import (
@@ -37,8 +39,6 @@ from .errors import (
     EmptyCorpusError,
     EmptyIndexError,
     EmptyInputError,
-    ProviderUnavailableError,
-    ZeroVectorError,
 )
 
 INDEX_MAGIC = b"VFCI"
@@ -48,7 +48,6 @@ STRUCTURE_PARTITIONED = 1
 
 KMEANS_ITERS = 25
 DEFAULT_PROBES = 8
-EMBED_CHUNK = 1024  # records per provider call while building
 
 
 @dataclass(frozen=True)
@@ -98,23 +97,17 @@ def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
     out = None
     for start in range(0, len(records), EMBED_CHUNK):
         chunk = records[start : start + EMBED_CHUNK]
+        ids = [r.id for r in chunk]
         texts = [r.text for r in chunk]
         if hasattr(provider, "embed_records"):
-            vecs = provider.embed_records([r.id for r in chunk], texts)
+            vecs = provider.embed_records(ids, texts)
         else:
             vecs = provider.embed_texts(texts)
-        matrix = as_matrix(vecs, "record embeddings", provider.dim)
-        if matrix.shape[0] != len(chunk):
-            raise ProviderUnavailableError(
-                f"provider returned {matrix.shape[0]} vectors for {len(chunk)} records"
-            )
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        if not norms.all():
-            zero = chunk[int(np.argmin(norms))].id
-            raise ZeroVectorError(f"embedding for record {zero!r} is a zero vector")
+        matrix = as_matrix(vecs, "record embeddings", provider.dim, len(chunk))
+        norms = row_norms(matrix, ids, "record embeddings")
         if out is None:  # a remote client learns its dim from the first reply
             out = np.empty((len(records), matrix.shape[1]), dtype=np.float32)
-        np.divide(matrix, norms, out=out[start : start + len(chunk)])
+        np.divide(matrix, norms[:, None], out=out[start : start + len(chunk)])
     return out
 
 

@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
     EmptyInputError,
-    ProviderUnavailableError,
     VfcError,
     ZeroVectorError,
 )
@@ -137,11 +136,9 @@ def _score_candidates(
         texts = [config.prompt_template.format(name) for name in names]
     else:
         texts = list(names)
-    cand_vecs = as_matrix(provider.embed_texts(texts), "candidate vectors")
-    if cand_vecs.shape[0] != len(texts):
-        raise ProviderUnavailableError(
-            f"provider returned {cand_vecs.shape[0]} vectors for {len(texts)} texts"
-        )
+    cand_vecs = as_matrix(
+        provider.embed_texts(texts), "candidate vectors", count=len(texts)
+    )
     vis = visual_scores(image_vec, cand_vecs)
     tex = text_scores(centroid, cand_vecs)
     fused = fuse(vis, tex, config.alpha)

@@ -23,24 +23,21 @@ class _StubHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length))
-            inputs = body["inputs"]
+            items = body["inputs"]
             modality = body.get("modality", "text")
-            if modality not in ("text", "image") or not isinstance(inputs, list):
-                raise ValueError("bad request")
-            vectors = [
-                hashed_vector(str(item), modality, self.dim).tolist()
-                for item in inputs
-            ]
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            payload = json.dumps({"error": str(exc)}).encode()
-            self.send_response(400)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            if modality not in ("text", "image"):
+                raise ValueError("'modality' must be 'text' or 'image'")
+            if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
+                raise ValueError("'inputs' must be a list of strings")
+            vectors = [hashed_vector(t, modality, self.dim).tolist() for t in items]
+        except (KeyError, TypeError, ValueError) as exc:
+            self._reply(400, {"error": str(exc)})
             return
-        payload = json.dumps({"dim": self.dim, "vectors": vectors}).encode()
-        self.send_response(200)
+        self._reply(200, {"dim": self.dim, "vectors": vectors})
+
+    def _reply(self, status: int, obj: dict) -> None:
+        payload = json.dumps(obj).encode()
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

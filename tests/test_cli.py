@@ -307,6 +307,44 @@ class TestMalformedInput:
                     "--truths", str(world["truths"])])
         assert_json_error(code, capsys, "schema-violation")
 
+    @pytest.mark.parametrize("qid", [None, 7])
+    def test_query_id_that_is_not_a_string(self, world, built_index, tmp_path,
+                                           capsys, qid):
+        ref = world["bench"].queries[0][1]
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"id": qid, "image_ref": ref}) + "\n")
+        code = self.classify(world, built_index, queries)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "schema-violation"
+        assert "queries line 1: 'id' must be a string" in err
+
+    @pytest.mark.parametrize("qid", [None, 7])
+    def test_prediction_id_that_is_not_a_string(self, world, tmp_path, capsys,
+                                                qid):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": qid, "label": "bicycle"}) + "\n")
+        code = run(["evaluate", "--predictions", str(preds),
+                    "--truths", str(world["truths"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "schema-violation"
+        assert "predictions line 1: 'id' must be a string" in err
+
+    def test_query_without_id_is_named_by_line(self, world, built_index,
+                                               tmp_path):
+        ref = world["bench"].queries[0][1]
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"image_ref": ref}) + "\n")
+        out = tmp_path / "preds.jsonl"
+        code = run(["classify", "--index", str(built_index),
+                    "--queries", str(queries),
+                    "--embeddings", str(world["store"]), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["id"] == "line-1"
+
     def test_probes_from_env_exits_1(self, world, built_index, monkeypatch,
                                      capsys):
         monkeypatch.setenv("VFC_PROBES", "x")

@@ -1,5 +1,7 @@
 """Vector math, the binary store, and provider behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from vfclass.embedding import (
     hashed_vector,
     load_store,
     normalize,
+    row_norms,
     save_store,
 )
 from vfclass.errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyInputError,
+    ProviderUnavailableError,
     SchemaError,
     UnknownKeyError,
     ZeroVectorError,
@@ -79,6 +83,18 @@ class TestAsMatrix:
         with pytest.raises(EmptyInputError):
             as_matrix([[1.0, float("inf")]])
 
+    @pytest.mark.parametrize("values", [[[1.0, 0.0]], [], np.ones((3, 2))])
+    def test_row_count_checked(self, values):
+        with pytest.raises(ProviderUnavailableError,
+                           match=f"{len(values)} vectors for 2"):
+            as_matrix(values, "reply", count=2)
+
+    def test_row_norms_name_a_zero_row(self):
+        got = row_norms(np.array([[3.0, 4.0], [0.0, 2.0]]), ["a", "b"], "rows")
+        assert np.array_equal(got, [5.0, 2.0])
+        with pytest.raises(ZeroVectorError, match="'b'"):
+            row_norms(np.array([[3.0, 4.0], [0.0, 0.0]]), ["a", "b"], "rows")
+
 
 class TestCosineSimilarity:
     def test_identical_direction(self):
@@ -98,6 +114,10 @@ class TestCosineSimilarity:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
+
+    def test_non_numeric_is_a_schema_error(self):
+        with pytest.raises(SchemaError):
+            cosine_similarity(["x", 1.0], [1.0, 1.0])
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
@@ -235,3 +255,19 @@ class TestHashedVector:
         [b] = emb.embed_texts(["dog"])
         assert np.array_equal(a, b)
         assert cosine_similarity(a, b) == 1.0
+
+    @pytest.mark.parametrize("dim, digest", [
+        (1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+        (7, "c397e353bb172b6f2275d9f20c5daff7187cd2da0c290facb3b0098045105428"),
+        (64, "6c2e557fa316b26d0ac79c1a2569bf55608844370c28eddf4fbb1bf7abc79795"),
+        (65, "0bb612da9d92d0a5d8dc4891212a0c51c9a19c6ba3b45813cbe78c8ce15e2504"),
+    ])
+    def test_bytes_pinned(self, dim, digest):
+        vec = hashed_vector("a caption", "text", dim)
+        assert hashlib.sha256(vec.tobytes()).hexdigest() == digest
+
+    def test_hash_embedder_returns_a_matrix(self):
+        got = HashEmbedder(dim=8).embed_texts(["dog", "cat", "dog"])
+        assert got.shape == (3, 8)
+        assert np.array_equal(got[0], hashed_vector("dog", "text", 8))
+        assert np.array_equal(got[0], got[2])

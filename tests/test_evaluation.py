@@ -6,9 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from vfclass.embedding import HashEmbedder
-from vfclass.errors import EmptyInputError, MissingTruthError, SchemaError
+from vfclass.embedding import EMBED_CHUNK, HashEmbedder
+from vfclass.errors import (
+    EmptyInputError,
+    MissingTruthError,
+    ProviderUnavailableError,
+    SchemaError,
+)
 from vfclass.evaluation import (
+    _assignment_value,
     EvaluationReport,
     LabeledPrediction,
     aggregate_reports,
@@ -62,6 +68,25 @@ class PlantedEmbedder:
         return [self.table[t] for t in texts]
 
 
+class CountingEmbedder(HashEmbedder):
+    """Hash embedder that records the size of every ``embed_texts`` call."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = []
+
+    def embed_texts(self, texts):
+        self.calls.append(len(texts))
+        return super().embed_texts(texts)
+
+
+class ShortReplyEmbedder(HashEmbedder):
+    """Hash embedder whose replies leave out the last vector."""
+
+    def embed_texts(self, texts):
+        return super().embed_texts(texts)[:-1]
+
+
 class TestSemanticIou:
     def test_identical(self):
         assert semantic_iou("cassowary", "cassowary") == 1.0
@@ -110,8 +135,20 @@ class TestSemanticSimilarity:
         emb = PlantedEmbedder({"a": [1.0, 0.0], "b": [-1.0, 0.0]})
         assert semantic_similarity("a", "b", emb) == 0.0
 
+    def test_short_reply_is_provider_unavailable(self):
+        with pytest.raises(ProviderUnavailableError, match="1 vectors for 2"):
+            semantic_similarity("dog", "cat", ShortReplyEmbedder(8))
+
 
 class TestHungarian:
+    def test_assignment_value_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(61)
+        for n, m in [(50, 50), (80, 120), (200, 200), (150, 60)]:
+            cost = rng.integers(-40, 40, (n, m)).astype(np.float64)
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert _assignment_value(cost) == cost[rows, cols].sum()
+
     def test_identity_favoring_matrix(self):
         cost = np.ones((3, 3)) - np.eye(3)
         assert hungarian(cost) == [(0, 0), (1, 1), (2, 2)]
@@ -327,6 +364,16 @@ class TestGroundToVocabulary:
         with pytest.raises(EmptyInputError):
             ground_to_vocabulary("x", [], HashEmbedder(8))
 
+    def test_one_provider_call(self):
+        emb = CountingEmbedder(8)
+        vocab = [f"word {i}" for i in range(30)] + ["word 3"]
+        ground_to_vocabulary("query", vocab, emb)
+        assert emb.calls == [31]
+
+    def test_short_reply_is_provider_unavailable(self):
+        with pytest.raises(ProviderUnavailableError, match="3 vectors for 4"):
+            ground_to_vocabulary("query", ["a", "b", "c"], ShortReplyEmbedder(8))
+
 
 def golden_embedder():
     e = np.eye(6)
@@ -381,6 +428,20 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             evaluate_predictions([], HashEmbedder(8))
+
+    def test_each_distinct_label_embedded_once(self):
+        # 1500 distinct predicted labels and 700 distinct truths
+        preds = [LabeledPrediction(f"s{k}", f"pred {k}", f"truth {k % 700}")
+                 for k in range(1500)]
+        emb = CountingEmbedder(8)
+        report = evaluate_predictions(preds, emb)
+        assert len(emb.calls) == -(-2200 // EMBED_CHUNK)
+        assert max(emb.calls) <= EMBED_CHUNK
+        assert sum(emb.calls) == 2200
+        sims = [semantic_similarity(p.predicted, p.truth, HashEmbedder(8))
+                for p in preds]
+        assert report.semantic_similarity == pytest.approx(np.mean(sims),
+                                                           rel=1e-12)
 
     def test_csv_has_overall_and_class_rows(self):
         report = evaluate_predictions(golden_fixture(), golden_embedder())

@@ -74,6 +74,18 @@ class TestRemoteClient:
             want = hashed_vector(f"t{i % 3}", "text", 4).astype(np.float32)
             assert np.array_equal(vec, want.astype(np.float64))
 
+    @pytest.mark.parametrize("body", [
+        {"inputs": [5]},
+        {"inputs": ["a", None]},
+        {"inputs": "a"},
+        {"inputs": ["a"], "modality": "audio"},
+        ["a"],
+    ])
+    def test_stub_rejects_a_malformed_request(self, stub_url, body):
+        resp = requests.post(stub_url, json=body, timeout=5)
+        assert resp.status_code == 400
+        assert "error" in resp.json()
+
     def test_vectors_quantized_to_storage_precision(self, stub_url):
         client = RemoteEmbeddingClient(stub_url)
         [vec] = client.embed_texts(["quantized"])

@@ -309,3 +309,22 @@ class TestClassifyBatch:
         assert results[0].prediction is not None
         assert results[1].prediction is None
         assert results[1].error_code == "unknown-image-ref"
+
+    def test_non_numeric_image_vector_fails_only_its_query(self, tagger):
+        index, store, queries = self.world()
+
+        class BadImageProvider:
+            dim = store.dim
+            embed_texts = staticmethod(store.embed_texts)
+
+            def embed_image(self, ref):
+                return ["x", 0.0, 0.0, 0.0]
+
+        mixed = [("before", queries[0][1]), ("bad", "img/0"),
+                 ("after", queries[1][1])]
+        results = classify_batch(mixed, index, BadImageProvider(), tagger,
+                                 ClassifierConfig(k=4))
+        assert [r.error_code for r in results] == [None, "schema-violation", None]
+        for item, (_, query) in zip(results[::2], mixed[::2]):
+            assert item.prediction.label == classify(
+                query, index, store, tagger, ClassifierConfig(k=4)).label
