@@ -70,7 +70,6 @@ from .scoring import (
     classify,
     classify_batch,
     fuse,
-    text_scores,
     visual_scores,
 )
 
@@ -127,7 +126,6 @@ __all__ = [
     "semantic_similarity",
     "singularize",
     "standardize",
-    "text_scores",
     "validate_manifest",
     "visual_scores",
     "write_corpus",

@@ -32,6 +32,7 @@ POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
 
 _URL_RE = re.compile(r"^(?:[a-z][a-z0-9+.-]*://|www\.)", re.IGNORECASE)
 _EXTENSION_RE = re.compile(r"^(.+)\.([A-Za-z0-9]{1,4})$")
+_COMPOUND_RE = re.compile(r"[-_]+")
 _EDGE_PUNCT = string.punctuation
 
 ARTICLES = frozenset({"a", "an", "the"})
@@ -218,7 +219,7 @@ def remove_noise(caption_text: str, config: FilterConfig | None = None) -> list[
         if match:
             token = match.group(1)
         if config.split_compounds:
-            pieces = re.split(r"[-_]+", token)
+            pieces = _COMPOUND_RE.split(token)
         else:
             pieces = [token]
         for piece in pieces:
@@ -321,12 +322,14 @@ def pos_tag(word: str, tagger) -> str:
 
 def _pos_and_count_filter(
     tokens: list[str], tagger, config: FilterConfig
-) -> tuple[dict[str, int], Counter]:
-    """Stage 3 on a token list: keep allowed POS categories, then threshold.
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Stage 3 on a token list: keep allowed POS categories, tagging each
+    distinct token once, then threshold.
 
     Returns the names at or above ``min_count`` and the counts before it.
     """
-    counts = Counter(t for t in tokens if pos_tag(t, tagger) in config.allowed_pos)
+    counts = {t: n for t, n in Counter(tokens).items()
+              if pos_tag(t, tagger) in config.allowed_pos}
     entries = {name: n for name, n in counts.items() if n >= config.min_count}
     return entries, counts
 

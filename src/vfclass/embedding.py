@@ -394,6 +394,8 @@ class RemoteEmbeddingClient:
             raise ProviderUnavailableError(
                 f"embedding service returned invalid JSON: {exc}"
             ) from exc
+        if not isinstance(body, dict):
+            raise ProviderUnavailableError("embedding service reply is not an object")
         dim = body.get("dim")
         vectors = body.get("vectors")
         if not isinstance(dim, int) or not isinstance(vectors, list):

@@ -64,18 +64,16 @@ def _embed_labels(labels: list[str], embedder) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _similarities(pairs: list[tuple[str, str]], embedder) -> np.ndarray:
-    """Embedding cosine of every (predicted, truth) pair, clipped to [0, 1];
-    each distinct label is embedded, and each distinct pair scored, once."""
-    distinct = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
-    labels = sorted({label for pair in distinct for label in pair})
+    """Embedding cosine of each (predicted, truth) pair, clipped to [0, 1];
+    each distinct label is embedded once."""
+    labels = sorted({label for pair in pairs for label in pair})
     rows, norms = _embed_labels(labels, embedder)
     row_of = {label: i for i, label in enumerate(labels)}
-    left, right = ([row_of[pair[k]] for pair in distinct] for k in (0, 1))
+    left, right = ([row_of[pair[k]] for pair in pairs] for k in (0, 1))
     # the dots and the norms come from the same row sum, so a label paired
     # with itself scores exactly 1
     dots = (rows[left] * rows[right]).sum(axis=1)
-    sims = np.clip(dots / (norms[left] * norms[right]), 0.0, 1.0)
-    return sims[[distinct[pair] for pair in pairs]]
+    return np.clip(dots / (norms[left] * norms[right]), 0.0, 1.0)
 
 
 def semantic_similarity(predicted: str, truth: str, sentence_embedder) -> float:
@@ -282,8 +280,11 @@ def evaluate_predictions(
     if not preds:
         raise EmptyInputError("no predictions to evaluate")
     mode = _resolve_mode(preds, mode)
-    ious = [semantic_iou(p.predicted, p.truth) for p in preds]
-    sims = _similarities([(p.predicted, p.truth) for p in preds], sentence_embedder)
+    # each distinct (predicted, truth) pair is scored once
+    slot: dict[tuple[str, str], int] = {}
+    of_pair = [slot.setdefault((p.predicted, p.truth), len(slot)) for p in preds]
+    ious = np.array([semantic_iou(*pair) for pair in slot])[of_pair]
+    sims = _similarities(list(slot), sentence_embedder)[of_pair]
     accuracy = cluster_accuracy(preds, mode)
     classes = {t: j for j, t in enumerate(dict.fromkeys(p.truth for p in preds))}
     of_pred = [classes[p.truth] for p in preds]

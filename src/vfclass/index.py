@@ -8,8 +8,8 @@ cosine similarity. Two search structures are available:
   learned by iterative centroid refinement; queries probe the nearest
   partitions, and ``probes="all"`` recovers exact results.
 
-Records are kept in ascending-id order so that builds are insensitive to
-input order and score ties resolve identically everywhere.
+Records are kept in ascending-id order, so builds ignore input order and
+row order is id order: score ties break by row, that is, by ascending id.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class CaptionRecord:
 class RetrievedCaption:
     record: CaptionRecord
     score: float
+    row: int  # position of the record in the index
 
 
 @dataclass
@@ -77,19 +78,12 @@ class CaptionIndex:
     partitions: list[np.ndarray] = field(default_factory=list)
     provider_identity: str = ""
 
-    def __post_init__(self):
-        self._row_by_id = {r.id: i for i, r in enumerate(self.records)}
-
     def __len__(self) -> int:
         return len(self.records)
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
-
-    def vectors_for_ids(self, ids) -> np.ndarray:
-        rows = [self._row_by_id[i] for i in ids]
-        return self.vectors[rows].astype(np.float64)
 
 
 def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
@@ -232,7 +226,7 @@ def _check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
 def _select_topk(
     index: CaptionIndex, rows: np.ndarray, scores: np.ndarray, k: int
 ) -> list[RetrievedCaption]:
-    """Exact top-k over (rows, scores) with the (-score, id) total order."""
+    """Exact top-k over (rows, scores) in (-score, row) order, which is (-score, id)."""
     k_eff = min(k, rows.shape[0])
     if k_eff < rows.shape[0]:
         part = np.argpartition(-scores, k_eff - 1)[:k_eff]
@@ -240,12 +234,12 @@ def _select_topk(
         keep = np.flatnonzero(scores >= threshold)
     else:
         keep = np.arange(rows.shape[0])
-    order = sorted(keep, key=lambda i: (-scores[i], index.records[rows[i]].id))
-    out = []
-    for i in order[:k_eff]:
-        score = max(-1.0, min(1.0, float(scores[i])))
-        out.append(RetrievedCaption(index.records[rows[i]], score))
-    return out
+    order = keep[np.lexsort((rows[keep], -scores[keep]))][:k_eff]
+    clipped = np.clip(scores[order], -1.0, 1.0).tolist()
+    return [
+        RetrievedCaption(index.records[row], score, row)
+        for row, score in zip(rows[order].tolist(), clipped)
+    ]
 
 
 def retrieve_topk(
@@ -274,8 +268,7 @@ def retrieve_topk(
             probe_ids = range(index.num_partitions)
         else:
             d2 = np.sum((index.centroids - q) ** 2, axis=1)
-            order = sorted(range(index.num_partitions), key=lambda c: (d2[c], c))
-            probe_ids = order[:n_probe]
+            probe_ids = np.argsort(d2, kind="stable")[:n_probe]
         pieces = [index.partitions[c] for c in probe_ids]
         rows = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
     if rows.size == 0:
@@ -290,11 +283,11 @@ def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
     scored = []
     for row, rec in enumerate(index.records):
         score = float(np.dot(index.vectors[row].astype(np.float64), q))
-        scored.append((rec, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
+        scored.append((rec, score, row))
+    scored.sort(key=lambda item: (-item[1], item[0].id))
     return [
-        RetrievedCaption(rec, max(-1.0, min(1.0, score)))
-        for rec, score in scored[:k]
+        RetrievedCaption(rec, max(-1.0, min(1.0, score)), row)
+        for rec, score, row in scored[:k]
     ]
 
 
@@ -347,6 +340,9 @@ def load_index(path) -> CaptionIndex:
     reader = _Reader(body)
     dim, vectors, ids = read_store_payload(reader)
     count = len(ids)
+    # ties break by row, which is the id order only for ascending ids
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise CorruptFileError("index record ids are not in ascending order")
     if count and not np.allclose(
         np.linalg.norm(vectors.astype(np.float64), axis=1), 1.0, atol=1e-5
     ):
@@ -367,8 +363,10 @@ def load_index(path) -> CaptionIndex:
             size = reader.u64()
             members = np.frombuffer(reader.take(size * 4), dtype="<u4")
             partitions.append(members.astype(np.int64))
-        covered = np.concatenate(partitions) if partitions else np.empty(0)
-        if covered.size != count or len(set(covered.tolist())) != count:
+        covered = np.concatenate(partitions) if partitions else np.empty(0, np.int64)
+        # every row in exactly one list, and no member past the last row
+        hits = np.bincount(covered, minlength=count)
+        if hits.size != count or not (hits == 1).all():
             raise CorruptFileError("partition member lists do not cover the corpus")
         index.structure = "partitioned"
         index.centroids = np.array(centroids)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .candidates import FilterConfig, POS_CATEGORIES, pos_tag, remove_noise, standardize
 from .errors import EmptyInputError, SchemaError, UnknownKeyError
@@ -106,12 +106,7 @@ class CorpusStats:
     pos_percentages: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "caption_count": self.caption_count,
-            "token_count": self.token_count,
-            "unique_word_count": self.unique_word_count,
-            "pos_percentages": self.pos_percentages,
-        }
+        return asdict(self)
 
 
 def corpus_stats(records, tagger, config: FilterConfig | None = None) -> CorpusStats:
@@ -119,11 +114,13 @@ def corpus_stats(records, tagger, config: FilterConfig | None = None) -> CorpusS
     if not records:
         raise EmptyInputError("corpus is empty")
     config = config or FilterConfig()
-    tokens: list[str] = []
+    tokens: Counter[str] = Counter()
     for rec in records:
-        tokens.extend(standardize(remove_noise(rec.text, config)))
-    pos_counts: Counter[str] = Counter(pos_tag(tok, tagger) for tok in tokens)
-    total = len(tokens)
+        tokens.update(standardize(remove_noise(rec.text, config)))
+    pos_counts: Counter[str] = Counter()
+    for tok, n in tokens.items():
+        pos_counts[pos_tag(tok, tagger)] += n
+    total = tokens.total()
     if total:
         percentages = {
             cat: 100.0 * pos_counts.get(cat, 0) / total for cat in POS_CATEGORIES
@@ -133,7 +130,7 @@ def corpus_stats(records, tagger, config: FilterConfig | None = None) -> CorpusS
     return CorpusStats(
         caption_count=len(records),
         token_count=total,
-        unique_word_count=len(set(tokens)),
+        unique_word_count=len(tokens),
         pos_percentages=percentages,
     )
 

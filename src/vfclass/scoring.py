@@ -71,7 +71,7 @@ class BatchItem:
 
 
 def visual_scores(image_vec, candidate_vecs) -> list[float]:
-    """Cosine of the query embedding against each candidate embedding."""
+    """Cosine of the image vector or caption centroid against each candidate."""
     matrix = as_matrix(candidate_vecs, "candidate vectors")
     query = as_vector(image_vec, "image vector")
     if query.shape[0] != matrix.shape[1]:
@@ -87,11 +87,6 @@ def visual_scores(image_vec, candidate_vecs) -> list[float]:
 def caption_centroid(caption_vecs) -> np.ndarray:
     """Arithmetic mean of the retrieved-caption embeddings (not re-normalized)."""
     return as_matrix(caption_vecs, "caption vectors").mean(axis=0)
-
-
-def text_scores(centroid, candidate_vecs) -> list[float]:
-    """Cosine of the caption centroid against each candidate embedding."""
-    return visual_scores(centroid, candidate_vecs)
 
 
 def softmax(values) -> np.ndarray:
@@ -140,7 +135,7 @@ def _score_candidates(
         provider.embed_texts(texts), "candidate vectors", count=len(texts)
     )
     vis = visual_scores(image_vec, cand_vecs)
-    tex = text_scores(centroid, cand_vecs)
+    tex = visual_scores(centroid, cand_vecs)
     fused = fuse(vis, tex, config.alpha)
     ranked = [
         ScoreBreakdown(name, v, t, f)
@@ -180,7 +175,7 @@ def classify(
         names = [best[0]]
         fallback = True
 
-    centroid = caption_centroid(index.vectors_for_ids([h.record.id for h in hits]))
+    centroid = caption_centroid(index.vectors[[h.row for h in hits]])
     ranked = _score_candidates(names, image_vec, centroid, provider, config)
     return Prediction(ranked[0].candidate, ranked, hits, fallback)
 

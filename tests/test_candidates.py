@@ -143,6 +143,19 @@ class TestFilterCandidates:
         assert result.entries == {}
         assert len(result) == 0
 
+    def test_each_distinct_token_tagged_once(self):
+        calls = []
+
+        class CountingTagger(LexiconTagger):
+            def tag(self, word):
+                calls.append(word)
+                return super().tag(word)
+
+        tokens = ["dog", "red", "dog", "cat", "dog", "cat"]
+        result = filter_candidates(tokens, CountingTagger())
+        assert sorted(calls) == ["cat", "dog", "red"]
+        assert result.entries == {"cat": 2, "dog": 3}
+
 
 def caption(text, rid="c1"):
     return CaptionRecord(rid, text)

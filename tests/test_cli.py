@@ -5,13 +5,14 @@ import io
 import json
 import socket
 
+import numpy as np
 import pytest
 
 from vfclass.benchmark import make_benchmark
 from vfclass.cli import run
 from vfclass.embedding import save_store
 from vfclass.ingestion import save_manifest, write_corpus
-from vfclass.index import load_index
+from vfclass.index import CaptionIndex, CaptionRecord, load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +345,28 @@ class TestMalformedInput:
                     "--embeddings", str(world["store"]), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["id"] == "line-1"
+
+    @pytest.mark.parametrize("ids,members", [
+        (["a", "b", "c"], [[0, 1], [7]]),  # a member past the last row
+        (["b", "a", "c"], None),  # ids out of row order
+    ])
+    def test_malformed_index_file_exits_1(self, world, tmp_path, capsys, ids,
+                                          members):
+        index = CaptionIndex(
+            dim=16, records=[CaptionRecord(rid, f"a {rid}") for rid in ids],
+            vectors=np.eye(16, dtype=np.float32)[:3],
+        )
+        if members:
+            index.structure = "partitioned"
+            index.centroids = np.eye(16)[:2]
+            index.partitions = [np.array(m) for m in members]
+        path = tmp_path / "bad.vfci"
+        save_index(index, path)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"id": "q1", "embedding": [1.0] * 16}) + "\n")
+        code = run(["classify", "--index", str(path), "--queries", str(queries),
+                    "--probes", "all", "--embeddings", str(world["store"])])
+        assert_json_error(code, capsys, "corrupt-file")
 
     def test_probes_from_env_exits_1(self, world, built_index, monkeypatch,
                                      capsys):

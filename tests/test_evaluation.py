@@ -443,6 +443,23 @@ class TestEvaluate:
         assert report.semantic_similarity == pytest.approx(np.mean(sims),
                                                            rel=1e-12)
 
+    def test_each_distinct_pair_scored_once(self, monkeypatch):
+        import vfclass.evaluation as evaluation_mod
+
+        calls = []
+
+        def counting_iou(predicted, truth):
+            calls.append((predicted, truth))
+            return semantic_iou(predicted, truth)
+
+        monkeypatch.setattr(evaluation_mod, "semantic_iou", counting_iou)
+        preds = golden_fixture()
+        report = evaluate_predictions(preds, golden_embedder())
+        distinct = list(dict.fromkeys((p.predicted, p.truth) for p in preds))
+        assert calls == distinct
+        assert len(calls) < len(preds)
+        assert report.semantic_iou == pytest.approx(0.525, abs=1e-12)
+
     def test_csv_has_overall_and_class_rows(self):
         report = evaluate_predictions(golden_fixture(), golden_embedder())
         lines = report.to_csv().strip().splitlines()

@@ -271,6 +271,24 @@ class TestRetrieveTopk:
         hits = retrieve_topk(index, [1.0, 0.0], 3)
         assert [h.record.id for h in hits] == ["a", "m", "z"]
 
+    @pytest.mark.parametrize("probes,k", [(2, 3), ("all", 3), (2, 1)])
+    def test_ties_across_probed_partitions_break_by_id(self, probes, k):
+        # rows 0 and 3 hold the same vector; the probed lists give rows in
+        # the order 3, 4, 0, ... so ties must not follow scan position
+        records = [CaptionRecord(rid, f"text {rid}") for rid in "abcde"]
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [1.0, 0.0],
+                            [0.8, 0.6]], dtype=np.float32)
+        index = CaptionIndex(
+            dim=2, records=records, vectors=vectors, structure="partitioned",
+            centroids=np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]),
+            partitions=[np.array([3, 4]), np.array([1]), np.array([0, 2])],
+        )
+        hits = retrieve_topk(index, [1.0, 0.1], k, probes=probes)
+        assert [h.record.id for h in hits] == ["a", "d", "e"][:k]
+        assert [h.row for h in hits] == [0, 3, 4][:k]
+        if k > 1:
+            assert hits[0].score == hits[1].score
+
 
 class TestExactTopk:
     def test_empty_index(self):

@@ -142,6 +142,22 @@ class TestCorpusStats:
         with pytest.raises(EmptyInputError):
             corpus_stats([], tagger)
 
+    def test_each_distinct_token_tagged_once(self):
+        from vfclass.index import CaptionRecord
+
+        calls = []
+
+        class CountingTagger(LexiconTagger):
+            def tag(self, word):
+                calls.append(word)
+                return super().tag(word)
+
+        records = [CaptionRecord("a", "dog dog blue"), CaptionRecord("b", "dog blue")]
+        stats = corpus_stats(records, CountingTagger())
+        assert sorted(calls) == ["blue", "dog"]
+        assert stats.token_count == 5
+        assert stats.pos_percentages["noun"] == 60.0
+
 
 def manifest_doc():
     return {

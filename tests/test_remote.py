@@ -138,6 +138,13 @@ class TestMalformedReply:
         with pytest.raises(SchemaError):
             client.embed_image("bad-ref")
 
+    def test_reply_that_is_not_an_object(self, monkeypatch):
+        monkeypatch.setattr(requests, "post",
+                            lambda url, json, timeout: FakeResponse([[1.0, 0.0]]))
+        client = RemoteEmbeddingClient("http://embedding.test/", dim=2)
+        with pytest.raises(ProviderUnavailableError, match="not an object"):
+            client.embed_texts(["dog"])
+
     def test_non_numeric_vector_fails_only_its_query(self, monkeypatch):
         index = self.world(monkeypatch)
         client = RemoteEmbeddingClient("http://embedding.test/", dim=4)

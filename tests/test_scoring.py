@@ -1,10 +1,13 @@
 """Score fusion and the end-to-end classifier on planted worlds."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from vfclass.benchmark import make_noisy_benchmark
 from vfclass.candidates import LexiconTagger
 from vfclass.embedding import PrecomputedStore, cosine_similarity
 from vfclass.errors import (
@@ -19,7 +22,6 @@ from vfclass.scoring import (
     classify,
     classify_batch,
     fuse,
-    text_scores,
     visual_scores,
 )
 
@@ -58,6 +60,12 @@ class TestVisualScores:
         with pytest.raises(DimensionMismatchError):
             visual_scores([1.0, 0.0, 0.0], [[1.0, 0.0]])
 
+    def test_centroid_parallel_candidate(self):
+        centroid = [0.5, 0.5]
+        scores = visual_scores(centroid, [[1.0, 1.0], [1.0, -1.0]])
+        assert scores[0] == pytest.approx(1.0)
+        assert scores[1] == pytest.approx(0.0)
+
 
 class TestCaptionCentroid:
     def test_identical_vectors_mean_is_vector(self):
@@ -77,14 +85,6 @@ class TestCaptionCentroid:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyInputError):
             caption_centroid([])
-
-
-class TestTextScores:
-    def test_parallel_candidate(self):
-        centroid = [0.5, 0.5]
-        scores = text_scores(centroid, [[1.0, 1.0], [1.0, -1.0]])
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(0.0)
 
 
 class TestFuse:
@@ -328,3 +328,40 @@ class TestClassifyBatch:
         for item, (_, query) in zip(results[::2], mixed[::2]):
             assert item.prediction.label == classify(
                 query, index, store, tagger, ClassifierConfig(k=4)).label
+
+
+class TestPredictionPins:
+    """Each query's label, fallback flag, ranked candidate names and
+    retrieved ids on ``make_noisy_benchmark(seed=7)``, pinned by hash; no
+    float score is pinned."""
+
+    PINS = {
+        ("flat", None): (
+            "a312e9c468bb43dacddd37538a53618f5ad636d2b2994d41a0197d96f35287ea"
+        ),
+        ("partitioned", None): (
+            "a312e9c468bb43dacddd37538a53618f5ad636d2b2994d41a0197d96f35287ea"
+        ),
+        ("partitioned", 2): (
+            "cbf688f8731ea46144207dfdef8efd8075a59a0076ae918775916f400aa63a9e"
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return make_noisy_benchmark(num_queries=300, seed=7)
+
+    @pytest.mark.parametrize("structure,probes", list(PINS))
+    def test_predictions_pinned(self, bench, tagger, structure, probes):
+        index = build_index(bench.records, bench.store, structure=structure,
+                            num_partitions=8)
+        items = classify_batch(bench.queries, index, bench.store, tagger,
+                               ClassifierConfig(probes=probes))
+        rows = [
+            [item.id, item.prediction.label, item.prediction.fallback,
+             [b.candidate for b in item.prediction.ranked],
+             [h.record.id for h in item.prediction.retrieved]]
+            for item in items
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == self.PINS[structure, probes]
