@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -80,7 +81,7 @@ def resolve_option(name, flag_value, file_conf, cast=str, default=None):
 
 
 def _parse_count(value: str, expected: str = "an integer >= 1") -> int:
-    """A partition count of at least 1."""
+    """A count of at least 1."""
     try:
         count = int(value)
     except ValueError:
@@ -88,6 +89,19 @@ def _parse_count(value: str, expected: str = "an integer >= 1") -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
     return count
+
+
+def _parse_timeout(value: str) -> float:
+    """A finite number of seconds above 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = 0.0
+    if not 0.0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {value!r}"
+        )
+    return seconds
 
 
 def _parse_probes(value: str):
@@ -111,8 +125,10 @@ def _provider(args, file_conf):
         return PrecomputedStore.load(args.embeddings)
     if embed_url:
         timeout = resolve_option("embed_timeout", args.embed_timeout, file_conf,
-                                 cast=float, default=DEFAULTS["embed_timeout"])
-        dim = resolve_option("embed_dim", args.embed_dim, file_conf, cast=int)
+                                 cast=_parse_timeout,
+                                 default=DEFAULTS["embed_timeout"])
+        dim = resolve_option("embed_dim", args.embed_dim, file_conf,
+                             cast=_parse_count)
         return RemoteEmbeddingClient(embed_url, dim=dim, timeout=timeout)
     raise EmptyInputError(
         "no embedding provider: pass --embeddings or --embed-url",
@@ -133,7 +149,8 @@ def _tagger(args) -> LexiconTagger:
 
 def _classifier_config(args, file_conf) -> ClassifierConfig:
     return ClassifierConfig(
-        k=resolve_option("k", args.k, file_conf, cast=int, default=DEFAULTS["k"]),
+        k=resolve_option("k", args.k, file_conf, cast=_parse_count,
+                         default=DEFAULTS["k"]),
         alpha=resolve_option(
             "alpha", args.alpha, file_conf, cast=float, default=DEFAULTS["alpha"]
         ),
@@ -288,28 +305,23 @@ class AblationSpec:
             raise EmptyInputError("sweep needs at least one value")
 
     def config_for(self, value: str) -> ClassifierConfig:
-        config = replace(self.base)
+        """The base configuration with the swept variable set to ``value``;
+        ``ClassifierConfig`` checks it when it is made."""
+        if self.sweep == "filter-stages":
+            return replace(self.base, filter=FilterConfig.for_stages(value))
+        modes = {"visual": 1.0, "textual": 0.0, "multimodal": self.base.alpha}
         try:
             if self.sweep == "alpha":
-                config.alpha = float(value)
-                if not 0.0 <= config.alpha <= 1.0:
-                    raise ValueError("alpha outside [0, 1]")
-            elif self.sweep == "k":
-                config.k = int(value)
-                if config.k < 1:
-                    raise ValueError("k below 1")
-            elif self.sweep == "scoring-mode":
-                if value not in SCORING_MODES:
+                return replace(self.base, alpha=float(value))
+            if self.sweep == "k":
+                return replace(self.base, k=int(value))
+            if self.sweep == "scoring-mode":
+                if value not in modes:
                     raise ValueError(f"expected one of {SCORING_MODES}")
-                config.alpha = {"visual": 1.0, "textual": 0.0,
-                                "multimodal": self.base.alpha}[value]
-            elif self.sweep == "filter-stages":
-                config.filter = FilterConfig.for_stages(value)
-        except ValueError as exc:
-            raise EmptyInputError(
-                f"bad {self.sweep} value {value!r}: {exc}"
-            ) from exc
-        return config
+                return replace(self.base, alpha=modes[value])
+        except (ValueError, EmptyInputError) as exc:
+            raise EmptyInputError(f"bad {self.sweep} value {value!r}: {exc}") from exc
+        return replace(self.base)
 
 
 def _sweep_rows(spec: AblationSpec, args, file_conf) -> list[dict]:
@@ -423,15 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     provider = argparse.ArgumentParser(add_help=False)
     provider.add_argument("--embeddings", help="precomputed store (.vfce)")
     provider.add_argument("--embed-url", help="remote embedding service URL")
-    provider.add_argument("--embed-dim", type=int)
-    provider.add_argument("--embed-timeout", type=float)
+    provider.add_argument("--embed-dim", type=_parse_count)
+    provider.add_argument("--embed-timeout", type=_parse_timeout)
     words = argparse.ArgumentParser(add_help=False)
     words.add_argument("--lexicon", help="word<TAB>pos lexicon file")
     words.add_argument("--stop-words", help="stop-word list, one word per line")
     words.add_argument("--meta-words", help="meta-word list, one word per line")
     classifier = argparse.ArgumentParser(add_help=False)
     classifier.add_argument("--alpha", type=float)
-    classifier.add_argument("--k", type=int)
+    classifier.add_argument("--k", type=_parse_count)
     classifier.add_argument("--probes", type=_parse_probes)
     classifier.add_argument("--prompt")
 

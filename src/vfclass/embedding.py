@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
+import numbers
 import os
 import secrets
 import struct
@@ -40,6 +42,16 @@ STORE_MAGIC = b"VFCE"
 STORE_VERSION = 1
 DTYPE_F32 = 0
 EMBED_CHUNK = 1024  # texts per provider call when embedding in bulk
+
+
+def is_count(value) -> bool:
+    """True for an ``int`` >= 1 that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_float64(values, name: str, shape: str) -> np.ndarray:
@@ -83,6 +95,14 @@ def as_matrix(
     if not np.isfinite(arr).all():
         raise EmptyInputError(f"{name}: non-finite values")
     return arr
+
+
+def embed_text_rows(provider, texts: Sequence[str], name: str) -> np.ndarray:
+    """Checked float64 rows for ``texts`` in order, ``EMBED_CHUNK`` texts per
+    provider call; no texts make no call."""
+    chunks = [texts[i : i + EMBED_CHUNK] for i in range(0, len(texts), EMBED_CHUNK)]
+    rows = [as_matrix(provider.embed_texts(c), name, count=len(c)) for c in chunks]
+    return np.concatenate(rows) if rows else np.empty((0, 0))
 
 
 def row_norms(matrix: np.ndarray, keys: Sequence[str], name: str) -> np.ndarray:
@@ -372,6 +392,12 @@ class RemoteEmbeddingClient:
         timeout: float = 10.0,
         identity: str | None = None,
     ):
+        if dim is not None and not is_count(dim):
+            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
+        if not (is_real(timeout) and 0 < timeout < math.inf):
+            raise EmptyInputError(
+                f"timeout must be a finite number of seconds > 0, got {timeout!r}"
+            )
         self.base_url = base_url
         self.dim = dim
         self.timeout = timeout
@@ -398,7 +424,7 @@ class RemoteEmbeddingClient:
             raise ProviderUnavailableError("embedding service reply is not an object")
         dim = body.get("dim")
         vectors = body.get("vectors")
-        if not isinstance(dim, int) or not isinstance(vectors, list):
+        if not is_count(dim) or not isinstance(vectors, list):
             raise ProviderUnavailableError("malformed response from embedding service")
         if self.dim is None:
             self.dim = dim

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embedding import EMBED_CHUNK, as_matrix, row_norms
+from .embedding import embed_text_rows, row_norms
 from .errors import EmptyInputError, MissingTruthError, SchemaError
 from .ingestion import json_lines, json_object
 
@@ -52,22 +52,12 @@ def semantic_iou(predicted: str, truth: str) -> float:
     return len(a & b) / len(a | b)
 
 
-def _embed_labels(labels: list[str], embedder) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings of ``labels`` and their row norms, ``EMBED_CHUNK`` labels
-    per provider call."""
-    chunks = [labels[i : i + EMBED_CHUNK] for i in range(0, len(labels), EMBED_CHUNK)]
-    rows = np.concatenate([
-        as_matrix(embedder.embed_texts(chunk), "label embeddings", count=len(chunk))
-        for chunk in chunks
-    ])
-    return rows, row_norms(rows, labels, "label embeddings")
-
-
 def _similarities(pairs: list[tuple[str, str]], embedder) -> np.ndarray:
     """Embedding cosine of each (predicted, truth) pair, clipped to [0, 1];
     each distinct label is embedded once."""
     labels = sorted({label for pair in pairs for label in pair})
-    rows, norms = _embed_labels(labels, embedder)
+    rows = embed_text_rows(embedder, labels, "label embeddings")
+    norms = row_norms(rows, labels, "label embeddings")
     row_of = {label: i for i, label in enumerate(labels)}
     left, right = ([row_of[pair[k]] for pair in pairs] for k in (0, 1))
     # the dots and the norms come from the same row sum, so a label paired
@@ -231,10 +221,11 @@ def ground_to_vocabulary(
     if not vocabulary:
         raise EmptyInputError("vocabulary must be non-empty",
                               code="empty-vocabulary")
-    entries = sorted(set(vocabulary))
-    rows, norms = _embed_labels([predicted_text] + entries, text_embedder)
+    labels = [predicted_text] + sorted(set(vocabulary))
+    rows = embed_text_rows(text_embedder, labels, "label embeddings")
+    norms = row_norms(rows, labels, "label embeddings")
     scores = np.clip(rows[1:] @ rows[0] / (norms[1:] * norms[0]), -1.0, 1.0)
-    return min(zip(-scores, entries))[1]
+    return min(zip(-scores, labels[1:]))[1]
 
 
 @dataclass

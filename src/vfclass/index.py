@@ -25,6 +25,7 @@ from .embedding import (
     as_matrix,
     as_vector,
     body_crc,
+    is_count,
     normalize,
     pack_string,
     read_store_payload,
@@ -223,6 +224,15 @@ def _check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
     return normalize(q)
 
 
+def check_probes(probes) -> None:
+    """Accept None (the default), "all" or an ``int`` >= 1 that is not a
+    ``bool``; any other value is an :class:`EmptyInputError`."""
+    if not (probes is None or probes == "all" or is_count(probes)):
+        raise EmptyInputError(
+            f"probes must be 'all' or an integer >= 1, got {probes!r}"
+        )
+
+
 def _select_topk(
     index: CaptionIndex, rows: np.ndarray, scores: np.ndarray, k: int
 ) -> list[RetrievedCaption]:
@@ -252,18 +262,14 @@ def retrieve_topk(
     partitions are scanned (default 8).
     """
     q = _check_query(index, query, k)
+    check_probes(probes)
     if index.structure == "flat":
         rows = np.arange(len(index))
     else:
         if probes == "all":
-            n_probe = index.num_partitions
-        elif probes is None:
-            n_probe = DEFAULT_PROBES
-        else:
-            n_probe = int(probes)
-            if n_probe < 1:
-                raise EmptyInputError("probes must be >= 1 or 'all'")
-        n_probe = min(n_probe, index.num_partitions)
+            probes = index.num_partitions
+        n_probe = min(DEFAULT_PROBES if probes is None else probes,
+                      index.num_partitions)
         if n_probe == index.num_partitions:
             probe_ids = range(index.num_partitions)
         else:

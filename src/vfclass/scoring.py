@@ -5,6 +5,15 @@ candidate embedding) and text-to-text (retrieved-caption centroid vs
 candidate embedding). A softmax over the candidate axis turns each score
 vector into a distribution, and the two are mixed with weight ``alpha`` on
 the visual side. The label is the argmax of the fused distribution.
+
+Queries are classified in batches; :func:`classify` is a batch of one.
+Each query is resolved, retrieves its captions and extracts its candidates
+on its own. The batch's distinct candidate texts are then embedded
+together, ``EMBED_CHUNK`` texts per provider call, and each query is scored
+from its own rows in its own candidate order, so a prediction does not
+depend on the batch it arrives in. When any query of a batch fails,
+:func:`classify_batch` reruns the batch one query at a time, so a fault
+fails only its own query, with the error a single :func:`classify` gives.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .candidates import FilterConfig, extract_candidates
-from .embedding import as_matrix, as_vector
+from .embedding import as_matrix, as_vector, embed_text_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
@@ -22,7 +31,7 @@ from .errors import (
     VfcError,
     ZeroVectorError,
 )
-from .index import CaptionIndex, RetrievedCaption, retrieve_topk
+from .index import CaptionIndex, RetrievedCaption, check_probes, retrieve_topk
 
 
 @dataclass
@@ -44,12 +53,25 @@ class ClassifierConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise EmptyInputError("k must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise EmptyInputError("alpha must be in [0, 1]")
-        if self.prompt_template and "{}" not in self.prompt_template:
-            raise EmptyInputError("prompt_template must contain a {} placeholder")
+        if not is_count(self.k):
+            raise EmptyInputError(f"k must be an integer >= 1, got {self.k!r}")
+        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise EmptyInputError(
+                f"alpha must be a number in [0, 1], got {self.alpha!r}"
+            )
+        check_probes(self.probes)
+        if self.prompt_template and not _fills_one_name(self.prompt_template):
+            raise EmptyInputError(
+                "prompt_template must be a string with one {} placeholder, "
+                f"got {self.prompt_template!r}"
+            )
+
+
+def _fills_one_name(template) -> bool:
+    try:
+        return "{}" in template and isinstance(template.format("name"), str)
+    except (AttributeError, TypeError, IndexError, KeyError, ValueError):
+        return False
 
 
 @dataclass
@@ -120,29 +142,39 @@ def _resolve_query(query, provider) -> np.ndarray:
     return as_vector(query, "query embedding")
 
 
-def _score_candidates(
-    names: list[str],
-    image_vec: np.ndarray,
-    centroid: np.ndarray,
-    provider,
-    config: ClassifierConfig,
-) -> list[ScoreBreakdown]:
-    if config.prompt_template:
-        texts = [config.prompt_template.format(name) for name in names]
-    else:
-        texts = list(names)
-    cand_vecs = as_matrix(
-        provider.embed_texts(texts), "candidate vectors", count=len(texts)
-    )
-    vis = visual_scores(image_vec, cand_vecs)
-    tex = visual_scores(centroid, cand_vecs)
-    fused = fuse(vis, tex, config.alpha)
-    ranked = [
-        ScoreBreakdown(name, v, t, f)
-        for name, v, t, f in zip(names, vis, tex, fused)
-    ]
-    ranked.sort(key=lambda b: (-b.fused, b.candidate))
-    return ranked
+def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
+    """Predictions for ``queries`` in order; the first failure raises."""
+    template = config.prompt_template or "{}"
+    staged = []
+    for query in queries:
+        image_vec = _resolve_query(query, provider)
+        hits = retrieve_topk(index, image_vec, config.k, config.probes)
+        fallback = False
+        try:
+            names = extract_candidates(
+                [h.record for h in hits], tagger, config.filter).names()
+        except EmptyCandidateSetError as err:
+            if not err.surviving:
+                raise
+            names = [min(err.surviving.items(), key=lambda kv: (-kv[1], kv[0]))[0]]
+            fallback = True
+        texts = [template.format(name) for name in names]
+        staged.append((image_vec, hits, names, texts, fallback))
+    # first-seen order: a batch of one sends exactly its own texts, in order
+    distinct = list(dict.fromkeys(t for *_, texts, _ in staged for t in texts))
+    rows = embed_text_rows(provider, distinct, "candidate vectors")
+    row_of = {text: i for i, text in enumerate(distinct)}
+    predictions = []
+    for image_vec, hits, names, texts, fallback in staged:
+        cand_vecs = rows[[row_of[t] for t in texts]]
+        centroid = caption_centroid(index.vectors[[h.row for h in hits]])
+        vis = visual_scores(image_vec, cand_vecs)
+        tex = visual_scores(centroid, cand_vecs)
+        fused = fuse(vis, tex, config.alpha)
+        ranked = sorted(map(ScoreBreakdown, names, vis, tex, fused),
+                        key=lambda b: (-b.fused, b.candidate))
+        predictions.append(Prediction(ranked[0].candidate, ranked, hits, fallback))
+    return predictions
 
 
 def classify(
@@ -160,24 +192,7 @@ def classify(
     prediction is flagged as a fallback.
     """
     config = config or ClassifierConfig()
-    image_vec = _resolve_query(query, provider)
-    hits = retrieve_topk(index, image_vec, config.k, config.probes)
-    fallback = False
-    try:
-        candidates = extract_candidates(
-            [h.record for h in hits], tagger, config.filter
-        )
-        names = candidates.names()
-    except EmptyCandidateSetError as err:
-        if not err.surviving:
-            raise
-        best = min(err.surviving.items(), key=lambda kv: (-kv[1], kv[0]))
-        names = [best[0]]
-        fallback = True
-
-    centroid = caption_centroid(index.vectors[[h.row for h in hits]])
-    ranked = _score_candidates(names, image_vec, centroid, provider, config)
-    return Prediction(ranked[0].candidate, ranked, hits, fallback)
+    return _classify_all([query], index, provider, tagger, config)[0]
 
 
 def classify_batch(
@@ -189,10 +204,17 @@ def classify_batch(
 ) -> list[BatchItem]:
     """Classify ``(id, query)`` pairs, collecting per-query errors.
 
-    Results keep input order. A failing query yields a BatchItem with the
-    error recorded instead of aborting the batch.
+    Results keep input order. If the batch fails, it is rerun one query at
+    a time, so a failing query yields a BatchItem with its error recorded
+    and the others are classified as usual.
     """
     config = config or ClassifierConfig()
+    queries = list(queries)
+    try:
+        batch = _classify_all([q for _, q in queries], index, provider, tagger, config)
+        return [BatchItem(qid, prediction=p) for (qid, _), p in zip(queries, batch)]
+    except VfcError:
+        pass
     items = []
     for qid, query in queries:
         try:

@@ -384,6 +384,40 @@ class TestMalformedInput:
                     "--embeddings", str(world["store"])])
         assert_json_error(code, capsys, "empty-input")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--embed-dim", "0"), ("--embed-dim", "2.5"), ("--embed-dim", "x"),
+        ("--embed-timeout", "0"), ("--embed-timeout", "-1"),
+        ("--embed-timeout", "nan"), ("--embed-timeout", "inf"),
+        ("--embed-timeout", "x"), ("--k", "0"), ("--k", "2.5"),
+    ])
+    def test_bad_count_or_timeout_flag_is_a_usage_error(self, world, built_index, capsys,
+                                             flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["classify", "--index", str(built_index),
+                 "--queries", str(world["queries"]),
+                 "--embed-url", "http://127.0.0.1:1/", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,value", [
+        ("embed_dim", "0"), ("embed_dim", "true"),
+        ("embed_timeout", "0"), ("embed_timeout", "nan"),
+    ])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_bad_embed_setting_exits_1(self, world, built_index, tmp_path,
+                                       monkeypatch, capsys, name, value, source):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text(f"{name}={value}\n" if source == "config" else "")
+        if source == "env":
+            monkeypatch.setenv(f"VFC_{name.upper()}", value)
+        code = run(["--config", str(conf), "classify",
+                    "--index", str(built_index),
+                    "--queries", str(world["queries"]),
+                    "--embed-url", "http://127.0.0.1:1/"])
+        assert_json_error(code, capsys, "empty-input")
+
 
 class TestAblate:
     def test_alpha_sweep_rows(self, tmp_path):
@@ -455,6 +489,15 @@ class TestAblate:
         assert float(row["semantic_iou"]) == pytest.approx(
             report["semantic_iou"], abs=1e-12
         )
+
+    @pytest.mark.parametrize("sweep,value", [
+        ("alpha", "1.5"), ("alpha", "x"), ("k", "0"), ("k", "2.5"),
+        ("scoring-mode", "audio"),
+    ])
+    def test_bad_sweep_value_exits_1(self, tmp_path, capsys, sweep, value):
+        code = run(["ablate", "--sweep", sweep, "--values", value,
+                    "--num-queries", "10", "--out", str(tmp_path / "bad.csv")])
+        assert_json_error(code, capsys, "empty-input")
 
     def test_ablate_reproducible(self, tmp_path):
         outs = []

@@ -153,3 +153,27 @@ class TestMalformedReply:
                                  ClassifierConfig(k=4))
         assert [r.error_code for r in results] == [None, "schema-violation", None]
         assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]
+
+
+class TestClientSettings:
+    @pytest.mark.parametrize("setting", [
+        {"dim": True}, {"dim": 0}, {"dim": 2.0}, {"dim": "4"},
+        {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")},
+        {"timeout": float("inf")}, {"timeout": True}, {"timeout": "10"},
+    ])
+    def test_bad_setting_is_rejected(self, setting):
+        with pytest.raises(EmptyInputError):
+            RemoteEmbeddingClient("http://embedding.test/", **setting)
+
+    def test_good_settings_are_kept(self):
+        client = RemoteEmbeddingClient("http://embedding.test/", dim=4, timeout=2)
+        assert (client.dim, client.timeout) == (4, 2)
+
+    @pytest.mark.parametrize("dim", [True, 0, 4.0])
+    def test_reply_dim_that_is_not_a_count(self, monkeypatch, dim):
+        reply = FakeResponse({"dim": dim, "vectors": [[1.0, 0.0, 0.0, 0.0]]})
+        monkeypatch.setattr(requests, "post", lambda url, json, timeout: reply)
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        with pytest.raises(ProviderUnavailableError, match="malformed"):
+            client.embed_texts(["dog"])
+        assert client.dim is None

@@ -3,19 +3,22 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from vfclass.benchmark import make_noisy_benchmark
 from vfclass.candidates import LexiconTagger
-from vfclass.embedding import PrecomputedStore, cosine_similarity
+import vfclass.embedding as embedding_mod
+from vfclass.embedding import EMBED_CHUNK, PrecomputedStore, cosine_similarity
 from vfclass.errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
     EmptyInputError,
+    UnknownKeyError,
 )
-from vfclass.index import CaptionRecord, build_index
+from vfclass.index import CaptionRecord, build_index, retrieve_topk
 from vfclass.scoring import (
     ClassifierConfig,
     caption_centroid,
@@ -150,6 +153,29 @@ def planted_world(caption_vec, captions=None):
         records.append(CaptionRecord(rid, text))
         store.add(rid, caption_vec)
     return build_index(records, store), store
+
+
+class TestClassifierConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("k", 0), ("k", 2.5), ("k", True), ("k", "3"),
+        ("alpha", "0.5"), ("alpha", True), ("alpha", 1.5), ("alpha", math.nan),
+        ("probes", "abc"), ("probes", True), ("probes", 2.7), ("probes", 0),
+        ("prompt_template", "a {} and {}"), ("prompt_template", "a {x} {}"),
+        ("prompt_template", 5),
+    ])
+    def test_bad_value_is_rejected(self, name, value):
+        with pytest.raises(EmptyInputError, match=name):
+            ClassifierConfig(**{name: value})
+        if name == "probes":
+            index, _ = planted_world(np.eye(4)[0])
+            with pytest.raises(EmptyInputError, match=name):
+                retrieve_topk(index, np.eye(4)[0], 2, value)
+
+    def test_good_values_are_kept(self):
+        config = ClassifierConfig(k=3, alpha=np.float64(0.25), probes="all",
+                                  prompt_template="a photo of a {}")
+        assert (config.k, config.alpha, config.probes) == (3, 0.25, "all")
+        assert ClassifierConfig(alpha=1, probes=2).probes == 2
 
 
 class TestClassify:
@@ -328,6 +354,114 @@ class TestClassifyBatch:
         for item, (_, query) in zip(results[::2], mixed[::2]):
             assert item.prediction.label == classify(
                 query, index, store, tagger, ClassifierConfig(k=4)).label
+
+
+class CountingStore:
+    """Provider proxy recording the texts of each ``embed_texts`` call."""
+
+    def __init__(self, store):
+        self.store = store
+        self.dim = store.dim
+        self.calls = []
+
+    def embed_texts(self, texts):
+        self.calls.append(list(texts))
+        return self.store.embed_texts(texts)
+
+    def embed_image(self, ref):
+        return self.store.embed_image(ref)
+
+
+@pytest.fixture(scope="module")
+def noisy_bench():
+    return make_noisy_benchmark(num_queries=300, seed=7)
+
+
+class TestBatchPath:
+    @pytest.fixture(scope="class", params=["flat", "partitioned"])
+    def index(self, request, noisy_bench):
+        return build_index(noisy_bench.records, noisy_bench.store,
+                           structure=request.param, num_partitions=8)
+
+    def test_prediction_does_not_depend_on_its_batch(self, noisy_bench, index,
+                                                     tagger):
+        queries, store = noisy_bench.queries, noisy_bench.store
+        config = ClassifierConfig()
+        whole = classify_batch(queries, index, store, tagger, config)
+        windows = [item for start in range(0, len(queries), 8)
+                   for item in classify_batch(queries[start:start + 8], index,
+                                              store, tagger, config)]
+        single = [classify(q, index, store, tagger, config) for _, q in queries]
+        # dataclass equality: every float score compared with ==
+        assert [item.prediction for item in whole] == single
+        assert [item.prediction for item in windows] == single
+        assert [item.id for item in whole] == [qid for qid, _ in queries]
+
+    @pytest.mark.parametrize("chunk", [EMBED_CHUNK, 16])
+    def test_each_distinct_text_embedded_once_per_batch(
+        self, noisy_bench, index, tagger, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(embedding_mod, "EMBED_CHUNK", chunk)
+        provider = CountingStore(noisy_bench.store)
+        items = classify_batch(noisy_bench.queries, index, provider, tagger)
+        names = {b.candidate for item in items for b in item.prediction.ranked}
+        sent = [text for call in provider.calls for text in call]
+        assert sorted(sent) == sorted(names)
+        assert len(provider.calls) == -(-len(names) // chunk)
+        assert max(len(call) for call in provider.calls) <= chunk
+
+    def test_missing_word_fails_only_the_queries_that_need_it(
+        self, noisy_bench, index, tagger
+    ):
+        queries, full_store = noisy_bench.queries, noisy_bench.store
+        config = ClassifierConfig()
+        full = [item.prediction for item in
+                classify_batch(queries, index, full_store, tagger, config)]
+        counts = Counter(b.candidate for pred in full for b in pred.ranked)
+        word = min(name for name, n in counts.items() if n < len(full) // 2)
+        store = PrecomputedStore(full_store.dim)
+        store.add_many((key, full_store.vector(key))
+                       for key in full_store.keys() if key != word)
+        items = classify_batch(queries, index, store, tagger, config)
+        failed = 0
+        for (_, query), item, want in zip(queries, items, full):
+            if word in {b.candidate for b in want.ranked}:
+                with pytest.raises(UnknownKeyError) as err:
+                    classify(query, index, store, tagger, config)
+                assert (item.error_code, item.error) == (err.value.code,
+                                                         str(err.value))
+                failed += 1
+            else:
+                assert item.prediction == want
+        assert 0 < failed < len(queries)
+
+    def test_empty_batch(self, noisy_bench, index, tagger):
+        provider = CountingStore(noisy_bench.store)
+        assert classify_batch([], index, provider, tagger) == []
+        assert provider.calls == []
+
+    def test_prompt_template_through_a_batch(self, tagger):
+        store = PrecomputedStore(4)
+        e = np.eye(4)
+        for name, vec in [("dog", e[0]), ("cat", e[1]), ("park", e[2])]:
+            store.add(f"a photo of a {name}", vec)
+        records = []
+        for i in range(4):
+            records.append(CaptionRecord(f"cap-{i}", "a dog and a cat in a park"))
+            store.add(f"cap-{i}", e[i % 2])
+        index = build_index(records, store)
+        queries = [(f"q{i}", e[i % 3] + 0.1 * e[3]) for i in range(6)]
+        config = ClassifierConfig(k=2, prompt_template="a photo of a {}")
+        provider = CountingStore(store)
+        items = classify_batch(queries, index, provider, tagger, config)
+        assert [item.prediction for item in items] == [
+            classify(q, index, store, tagger, config) for _, q in queries
+        ]
+        assert [item.prediction.label for item in items[:3]] == ["dog", "cat", "park"]
+        assert len(provider.calls) == 1
+        assert sorted(provider.calls[0]) == [
+            "a photo of a cat", "a photo of a dog", "a photo of a park"
+        ]
 
 
 class TestPredictionPins:
