@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve-stub", help="run the deterministic embedding stub")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=_parse_count, default=64)
     p.set_defaults(func=_cmd_serve_stub)
 
     return parser

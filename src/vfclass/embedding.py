@@ -147,8 +147,8 @@ def hashed_vector(text: str, modality: str = "text", dim: int = 64) -> np.ndarra
     independent of platform or library version. Used by the stub embedding
     service and as the offline default for semantic-similarity scoring.
     """
-    if dim <= 0:
-        raise EmptyInputError("dim must be positive")
+    if not is_count(dim):
+        raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
     seed = f"{modality}\x00{text}".encode("utf-8")
     digests = [
         hashlib.sha256(seed + b"\x00" + str(block).encode()).digest()
@@ -181,9 +181,9 @@ class PrecomputedStore:
     kind = "precomputed-store"
 
     def __init__(self, dim: int, identity: str = "precomputed"):
-        if dim <= 0:
-            raise EmptyInputError("dim must be positive")
-        self.dim = int(dim)
+        if not is_count(dim):
+            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
+        self.dim = dim
         self.identity = identity
         self._keys: list[str] = []
         self._rows: dict[str, int] = {}
@@ -454,9 +454,9 @@ class HashEmbedder:
     kind = "hash"
 
     def __init__(self, dim: int = 64):
-        if dim <= 0:
-            raise EmptyInputError("dim must be positive")
-        self.dim = int(dim)
+        if not is_count(dim):
+            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
+        self.dim = dim
         self.identity = f"hash-v1:{dim}"
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:

@@ -5,8 +5,14 @@ cosine similarity. Two search structures are available:
 
 - ``flat``: exact scan over all rows (the correctness baseline).
 - ``partitioned``: an inverted-list layout whose partition centroids are
-  learned by iterative centroid refinement; queries probe the nearest
-  partitions, and ``probes="all"`` recovers exact results.
+  learned by seeded k-means; queries probe the nearest partitions, and
+  ``probes="all"`` recovers exact results.
+
+The partitioned build picks farthest-point seeds by inner product (on unit
+rows the farthest row is the one least similar to every seed so far), runs
+``KMEANS_ITERS`` Lloyd steps in float64, and lists each partition's members
+in ascending row order. A partition that empties is reseeded during
+refinement, but may still end empty after the final assignment.
 
 Records are kept in ascending-id order, so builds ignore input order and
 row order is id order: score ties break by row, that is, by ascending id.
@@ -106,29 +112,23 @@ def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
     return out
 
 
-def _farthest_point_init(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Pick k seed rows: a random start, then repeated farthest points."""
-    n = vectors.shape[0]
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(n))]
-    dist = np.linalg.norm(vectors - vectors[chosen[0]], axis=1)
-    while len(chosen) < k:
-        nxt = int(np.argmax(dist))  # argmax takes the lowest index on ties
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(vectors - vectors[nxt], axis=1))
-    return vectors[chosen].astype(np.float64)
-
-
-def _refine_centroids(
-    vectors: np.ndarray, k: int, seed: int, iters: int = KMEANS_ITERS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd-style refinement; returns (centroids, assignment)."""
+def _partition(
+    vectors: np.ndarray, k: int, seed: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Seeded k-means; returns (centroids, ascending member rows per partition)."""
     data = vectors.astype(np.float64)
     n = data.shape[0]
-    k = min(k, n)
-    centroids = _farthest_point_init(data, k, seed)
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    k = min(k, n)  # at most one partition per row
+    chosen = [int(np.random.default_rng(seed).integers(n))]
+    # farthest-point seeds: rows are unit, so ||x - c||^2 = 2 - 2 x.c and the
+    # farthest row is the one whose highest inner product with a seed is lowest
+    nearest = data @ data[chosen[0]]
+    while len(chosen) < k:
+        nxt = int(np.argmin(nearest))  # argmin takes the lowest index on ties
+        chosen.append(nxt)
+        np.maximum(nearest, data @ data[nxt], out=nearest)
+    centroids = data[chosen]
+    for _ in range(KMEANS_ITERS):
         # squared distance: ||x||^2 - 2 x.c + ||c||^2; rows are unit so the
         # first term is constant and can be dropped from the argmin
         d2 = -2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
@@ -145,7 +145,9 @@ def _refine_centroids(
                 assign[far] = c
     d2 = -2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
     assign = np.argmin(d2, axis=1)
-    return centroids, assign
+    # a stable sort keeps each partition's rows in ascending order
+    order = np.argsort(assign, kind="stable")
+    return centroids, np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
 def build_index(
@@ -161,13 +163,15 @@ def build_index(
     Records are validated (non-empty corpus, unique non-empty ids, non-blank
     text), sorted by id, optionally deduplicated on identical text, embedded,
     and normalized. ``structure="partitioned"`` additionally learns
-    ``num_partitions`` centroids (at least 1, at most one per record) by
-    iterative refinement (seeded).
+    ``num_partitions`` centroids (an ``int`` >= 1, clamped to one per record)
+    by seeded k-means.
     """
     if structure not in ("flat", "partitioned"):
         raise EmptyInputError(f"unknown index structure {structure!r}")
-    if structure == "partitioned" and num_partitions < 1:
-        raise EmptyInputError(f"num_partitions must be >= 1, got {num_partitions}")
+    if structure == "partitioned" and not is_count(num_partitions):
+        raise EmptyInputError(
+            f"num_partitions must be an integer >= 1, got {num_partitions!r}"
+        )
     records = list(records)
     if not records:
         raise EmptyCorpusError("cannot build an index from an empty corpus")
@@ -192,30 +196,21 @@ def build_index(
         records = kept
 
     vectors = _embed_records(records, provider)
-    index = CaptionIndex(
-        dim=provider.dim,
-        records=records,
-        vectors=vectors,
-        structure="flat",
+    centroids, partitions = None, []
+    if structure == "partitioned":
+        centroids, partitions = _partition(vectors, num_partitions, seed)
+    return CaptionIndex(
+        dim=provider.dim, records=records, vectors=vectors, structure=structure,
+        centroids=centroids, partitions=partitions,
         provider_identity=getattr(provider, "identity", ""),
     )
-    if structure == "partitioned":
-        k = min(num_partitions, len(records))
-        centroids, assign = _refine_centroids(vectors, k, seed)
-        partitions = [
-            np.flatnonzero(assign == c).astype(np.int64) for c in range(k)
-        ]
-        index.structure = "partitioned"
-        index.centroids = centroids
-        index.partitions = partitions
-    return index
 
 
 def _check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
     if len(index) == 0:
         raise EmptyIndexError("index contains no records")
-    if k < 1:
-        raise EmptyInputError("k must be >= 1")
+    if not is_count(k):
+        raise EmptyInputError(f"k must be an integer >= 1, got {k!r}")
     q = as_vector(query, "query")
     if q.shape[0] != index.dim:
         raise DimensionMismatchError(
@@ -356,15 +351,12 @@ def load_index(path) -> CaptionIndex:
     identity = reader.string()
     records = [CaptionRecord(rid, reader.string(), reader.string()) for rid in ids]
     structure_code = reader.u8()
-    index = CaptionIndex(
-        dim=dim, records=records, vectors=vectors, provider_identity=identity
-    )
+    centroids, partitions = None, []
     if structure_code == STRUCTURE_PARTITIONED:
         num_partitions = reader.u32()
         centroids = np.frombuffer(
             reader.take(num_partitions * dim * 8), dtype="<f8"
-        ).reshape(num_partitions, dim)
-        partitions = []
+        ).reshape(num_partitions, dim).copy()
         for _ in range(num_partitions):
             size = reader.u64()
             members = np.frombuffer(reader.take(size * 4), dtype="<u4")
@@ -374,11 +366,12 @@ def load_index(path) -> CaptionIndex:
         hits = np.bincount(covered, minlength=count)
         if hits.size != count or not (hits == 1).all():
             raise CorruptFileError("partition member lists do not cover the corpus")
-        index.structure = "partitioned"
-        index.centroids = np.array(centroids)
-        index.partitions = partitions
     elif structure_code != STRUCTURE_FLAT:
         raise CorruptFileError(f"unknown structure code {structure_code}")
     if reader.offset != len(body):
         raise CorruptFileError("trailing bytes in index body")
-    return index
+    return CaptionIndex(
+        dim=dim, records=records, vectors=vectors,
+        structure="flat" if centroids is None else "partitioned",
+        centroids=centroids, partitions=partitions, provider_identity=identity,
+    )

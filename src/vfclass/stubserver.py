@@ -13,7 +13,8 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .embedding import hashed_vector
+from .embedding import hashed_vector, is_count
+from .errors import EmptyInputError
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -48,6 +49,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 def make_server(host: str, port: int, dim: int) -> ThreadingHTTPServer:
+    if not is_count(dim):  # checked before binding, not in every request
+        raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
     handler = type("Handler", (_StubHandler,), {"dim": dim})
     return ThreadingHTTPServer((host, port), handler)
 

@@ -8,11 +8,14 @@ import socket
 import numpy as np
 import pytest
 
+from vfclass import cli
 from vfclass.benchmark import make_benchmark
 from vfclass.cli import run
 from vfclass.embedding import save_store
+from vfclass.errors import EmptyInputError
 from vfclass.ingestion import save_manifest, write_corpus
 from vfclass.index import CaptionIndex, CaptionRecord, load_index, save_index
+from vfclass.stubserver import running_stub
 
 
 @pytest.fixture(scope="module")
@@ -531,3 +534,20 @@ class TestServeStub:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "port-in-use"
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_dim_below_one_is_a_usage_error(self, monkeypatch, capsys, value):
+        # a --dim that got through would serve until killed
+        monkeypatch.setattr(cli, "serve", lambda **kw: pytest.fail("served"))
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve-stub", "--port", "0", "--dim", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --dim" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim", [0, -3, 2.5, True])
+    def test_bad_dim_rejected_before_binding(self, dim):
+        with pytest.raises(EmptyInputError, match="dim"):
+            with running_stub(dim=dim):
+                pass

@@ -1,10 +1,14 @@
 """Index build, retrieval exactness, and serialization."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import vfclass.index as index_mod
-from vfclass.embedding import HashEmbedder, PrecomputedStore
+from vfclass.benchmark import make_benchmark
+from vfclass.embedding import HashEmbedder, PrecomputedStore, hashed_vector
 from vfclass.errors import (
     CorruptFileError,
     DimensionMismatchError,
@@ -98,13 +102,49 @@ class TestBuildIndex:
         members = np.concatenate(index.partitions)
         assert sorted(members.tolist()) == list(range(1000))
 
-    @pytest.mark.parametrize("num_partitions", [0, -5])
+    @pytest.mark.parametrize("num_partitions", [0, -5, 2.5, True])
     def test_partition_count_below_one_rejected(self, num_partitions):
         rng = np.random.default_rng(13)
         records, store = random_corpus(rng, 30, 4)
         with pytest.raises(EmptyInputError, match="num_partitions"):
             build_index(records, store, structure="partitioned",
                         num_partitions=num_partitions)
+
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: build_index(*random_corpus(np.random.default_rng(11), 1000, 16),
+                             structure="partitioned", num_partitions=16, seed=7),
+         "25f06a6a25cfef5116ce0b63e86cae312d200a96967c63fa22594bb6f072cb17"),
+        (lambda: make_benchmark(seed=7).build_index(structure="partitioned",
+                                                    num_partitions=8),
+         "5830e87629a849280c2236a0bdffe813f260c12b46fd623803feb0c2c3765803"),
+    ], ids=["random-1000x16", "benchmark-seed-7"])
+    def test_partition_members_pinned(self, build, digest):
+        # member lists as JSON ints: no float bytes, so the pin holds the
+        # seeding, the Lloyd steps and the member order, not the centroids
+        members = json.dumps([p.tolist() for p in build().partitions])
+        assert hashlib.sha256(members.encode()).hexdigest() == digest
+
+    def test_duplicate_rows_reseed_empty_partitions(self):
+        # 16 partitions over 5 distinct vectors: refinement must reseed
+        # partitions that empty, and the members still cover every row once
+        basis = np.random.default_rng(15).standard_normal((5, 6))
+        records = [CaptionRecord(f"dup-{i:02d}", f"caption {i}") for i in range(40)]
+        store = PrecomputedStore(6)
+        for i, rec in enumerate(records):
+            store.add(rec.id, basis[i % 5])
+        first, second = (
+            build_index(records, store, structure="partitioned", num_partitions=16)
+            for _ in range(2)
+        )
+        assert first.num_partitions == 16
+        assert sorted(np.concatenate(first.partitions).tolist()) == list(range(40))
+        assert [p.tolist() for p in first.partitions] == [
+            p.tolist() for p in second.partitions
+        ]
+        for query in [*basis, *np.random.default_rng(16).standard_normal((5, 6))]:
+            via_probe = retrieve_topk(first, query, 12, probes="all")
+            via_scan = exact_topk(first, query, 12)
+            assert [h.row for h in via_probe] == [h.row for h in via_scan]
 
     def test_more_partitions_than_records_clamps(self):
         rng = np.random.default_rng(14)
@@ -288,6 +328,20 @@ class TestRetrieveTopk:
         assert [h.row for h in hits] == [0, 3, 4][:k]
         if k > 1:
             assert hits[0].score == hits[1].score
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize("name,call", [
+    ("k", lambda v: retrieve_topk(basis_index(), [1.0, 0.0, 0.0], v)),
+    ("k", lambda v: exact_topk(basis_index(), [1.0, 0.0, 0.0], v)),
+    ("dim", PrecomputedStore),
+    ("dim", HashEmbedder),
+    ("dim", lambda v: hashed_vector("x", dim=v)),
+], ids=["retrieve_topk", "exact_topk", "PrecomputedStore", "HashEmbedder",
+        "hashed_vector"])
+def test_count_arguments_reject_other_values(name, call, value):
+    with pytest.raises(EmptyInputError, match=f"^{name} must be an integer >= 1"):
+        call(value)
 
 
 class TestExactTopk:
