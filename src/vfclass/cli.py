@@ -80,15 +80,21 @@ def resolve_option(name, flag_value, file_conf, cast=str, default=None):
         raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
-def _parse_count(value: str, expected: str = "an integer >= 1") -> int:
-    """A count of at least 1."""
+def _parse_count(value: str, expected: str = "an integer >= 1", low: int = 1,
+                 high: float = math.inf) -> int:
+    """An integer from ``low`` to ``high``: by default a count of at least 1."""
     try:
         count = int(value)
     except ValueError:
-        count = 0
-    if count < 1:
+        count = low - 1
+    if not low <= count <= high:
         raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
     return count
+
+
+def _parse_port(value: str) -> int:
+    """A TCP port; 0 lets the system choose one."""
+    return _parse_count(value, "a port from 0 to 65535", low=0, high=65535)
 
 
 def _parse_timeout(value: str) -> float:
@@ -513,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-stub", help="run the deterministic embedding stub")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
+    p.add_argument("--port", type=_parse_port, default=8765)
     p.add_argument("--dim", type=_parse_count, default=64)
     p.set_defaults(func=_cmd_serve_stub)
 

@@ -12,10 +12,22 @@ The partitioned build picks farthest-point seeds by inner product (on unit
 rows the farthest row is the one least similar to every seed so far), runs
 ``KMEANS_ITERS`` Lloyd steps in float64, and lists each partition's members
 in ascending row order. A partition that empties is reseeded during
-refinement, but may still end empty after the final assignment.
+refinement, each empty one in a step onto its own farthest row, but may
+still end empty after the final assignment.
 
 Records are kept in ascending-id order, so builds ignore input order and
 row order is id order: score ties break by row, that is, by ascending id.
+
+Retrieval scans in float32 and decides in float64. ``index.vectors`` stays
+in id order; on first query a partitioned index also keeps one copy of its
+rows in partition order, so each probe is one float32 product over a
+contiguous slice (the inverted-file layout), and probing every partition is
+one product over the whole copy. A flat index scans ``index.vectors`` as one
+partition, with no copy. Every row whose float32 score is within twice the
+rounding bound of ``_score_bound`` of the k-th float32 score is rescored in
+float64, one row at a time, and the top k of that shortlist are exactly the
+float64 brute-force top k. Each row's float64 score is the same bits
+whichever scan found it.
 """
 
 from __future__ import annotations
@@ -73,6 +85,19 @@ class RetrievedCaption:
     row: int  # position of the record in the index
 
 
+@dataclass(frozen=True)
+class _ScanLayout:
+    """Rows in scan order: partition ``c`` is ``vectors[offsets[c]:offsets[c + 1]]``,
+    scan position ``i`` holds index row ``rows[i]``, and ``bound`` is the
+    float32 rounding bound of ``_score_bound`` for these rows."""
+
+    source: tuple  # (index.vectors, index.partitions) the layout was made from
+    vectors: np.ndarray
+    rows: np.ndarray
+    offsets: list[int]
+    bound: float
+
+
 @dataclass
 class CaptionIndex:
     """Immutable-after-build search structure over an embedded corpus."""
@@ -84,6 +109,8 @@ class CaptionIndex:
     centroids: np.ndarray | None = None
     partitions: list[np.ndarray] = field(default_factory=list)
     provider_identity: str = ""
+    _scan: _ScanLayout | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -133,14 +160,17 @@ def _partition(
         # first term is constant and can be dropped from the argmin
         d2 = -2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
         assign = np.argmin(d2, axis=1)
+        spread = d2[np.arange(n), assign]
         for c in range(k):
             members = np.flatnonzero(assign == c)
             if members.size:
                 centroids[c] = data[members].mean(axis=0)
             else:
-                # reseed an empty partition with the point farthest from
-                # its current centroid (deterministic: lowest index wins)
-                far = int(np.argmax(d2[np.arange(n), assign]))
+                # reseed an empty partition with the point farthest from its
+                # centroid that no other partition took in this step
+                # (deterministic: lowest index wins)
+                far = int(np.argmax(spread))
+                spread[far] = -np.inf
                 centroids[c] = data[far]
                 assign[far] = c
     d2 = -2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
@@ -247,6 +277,61 @@ def _select_topk(
     ]
 
 
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, summed in float64; einsum casts the rows
+    through its own small buffer, so no float64 copy of them is made."""
+    return np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+
+
+def _score_bound(dim: int, max_norm: float) -> float:
+    """Bound on ``|s32 - s64|`` for every row ``x`` with ``||x|| <= max_norm``.
+
+    ``s32`` is the float32 product of ``x`` with ``q32``, the unit float64
+    query ``q`` rounded to float32; ``s64`` is the float64 product of ``x``
+    with ``q``. With ``u = 2**-24`` and ``g(n) = n*u / (1 - n*u)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1):
+
+    - rounding ``q`` moves each ``q_j`` by at most ``u*|q_j|``, so
+      ``|x.q32 - x.q| <= u * sum|x_j q_j|``;
+    - a float32 dot product of length ``dim``, in any summation order and
+      with or without fused multiply-add, errs by at most
+      ``g(dim) * sum|x_j q32_j| <= g(dim) * (1 + u) * sum|x_j q_j|``;
+    - ``u + g(dim) * (1 + u) <= g(dim + 1)``, and by Cauchy-Schwarz
+      ``sum|x_j q_j| <= ||x|| * ||q||``;
+    - the float64 product errs by at most ``dim * 2**-53 / (1 - dim * 2**-53)``,
+      below ``u / 2`` for ``dim < 2**28``, and ``||q||`` is 1 to within a few
+      float64 ulps; one more ``u`` covers both, the float64 rounding of the
+      threshold, and underflow in float32 (at most ``(dim + 1) * 2**-149``).
+
+    So ``|s32 - s64| <= g(dim + 2) * max_norm``: about ``(dim + 2) * 2**-24``
+    for unit rows. ``max_norm`` is measured on the rows, so the bound holds
+    for the 1e-5 norm slack that ``load_index`` accepts and for any finite
+    rows an index is made with.
+    """
+    g = (dim + 2) * 2.0**-24
+    return g / (1.0 - g) * max_norm
+
+
+def _scan_layout(index: CaptionIndex) -> _ScanLayout:
+    """The index's rows in scan order, made on first use and kept until
+    ``index.vectors`` or ``index.partitions`` is replaced."""
+    source = (index.vectors, index.partitions)
+    layout = index._scan
+    if layout is None or any(a is not b for a, b in zip(layout.source, source)):
+        if index.structure == "flat":
+            vectors, rows, sizes = index.vectors, np.arange(len(index)), [len(index)]
+        else:
+            rows = np.concatenate([np.empty(0, np.int64), *index.partitions])
+            vectors = index.vectors[rows]
+            sizes = [members.size for members in index.partitions]
+        max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
+        layout = index._scan = _ScanLayout(
+            source, vectors, rows, [0, *np.cumsum(sizes).tolist()],
+            _score_bound(index.dim, max_norm),
+        )
+    return layout
+
+
 def retrieve_topk(
     index: CaptionIndex, query, k: int, probes: int | str | None = None
 ) -> list[RetrievedCaption]:
@@ -254,28 +339,35 @@ def retrieve_topk(
 
     For a flat index (or ``probes="all"``) results are exactly the
     brute-force top-k. For a partitioned index, only the ``probes`` nearest
-    partitions are scanned (default 8).
+    partitions are scanned (default 8). A hit's score is the same bits
+    whichever scan finds it (see the module docstring).
     """
     q = _check_query(index, query, k)
     check_probes(probes)
-    if index.structure == "flat":
-        rows = np.arange(len(index))
-    else:
-        if probes == "all":
-            probes = index.num_partitions
-        n_probe = min(DEFAULT_PROBES if probes is None else probes,
-                      index.num_partitions)
-        if n_probe == index.num_partitions:
-            probe_ids = range(index.num_partitions)
-        else:
+    layout = _scan_layout(index)
+    probe_ids = range(len(layout.offsets) - 1)  # all; a flat index is one list
+    if index.structure == "partitioned" and probes != "all":
+        n_probe = DEFAULT_PROBES if probes is None else probes
+        if n_probe < index.num_partitions:
             d2 = np.sum((index.centroids - q) ** 2, axis=1)
-            probe_ids = np.argsort(d2, kind="stable")[:n_probe]
-        pieces = [index.partitions[c] for c in probe_ids]
-        rows = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    if rows.size == 0:
-        return []
-    scores = index.vectors[rows].astype(np.float64) @ q
-    return _select_topk(index, rows, scores, k)
+            probe_ids = np.sort(np.argsort(d2, kind="stable")[:n_probe])
+    spans: list[list[int]] = []
+    for c in probe_ids:  # ascending, so adjacent lists scan as one slice
+        start, stop = layout.offsets[c], layout.offsets[c + 1]
+        if spans and spans[-1][1] == start:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop])
+    q32 = q.astype(np.float32)
+    scores = np.concatenate([layout.vectors[a:b] @ q32 for a, b in spans])
+    positions = np.concatenate([np.arange(a, b) for a, b in spans])
+    if scores.size > k:
+        kth = scores.size - k
+        # a float64 threshold, so that the comparison is made in float64
+        floor = np.float64(np.partition(scores, kth)[kth]) - 2 * layout.bound
+        positions = positions[scores >= floor]
+    exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
+    return _select_topk(index, layout.rows[positions], exact, k)
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
@@ -344,9 +436,7 @@ def load_index(path) -> CaptionIndex:
     # ties break by row, which is the id order only for ascending ids
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise CorruptFileError("index record ids are not in ascending order")
-    if count and not np.allclose(
-        np.linalg.norm(vectors.astype(np.float64), axis=1), 1.0, atol=1e-5
-    ):
+    if count and not np.allclose(np.sqrt(_squared_norms(vectors)), 1.0, atol=1e-5):
         raise CorruptFileError("index rows are not unit-normalized")
     identity = reader.string()
     records = [CaptionRecord(rid, reader.string(), reader.string()) for rid in ids]

@@ -546,6 +546,25 @@ class TestServeStub:
         assert "argument --dim" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["70000", "65536", "-1", "x"])
+    def test_port_out_of_range_is_a_usage_error(self, monkeypatch, capsys,
+                                                value):
+        # a --port that got through would serve until killed, or die in bind
+        monkeypatch.setattr(cli, "serve", lambda **kw: pytest.fail("served"))
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve-stub", "--port", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --port" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_port_range_ends_reach_serve(self, monkeypatch, port):
+        served = []
+        monkeypatch.setattr(cli, "serve", lambda **kw: served.append(kw["port"]))
+        assert run(["serve-stub", "--port", str(port)]) == 0
+        assert served == [port]
+
     @pytest.mark.parametrize("dim", [0, -3, 2.5, True])
     def test_bad_dim_rejected_before_binding(self, dim):
         with pytest.raises(EmptyInputError, match="dim"):

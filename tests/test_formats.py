@@ -11,7 +11,14 @@ import pytest
 
 from vfclass.embedding import PrecomputedStore, save_store
 from vfclass.errors import CorruptFileError
-from vfclass.index import CaptionIndex, CaptionRecord, load_index, save_index
+from vfclass.index import (
+    CaptionIndex,
+    CaptionRecord,
+    exact_topk,
+    load_index,
+    retrieve_topk,
+    save_index,
+)
 
 ROWS = np.array(
     [
@@ -102,3 +109,18 @@ def test_repeated_id_in_index_rejected(tmp_path):
     save_index(index, path)
     with pytest.raises(CorruptFileError, match="duplicate"):
         load_index(path)
+
+
+@pytest.mark.parametrize("make", [flat_index, partitioned_index])
+def test_round_trip_retrieval_equals_oracle(tmp_path, make):
+    path = tmp_path / "index.vfci"
+    save_index(make(), path)
+    loaded = load_index(path)
+    queries = [*ROWS, *np.random.default_rng(5).standard_normal((20, 4))]
+    for query in queries:
+        for k in (1, 2, 3, 5, 8):
+            got = retrieve_topk(loaded, query, k, probes="all")
+            want = exact_topk(loaded, query, k)
+            assert [(h.record.id, h.row) for h in got] == [
+                (h.record.id, h.row) for h in want
+            ]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vfclass.index as index_mod
-from vfclass.benchmark import make_benchmark
+from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.embedding import HashEmbedder, PrecomputedStore, hashed_vector
 from vfclass.errors import (
     CorruptFileError,
@@ -145,6 +145,20 @@ class TestBuildIndex:
             via_probe = retrieve_topk(first, query, 12, probes="all")
             via_scan = exact_topk(first, query, 12)
             assert [h.row for h in via_probe] == [h.row for h in via_scan]
+
+    def test_partitions_emptied_in_one_step_reseed_onto_different_rows(self):
+        # 4 basis rows, each twice, into 6 partitions: seeds 5 and 6 repeat
+        # row 0, so every Lloyd step empties partitions 4 and 5. All rows sit
+        # on a centroid and tie as the farthest, so the two partitions take
+        # rows 0 and 1, not row 0 twice
+        records = [CaptionRecord(f"r{i}", f"caption {i}") for i in range(8)]
+        store = PrecomputedStore(4)
+        for i, rec in enumerate(records):
+            store.add(rec.id, np.eye(4)[i % 4])
+        index = build_index(records, store, structure="partitioned",
+                            num_partitions=6)
+        assert np.array_equal(index.centroids[4:], index.vectors[[0, 1]])
+        assert sorted(np.concatenate(index.partitions).tolist()) == list(range(8))
 
     def test_more_partitions_than_records_clamps(self):
         rng = np.random.default_rng(14)
@@ -328,6 +342,131 @@ class TestRetrieveTopk:
         assert [h.row for h in hits] == [0, 3, 4][:k]
         if k > 1:
             assert hits[0].score == hits[1].score
+
+
+def hand_index(vectors, partitions=None, centroids=None):
+    """An index over ``vectors`` as given, flat or with these member lists."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    records = [CaptionRecord(f"r{i:04d}", f"caption {i}") for i in range(len(vectors))]
+    index = CaptionIndex(dim=vectors.shape[1], records=records, vectors=vectors)
+    if partitions is not None:
+        index.structure = "partitioned"
+        index.partitions = [np.array(p, dtype=np.int64) for p in partitions]
+        index.centroids = np.asarray(centroids, dtype=np.float64)
+    return index
+
+
+def hit_keys(hits):
+    return [(h.record.id, h.row) for h in hits]
+
+
+def unit_rows(rng, count, dim):
+    rows = rng.standard_normal((count, dim))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+class TestFloat32Shortlist:
+    """The float32 scan keeps every row that can reach the float64 top k."""
+
+    def test_rows_one_ulp_apart_around_the_kth_score(self):
+        rng = np.random.default_rng(40)
+        base = unit_rows(rng, 1, 16)[0]
+        nudged = []
+        for j in range(16):  # one coordinate moved by -3..3 float32 ulps
+            for steps in range(-3, 4):
+                row = base.copy()
+                row[j] += np.float32(steps) * np.spacing(base[j])
+                nudged.append(row)
+        vectors = np.concatenate([nudged, unit_rows(rng, 50, 16)])
+        vectors = vectors[rng.permutation(len(vectors))]
+        flat = hand_index(vectors)
+        part = hand_index(vectors, [np.arange(c, len(vectors), 5) for c in range(5)],
+                          np.zeros((5, 16)))
+        float32_order_wrong = 0
+        for _ in range(30):
+            query = base + 0.01 * rng.standard_normal(16)
+            for k in (1, 7, 40):
+                want = hit_keys(exact_topk(flat, query, k))
+                assert hit_keys(retrieve_topk(flat, query, k)) == want
+                assert hit_keys(retrieve_topk(part, query, k, probes="all")) == want
+                q32 = (query / np.linalg.norm(query)).astype(np.float32)
+                naive = np.lexsort((np.arange(len(vectors)), -(vectors @ q32)))[:k]
+                float32_order_wrong += naive.tolist() != [row for _, row in want]
+        assert float32_order_wrong  # the float64 rescore decided some order
+
+    def test_duplicate_rows_in_different_partitions(self):
+        rng = np.random.default_rng(41)
+        originals = unit_rows(rng, 20, 8)
+        # rows 20..29 and 30..39 repeat rows 0..9, each copy in its own list
+        vectors = np.concatenate([originals, originals[:10], originals[:10]])
+        lists = [np.arange(0, 20), np.arange(20, 30), np.arange(30, 40)]
+        part = hand_index(vectors, lists, [vectors[m].mean(axis=0) for m in lists])
+        flat = hand_index(vectors)
+        for query in [*originals[:5], *rng.standard_normal((10, 8))]:
+            every_row = {h.row: h.score for h in retrieve_topk(flat, query, 40)}
+            for k in (1, 2, 3, 5, 12):
+                want = hit_keys(exact_topk(flat, query, k))
+                assert hit_keys(retrieve_topk(flat, query, k)) == want
+                assert hit_keys(retrieve_topk(part, query, k, probes="all")) == want
+                for probes in (1, 2, 3):
+                    for hit in retrieve_topk(part, query, k, probes=probes):
+                        assert hit.score == every_row[hit.row]
+
+    def test_k_larger_than_the_rows_scanned(self):
+        rng = np.random.default_rng(42)
+        vectors = unit_rows(rng, 30, 8)
+        lists = [np.arange(0, 10), np.arange(10, 30)]
+        part = hand_index(vectors, lists, [vectors[m].mean(axis=0) for m in lists])
+        flat = hand_index(vectors)
+        for _ in range(10):
+            query = rng.standard_normal(8)
+            want = hit_keys(exact_topk(flat, query, 30))
+            assert hit_keys(retrieve_topk(flat, query, 50)) == want
+            probed = np.argmin(np.sum((part.centroids - query / np.linalg.norm(query))
+                                      ** 2, axis=1))
+            scanned = [key for key in want if key[1] in lists[probed]]
+            assert hit_keys(retrieve_topk(part, query, 25, probes=1)) == scanned
+
+    def test_empty_partitions(self):
+        rng = np.random.default_rng(43)
+        vectors = unit_rows(rng, 24, 6)
+        lists = [[], np.arange(0, 12), [], np.arange(12, 24), []]
+        flat = hand_index(vectors)
+        for _ in range(10):
+            query = rng.standard_normal(6)
+            aim = query / np.linalg.norm(query)
+            # the empty lists' centroids sit on the query, so they are probed
+            # first; the fourth probe takes the nearer of the other two
+            centroids = [aim, vectors[:12].mean(axis=0), aim,
+                         vectors[12:].mean(axis=0), aim]
+            part = hand_index(vectors, lists, centroids)
+            assert retrieve_topk(part, query, 5, probes=3) == []
+            nearer = 1 if (np.sum((centroids[1] - aim) ** 2)
+                           <= np.sum((centroids[3] - aim) ** 2)) else 3
+            everything = hit_keys(exact_topk(flat, query, 24))
+            assert hit_keys(retrieve_topk(part, query, 5, probes=4)) == [
+                key for key in everything if key[1] in lists[nearer]
+            ][:5]
+            for k in (1, 5, 24, 30):
+                assert hit_keys(retrieve_topk(part, query, k, probes="all")) == (
+                    everything[:k])
+
+    def test_flat_and_probes_all_give_the_same_bits(self):
+        bench = make_noisy_benchmark(seed=7)
+        flat = build_index(bench.records, bench.store)
+        part = build_index(bench.records, bench.store, structure="partitioned",
+                           num_partitions=8)
+        for _, ref in bench.queries:
+            query = bench.store.vector(ref)
+            via_scan = retrieve_topk(flat, query, 10)
+            via_probe = retrieve_topk(part, query, 10, probes="all")
+            assert [(h.record.id, h.row, h.score) for h in via_scan] == [
+                (h.record.id, h.row, h.score) for h in via_probe
+            ]
+            every_row = {h.row: h.score for h in retrieve_topk(flat, query, len(flat))}
+            for probes in (1, 2, 4):
+                for hit in retrieve_topk(part, query, 10, probes=probes):
+                    assert hit.score == every_row[hit.row]
 
 
 @pytest.mark.parametrize("value", [0, 2.5, True])
