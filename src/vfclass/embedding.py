@@ -35,13 +35,14 @@ from .errors import (
     ProviderUnavailableError,
     SchemaError,
     UnknownKeyError,
+    VfcError,
     ZeroVectorError,
 )
 
 STORE_MAGIC = b"VFCE"
 STORE_VERSION = 1
 DTYPE_F32 = 0
-EMBED_CHUNK = 1024  # texts per provider call when embedding in bulk
+EMBED_CHUNK = 1024  # inputs per provider call when embedding in bulk
 
 
 def is_count(value) -> bool:
@@ -97,11 +98,26 @@ def as_matrix(
     return arr
 
 
-def embed_text_rows(provider, texts: Sequence[str], name: str) -> np.ndarray:
-    """Checked float64 rows for ``texts`` in order, ``EMBED_CHUNK`` texts per
-    provider call; no texts make no call."""
-    chunks = [texts[i : i + EMBED_CHUNK] for i in range(0, len(texts), EMBED_CHUNK)]
-    rows = [as_matrix(provider.embed_texts(c), name, count=len(c)) for c in chunks]
+def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
+    """Checked float64 rows for ``inputs`` in order, ``EMBED_CHUNK`` inputs
+    per call of ``embed``, a bound provider method such as
+    ``provider.embed_texts``; no inputs make no call.
+
+    A provider fault that is not a :class:`VfcError` is a
+    :class:`ProviderUnavailableError`, so it fails like a service fault.
+    """
+    rows = []
+    for start in range(0, len(inputs), EMBED_CHUNK):
+        chunk = inputs[start : start + EMBED_CHUNK]
+        try:
+            vectors = embed(chunk)
+        except VfcError:
+            raise
+        except Exception as exc:
+            raise ProviderUnavailableError(
+                f"{name}: provider failed: {exc!r}"
+            ) from exc
+        rows.append(as_matrix(vectors, name, count=len(chunk)))
     return np.concatenate(rows) if rows else np.empty((0, 0))
 
 
@@ -170,12 +186,19 @@ def _check_texts(texts: Sequence[str]) -> list[str]:
     return cleaned
 
 
+def _check_refs(refs: Sequence[str]) -> list[str]:
+    refs = list(refs)
+    if not refs or not all(refs):
+        raise EmptyInputError("image_ref must be non-empty")
+    return refs
+
+
 class PrecomputedStore:
     """Embedding provider backed by an in-memory table of named vectors.
 
     Keys are free-form strings: caption ids, caption texts, image refs, or
     candidate words. ``embed_texts`` resolves each input string as a key;
-    ``embed_image`` resolves the ref the same way.
+    ``embed_images`` and ``embed_image`` resolve refs the same way.
     """
 
     kind = "precomputed-store"
@@ -244,10 +267,11 @@ class PrecomputedStore:
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self._gather(_check_texts(texts))
 
+    def embed_images(self, image_refs: Sequence[str]) -> np.ndarray:
+        return self._gather(_check_refs(image_refs))
+
     def embed_image(self, image_ref: str) -> np.ndarray:
-        if not image_ref:
-            raise EmptyInputError("image_ref must be non-empty")
-        return self.vector(image_ref)
+        return self.embed_images([image_ref])[0]
 
     def embed_records(self, ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
         """Resolve caption embeddings by id when present, else by text."""
@@ -376,7 +400,8 @@ class RemoteEmbeddingClient:
     POSTs ``{"inputs": [...], "modality": "text"|"image"}`` to ``base_url``
     and expects ``{"dim": N, "vectors": [[...], ...]}``. The dimension is
     pinned on the first successful response (or up front via ``dim``) and
-    any later deviation is a hard error.
+    any later deviation is a hard error. Every call goes through one
+    ``requests.Session``, so calls reuse a kept-alive connection.
 
     Returned vectors are quantized to float32 (the engine's storage
     precision) so a live run is bit-identical to a run against the same
@@ -402,10 +427,11 @@ class RemoteEmbeddingClient:
         self.dim = dim
         self.timeout = timeout
         self.identity = identity or f"remote:{base_url}"
+        self._session = requests.Session()  # one kept-alive connection
 
     def _post(self, inputs: Sequence[str], modality: str) -> np.ndarray:
         try:
-            resp = requests.post(
+            resp = self._session.post(
                 self.base_url,
                 json={"inputs": list(inputs), "modality": modality},
                 timeout=self.timeout,
@@ -438,10 +464,11 @@ class RemoteEmbeddingClient:
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self._post(_check_texts(texts), "text")
 
+    def embed_images(self, image_refs: Sequence[str]) -> np.ndarray:
+        return self._post(_check_refs(image_refs), "image")
+
     def embed_image(self, image_ref: str) -> np.ndarray:
-        if not image_ref:
-            raise EmptyInputError("image_ref must be non-empty")
-        return self._post([image_ref], "image")[0]
+        return self.embed_images([image_ref])[0]
 
 
 class HashEmbedder:
@@ -464,10 +491,11 @@ class HashEmbedder:
             [hashed_vector(t, "text", self.dim) for t in _check_texts(texts)]
         )
 
+    def embed_images(self, image_refs: Sequence[str]) -> list[np.ndarray]:
+        return [hashed_vector(r, "image", self.dim) for r in _check_refs(image_refs)]
+
     def embed_image(self, image_ref: str) -> np.ndarray:
-        if not image_ref:
-            raise EmptyInputError("image_ref must be non-empty")
-        return hashed_vector(image_ref, "image", self.dim)
+        return self.embed_images([image_ref])[0]
 
 
 def body_crc(data: bytes) -> int:

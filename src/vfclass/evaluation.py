@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embedding import embed_text_rows, row_norms
+from .embedding import embed_rows, row_norms
 from .errors import EmptyInputError, MissingTruthError, SchemaError
 from .ingestion import json_lines, json_object
 
@@ -56,7 +56,7 @@ def _similarities(pairs: list[tuple[str, str]], embedder) -> np.ndarray:
     """Embedding cosine of each (predicted, truth) pair, clipped to [0, 1];
     each distinct label is embedded once."""
     labels = sorted({label for pair in pairs for label in pair})
-    rows = embed_text_rows(embedder, labels, "label embeddings")
+    rows = embed_rows(embedder.embed_texts, labels, "label embeddings")
     norms = row_norms(rows, labels, "label embeddings")
     row_of = {label: i for i, label in enumerate(labels)}
     left, right = ([row_of[pair[k]] for pair in pairs] for k in (0, 1))
@@ -222,7 +222,7 @@ def ground_to_vocabulary(
         raise EmptyInputError("vocabulary must be non-empty",
                               code="empty-vocabulary")
     labels = [predicted_text] + sorted(set(vocabulary))
-    rows = embed_text_rows(text_embedder, labels, "label embeddings")
+    rows = embed_rows(text_embedder.embed_texts, labels, "label embeddings")
     norms = row_norms(rows, labels, "label embeddings")
     scores = np.clip(rows[1:] @ rows[0] / (norms[1:] * norms[0]), -1.0, 1.0)
     return min(zip(-scores, labels[1:]))[1]

@@ -7,13 +7,14 @@ vector into a distribution, and the two are mixed with weight ``alpha`` on
 the visual side. The label is the argmax of the fused distribution.
 
 Queries are classified in batches; :func:`classify` is a batch of one.
-Each query is resolved, retrieves its captions and extracts its candidates
-on its own. The batch's distinct candidate texts are then embedded
-together, ``EMBED_CHUNK`` texts per provider call, and each query is scored
-from its own rows in its own candidate order, so a prediction does not
-depend on the batch it arrives in. When any query of a batch fails,
-:func:`classify_batch` reruns the batch one query at a time, so a fault
-fails only its own query, with the error a single :func:`classify` gives.
+The batch's distinct image refs are embedded together, ``EMBED_CHUNK`` refs
+per provider call. Each query then retrieves its captions and extracts its
+candidates on its own. The batch's distinct candidate texts are embedded
+together in the same way, and each query is scored from its own rows in its
+own candidate order, so a prediction does not depend on the batch it
+arrives in. When any query of a batch fails, :func:`classify_batch` reruns
+the batch one query at a time, so a fault fails only its own query, with
+the error a single :func:`classify` gives.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .candidates import FilterConfig, extract_candidates
-from .embedding import as_matrix, as_vector, embed_text_rows, is_count, is_real
+from .embedding import as_matrix, as_vector, embed_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
@@ -136,18 +137,34 @@ def fuse(visual, textual, alpha: float) -> list[float]:
     return [float(x) for x in fused]
 
 
-def _resolve_query(query, provider) -> np.ndarray:
-    if isinstance(query, str):
-        return as_vector(provider.embed_image(query), "image embedding")
-    return as_vector(query, "query embedding")
+def _embed_distinct(embed, items, name) -> tuple[np.ndarray, dict[str, int]]:
+    """Rows of the distinct ``items`` and the row of each; first-seen order,
+    so a batch of one sends exactly its own items, in order."""
+    distinct = list(dict.fromkeys(items))
+    rows = embed_rows(embed, distinct, name)
+    return rows, {item: i for i, item in enumerate(distinct)}
+
+
+def _image_method(provider):
+    """``provider.embed_images``, or ``embed_image`` once per ref for a
+    provider without it."""
+    if hasattr(provider, "embed_images"):
+        return provider.embed_images
+    return lambda refs: [provider.embed_image(ref) for ref in refs]
 
 
 def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
     """Predictions for ``queries`` in order; the first failure raises."""
     template = config.prompt_template or "{}"
+    image_rows, image_row = _embed_distinct(
+        _image_method(provider), [q for q in queries if isinstance(q, str)],
+        "image embeddings")
     staged = []
     for query in queries:
-        image_vec = _resolve_query(query, provider)
+        if isinstance(query, str):
+            image_vec = image_rows[image_row[query]]
+        else:
+            image_vec = as_vector(query, "query embedding")
         hits = retrieve_topk(index, image_vec, config.k, config.probes)
         fallback = False
         try:
@@ -160,10 +177,9 @@ def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
             fallback = True
         texts = [template.format(name) for name in names]
         staged.append((image_vec, hits, names, texts, fallback))
-    # first-seen order: a batch of one sends exactly its own texts, in order
-    distinct = list(dict.fromkeys(t for *_, texts, _ in staged for t in texts))
-    rows = embed_text_rows(provider, distinct, "candidate vectors")
-    row_of = {text: i for i, text in enumerate(distinct)}
+    rows, row_of = _embed_distinct(
+        provider.embed_texts, [t for *_, texts, _ in staged for t in texts],
+        "candidate vectors")
     predictions = []
     for image_vec, hits, names, texts, fallback in staged:
         cand_vecs = rows[[row_of[t] for t in texts]]

@@ -3,7 +3,8 @@
 Serves the remote-provider HTTP contract with hash-derived vectors: the
 same (input, modality) pair always yields the same unit vector, so runs
 against the stub are exactly reproducible and can be compared against a
-pre-dumped binary store of the same vectors.
+pre-dumped binary store of the same vectors. It speaks HTTP/1.1 and keeps
+a connection open between requests; an error reply closes it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,19 @@ from .errors import EmptyInputError
 
 class _StubHandler(BaseHTTPRequestHandler):
     dim = 64
+    # keep-alive (RFC 9112 persistent connections); a reply goes out as two
+    # sends, headers then body, and Nagle would hold the body back until the
+    # client's delayed ACK, about 40 ms per call
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def do_POST(self):
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length))
+            length = self.headers.get("Content-Length", "")
+            if not length.isdecimal():
+                raise ValueError(
+                    f"Content-Length must be a byte count, got {length!r}")
+            body = json.loads(self.rfile.read(int(length)))
             items = body["inputs"]
             modality = body.get("modality", "text")
             if modality not in ("text", "image"):
@@ -41,6 +50,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if status != 200:
+            # the body may be unread, so its bytes must not be taken for
+            # the next request; this header also sets close_connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -1,11 +1,20 @@
 """Remote embedding client against the deterministic stub service."""
 
+import socket
+import time
+from urllib.parse import urlsplit
+
 import numpy as np
 import pytest
 import requests
 
-from vfclass.candidates import LexiconTagger
-from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, hashed_vector
+from vfclass.candidates import FilterConfig, LexiconTagger, extract_candidates
+from vfclass.embedding import (
+    EMBED_CHUNK,
+    PrecomputedStore,
+    RemoteEmbeddingClient,
+    hashed_vector,
+)
 from vfclass.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -14,7 +23,7 @@ from vfclass.errors import (
 )
 from vfclass.index import CaptionRecord, build_index
 from vfclass.scoring import ClassifierConfig, classify_batch
-from vfclass.stubserver import running_stub
+from vfclass.stubserver import _StubHandler, running_stub
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +100,86 @@ class TestRemoteClient:
         [vec] = client.embed_texts(["quantized"])
         assert np.array_equal(vec, vec.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("length", ["-1", "abc", None])
+    def test_stub_closes_after_a_bad_content_length(self, stub_url, length):
+        body = b'{"inputs": ["a"]}'
+        header = "" if length is None else f"Content-Length: {length}\r\n"
+        bad = f"POST / HTTP/1.1\r\nHost: stub\r\n{header}\r\n".encode() + body
+        good = (f"POST / HTTP/1.1\r\nHost: stub\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+        url = urlsplit(stub_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(bad + good)
+            replies = b""
+            while chunk := sock.recv(65536):  # a hang is a socket timeout
+                replies += chunk
+        assert replies.startswith(b"HTTP/1.1 400 ")
+        assert replies.count(b"HTTP/1.") == 1
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """Peer addresses of the connections that stub handlers accept during
+    the test: a handler is set up once per connection."""
+    accepted = []
+    setup = _StubHandler.setup
+
+    def counting_setup(self):
+        accepted.append(self.client_address)
+        setup(self)
+
+    monkeypatch.setattr(_StubHandler, "setup", counting_setup)
+    return accepted
+
+
+class TestOneConnection:
+    def test_sequential_calls_share_one_connection(self, connections):
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+            start = time.perf_counter()
+            for i in range(10):
+                client.embed_texts([f"t{i}"])
+                client.embed_image(f"img/{i}")
+            elapsed = time.perf_counter() - start
+        assert len(connections) == 1
+        # a reply held back by Nagle until the delayed ACK costs ~40 ms
+        assert elapsed < 20 * 0.04 / 2
+
+    def test_batch_of_refs_makes_one_image_post_per_chunk(self, monkeypatch,
+                                                           connections):
+        words = ["otter", "falcon", "lantern"]
+        records = [CaptionRecord(f"cap-{i:03d}", f"a {words[i % 3]} near the pier")
+                   for i in range(24)]
+        refs = [f"img/{i}" for i in range(EMBED_CHUNK + 6)]
+        queries = [(ref, ref) for ref in refs] + [("again", refs[0])]
+        modalities = []
+        post = requests.Session.post
+
+        def counting_post(self, url, **kwargs):
+            modalities.append(kwargs["json"]["modality"])
+            return post(self, url, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", counting_post)
+        dim = 8
+        with running_stub(dim) as url:
+            client = RemoteEmbeddingClient(url)
+            index = build_index(records, client)
+            remote = classify_batch(queries, index, client, LexiconTagger())
+        assert modalities.count("image") == -(-len(refs) // EMBED_CHUNK) == 2
+        assert len(connections) == 1
+
+        store = PrecomputedStore(dim)
+        loose = FilterConfig(min_count=1)
+        words = set(extract_candidates(records, LexiconTagger(), loose).entries)
+        for text in {r.text for r in records} | words:
+            store.add(text, hashed_vector(text, "text", dim))
+        for ref in refs:
+            store.add(ref, hashed_vector(ref, "image", dim))
+        local = classify_batch(queries, build_index(records, store), store,
+                               LexiconTagger())
+        assert remote == local
+        assert remote[-1].prediction == remote[0].prediction
+
 
 class FakeResponse:
     def __init__(self, body):
@@ -104,8 +193,9 @@ class FakeResponse:
 
 
 class FakeService:
-    """Stands in for ``requests.post``: answers from a store, except that
-    the vector for ``bad-ref`` has a non-numeric element."""
+    """Stands in for ``requests.Session.post``: answers from a store, except
+    that the vector for ``bad-ref`` has a non-numeric element. An instance
+    is not a descriptor, so it gets no session argument."""
 
     def __init__(self, store):
         self.store = store
@@ -129,7 +219,7 @@ class TestMalformedReply:
                    for i in range(4)]
         for i, rec in enumerate(records):
             store.add(rec.id, e[i % 2])
-        monkeypatch.setattr(requests, "post", FakeService(store))
+        monkeypatch.setattr(requests.Session, "post", FakeService(store))
         return build_index(records, store)
 
     def test_non_numeric_vector_is_a_schema_error(self, monkeypatch):
@@ -139,8 +229,9 @@ class TestMalformedReply:
             client.embed_image("bad-ref")
 
     def test_reply_that_is_not_an_object(self, monkeypatch):
-        monkeypatch.setattr(requests, "post",
-                            lambda url, json, timeout: FakeResponse([[1.0, 0.0]]))
+        reply = FakeResponse([[1.0, 0.0]])
+        monkeypatch.setattr(requests.Session, "post",
+                            lambda self, url, json, timeout: reply)
         client = RemoteEmbeddingClient("http://embedding.test/", dim=2)
         with pytest.raises(ProviderUnavailableError, match="not an object"):
             client.embed_texts(["dog"])
@@ -172,7 +263,8 @@ class TestClientSettings:
     @pytest.mark.parametrize("dim", [True, 0, 4.0])
     def test_reply_dim_that_is_not_a_count(self, monkeypatch, dim):
         reply = FakeResponse({"dim": dim, "vectors": [[1.0, 0.0, 0.0, 0.0]]})
-        monkeypatch.setattr(requests, "post", lambda url, json, timeout: reply)
+        monkeypatch.setattr(requests.Session, "post",
+                            lambda self, url, json, timeout: reply)
         client = RemoteEmbeddingClient("http://embedding.test/")
         with pytest.raises(ProviderUnavailableError, match="malformed"):
             client.embed_texts(["dog"])

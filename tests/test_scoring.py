@@ -16,6 +16,7 @@ from vfclass.errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
     EmptyInputError,
+    ProviderUnavailableError,
     UnknownKeyError,
 )
 from vfclass.index import CaptionRecord, build_index, retrieve_topk
@@ -356,6 +357,28 @@ class TestClassifyBatch:
                 query, index, store, tagger, ClassifierConfig(k=4)).label
 
 
+    def test_provider_fault_fails_only_its_query(self, tagger):
+        index, store, queries = self.world()
+        store.add("img/ok", np.eye(4)[0])
+
+        class CrashingProvider:
+            dim = store.dim
+            embed_texts = staticmethod(store.embed_texts)
+
+            def embed_image(self, ref):
+                if ref == "img/crash":
+                    raise RuntimeError("model crashed")
+                return store.embed_image(ref)
+
+        mixed = [("before", "img/ok"), ("crash", "img/crash"), ("after", "img/ok")]
+        results = classify_batch(mixed, index, CrashingProvider(), tagger,
+                                 ClassifierConfig(k=4))
+        assert [r.error_code for r in results] == [None, "provider-unavailable", None]
+        with pytest.raises(ProviderUnavailableError) as err:
+            classify("img/crash", index, CrashingProvider(), tagger)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+
 class CountingStore:
     """Provider proxy recording the texts of each ``embed_texts`` call."""
 
@@ -370,6 +393,19 @@ class CountingStore:
 
     def embed_image(self, ref):
         return self.store.embed_image(ref)
+
+
+class CountingImages(CountingStore):
+    """CountingStore that also has ``embed_images`` and records the refs of
+    each of its calls."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.image_calls = []
+
+    def embed_images(self, refs):
+        self.image_calls.append(list(refs))
+        return self.store.embed_images(refs)
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +445,49 @@ class TestBatchPath:
         assert sorted(sent) == sorted(names)
         assert len(provider.calls) == -(-len(names) // chunk)
         assert max(len(call) for call in provider.calls) <= chunk
+
+    @pytest.mark.parametrize("chunk", [EMBED_CHUNK, 16])
+    def test_each_distinct_ref_embedded_once_per_batch(
+        self, noisy_bench, index, tagger, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(embedding_mod, "EMBED_CHUNK", chunk)
+        queries, store = noisy_bench.queries, noisy_bench.store
+        refs = [ref for _, ref in queries]
+        batch = queries + [(f"again-{qid}", ref) for qid, ref in queries]
+        provider = CountingImages(store)
+        items = classify_batch(batch, index, provider, tagger)
+        assert [ref for call in provider.image_calls for ref in call] == refs
+        assert len(provider.image_calls) == -(-len(refs) // chunk)
+        single = [classify(ref, index, store, tagger) for ref in refs]
+        assert [item.prediction for item in items] == single + single
+        assert items == classify_batch(batch, index, store, tagger)
+
+    def test_provider_without_embed_images(self, noisy_bench, index, tagger):
+        queries, store = noisy_bench.queries[:40], noisy_bench.store
+        provider = CountingStore(store)
+        sent = []
+
+        def embed_image(ref):
+            sent.append(ref)
+            return store.embed_image(ref)
+
+        provider.embed_image = embed_image
+        items = classify_batch(queries + queries[:5], index, provider, tagger)
+        assert sent == [ref for _, ref in queries]
+        assert items == classify_batch(queries + queries[:5], index, store, tagger)
+
+    def test_vector_and_ref_queries_keep_input_order(self, noisy_bench, index,
+                                                     tagger):
+        store = noisy_bench.store
+        batch = [(qid, store.vector(ref) if i % 3 else ref)
+                 for i, (qid, ref) in enumerate(noisy_bench.queries[:30])]
+        provider = CountingImages(store)
+        items = classify_batch(batch, index, provider, tagger)
+        assert [item.id for item in items] == [qid for qid, _ in batch]
+        assert [item.prediction for item in items] == [
+            classify(q, index, store, tagger) for _, q in batch
+        ]
+        assert provider.image_calls == [[q for _, q in batch if isinstance(q, str)]]
 
     def test_missing_word_fails_only_the_queries_that_need_it(
         self, noisy_bench, index, tagger
