@@ -2,9 +2,9 @@
 
 Subcommands: ingest, build-index, classify, evaluate, stats, ablate,
 serve-stub. Option precedence is flags > environment (``VFC_`` prefix) >
-config file (``key=value`` lines via ``--config``) > built-in defaults
-(alpha 0.7, k 10). Runtime failures exit 1 with a machine-readable JSON
-error on stderr; usage errors exit 2.
+config file (``key=value`` lines via ``--config``) > the defaults of the
+library's signatures (alpha 0.7, k 10). Runtime failures exit 1 with a
+machine-readable JSON error on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ from .stubserver import serve
 
 log = logging.getLogger("vfclass")
 
-DEFAULTS = {
-    "alpha": 0.7,
-    "k": 10,
-    "probes": None,
-    "seed": 42,
-    "embed_timeout": 10.0,
-}
-
 
 def _load_config_file(path) -> dict[str, str]:
     conf: dict[str, str] = {}
@@ -67,20 +59,24 @@ def _load_config_file(path) -> dict[str, str]:
     return conf
 
 
-def resolve_option(name, flag_value, file_conf, cast=str, default=None):
-    """flags > VFC_<NAME> env > config file > default."""
-    if flag_value is not None:
-        return flag_value
+def resolve_option(name, flag_value, file_conf, cast=str):
+    """flags > VFC_<NAME> env > config file; None if none of them sets it."""
     raw = os.environ.get(f"VFC_{name.upper()}", file_conf.get(name))
-    if raw is None:
-        return default
+    if flag_value is not None or raw is None:
+        return flag_value
     try:
         return cast(raw)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
-def _parse_count(value: str, expected: str = "an integer >= 1", low: int = 1,
+def _given(**options) -> dict:
+    """The options that are set; a library call given only these keeps its
+    own defaults for the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _parse_count(value: str, expected: str | None = None, low: int = 1,
                  high: float = math.inf) -> int:
     """An integer from ``low`` to ``high``: by default a count of at least 1."""
     try:
@@ -88,8 +84,14 @@ def _parse_count(value: str, expected: str = "an integer >= 1", low: int = 1,
     except ValueError:
         count = low - 1
     if not low <= count <= high:
+        expected = expected or f"an integer >= {low}"
         raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
     return count
+
+
+def _parse_seed(value: str) -> int:
+    """A random seed: an integer >= 0."""
+    return _parse_count(value, low=0)
 
 
 def _parse_port(value: str) -> int:
@@ -131,11 +133,10 @@ def _provider(args, file_conf):
         return PrecomputedStore.load(args.embeddings)
     if embed_url:
         timeout = resolve_option("embed_timeout", args.embed_timeout, file_conf,
-                                 cast=_parse_timeout,
-                                 default=DEFAULTS["embed_timeout"])
+                                 cast=_parse_timeout)
         dim = resolve_option("embed_dim", args.embed_dim, file_conf,
                              cast=_parse_count)
-        return RemoteEmbeddingClient(embed_url, dim=dim, timeout=timeout)
+        return RemoteEmbeddingClient(embed_url, **_given(dim=dim, timeout=timeout))
     raise EmptyInputError(
         "no embedding provider: pass --embeddings or --embed-url",
         code="provider-unavailable",
@@ -155,14 +156,14 @@ def _tagger(args) -> LexiconTagger:
 
 def _classifier_config(args, file_conf) -> ClassifierConfig:
     return ClassifierConfig(
-        k=resolve_option("k", args.k, file_conf, cast=_parse_count,
-                         default=DEFAULTS["k"]),
-        alpha=resolve_option(
-            "alpha", args.alpha, file_conf, cast=float, default=DEFAULTS["alpha"]
-        ),
-        prompt_template=resolve_option("prompt", args.prompt, file_conf, default=""),
-        probes=resolve_option("probes", args.probes, file_conf, cast=_parse_probes),
         filter=_filter_config(args),
+        **_given(
+            k=resolve_option("k", args.k, file_conf, cast=_parse_count),
+            alpha=resolve_option("alpha", args.alpha, file_conf, cast=float),
+            prompt_template=resolve_option("prompt", args.prompt, file_conf),
+            probes=resolve_option("probes", args.probes, file_conf,
+                                  cast=_parse_probes),
+        ),
     )
 
 
@@ -209,15 +210,15 @@ def _cmd_stats(args, file_conf) -> int:
 def _cmd_build_index(args, file_conf) -> int:
     records = ingest_corpus(args.corpus, fmt=args.format, strict=args.strict)
     provider = _provider(args, file_conf)
-    seed = resolve_option("seed", args.seed, file_conf, cast=int,
-                          default=DEFAULTS["seed"])
     index = build_index(
         records,
         provider,
         structure=args.structure,
-        num_partitions=args.partitions,
-        seed=seed,
         dedup=args.dedup,
+        **_given(
+            num_partitions=args.partitions,
+            seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
+        ),
     )
     save_index(index, args.out)
     log.info("built %s index with %d records -> %s",
@@ -392,9 +393,10 @@ def _cmd_ablate(args, file_conf) -> int:
         values=[v for v in args.values.split(",") if v],
         base=_classifier_config(args, file_conf),
         eval_mode=args.eval_mode,
-        seed=resolve_option("seed", args.seed, file_conf, cast=int,
-                            default=DEFAULTS["seed"]),
-        num_queries=args.num_queries,
+        **_given(
+            seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
+            num_queries=args.num_queries,
+        ),
     )
     rows = _sweep_rows(spec, args, file_conf)
     with _output(args.out) as handle:
@@ -473,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--structure", choices=["flat", "partitioned"], default="flat")
-    p.add_argument("--partitions", type=_parse_count, default=16)
+    p.add_argument("--partitions", type=_parse_count)
     p.add_argument("--dedup", action="store_true",
                    help="drop records with duplicate caption text")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_index)
 
@@ -504,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--benchmark", help="dataset manifest (default: synthetic)")
     p.add_argument("--index", help="index for --benchmark runs")
-    p.add_argument("--num-queries", type=int, default=200)
+    p.add_argument("--num-queries", type=int)
     p.add_argument("--eval-mode", choices=["auto", "one-to-one", "many-to-one"],
                    default="auto")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ablate)
 

@@ -45,9 +45,9 @@ DTYPE_F32 = 0
 EMBED_CHUNK = 1024  # inputs per provider call when embedding in bulk
 
 
-def is_count(value) -> bool:
-    """True for an ``int`` >= 1 that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def is_count(value, low: int = 1) -> bool:
+    """True for an ``int`` >= ``low`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def is_real(value) -> bool:
@@ -98,15 +98,14 @@ def as_matrix(
     return arr
 
 
-def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
-    """Checked float64 rows for ``inputs`` in order, ``EMBED_CHUNK`` inputs
+def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
+    """Checked float64 rows of ``dim`` (if given) for ``inputs``, one matrix
     per call of ``embed``, a bound provider method such as
-    ``provider.embed_texts``; no inputs make no call.
+    ``provider.embed_texts``, on ``EMBED_CHUNK`` inputs in order.
 
     A provider fault that is not a :class:`VfcError` is a
     :class:`ProviderUnavailableError`, so it fails like a service fault.
     """
-    rows = []
     for start in range(0, len(inputs), EMBED_CHUNK):
         chunk = inputs[start : start + EMBED_CHUNK]
         try:
@@ -117,7 +116,12 @@ def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
             raise ProviderUnavailableError(
                 f"{name}: provider failed: {exc!r}"
             ) from exc
-        rows.append(as_matrix(vectors, name, count=len(chunk)))
+        yield as_matrix(vectors, name, dim, count=len(chunk))
+
+
+def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
+    """The rows of :func:`_embed_chunks` as one matrix; no inputs, no call."""
+    rows = list(_embed_chunks(embed, inputs, name))
     return np.concatenate(rows) if rows else np.empty((0, 0))
 
 

@@ -18,29 +18,32 @@ still end empty after the final assignment.
 Records are kept in ascending-id order, so builds ignore input order and
 row order is id order: score ties break by row, that is, by ascending id.
 
+An index is immutable: its fields cannot be replaced, and
+``dataclasses.replace`` derives a new index, which makes its own scan copy.
+
 Retrieval scans in float32 and decides in float64. ``index.vectors`` stays
-in id order; on first query a partitioned index also keeps one copy of its
-rows in partition order, so each probe is one float32 product over a
-contiguous slice (the inverted-file layout), and probing every partition is
-one product over the whole copy. A flat index scans ``index.vectors`` as one
-partition, with no copy. Every row whose float32 score is within twice the
-rounding bound of ``_score_bound`` of the k-th float32 score is rescored in
-float64, one row at a time, and the top k of that shortlist are exactly the
-float64 brute-force top k. Each row's float64 score is the same bits
-whichever scan found it.
+in id order; on its first query, and only then, a partitioned index makes
+one copy of its rows in partition order, so each probe is one float32
+product over a contiguous slice (the inverted-file layout), and probing
+every partition is one product over the whole copy. A flat index scans
+``index.vectors`` as one partition, with no copy. Every row whose float32
+score is within twice the rounding bound of ``_score_bound`` of the k-th
+float32 score is rescored in float64, one row at a time, and the top k of
+that shortlist are exactly the float64 brute-force top k. Each row's
+float64 score is the same bits whichever scan found it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .embedding import (
-    EMBED_CHUNK,
+    _embed_chunks,
     _Reader,
-    as_matrix,
     as_vector,
     body_crc,
     is_count,
@@ -91,16 +94,15 @@ class _ScanLayout:
     scan position ``i`` holds index row ``rows[i]``, and ``bound`` is the
     float32 rounding bound of ``_score_bound`` for these rows."""
 
-    source: tuple  # (index.vectors, index.partitions) the layout was made from
     vectors: np.ndarray
     rows: np.ndarray
     offsets: list[int]
     bound: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaptionIndex:
-    """Immutable-after-build search structure over an embedded corpus."""
+    """Immutable search structure over an embedded corpus."""
 
     dim: int
     records: list[CaptionRecord]
@@ -109,8 +111,6 @@ class CaptionIndex:
     centroids: np.ndarray | None = None
     partitions: list[np.ndarray] = field(default_factory=list)
     provider_identity: str = ""
-    _scan: _ScanLayout | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -119,23 +119,37 @@ class CaptionIndex:
     def num_partitions(self) -> int:
         return len(self.partitions)
 
+    @cached_property
+    def _layout(self) -> _ScanLayout:
+        """The rows in scan order, made on the first query; a flat index is
+        one list, scanned in place."""
+        flat = self.structure == "flat"
+        lists = [np.arange(len(self))] if flat else self.partitions
+        rows = np.concatenate([np.empty(0, np.int64), *lists])
+        vectors = self.vectors if flat else self.vectors[rows]
+        max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
+        return _ScanLayout(
+            vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
+            _score_bound(self.dim, max_norm),
+        )
+
 
 def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
-    """Unit float32 rows for ``records``, embedded ``EMBED_CHUNK`` at a time."""
-    out = None
-    for start in range(0, len(records), EMBED_CHUNK):
-        chunk = records[start : start + EMBED_CHUNK]
-        ids = [r.id for r in chunk]
+    """Unit float32 rows for ``records``, embedded a chunk at a time."""
+    def embed(chunk):
         texts = [r.text for r in chunk]
         if hasattr(provider, "embed_records"):
-            vecs = provider.embed_records(ids, texts)
-        else:
-            vecs = provider.embed_texts(texts)
-        matrix = as_matrix(vecs, "record embeddings", provider.dim, len(chunk))
-        norms = row_norms(matrix, ids, "record embeddings")
+            return provider.embed_records([r.id for r in chunk], texts)
+        return provider.embed_texts(texts)
+
+    out, start = None, 0
+    for matrix in _embed_chunks(embed, records, "record embeddings", provider.dim):
+        chunk = records[start : start + len(matrix)]
+        norms = row_norms(matrix, [r.id for r in chunk], "record embeddings")
         if out is None:  # a remote client learns its dim from the first reply
             out = np.empty((len(records), matrix.shape[1]), dtype=np.float32)
         np.divide(matrix, norms[:, None], out=out[start : start + len(chunk)])
+        start += len(chunk)
     return out
 
 
@@ -194,7 +208,7 @@ def build_index(
     text), sorted by id, optionally deduplicated on identical text, embedded,
     and normalized. ``structure="partitioned"`` additionally learns
     ``num_partitions`` centroids (an ``int`` >= 1, clamped to one per record)
-    by seeded k-means.
+    by k-means seeded with ``seed`` (an ``int`` >= 0).
     """
     if structure not in ("flat", "partitioned"):
         raise EmptyInputError(f"unknown index structure {structure!r}")
@@ -202,6 +216,8 @@ def build_index(
         raise EmptyInputError(
             f"num_partitions must be an integer >= 1, got {num_partitions!r}"
         )
+    if not is_count(seed, low=0):
+        raise EmptyInputError(f"seed must be an integer >= 0, got {seed!r}")
     records = list(records)
     if not records:
         raise EmptyCorpusError("cannot build an index from an empty corpus")
@@ -312,26 +328,6 @@ def _score_bound(dim: int, max_norm: float) -> float:
     return g / (1.0 - g) * max_norm
 
 
-def _scan_layout(index: CaptionIndex) -> _ScanLayout:
-    """The index's rows in scan order, made on first use and kept until
-    ``index.vectors`` or ``index.partitions`` is replaced."""
-    source = (index.vectors, index.partitions)
-    layout = index._scan
-    if layout is None or any(a is not b for a, b in zip(layout.source, source)):
-        if index.structure == "flat":
-            vectors, rows, sizes = index.vectors, np.arange(len(index)), [len(index)]
-        else:
-            rows = np.concatenate([np.empty(0, np.int64), *index.partitions])
-            vectors = index.vectors[rows]
-            sizes = [members.size for members in index.partitions]
-        max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
-        layout = index._scan = _ScanLayout(
-            source, vectors, rows, [0, *np.cumsum(sizes).tolist()],
-            _score_bound(index.dim, max_norm),
-        )
-    return layout
-
-
 def retrieve_topk(
     index: CaptionIndex, query, k: int, probes: int | str | None = None
 ) -> list[RetrievedCaption]:
@@ -344,7 +340,7 @@ def retrieve_topk(
     """
     q = _check_query(index, query, k)
     check_probes(probes)
-    layout = _scan_layout(index)
+    layout = index._layout
     probe_ids = range(len(layout.offsets) - 1)  # all; a flat index is one list
     if index.structure == "partitioned" and probes != "all":
         n_probe = DEFAULT_PROBES if probes is None else probes

@@ -4,7 +4,8 @@ Serves the remote-provider HTTP contract with hash-derived vectors: the
 same (input, modality) pair always yields the same unit vector, so runs
 against the stub are exactly reproducible and can be compared against a
 pre-dumped binary store of the same vectors. It speaks HTTP/1.1 and keeps
-a connection open between requests; an error reply closes it.
+a connection open between requests; an error reply closes it, and so does
+``_StubHandler.timeout`` seconds without a byte from the client.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ class _StubHandler(BaseHTTPRequestHandler):
     # client's delayed ACK, about 40 ms per call
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # a read that waits this long closes the connection, so a client that
+    # stops mid-request does not hold a thread forever; far longer than any
+    # pause between calls of one client
+    timeout = 30
+
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:  # the client hung up; no one is left to answer
+            pass
 
     def do_POST(self):
         try:
@@ -32,7 +43,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             if not length.isdecimal():
                 raise ValueError(
                     f"Content-Length must be a byte count, got {length!r}")
-            body = json.loads(self.rfile.read(int(length)))
+            data = self.rfile.read(int(length))
+            if len(data) < int(length):
+                raise ValueError(f"body ended after {len(data)} of {length} bytes")
+            body = json.loads(data)
             items = body["inputs"]
             modality = body.get("modality", "text")
             if modality not in ("text", "image"):

@@ -1,6 +1,7 @@
 """CLI subcommands end to end on small synthetic fixtures."""
 
 import csv
+import dataclasses
 import io
 import json
 import socket
@@ -10,11 +11,19 @@ import pytest
 
 from vfclass import cli
 from vfclass.benchmark import make_benchmark
+from vfclass.candidates import LexiconTagger
 from vfclass.cli import run
-from vfclass.embedding import save_store
+from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, save_store
 from vfclass.errors import EmptyInputError
-from vfclass.ingestion import save_manifest, write_corpus
-from vfclass.index import CaptionIndex, CaptionRecord, load_index, save_index
+from vfclass.ingestion import ingest_corpus, save_manifest, write_corpus
+from vfclass.index import (
+    CaptionIndex,
+    CaptionRecord,
+    build_index,
+    load_index,
+    save_index,
+)
+from vfclass.scoring import ClassifierConfig, classify_batch
 from vfclass.stubserver import running_stub
 
 
@@ -139,6 +148,22 @@ class TestBuildIndex:
         assert code == 0
         assert load_index(out).num_partitions == 8
 
+    @pytest.mark.parametrize("env_seed", [None, "0"])
+    def test_unset_options_take_the_library_defaults(self, world, tmp_path,
+                                                     monkeypatch, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("VFC_SEED", env_seed)
+        out = tmp_path / "part.vfci"
+        assert run(["build-index", "--corpus", str(world["corpus"]),
+                    "--embeddings", str(world["store"]),
+                    "--structure", "partitioned", "--out", str(out)]) == 0
+        seed = {} if env_seed is None else {"seed": int(env_seed)}
+        library = tmp_path / "library.vfci"
+        save_index(build_index(ingest_corpus(world["corpus"]),
+                               PrecomputedStore.load(world["store"]),
+                               structure="partitioned", **seed), library)
+        assert out.read_bytes() == library.read_bytes()
+
 
 class TestClassifyEvaluate:
     def test_classify_writes_predictions(self, world, built_index, tmp_path):
@@ -227,6 +252,22 @@ class TestConfigPrecedence:
         assert flag_over_env == file_only  # flag 0.2 == file 0.2
         assert file_only != flag_only      # alpha changes fused scores
 
+    def test_unset_options_take_the_library_defaults(self, world, built_index,
+                                                     tmp_path):
+        out = tmp_path / "preds.jsonl"
+        assert run(["classify", "--index", str(built_index),
+                    "--queries", str(world["queries"]),
+                    "--embeddings", str(world["store"]), "--out", str(out)]) == 0
+        bench = world["bench"]
+        items = classify_batch(bench.queries, load_index(built_index), bench.store,
+                               LexiconTagger(), ClassifierConfig())
+        assert out.read_text() == "".join(
+            json.dumps(cli._prediction_json(item), ensure_ascii=False) + "\n"
+            for item in items)
+        args = cli.build_parser().parse_args(
+            ["classify", "--index", "i", "--queries", "q", "--embed-url", "u"])
+        assert cli._provider(args, {}).timeout == RemoteEmbeddingClient("u").timeout
+
 
 def assert_json_error(code, capsys, expected):
     """Exit 1 with one JSON error object on stderr and no traceback."""
@@ -302,6 +343,41 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def seeded(world, tmp_path, command):
+        """Arguments of a seeded ``command`` that writes ``tmp_path/out``."""
+        if command == "build-index":
+            return ["build-index", "--corpus", str(world["corpus"]),
+                    "--embeddings", str(world["store"]),
+                    "--structure", "partitioned", "--out", str(tmp_path / "out")]
+        return ["ablate", "--sweep", "alpha", "--values", "0.5",
+                "--num-queries", "10", "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    @pytest.mark.parametrize("command", ["build-index", "ablate"])
+    def test_bad_seed_flag_is_a_usage_error(self, world, tmp_path, capsys,
+                                            command, value):
+        with pytest.raises(SystemExit) as excinfo:
+            run(self.seeded(world, tmp_path, command) + ["--seed", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-2", "1.5", "true"])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("command", ["build-index", "ablate"])
+    def test_bad_seed_setting_exits_1(self, world, tmp_path, monkeypatch,
+                                      capsys, command, source, value):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text(f"seed={value}\n" if source == "config" else "")
+        if source == "env":
+            monkeypatch.setenv("VFC_SEED", value)
+        code = run(["--config", str(conf)] + self.seeded(world, tmp_path, command))
+        assert_json_error(code, capsys, "empty-input")
+        assert not (tmp_path / "out").exists()
+
     def test_null_prediction_label_exits_1(self, world, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"
         # both ids have truths, so only the null label is at fault
@@ -360,9 +436,10 @@ class TestMalformedInput:
             vectors=np.eye(16, dtype=np.float32)[:3],
         )
         if members:
-            index.structure = "partitioned"
-            index.centroids = np.eye(16)[:2]
-            index.partitions = [np.array(m) for m in members]
+            index = dataclasses.replace(
+                index, structure="partitioned", centroids=np.eye(16)[:2],
+                partitions=[np.array(m) for m in members],
+            )
         path = tmp_path / "bad.vfci"
         save_index(index, path)
         queries = tmp_path / "queries.jsonl"

@@ -4,6 +4,7 @@ Every object here is built by hand from fixed float32 unit rows, so the
 hashes pin the file layout alone and not the numerics of an index build.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -57,16 +58,17 @@ def flat_index() -> CaptionIndex:
 
 
 def partitioned_index() -> CaptionIndex:
-    index = flat_index()
-    index.structure = "partitioned"
-    index.centroids = np.array(
-        [[0.8, 0.4, 0.0, 0.0], [0.25, -0.75, 0.25, 0.25]], dtype=np.float64
+    return dataclasses.replace(
+        flat_index(),
+        structure="partitioned",
+        centroids=np.array(
+            [[0.8, 0.4, 0.0, 0.0], [0.25, -0.75, 0.25, 0.25]], dtype=np.float64
+        ),
+        partitions=[
+            np.array([0, 1], dtype=np.int64),
+            np.array([2, 3, 4], dtype=np.int64),
+        ],
     )
-    index.partitions = [
-        np.array([0, 1], dtype=np.int64),
-        np.array([2, 3, 4], dtype=np.int64),
-    ]
-    return index
 
 
 def test_flat_index_bytes_pinned(tmp_path):

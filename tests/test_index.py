@@ -1,11 +1,13 @@
 """Index build, retrieval exactness, and serialization."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import vfclass.embedding as embedding_mod
 import vfclass.index as index_mod
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.embedding import HashEmbedder, PrecomputedStore, hashed_vector
@@ -176,6 +178,32 @@ class TestBuildIndex:
         with pytest.raises(ProviderUnavailableError, match="3 vectors for 4"):
             build_index(records, ShortProvider(8))
 
+    @pytest.mark.parametrize("provider,method", [
+        (HashEmbedder(8), "embed_texts"), (PrecomputedStore(8), "embed_records"),
+    ], ids=["embed_texts", "embed_records"])
+    def test_provider_fault_is_provider_unavailable(self, provider, method,
+                                                    monkeypatch):
+        def crash(*args):
+            raise RuntimeError("model crashed")
+
+        monkeypatch.setattr(provider, method, crash)
+        with pytest.raises(ProviderUnavailableError, match="model crashed") as err:
+            build_index([CaptionRecord("a", "a dog")], provider)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("structure", ["flat", "partitioned"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_other_than_an_integer_from_zero_rejected(self, seed, structure):
+        records, store = random_corpus(np.random.default_rng(15), 30, 4)
+        with pytest.raises(EmptyInputError, match="seed must be an integer >= 0"):
+            build_index(records, store, structure=structure, seed=seed)
+
+    def test_seed_zero_builds(self):
+        records, store = random_corpus(np.random.default_rng(15), 30, 4)
+        index = build_index(records, store, structure="partitioned",
+                            num_partitions=4, seed=0)
+        assert sorted(np.concatenate(index.partitions).tolist()) == list(range(30))
+
     def test_zero_embedding_names_its_record(self):
         store = PrecomputedStore(2)
         store.add("a", [1.0, 0.0])
@@ -194,14 +222,14 @@ class TestBuildIndex:
                 self.calls.append(len(texts))
                 return super().embed_texts(texts)
 
-        count = 2 * index_mod.EMBED_CHUNK + 7
+        count = 2 * embedding_mod.EMBED_CHUNK + 7
         records = [CaptionRecord(f"r{i:05d}", f"caption {i}") for i in range(count)]
         chunked = RecordingProvider(8)
         index = build_index(records, chunked)
-        assert max(chunked.calls) <= index_mod.EMBED_CHUNK
+        assert max(chunked.calls) <= embedding_mod.EMBED_CHUNK
         assert sum(chunked.calls) == count
 
-        monkeypatch.setattr(index_mod, "EMBED_CHUNK", count)
+        monkeypatch.setattr(embedding_mod, "EMBED_CHUNK", count)
         single = RecordingProvider(8)
         reference = build_index(records, single)
         assert single.calls == [count]
@@ -348,12 +376,14 @@ def hand_index(vectors, partitions=None, centroids=None):
     """An index over ``vectors`` as given, flat or with these member lists."""
     vectors = np.asarray(vectors, dtype=np.float32)
     records = [CaptionRecord(f"r{i:04d}", f"caption {i}") for i in range(len(vectors))]
-    index = CaptionIndex(dim=vectors.shape[1], records=records, vectors=vectors)
-    if partitions is not None:
-        index.structure = "partitioned"
-        index.partitions = [np.array(p, dtype=np.int64) for p in partitions]
-        index.centroids = np.asarray(centroids, dtype=np.float64)
-    return index
+    if partitions is None:
+        return CaptionIndex(dim=vectors.shape[1], records=records, vectors=vectors)
+    return CaptionIndex(
+        dim=vectors.shape[1], records=records, vectors=vectors,
+        structure="partitioned",
+        centroids=np.asarray(centroids, dtype=np.float64),
+        partitions=[np.array(p, dtype=np.int64) for p in partitions],
+    )
 
 
 def hit_keys(hits):
@@ -363,6 +393,39 @@ def hit_keys(hits):
 def unit_rows(rng, count, dim):
     rows = rng.standard_normal((count, dim))
     return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+class TestImmutableIndex:
+    def test_fields_cannot_be_assigned(self):
+        index = basis_index()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.vectors = index.vectors * np.float32(2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.partitions = [np.arange(len(index))]
+
+    def test_replace_after_a_first_query_scans_the_new_fields(self):
+        rng = np.random.default_rng(31)
+        records, store = random_corpus(rng, 200, 8)
+        index = build_index(records, store, structure="partitioned",
+                            num_partitions=6, seed=3)
+        queries = rng.standard_normal((10, 8))
+        before = [hit_keys(retrieve_topk(index, q, 5, probes="all")) for q in queries]
+        # even rows in one list, odd rows in the other; every query is
+        # nearest the first centroid, so one probe scans the even rows only
+        halves = dataclasses.replace(
+            index, partitions=[np.arange(0, 200, 2), np.arange(1, 200, 2)],
+            centroids=np.array([np.zeros(8), np.full(8, 100.0)]),
+        )
+        flipped = dataclasses.replace(index, vectors=-index.vectors)
+        evens = [r.id for r in index.records[::2]]
+        for q, hits in zip(queries, before):
+            for derived in (halves, flipped):
+                assert hit_keys(retrieve_topk(derived, q, 5, probes="all")) == (
+                    hit_keys(exact_topk(derived, q, 5)))
+            assert [h.record.id for h in retrieve_topk(halves, q, 5, probes=1)] == (
+                brute_force_ids(index.vectors[::2], evens, q, 5))
+            assert hit_keys(retrieve_topk(flipped, q, 5, probes="all")) != hits
+            assert hit_keys(retrieve_topk(index, q, 5, probes="all")) == hits
 
 
 class TestFloat32Shortlist:
@@ -561,7 +624,7 @@ class TestSerialization:
 
     def test_denormalized_rows_rejected_on_load(self, tmp_path):
         index = basis_index()
-        index.vectors = index.vectors * np.float32(1.5)
+        index = dataclasses.replace(index, vectors=index.vectors * np.float32(1.5))
         path = tmp_path / "bad.vfci"
         save_index(index, path)
         with pytest.raises(CorruptFileError, match="normalized"):

@@ -1,7 +1,10 @@
 """Remote embedding client against the deterministic stub service."""
 
 import socket
+import struct
+import threading
 import time
+from http.server import ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -24,6 +27,11 @@ from vfclass.errors import (
 from vfclass.index import CaptionRecord, build_index
 from vfclass.scoring import ClassifierConfig, classify_batch
 from vfclass.stubserver import _StubHandler, running_stub
+
+
+# a JSON body of 17 bytes under a Content-Length of 100
+SHORT_REQUEST = (b"POST / HTTP/1.1\r\nHost: stub\r\nContent-Length: 100\r\n\r\n"
+                 b'{"inputs": ["a"]}')
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +123,51 @@ class TestRemoteClient:
                 replies += chunk
         assert replies.startswith(b"HTTP/1.1 400 ")
         assert replies.count(b"HTTP/1.") == 1
+
+    def test_stub_rejects_a_body_shorter_than_its_length(self, stub_url):
+        url = urlsplit(stub_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(SHORT_REQUEST)
+            sock.shutdown(socket.SHUT_WR)  # the body ends 83 bytes early
+            replies = b""
+            while chunk := sock.recv(65536):
+                replies += chunk
+        assert replies.startswith(b"HTTP/1.1 400 ")
+        assert b"body ended after 17 of 100 bytes" in replies
+        assert replies.count(b"HTTP/1.") == 1
+
+    @pytest.mark.parametrize("sent", [b"", SHORT_REQUEST], ids=["idle", "short"])
+    def test_stub_closes_a_connection_that_stops_sending(self, monkeypatch, sent):
+        # tens of seconds: far longer than a client's pause between calls
+        assert 10 <= _StubHandler.timeout < 100
+        monkeypatch.setattr(_StubHandler, "timeout", 0.2)
+        with running_stub(dim=4) as stub:
+            url = urlsplit(stub)
+            with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+                sock.sendall(sent)
+                assert sock.recv(65536) == b""  # closed, not a socket timeout
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["close", "reset"])
+    def test_client_hang_up_prints_no_traceback(self, monkeypatch, capsys, reset):
+        handled = threading.Event()
+        shutdown_request = ThreadingHTTPServer.shutdown_request
+
+        def shutdown_and_signal(server, request):  # after any handle_error
+            shutdown_request(server, request)
+            handled.set()
+
+        monkeypatch.setattr(ThreadingHTTPServer, "shutdown_request",
+                            shutdown_and_signal)
+        with running_stub(dim=4) as stub:
+            url = urlsplit(stub)
+            sock = socket.create_connection((url.hostname, url.port), timeout=5)
+            if reset:  # close with a TCP reset instead of a FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+            sock.sendall(SHORT_REQUEST)
+            sock.close()
+            assert handled.wait(5)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.fixture
