@@ -11,6 +11,13 @@ Three stages run in sequence, each independently switchable for ablation:
 3. filtering: keep only allowed part-of-speech categories and drop names
    occurring fewer than ``min_count`` times.
 
+Stages 1-2 are :func:`caption_tokens`, a pure function of one caption's
+text and the settings :func:`token_settings` names, and stage 3 is
+:func:`select_candidates`; :func:`extract_candidates` composes them. The
+query path in :mod:`vfclass.scoring` memoizes stages 1-2 per index row,
+lazily, keyed by those settings, for as long as the index lives (at most
+rows x distinct settings entries, no eviction).
+
 The part-of-speech tagger is pluggable; the default is an offline lexicon
 tagger with closed-class word lists and suffix heuristics. Unknown words
 default to ``noun`` because rare class names are exactly the words we most
@@ -320,16 +327,29 @@ def pos_tag(word: str, tagger) -> str:
     return category
 
 
+class PosTags(dict):
+    """Word -> category from ``tagger`` via :func:`pos_tag`, each distinct
+    word tagged once, on its first lookup, for as long as this map lives."""
+
+    def __init__(self, tagger):
+        super().__init__()
+        self.tagger = tagger
+
+    def __missing__(self, word: str) -> str:
+        self[word] = category = pos_tag(word, self.tagger)
+        return category
+
+
 def _pos_and_count_filter(
-    tokens: list[str], tagger, config: FilterConfig
+    tokens, tags, config: FilterConfig
 ) -> tuple[dict[str, int], dict[str, int]]:
-    """Stage 3 on a token list: keep allowed POS categories, tagging each
-    distinct token once, then threshold.
+    """Stage 3 on a token list: keep allowed POS categories (``tags`` maps a
+    token to its category), then threshold.
 
     Returns the names at or above ``min_count`` and the counts before it.
     """
     counts = {t: n for t, n in Counter(tokens).items()
-              if pos_tag(t, tagger) in config.allowed_pos}
+              if tags[t] in config.allowed_pos}
     entries = {name: n for name, n in counts.items() if n >= config.min_count}
     return entries, counts
 
@@ -338,32 +358,38 @@ def filter_candidates(
     tokens: list[str], tagger, config: FilterConfig | None = None
 ) -> CandidateSet:
     """Stage 3: keep allowed POS categories, then apply the count threshold."""
-    entries, _ = _pos_and_count_filter(tokens, tagger, config or FilterConfig())
+    entries, _ = _pos_and_count_filter(
+        tokens, PosTags(tagger), config or FilterConfig())
     return CandidateSet(dict(sorted(entries.items())))
 
 
-def extract_candidates(
-    captions, tagger, config: FilterConfig | None = None
-) -> CandidateSet:
-    """Run the full pipeline over retrieved captions.
+def token_settings(config: FilterConfig) -> tuple:
+    """The settings stages 1-2 read, as a hashable key: configs with equal
+    settings give every caption the same tokens."""
+    return (config.min_word_length, frozenset(config.stop_words),
+            frozenset(config.meta_words), config.split_compounds,
+            config.apply_remove, config.apply_standardize)
+
+
+def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:
+    """Stages 1-2 on one caption: noise removal, then standardization, each
+    when its switch is on (the raw whitespace tokens when both are off)."""
+    tokens = remove_noise(text, config) if config.apply_remove else text.split()
+    if config.apply_standardize:
+        tokens = standardize(tokens)
+    return tuple(tokens)
+
+
+def select_candidates(per_caption, tags, config: FilterConfig) -> CandidateSet:
+    """Stage 3 over ``(caption id, tokens)`` pairs; ``tags`` maps a token to
+    its POS category and is read only when the filter stage is on.
 
     Raises :class:`EmptyCandidateSetError` when nothing survives; the error
     carries the pre-threshold counts so callers can fall back.
     """
-    config = config or FilterConfig()
-    per_caption: list[tuple[str, list[str]]] = []
-    for rec in captions:
-        if config.apply_remove:
-            toks = remove_noise(rec.text, config)
-        else:
-            toks = rec.text.split()
-        if config.apply_standardize:
-            toks = standardize(toks)
-        per_caption.append((rec.id, toks))
     all_tokens = [t for _, toks in per_caption for t in toks]
-
     if config.apply_filter:
-        entries, counts = _pos_and_count_filter(all_tokens, tagger, config)
+        entries, counts = _pos_and_count_filter(all_tokens, tags, config)
         if not entries:
             raise EmptyCandidateSetError(
                 "no candidate survived filtering", surviving=dict(counts)
@@ -377,3 +403,14 @@ def extract_candidates(
         cid for cid, toks in per_caption if any(t in entries for t in toks)
     ]
     return CandidateSet(dict(sorted(entries.items())), provenance)
+
+
+def extract_candidates(
+    captions, tagger, config: FilterConfig | None = None
+) -> CandidateSet:
+    """Run the full pipeline over retrieved captions: :func:`caption_tokens`
+    on each, then :func:`select_candidates` over them all."""
+    config = config or FilterConfig()
+    return select_candidates(
+        [(rec.id, caption_tokens(rec.text, config)) for rec in captions],
+        PosTags(tagger), config)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from . import benchmark as bench_mod
 from .candidates import FilterConfig, LexiconTagger, load_word_list
-from .embedding import HashEmbedder, PrecomputedStore, RemoteEmbeddingClient
+from .embedding import HashEmbedder, PrecomputedStore, RemoteEmbeddingClient, is_count
 from .errors import EmptyInputError, SchemaError, VfcError
 from .evaluation import (
     evaluate_predictions,
@@ -191,7 +191,7 @@ def _prediction_json(item) -> dict:
 
 
 def _cmd_ingest(args, file_conf) -> int:
-    records = ingest_corpus(args.corpus, fmt=args.format, strict=args.strict)
+    records = ingest_corpus(args.corpus, strict=args.strict, **_given(fmt=args.format))
     with _output(args.out) as handle:
         handle.write(canonical_jsonl(records))
     log.info("ingested %d records", len(records))
@@ -199,7 +199,7 @@ def _cmd_ingest(args, file_conf) -> int:
 
 
 def _cmd_stats(args, file_conf) -> int:
-    records = ingest_corpus(args.corpus, fmt=args.format)
+    records = ingest_corpus(args.corpus, **_given(fmt=args.format))
     stats = corpus_stats(records, _tagger(args), _filter_config(args))
     with _output(args.out) as handle:
         json.dump(stats.to_dict(), handle, indent=2)
@@ -208,14 +208,14 @@ def _cmd_stats(args, file_conf) -> int:
 
 
 def _cmd_build_index(args, file_conf) -> int:
-    records = ingest_corpus(args.corpus, fmt=args.format, strict=args.strict)
+    records = ingest_corpus(args.corpus, strict=args.strict, **_given(fmt=args.format))
     provider = _provider(args, file_conf)
     index = build_index(
         records,
         provider,
-        structure=args.structure,
         dedup=args.dedup,
         **_given(
+            structure=args.structure,
             num_partitions=args.partitions,
             seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
         ),
@@ -280,7 +280,7 @@ def _cmd_evaluate(args, file_conf) -> int:
     truths = load_truths(args.truths)
     labeled = join_predictions(pairs, truths)
     report = evaluate_predictions(labeled, _make_eval_embedder(args, file_conf),
-                                  mode=args.mode)
+                                  **_given(mode=args.mode))
     with _output(args.out) as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
@@ -292,6 +292,7 @@ def _cmd_evaluate(args, file_conf) -> int:
 
 SWEEPS = ("alpha", "k", "database", "scoring-mode", "filter-stages")
 SCORING_MODES = ("visual", "textual", "multimodal")
+EVAL_MODES = ("auto", "one-to-one", "many-to-one")
 
 
 @dataclass
@@ -310,6 +311,10 @@ class AblationSpec:
             raise EmptyInputError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
             raise EmptyInputError("sweep needs at least one value")
+        if not is_count(self.num_queries):
+            raise EmptyInputError(
+                f"num_queries must be an integer >= 1, got {self.num_queries!r}"
+            )
 
     def config_for(self, value: str) -> ClassifierConfig:
         """The base configuration with the swept variable set to ``value``;
@@ -392,8 +397,8 @@ def _cmd_ablate(args, file_conf) -> int:
         sweep=args.sweep,
         values=[v for v in args.values.split(",") if v],
         base=_classifier_config(args, file_conf),
-        eval_mode=args.eval_mode,
         **_given(
+            eval_mode=args.eval_mode,
             seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
             num_queries=args.num_queries,
         ),
@@ -421,11 +426,7 @@ def _cmd_validate_manifest(args, file_conf) -> int:
 
 
 def _cmd_serve_stub(args, file_conf) -> int:
-    try:
-        serve(host=args.host, port=args.port, dim=args.dim)
-    except OSError as exc:
-        raise VfcError(f"cannot bind {args.host}:{args.port}: {exc}",
-                       code="port-in-use") from exc
+    serve(**_given(host=args.host, port=args.port, dim=args.dim))
     return 0
 
 
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
+    p.add_argument("--format", choices=["jsonl", "plain"])
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ingest)
@@ -465,16 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus token and POS statistics",
                        parents=[words])
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
+    p.add_argument("--format", choices=["jsonl", "plain"])
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("build-index", help="embed a corpus and build an index",
                        parents=[provider])
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["jsonl", "plain"], default="jsonl")
+    p.add_argument("--format", choices=["jsonl", "plain"])
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--structure", choices=["flat", "partitioned"], default="flat")
+    p.add_argument("--structure", choices=["flat", "partitioned"])
     p.add_argument("--partitions", type=_parse_count)
     p.add_argument("--dedup", action="store_true",
                    help="drop records with duplicate caption text")
@@ -494,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[provider])
     p.add_argument("--predictions", required=True)
     p.add_argument("--truths", required=True)
-    p.add_argument("--mode", choices=["auto", "one-to-one", "many-to-one"],
-                   default="auto")
+    p.add_argument("--mode", choices=EVAL_MODES)
     p.add_argument("--out", default="-")
     p.add_argument("--csv", help="also write a flat CSV report")
     p.set_defaults(func=_cmd_evaluate)
@@ -506,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--benchmark", help="dataset manifest (default: synthetic)")
     p.add_argument("--index", help="index for --benchmark runs")
-    p.add_argument("--num-queries", type=int)
-    p.add_argument("--eval-mode", choices=["auto", "one-to-one", "many-to-one"],
-                   default="auto")
+    p.add_argument("--num-queries", type=_parse_count)
+    p.add_argument("--eval-mode", choices=EVAL_MODES)
     p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ablate)
@@ -520,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate_manifest)
 
     p = sub.add_parser("serve-stub", help="run the deterministic embedding stub")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_parse_port, default=8765)
-    p.add_argument("--dim", type=_parse_count, default=64)
+    p.add_argument("--host")
+    p.add_argument("--port", type=_parse_port)
+    p.add_argument("--dim", type=_parse_count)
     p.set_defaults(func=_cmd_serve_stub)
 
     return parser

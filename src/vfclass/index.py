@@ -19,7 +19,9 @@ Records are kept in ascending-id order, so builds ignore input order and
 row order is id order: score ties break by row, that is, by ascending id.
 
 An index is immutable: its fields cannot be replaced, and
-``dataclasses.replace`` derives a new index, which makes its own scan copy.
+``dataclasses.replace`` derives a new index, which makes its own scan copy
+and starts with an empty ``row_tokens`` memo (the candidate tokens of the
+rows queries hit; see ``scoring``).
 
 Retrieval scans in float32 and decides in float64. ``index.vectors`` stays
 in id order; on its first query, and only then, a partitioned index makes
@@ -118,6 +120,12 @@ class CaptionIndex:
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
+
+    @cached_property
+    def row_tokens(self) -> dict[tuple, dict[int, tuple[str, ...]]]:
+        """The memo of candidate stages 1-2: stage-1/2 settings -> {row:
+        tokens}, filled on the query path one hit row at a time."""
+        return {}
 
     @cached_property
     def _layout(self) -> _ScanLayout:

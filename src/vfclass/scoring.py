@@ -9,12 +9,19 @@ the visual side. The label is the argmax of the fused distribution.
 Queries are classified in batches; :func:`classify` is a batch of one.
 The batch's distinct image refs are embedded together, ``EMBED_CHUNK`` refs
 per provider call. Each query then retrieves its captions and extracts its
-candidates on its own. The batch's distinct candidate texts are embedded
-together in the same way, and each query is scored from its own rows in its
-own candidate order, so a prediction does not depend on the batch it
-arrives in. When any query of a batch fails, :func:`classify_batch` reruns
-the batch one query at a time, so a fault fails only its own query, with
-the error a single :func:`classify` gives.
+candidates on its own. Stages 1-2 of extraction run through the index's
+memo (``CaptionIndex.row_tokens``): a hit row is tokenized the first time
+a query hits it under the filter's stage-1/2 settings
+(:func:`~vfclass.candidates.token_settings`, read at call time), and its
+tokens live as long as the index, at most one tuple per row and distinct
+settings, with no eviction and no option. The tagger is asked once per
+distinct token per batch (:class:`~vfclass.candidates.PosTags`), and
+nothing it answers outlives the call. The batch's distinct candidate texts
+are embedded together in the same way, and each query is scored from its
+own rows in its own candidate order, so a prediction does not depend on
+the batch it arrives in. When any query of a batch fails,
+:func:`classify_batch` reruns the batch one query at a time, so a fault
+fails only its own query, with the error a single :func:`classify` gives.
 """
 
 from __future__ import annotations
@@ -23,7 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidates import FilterConfig, extract_candidates
+from .candidates import (
+    FilterConfig,
+    PosTags,
+    caption_tokens,
+    select_candidates,
+    token_settings,
+)
 from .embedding import as_matrix, as_vector, embed_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
@@ -153,9 +166,24 @@ def _image_method(provider):
     return lambda refs: [provider.embed_image(ref) for ref in refs]
 
 
+def _hit_tokens(index, config: FilterConfig):
+    """``caption_tokens`` of a hit's caption, through the index's memo for
+    the stage-1/2 settings ``config`` has now."""
+    memo = index.row_tokens.setdefault(token_settings(config), {})
+
+    def tokens(hit):
+        toks = memo.get(hit.row)
+        if toks is None:
+            toks = memo[hit.row] = caption_tokens(hit.record.text, config)
+        return toks
+
+    return tokens
+
+
 def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
     """Predictions for ``queries`` in order; the first failure raises."""
     template = config.prompt_template or "{}"
+    tokens, tags = _hit_tokens(index, config.filter), PosTags(tagger)
     image_rows, image_row = _embed_distinct(
         _image_method(provider), [q for q in queries if isinstance(q, str)],
         "image embeddings")
@@ -168,8 +196,9 @@ def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
         hits = retrieve_topk(index, image_vec, config.k, config.probes)
         fallback = False
         try:
-            names = extract_candidates(
-                [h.record for h in hits], tagger, config.filter).names()
+            names = select_candidates(
+                [(h.record.id, tokens(h)) for h in hits], tags, config.filter
+            ).names()
         except EmptyCandidateSetError as err:
             if not err.surviving:
                 raise

@@ -16,7 +16,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .embedding import hashed_vector, is_count
-from .errors import EmptyInputError
+from .errors import EmptyInputError, VfcError
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -79,7 +79,11 @@ def make_server(host: str, port: int, dim: int) -> ThreadingHTTPServer:
     if not is_count(dim):  # checked before binding, not in every request
         raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
     handler = type("Handler", (_StubHandler,), {"dim": dim})
-    return ThreadingHTTPServer((host, port), handler)
+    try:
+        return ThreadingHTTPServer((host, port), handler)
+    except OSError as exc:
+        raise VfcError(f"cannot bind {host}:{port}: {exc}",
+                       code="port-in-use") from exc
 
 
 def serve(host: str = "127.0.0.1", port: int = 8765, dim: int = 64) -> None:

@@ -5,13 +5,16 @@ import pytest
 from vfclass.candidates import (
     FilterConfig,
     LexiconTagger,
+    caption_tokens,
     default_meta_words,
+    default_stop_words,
     extract_candidates,
     filter_candidates,
     pos_tag,
     remove_noise,
     singularize,
     standardize,
+    token_settings,
 )
 from vfclass.errors import EmptyCandidateSetError, EmptyInputError
 from vfclass.index import CaptionRecord
@@ -269,3 +272,38 @@ class TestStageConfigurations:
         assert len(everything) < len(nothing)
         for name in everything.entries:
             assert name.isalpha() and name == name.lower()
+
+
+class TestStageSplit:
+    """Stages 1-2 are ``caption_tokens``; the memo key covers their settings
+    and no stage-3 setting."""
+
+    text = "Dogs at http://x.co/Dogs.jpg near a red-barn <PERSON> barns"
+
+    @pytest.mark.parametrize("stages", ["none", "remove", "standardize", "all"])
+    def test_caption_tokens_per_stage(self, stages):
+        config = FilterConfig.for_stages(stages)
+        tokens = self.text.split()
+        if config.apply_remove:
+            tokens = remove_noise(self.text, config)
+        if config.apply_standardize:
+            tokens = standardize(tokens)
+        assert caption_tokens(self.text, config) == tuple(tokens)
+
+    def test_stage_three_settings_share_a_key(self):
+        base = token_settings(FilterConfig())
+        assert token_settings(FilterConfig(
+            min_count=5, allowed_pos=frozenset({"noun"}), apply_filter=False,
+        )) == base
+        assert hash(base) == hash(token_settings(FilterConfig()))
+
+    @pytest.mark.parametrize("change", [
+        {"min_word_length": 4},
+        {"stop_words": default_stop_words() | {"dog"}},
+        {"meta_words": frozenset()},
+        {"split_compounds": False},
+        {"apply_remove": False},
+        {"apply_standardize": False},
+    ])
+    def test_stage_one_two_settings_change_the_key(self, change):
+        assert token_settings(FilterConfig(**change)) != token_settings(FilterConfig())

@@ -2,15 +2,21 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vfclass
 from vfclass import cli
-from vfclass.benchmark import make_benchmark
+from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.candidates import LexiconTagger
 from vfclass.cli import run
 from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, save_store
@@ -590,6 +596,115 @@ class TestAblate:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "x"])
+    def test_num_queries_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                    value):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["ablate", "--sweep", "alpha", "--values", "0.5",
+                 "--num-queries", value, "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --num-queries: expected an integer >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, "10"])
+    def test_spec_rejects_a_num_queries_that_is_not_a_count(self, value):
+        with pytest.raises(EmptyInputError, match="num_queries"):
+            cli.AblationSpec("alpha", ["0.5"], ClassifierConfig(),
+                             num_queries=value)
+
+
+class _Reached(Exception):
+    """Raised by a spy once the command has called the library."""
+
+
+class TestLibraryDefaults:
+    """A command given none of these flags calls the library without them,
+    so each default is the one the library's signature declares."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+
+        def reached(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise _Reached
+
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, reached)
+        return original, calls
+
+    @pytest.mark.parametrize("target,argv,params", [
+        ("ingest_corpus", ["ingest"], ["fmt"]),
+        ("ingest_corpus", ["stats"], ["fmt"]),
+        ("ingest_corpus", ["build-index", "--out", "o"], ["fmt"]),
+        ("build_index", ["build-index", "--out", "o"], ["structure"]),
+        ("evaluate_predictions", ["evaluate"], ["mode"]),
+        ("serve", ["serve-stub"], ["host", "port", "dim"]),
+    ])
+    def test_unset_flags_reach_the_library_default(self, world, monkeypatch,
+                                                   target, argv, params):
+        files = {
+            "ingest": ["--corpus", str(world["corpus"])],
+            "stats": ["--corpus", str(world["corpus"])],
+            "build-index": ["--corpus", str(world["corpus"]),
+                            "--embeddings", str(world["store"])],
+            "evaluate": ["--predictions", str(world["truths"]),
+                         "--truths", str(world["truths"])],
+            "serve-stub": [],
+        }
+        original, calls = self.spy(monkeypatch, target)
+        with pytest.raises(_Reached):
+            run(argv + files[argv[0]])
+        (args, kwargs), = calls
+        signature = inspect.signature(original)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        for param in params:
+            assert param not in kwargs
+            assert bound.arguments[param] == signature.parameters[param].default
+
+    def test_ablate_spec_keeps_its_own_defaults(self, monkeypatch):
+        _, calls = self.spy(monkeypatch, "_sweep_rows")
+        with pytest.raises(_Reached):
+            run(["ablate", "--sweep", "alpha", "--values", "0.5"])
+        (spec, *_), _ = calls[0]
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.AblationSpec)}
+        for name in ("eval_mode", "num_queries", "seed"):
+            assert getattr(spec, name) == defaults[name]
+
+
+class TestHashSeed:
+    def test_classify_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the token memo keys on frozensets: a hash-order leak into the
+        # output would show as different bytes under different seeds
+        bench = make_noisy_benchmark(num_queries=60, seed=7)
+        corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store.vfce"
+        write_corpus(bench.records, corpus)
+        save_store(bench.store, store)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("".join(
+            json.dumps({"id": qid, "image_ref": ref}) + "\n"
+            for qid, ref in bench.queries))
+        index = tmp_path / "index.vfci"
+        assert run(["build-index", "--corpus", str(corpus), "--embeddings",
+                    str(store), "--out", str(index)]) == 0
+        src = str(Path(vfclass.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run(
+                [sys.executable, "-m", "vfclass", "classify", "--index", str(index),
+                 "--queries", str(queries), "--embeddings", str(store)],
+                env=env, capture_output=True, check=True, timeout=120)
+            outs.append(proc.stdout)
+        assert outs[0].count(b"\n") == 60
+        assert outs[0] == outs[1]
+
+
 class TestManifestCli:
     def test_validate_manifest_ok(self, world, capsys):
         code = run(["validate-manifest", "--manifest", str(world["manifest"]),
@@ -611,6 +726,7 @@ class TestServeStub:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "port-in-use"
+        assert f"cannot bind 127.0.0.1:{port}" in err["message"]
 
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_dim_below_one_is_a_usage_error(self, monkeypatch, capsys, value):

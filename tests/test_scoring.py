@@ -1,5 +1,6 @@
 """Score fusion and the end-to-end classifier on planted worlds."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from vfclass.benchmark import make_noisy_benchmark
-from vfclass.candidates import LexiconTagger
+from vfclass.candidates import (
+    FilterConfig,
+    LexiconTagger,
+    default_stop_words,
+    extract_candidates,
+)
 import vfclass.embedding as embedding_mod
 from vfclass.embedding import EMBED_CHUNK, PrecomputedStore, cosine_similarity
 from vfclass.errors import (
@@ -20,6 +26,7 @@ from vfclass.errors import (
     UnknownKeyError,
 )
 from vfclass.index import CaptionRecord, build_index, retrieve_topk
+import vfclass.scoring as scoring_mod
 from vfclass.scoring import (
     ClassifierConfig,
     caption_centroid,
@@ -541,6 +548,102 @@ class TestBatchPath:
         assert sorted(provider.calls[0]) == [
             "a photo of a cat", "a photo of a dog", "a photo of a park"
         ]
+
+
+class VerbTagger:
+    """Tags every word a verb, so no token passes the default POS filter."""
+
+    def tag(self, word):
+        return "verb"
+
+
+class TestTokenMemo:
+    """Stages 1-2 run at most once per index row and stage-1/2 settings."""
+
+    @pytest.fixture
+    def index(self, noisy_bench):  # a fresh index, with an empty memo
+        return build_index(noisy_bench.records, noisy_bench.store)
+
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        texts = []
+        original = scoring_mod.caption_tokens
+
+        def spy(text, config):
+            texts.append(text)
+            return original(text, config)
+
+        monkeypatch.setattr(scoring_mod, "caption_tokens", spy)
+        return texts
+
+    def test_each_hit_row_tokenized_once(self, noisy_bench, index, tagger,
+                                         tokenized):
+        queries, store = noisy_bench.queries, noisy_bench.store
+        first = classify_batch(queries, index, store, tagger)
+        assert classify_batch(queries, index, store, tagger) == first
+        rows = {h.row for item in first for h in item.prediction.retrieved}
+        assert Counter(tokenized) == Counter(index.records[r].text for r in rows)
+        assert len(rows) < len(index)
+
+    def test_one_query_tokenizes_at_most_k_rows(self, tagger, tokenized):
+        bench = make_noisy_benchmark(captions_per_class=250, num_queries=1, seed=3)
+        index = build_index(bench.records, bench.store)
+        assert len(index) >= 1000
+        classify(bench.queries[0][1], index, bench.store, tagger)
+        assert 0 < len(tokenized) <= ClassifierConfig().k
+        assert sum(map(len, index.row_tokens.values())) == len(tokenized)
+
+    @pytest.mark.parametrize("other", [
+        FilterConfig(stop_words=default_stop_words() | {"airplane", "dolphin"}),
+        FilterConfig(apply_standardize=False),
+        FilterConfig(apply_remove=False),
+        FilterConfig(split_compounds=False),
+    ])
+    def test_settings_that_differ_give_fresh_results(self, noisy_bench, index,
+                                                     tagger, other):
+        queries, store = noisy_bench.queries, noisy_bench.store
+        classify_batch(queries, index, store, tagger)  # fill the default entry
+        config = ClassifierConfig(filter=other)
+        warm = classify_batch(queries, index, store, tagger, config)
+        fresh = classify_batch(queries, dataclasses.replace(index), store,
+                               tagger, config)
+        assert warm == fresh
+        assert len(index.row_tokens) == 2
+        for item in warm:
+            pred = item.prediction
+            if pred is not None and not pred.fallback:
+                names = extract_candidates(
+                    [h.record for h in pred.retrieved], tagger, other).names()
+                assert sorted(b.candidate for b in pred.ranked) == names
+
+    def test_replaced_index_starts_empty(self, noisy_bench, index, tagger):
+        classify_batch(noisy_bench.queries[:5], index, noisy_bench.store, tagger)
+        assert index.row_tokens
+        assert dataclasses.replace(index).row_tokens == {}
+
+    def test_tagger_swapped_between_calls_is_honoured(self, noisy_bench, index,
+                                                      tagger):
+        queries, store = noisy_bench.queries[:20], noisy_bench.store
+        before = classify_batch(queries, index, store, tagger)
+        verbs = classify_batch(queries, index, store, VerbTagger())
+        assert {item.error_code for item in verbs} == {"empty-candidate-set"}
+        assert classify_batch(queries, index, store, tagger) == before
+
+    def test_each_token_tagged_once_per_batch(self, noisy_bench, index):
+        calls = []
+
+        class CountingTagger(LexiconTagger):
+            def tag(self, word):
+                calls.append(word)
+                return super().tag(word)
+
+        queries, store = noisy_bench.queries, noisy_bench.store
+        counting = CountingTagger()
+        classify_batch(queries, index, store, counting)
+        assert calls and len(calls) == len(set(calls))
+        tagged = len(calls)
+        classify_batch(queries, index, store, counting)
+        assert calls[tagged:] == calls[:tagged]  # nothing kept between calls
 
 
 class TestPredictionPins:
