@@ -29,10 +29,12 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from .embedding import is_count
 from .errors import EmptyCandidateSetError, EmptyInputError, TaggerUnavailableError
 
 POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
@@ -132,6 +134,16 @@ def default_meta_words() -> frozenset[str]:
     return _read_words("metawords.txt")
 
 
+def _word_set(value, name: str) -> frozenset[str]:
+    """``value``, a collection of strings, lowercased. A bare string is not
+    one: iterating it would give its characters."""
+    if isinstance(value, Iterable) and not isinstance(value, str):
+        words = list(value)
+        if all(isinstance(w, str) for w in words):
+            return frozenset(w.lower() for w in words)
+    raise EmptyInputError(f"{name} must be a collection of strings, got {value!r:.60}")
+
+
 @dataclass
 class FilterConfig:
     """Knobs for the candidate pipeline.
@@ -152,18 +164,17 @@ class FilterConfig:
     apply_filter: bool = True
 
     def __post_init__(self):
-        if self.min_word_length < 1:
-            raise EmptyInputError("min_word_length must be >= 1")
-        if self.min_count < 1:
-            raise EmptyInputError("min_count must be >= 1")
-        if self.meta_words is None:
-            self.meta_words = default_meta_words()
-        else:
-            self.meta_words = frozenset(w.lower() for w in self.meta_words)
-        if self.stop_words is None:
-            self.stop_words = default_stop_words()
-        else:
-            self.stop_words = frozenset(w.lower() for w in self.stop_words)
+        for name in ("min_word_length", "min_count"):
+            if not is_count(value := getattr(self, name)):
+                raise EmptyInputError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("split_compounds", "apply_remove", "apply_standardize",
+                     "apply_filter"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise EmptyInputError(f"{name} must be True or False, got {value!r}")
+        self.meta_words = (default_meta_words() if self.meta_words is None
+                           else _word_set(self.meta_words, "meta_words"))
+        self.stop_words = (default_stop_words() if self.stop_words is None
+                           else _word_set(self.stop_words, "stop_words"))
         self.allowed_pos = frozenset(self.allowed_pos)
         unknown = self.allowed_pos - set(POS_CATEGORIES)
         if unknown:

@@ -112,6 +112,19 @@ def _parse_timeout(value: str) -> float:
     return seconds
 
 
+def _parse_alpha(value: str) -> float:
+    """The visual weight: a finite number from 0 to 1."""
+    try:
+        alpha = float(value)
+    except ValueError:
+        alpha = math.nan
+    if not 0.0 <= alpha <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number from 0 to 1, got {value!r}"
+        )
+    return alpha
+
+
 def _parse_probes(value: str):
     """``all`` or a partition count of at least 1."""
     return value if value == "all" else _parse_count(value, "'all' or an integer >= 1")
@@ -159,7 +172,7 @@ def _classifier_config(args, file_conf) -> ClassifierConfig:
         filter=_filter_config(args),
         **_given(
             k=resolve_option("k", args.k, file_conf, cast=_parse_count),
-            alpha=resolve_option("alpha", args.alpha, file_conf, cast=float),
+            alpha=resolve_option("alpha", args.alpha, file_conf, cast=_parse_alpha),
             prompt_template=resolve_option("prompt", args.prompt, file_conf),
             probes=resolve_option("probes", args.probes, file_conf,
                                   cast=_parse_probes),
@@ -451,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     words.add_argument("--stop-words", help="stop-word list, one word per line")
     words.add_argument("--meta-words", help="meta-word list, one word per line")
     classifier = argparse.ArgumentParser(add_help=False)
-    classifier.add_argument("--alpha", type=float)
+    classifier.add_argument("--alpha", type=_parse_alpha)
     classifier.add_argument("--k", type=_parse_count)
     classifier.add_argument("--probes", type=_parse_probes)
     classifier.add_argument("--prompt")

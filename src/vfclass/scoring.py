@@ -19,9 +19,9 @@ distinct token per batch (:class:`~vfclass.candidates.PosTags`), and
 nothing it answers outlives the call. The batch's distinct candidate texts
 are embedded together in the same way, and each query is scored from its
 own rows in its own candidate order, so a prediction does not depend on
-the batch it arrives in. When any query of a batch fails,
-:func:`classify_batch` reruns the batch one query at a time, so a fault
-fails only its own query, with the error a single :func:`classify` gives.
+the batch it arrives in. Each query has one slot: its prediction, or the
+error that classifying it alone raises. A failed provider call is retried on
+each half of its queries, down to one query, which sends what a batch of one does.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class ClassifierConfig:
                 f"alpha must be a number in [0, 1], got {self.alpha!r}"
             )
         check_probes(self.probes)
+        if not isinstance(self.filter, FilterConfig):
+            raise EmptyInputError(f"filter must be a FilterConfig, got {self.filter!r}")
         if self.prompt_template and not _fills_one_name(self.prompt_template):
             raise EmptyInputError(
                 "prompt_template must be a string with one {} placeholder, "
@@ -150,12 +152,21 @@ def fuse(visual, textual, alpha: float) -> list[float]:
     return [float(x) for x in fused]
 
 
-def _embed_distinct(embed, items, name) -> tuple[np.ndarray, dict[str, int]]:
-    """Rows of the distinct ``items`` and the row of each; first-seen order,
-    so a batch of one sends exactly its own items, in order."""
-    distinct = list(dict.fromkeys(items))
-    rows = embed_rows(embed, distinct, name)
-    return rows, {item: i for i, item in enumerate(distinct)}
+def _embed_each(embed, groups, name) -> list:
+    """Each group's rows, or the :class:`VfcError` embedding that group alone
+    raises. The groups' distinct inputs go out together in first-seen order;
+    a failed call is retried on each half of the groups, down to one group."""
+    distinct = list(dict.fromkeys(item for group in groups for item in group))
+    try:
+        rows = embed_rows(embed, distinct, name)
+    except VfcError as err:
+        if len(groups) == 1:
+            return [err]
+        half = len(groups) // 2
+        return (_embed_each(embed, groups[:half], name)
+                + _embed_each(embed, groups[half:], name))
+    row = {item: i for i, item in enumerate(distinct)}
+    return [rows.take([row[item] for item in group], axis=0) for group in groups]
 
 
 def _image_method(provider):
@@ -180,19 +191,24 @@ def _hit_tokens(index, config: FilterConfig):
     return tokens
 
 
-def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
-    """Predictions for ``queries`` in order; the first failure raises."""
+def _slot(stage, value, *args):
+    """``stage(value, *args)``, or the :class:`VfcError` ``value`` is or it raises."""
+    try:
+        return value if isinstance(value, VfcError) else stage(value, *args)
+    except VfcError as err:
+        return err
+
+
+def _classify_all(queries, index, provider, tagger, config) -> list:
+    """One slot per query, in order: its :class:`Prediction`, or the
+    :class:`VfcError` that classifying it alone raises."""
     template = config.prompt_template or "{}"
     tokens, tags = _hit_tokens(index, config.filter), PosTags(tagger)
-    image_rows, image_row = _embed_distinct(
-        _image_method(provider), [q for q in queries if isinstance(q, str)],
-        "image embeddings")
-    staged = []
-    for query in queries:
-        if isinstance(query, str):
-            image_vec = image_rows[image_row[query]]
-        else:
-            image_vec = as_vector(query, "query embedding")
+    refs = [[q] for q in queries if isinstance(q, str)]
+    images = (rows if isinstance(rows, VfcError) else rows[0] for rows in
+              _embed_each(_image_method(provider), refs, "image embeddings"))
+
+    def stage(image_vec):
         hits = retrieve_topk(index, image_vec, config.k, config.probes)
         fallback = False
         try:
@@ -204,22 +220,25 @@ def _classify_all(queries, index, provider, tagger, config) -> list[Prediction]:
                 raise
             names = [min(err.surviving.items(), key=lambda kv: (-kv[1], kv[0]))[0]]
             fallback = True
-        texts = [template.format(name) for name in names]
-        staged.append((image_vec, hits, names, texts, fallback))
-    rows, row_of = _embed_distinct(
-        provider.embed_texts, [t for *_, texts, _ in staged for t in texts],
-        "candidate vectors")
-    predictions = []
-    for image_vec, hits, names, texts, fallback in staged:
-        cand_vecs = rows[[row_of[t] for t in texts]]
+        return image_vec, hits, names, fallback
+
+    def score(cand_vecs, image_vec, hits, names, fallback):
         centroid = caption_centroid(index.vectors[[h.row for h in hits]])
         vis = visual_scores(image_vec, cand_vecs)
         tex = visual_scores(centroid, cand_vecs)
         fused = fuse(vis, tex, config.alpha)
         ranked = sorted(map(ScoreBreakdown, names, vis, tex, fused),
                         key=lambda b: (-b.fused, b.candidate))
-        predictions.append(Prediction(ranked[0].candidate, ranked, hits, fallback))
-    return predictions
+        return Prediction(ranked[0].candidate, ranked, hits, fallback)
+
+    slots = [_slot(stage, next(images) if isinstance(q, str)
+                   else _slot(as_vector, q, "query embedding")) for q in queries]
+    live = [i for i, slot in enumerate(slots) if not isinstance(slot, VfcError)]
+    texts = [[template.format(name) for name in slots[i][2]] for i in live]
+    for i, rows in zip(live, _embed_each(provider.embed_texts, texts,
+                                         "candidate vectors")):
+        slots[i] = _slot(score, rows, *slots[i])
+    return slots
 
 
 def classify(
@@ -237,7 +256,10 @@ def classify(
     prediction is flagged as a fallback.
     """
     config = config or ClassifierConfig()
-    return _classify_all([query], index, provider, tagger, config)[0]
+    [slot] = _classify_all([query], index, provider, tagger, config)
+    if isinstance(slot, VfcError):
+        raise slot
+    return slot
 
 
 def classify_batch(
@@ -249,22 +271,12 @@ def classify_batch(
 ) -> list[BatchItem]:
     """Classify ``(id, query)`` pairs, collecting per-query errors.
 
-    Results keep input order. If the batch fails, it is rerun one query at
-    a time, so a failing query yields a BatchItem with its error recorded
-    and the others are classified as usual.
+    Results keep input order. A failing query yields a BatchItem with the
+    code and message a single :func:`classify` of it raises, and the others
+    are classified as usual.
     """
     config = config or ClassifierConfig()
     queries = list(queries)
-    try:
-        batch = _classify_all([q for _, q in queries], index, provider, tagger, config)
-        return [BatchItem(qid, prediction=p) for (qid, _), p in zip(queries, batch)]
-    except VfcError:
-        pass
-    items = []
-    for qid, query in queries:
-        try:
-            prediction = classify(query, index, provider, tagger, config)
-            items.append(BatchItem(qid, prediction=prediction))
-        except VfcError as err:
-            items.append(BatchItem(qid, error=str(err), error_code=err.code))
-    return items
+    slots = _classify_all([q for _, q in queries], index, provider, tagger, config)
+    return [BatchItem(qid, error=str(s), error_code=s.code) if isinstance(s, VfcError)
+            else BatchItem(qid, prediction=s) for (qid, _), s in zip(queries, slots)]

@@ -307,3 +307,27 @@ class TestStageSplit:
     ])
     def test_stage_one_two_settings_change_the_key(self, change):
         assert token_settings(FilterConfig(**change)) != token_settings(FilterConfig())
+
+
+class TestFilterConfigTypes:
+    @pytest.mark.parametrize("name,value", [
+        ("min_word_length", 0), ("min_word_length", 1.5),
+        ("min_word_length", True), ("min_word_length", "2"),
+        ("min_count", 0), ("min_count", 1.5), ("min_count", True),
+        ("min_count", "2"),
+        ("stop_words", "the cat"), ("stop_words", 5), ("stop_words", ["the", 5]),
+        ("meta_words", "img"), ("meta_words", b"img"), ("meta_words", [None]),
+        ("split_compounds", 1), ("split_compounds", "no"),
+        ("apply_remove", 0), ("apply_remove", None),
+        ("apply_standardize", "yes"), ("apply_filter", 1.0),
+    ])
+    def test_bad_value_is_rejected(self, name, value):
+        with pytest.raises(EmptyInputError, match=name):
+            FilterConfig(**{name: value})
+
+    def test_word_collections_are_lowercased_sets(self):
+        config = FilterConfig(stop_words=["The", "cat"],
+                              meta_words=(w for w in ["IMG"]))
+        assert config.stop_words == frozenset({"the", "cat"})
+        assert config.meta_words == frozenset({"img"})
+        assert FilterConfig(stop_words=[]).stop_words == frozenset()

@@ -211,6 +211,25 @@ class TestClassifyEvaluate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_unknown_ref_fails_only_its_line(self, world, built_index, tmp_path):
+        lines = world["queries"].read_text().splitlines()
+        bad = json.dumps({"id": "bad", "image_ref": "img/unknown"})
+        faulty = tmp_path / "faulty.jsonl"
+        faulty.write_text("\n".join(lines[:10] + [bad] + lines[10:]) + "\n")
+        outs = []
+        for queries in (world["queries"], faulty):
+            out = tmp_path / "preds.jsonl"
+            assert run(["classify", "--index", str(built_index),
+                        "--queries", str(queries),
+                        "--embeddings", str(world["store"]),
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes().splitlines(keepends=True))
+        clean, mixed = outs
+        error = json.loads(mixed.pop(10))
+        assert set(error) == {"id", "error", "message"}
+        assert (error["id"], error["error"]) == ("bad", "unknown-image-ref")
+        assert mixed == clean
+
     def test_evaluate_report(self, world, built_index, tmp_path):
         preds = tmp_path / "preds.jsonl"
         assert run(["classify", "--index", str(built_index),
@@ -475,6 +494,8 @@ class TestMalformedInput:
         ("--embed-timeout", "0"), ("--embed-timeout", "-1"),
         ("--embed-timeout", "nan"), ("--embed-timeout", "inf"),
         ("--embed-timeout", "x"), ("--k", "0"), ("--k", "2.5"),
+        ("--alpha", "2"), ("--alpha", "-0.1"), ("--alpha", "nan"),
+        ("--alpha", "inf"), ("--alpha", "x"),
     ])
     def test_bad_count_or_timeout_flag_is_a_usage_error(self, world, built_index, capsys,
                                              flag, value):
@@ -487,9 +508,18 @@ class TestMalformedInput:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "1", "0.25"])
+    def test_alpha_flag_range_is_closed(self, world, built_index, tmp_path,
+                                        value):
+        assert run(["classify", "--index", str(built_index),
+                    "--queries", str(world["queries"]),
+                    "--embeddings", str(world["store"]), "--alpha", value,
+                    "--out", str(tmp_path / "preds.jsonl")]) == 0
+
     @pytest.mark.parametrize("name,value", [
         ("embed_dim", "0"), ("embed_dim", "true"),
         ("embed_timeout", "0"), ("embed_timeout", "nan"),
+        ("alpha", "2"), ("alpha", "nan"), ("alpha", "x"),
     ])
     @pytest.mark.parametrize("source", ["env", "config"])
     def test_bad_embed_setting_exits_1(self, world, built_index, tmp_path,

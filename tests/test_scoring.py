@@ -24,6 +24,7 @@ from vfclass.errors import (
     EmptyInputError,
     ProviderUnavailableError,
     UnknownKeyError,
+    VfcError,
 )
 from vfclass.index import CaptionRecord, build_index, retrieve_topk
 import vfclass.scoring as scoring_mod
@@ -169,7 +170,7 @@ class TestClassifierConfig:
         ("alpha", "0.5"), ("alpha", True), ("alpha", 1.5), ("alpha", math.nan),
         ("probes", "abc"), ("probes", True), ("probes", 2.7), ("probes", 0),
         ("prompt_template", "a {} and {}"), ("prompt_template", "a {x} {}"),
-        ("prompt_template", 5),
+        ("prompt_template", 5), ("filter", None), ("filter", {"min_count": 1}),
     ])
     def test_bad_value_is_rejected(self, name, value):
         with pytest.raises(EmptyInputError, match=name):
@@ -548,6 +549,179 @@ class TestBatchPath:
         assert sorted(provider.calls[0]) == [
             "a photo of a cat", "a photo of a dog", "a photo of a park"
         ]
+
+
+def fault_world():
+    """Four caption groups, one per basis direction: one whose candidates
+    the store knows, one missing two candidate words, one missing one, and
+    one whose captions yield no token; plus one known image ref."""
+    e = np.eye(6)
+    store = PrecomputedStore(6)
+    for word, vec in [("dog", e[0]), ("cat", e[0] + e[4]), ("park", e[5]),
+                      ("lion", e[2])]:
+        store.add(word, vec)
+    store.add("img/dog", e[0] + 0.1 * e[5])
+    groups = ["a dog and a cat in a park", "a zebra near a giraffe",
+              "a lion in a cave", "1234 the of"]
+    records = []
+    for g, text in enumerate(groups):
+        for i in range(4):
+            records.append(CaptionRecord(f"cap-{g}-{i}", text))
+            store.add(f"cap-{g}-{i}", e[g])
+    return build_index(records, store), store
+
+
+def same_as_alone(items, queries, index, store, tagger, config):
+    """Each item equals a single ``classify`` of its query: the prediction,
+    or the error's code and message."""
+    for item, (qid, query) in zip(items, queries, strict=True):
+        assert item.id == qid
+        try:
+            want = classify(query, index, store, tagger, config)
+        except VfcError as err:
+            assert (item.error_code, item.error) == (err.code, str(err)), qid
+            assert item.prediction is None
+        else:
+            assert item.prediction == want and item.error is None, qid
+
+
+class TestFaultIsolation:
+    """A fault fails only its own query, at the cost of a bisection of the
+    failed provider call, not a rerun of the batch."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        bench = make_noisy_benchmark(num_queries=1000, seed=7)
+        return bench, build_index(bench.records, bench.store)
+
+    @pytest.fixture(scope="class")
+    def clean(self, world, tagger):
+        bench, index = world
+        return classify_batch(bench.queries, index, bench.store, tagger)
+
+    @pytest.mark.parametrize("position", [0, 1, 511, 512, 767, 999])
+    def test_one_unknown_ref_costs_a_bisection(self, world, clean, tagger,
+                                               position):
+        bench, index = world
+        queries = list(bench.queries)
+        queries[position] = ("bad", "img/unknown")
+        provider = CountingImages(bench.store)
+        items = classify_batch(queries, index, provider, tagger)
+        assert len(provider.image_calls) <= 2 * math.ceil(math.log2(1000)) + 1
+        assert len(provider.calls) == 1
+        with pytest.raises(UnknownKeyError) as err:
+            classify("img/unknown", index, bench.store, tagger)
+        assert (items[position].error_code, items[position].error) == (
+            err.value.code, str(err.value))
+        assert items[:position] == clean[:position]
+        assert items[position + 1:] == clean[position + 1:]
+
+    def test_bisection_cost_at_every_position(self):
+        size, worst = 1000, 0
+        for bad in range(size):
+            calls = []
+
+            def embed(items):
+                calls.append(items)
+                if bad in items:
+                    raise UnknownKeyError(f"no vector for {bad}")
+                return np.ones((len(items), 2))
+
+            slots = scoring_mod._embed_each(embed, [[i] for i in range(size)], "x")
+            assert [isinstance(s, UnknownKeyError) for s in slots] == [
+                i == bad for i in range(size)]
+            assert [bad] in calls
+            worst = max(worst, len(calls))
+        assert worst == 2 * math.ceil(math.log2(size)) + 1
+
+    def test_all_failing_refs_cost_at_most_2q_minus_1_calls(self, world,
+                                                            tagger):
+        bench, index = world
+        queries = [(f"q{i}", f"img/unknown-{i}") for i in range(40)]
+        provider = CountingImages(bench.store)
+        items = classify_batch(queries, index, provider, tagger)
+        assert len(provider.image_calls) <= 2 * len(queries) - 1
+        assert provider.calls == []
+        same_as_alone(items, queries, index, bench.store, tagger,
+                      ClassifierConfig())
+
+    def test_all_failing_texts_cost_one_image_call(self, world, tagger):
+        bench, index = world
+        queries = bench.queries[:40]
+        known = {ref for _, ref in queries} | {r.id for r in bench.records}
+        store = PrecomputedStore(bench.store.dim)
+        store.add_many((key, bench.store.vector(key)) for key in known)
+        provider = CountingImages(store)
+        items = classify_batch(queries, index, provider, tagger)
+        assert {item.error_code for item in items} == {"unknown-image-ref"}
+        assert len(provider.image_calls) == 1
+        assert len(provider.calls) <= 2 * len(queries) - 1
+        same_as_alone(items, queries, index, store, tagger, ClassifierConfig())
+
+    def test_missing_word_retrieves_once_per_query(self, world, clean, tagger,
+                                                   monkeypatch):
+        bench, index = world
+        counts = Counter(b.candidate for item in clean
+                         for b in item.prediction.ranked)
+        word = min(name for name, n in counts.items() if n < len(clean) // 2)
+        store = PrecomputedStore(bench.store.dim)
+        store.add_many((key, bench.store.vector(key))
+                       for key in bench.store.keys() if key != word)
+        retrieved = []
+
+        def counting_retrieve(*args, **kwargs):
+            retrieved.append(args[1])
+            return retrieve_topk(*args, **kwargs)
+
+        monkeypatch.setattr(scoring_mod, "retrieve_topk", counting_retrieve)
+        items = classify_batch(bench.queries, index, store, tagger)
+        assert len(retrieved) == len(bench.queries)
+        failed = [item for item in items if item.error is not None]
+        assert 0 < len(failed) < len(items)
+        assert {item.error_code for item in failed} == {"unknown-image-ref"}
+
+    def test_query_missing_two_words_keeps_its_message(self, tagger):
+        index, store = fault_world()
+        e = np.eye(6)
+        queries = [(f"q{i}", e[0] + 0.01 * i * e[5]) for i in range(16)]
+        queries[9] = ("zoo", e[1])
+        provider = CountingStore(store)
+        config = ClassifierConfig(k=4)
+        items = classify_batch(queries, index, provider, tagger, config)
+        assert len(provider.calls) <= 2 * math.ceil(math.log2(len(queries))) + 1
+        assert "2 key(s)" in items[9].error
+        assert [item.error is None for item in items] == [
+            qid != "zoo" for qid, _ in queries]
+        same_as_alone(items, queries, index, store, tagger, config)
+
+    def test_mixed_faults_each_fail_only_their_query(self, tagger):
+        index, store = fault_world()
+        e = np.eye(6)
+        queries = [
+            ("good-vec", e[0] + 0.01 * e[3]),
+            ("nan", [math.nan, 0, 0, 0, 0, 0]),
+            ("good-ref", "img/dog"),
+            ("non-numeric", ["x", 0, 0, 0, 0, 0]),
+            ("wrong-dim", [1.0, 0.0, 0.0]),
+            ("unknown-ref", "img/unknown"),
+            ("two-missing", e[1]),
+            ("good-again", e[0] + 0.02 * e[5]),
+            ("one-missing", e[2]),
+            ("no-candidates", e[3]),
+            ("good-ref-again", "img/dog"),
+        ]
+        config = ClassifierConfig(k=4)
+        items = classify_batch(queries, index, store, tagger, config)
+        assert [item.error_code for item in items] == [
+            None, "empty-input", None, "schema-violation", "dimension-mismatch",
+            "unknown-image-ref", "unknown-image-ref", None, "unknown-image-ref",
+            "empty-candidate-set", None,
+        ]
+        same_as_alone(items, queries, index, store, tagger, config)
+        for start in range(len(queries)):
+            window = queries[start:] + queries[:start]
+            assert classify_batch(window, index, store, tagger, config) == (
+                items[start:] + items[:start])
 
 
 class VerbTagger:
