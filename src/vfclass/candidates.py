@@ -134,13 +134,13 @@ def default_meta_words() -> frozenset[str]:
     return _read_words("metawords.txt")
 
 
-def _word_set(value, name: str) -> frozenset[str]:
-    """``value``, a collection of strings, lowercased. A bare string is not
-    one: iterating it would give its characters."""
+def _word_set(value, name: str, lower: bool = True) -> frozenset[str]:
+    """``value``, a collection of strings, lowercased if ``lower``. A bare
+    string is not one: iterating it would give its characters."""
     if isinstance(value, Iterable) and not isinstance(value, str):
         words = list(value)
         if all(isinstance(w, str) for w in words):
-            return frozenset(w.lower() for w in words)
+            return frozenset(w.lower() if lower else w for w in words)
     raise EmptyInputError(f"{name} must be a collection of strings, got {value!r:.60}")
 
 
@@ -175,7 +175,7 @@ class FilterConfig:
                            else _word_set(self.meta_words, "meta_words"))
         self.stop_words = (default_stop_words() if self.stop_words is None
                            else _word_set(self.stop_words, "stop_words"))
-        self.allowed_pos = frozenset(self.allowed_pos)
+        self.allowed_pos = _word_set(self.allowed_pos, "allowed_pos", lower=False)
         unknown = self.allowed_pos - set(POS_CATEGORIES)
         if unknown:
             raise EmptyInputError(f"unknown POS categories: {sorted(unknown)}")

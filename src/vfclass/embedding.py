@@ -8,7 +8,10 @@ provider. Two providers are shipped:
   and offline runs. File format ``VFCE``, see :func:`save_store`.
 - :class:`RemoteEmbeddingClient`, an HTTP client speaking a small JSON
   contract (``{"inputs": [...], "modality": "text"|"image"}``), used for
-  live runs against an embedding service.
+  live runs against an embedding service. It caches the vectors of the
+  last ``TEXT_CACHE_ROWS`` texts it used, which assumes the service's text
+  vectors stay fixed for the client's lifetime, as a frozen
+  vision-language model's do. Image refs are sent on every call.
 
 Vectors are stored at float32; all similarity math runs at float64.
 """
@@ -22,7 +25,9 @@ import numbers
 import os
 import secrets
 import struct
+import threading
 import zlib
+from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +48,7 @@ STORE_MAGIC = b"VFCE"
 STORE_VERSION = 1
 DTYPE_F32 = 0
 EMBED_CHUNK = 1024  # inputs per provider call when embedding in bulk
+TEXT_CACHE_ROWS = 4 * EMBED_CHUNK  # text vectors a remote client keeps
 
 
 def is_count(value, low: int = 1) -> bool:
@@ -99,9 +105,10 @@ def as_matrix(
 
 
 def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
-    """Checked float64 rows of ``dim`` (if given) for ``inputs``, one matrix
-    per call of ``embed``, a bound provider method such as
-    ``provider.embed_texts``, on ``EMBED_CHUNK`` inputs in order.
+    """Checked float64 rows of ``dim`` (if given, else the first chunk's)
+    for ``inputs``, one matrix per call of ``embed``, a bound provider
+    method such as ``provider.embed_texts``, on ``EMBED_CHUNK`` inputs in
+    order. A chunk of another dim is a :class:`DimensionMismatchError`.
 
     A provider fault that is not a :class:`VfcError` is a
     :class:`ProviderUnavailableError`, so it fails like a service fault.
@@ -116,7 +123,9 @@ def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
             raise ProviderUnavailableError(
                 f"{name}: provider failed: {exc!r}"
             ) from exc
-        yield as_matrix(vectors, name, dim, count=len(chunk))
+        matrix = as_matrix(vectors, name, dim, count=len(chunk))
+        dim = matrix.shape[1]
+        yield matrix
 
 
 def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
@@ -410,6 +419,13 @@ class RemoteEmbeddingClient:
     Returned vectors are quantized to float32 (the engine's storage
     precision) so a live run is bit-identical to a run against the same
     vectors dumped to a binary store.
+
+    ``embed_texts`` keeps the float32 rows of the last ``TEXT_CACHE_ROWS``
+    distinct texts it was asked for, least recently used out first, and
+    sends only the texts it does not hold. This assumes the service's text
+    vectors stay fixed for the client's lifetime, as a frozen
+    vision-language model's do. A failed call caches nothing. Image refs
+    are not cached: a ref names content the client cannot see.
     """
 
     kind = "remote-service"
@@ -432,6 +448,8 @@ class RemoteEmbeddingClient:
         self.timeout = timeout
         self.identity = identity or f"remote:{base_url}"
         self._session = requests.Session()  # one kept-alive connection
+        self._texts: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._texts_lock = threading.Lock()  # a client may serve many threads
 
     def _post(self, inputs: Sequence[str], modality: str) -> np.ndarray:
         try:
@@ -463,13 +481,28 @@ class RemoteEmbeddingClient:
                 f"service returned dim {dim}, expected {self.dim}"
             )
         matrix = as_matrix(vectors, "service vectors", self.dim, count=len(inputs))
-        return matrix.astype(np.float32).astype(np.float64)
+        return matrix.astype(np.float32)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return self._post(_check_texts(texts), "text")
+        texts = _check_texts(texts)
+        with self._texts_lock:
+            found = {t: self._texts[t] for t in texts if t in self._texts}
+            for text in found:
+                self._texts.move_to_end(text)
+        misses = [t for t in dict.fromkeys(texts) if t not in found]
+        if misses:
+            rows = self._post(misses, "text")
+            # own copies: a cached view would keep the whole reply alive
+            fetched = {t: row.copy() for t, row in zip(misses, rows)}
+            found.update(fetched)
+            with self._texts_lock:
+                self._texts.update(fetched)
+                while len(self._texts) > TEXT_CACHE_ROWS:
+                    self._texts.popitem(last=False)
+        return np.array([found[t] for t in texts], dtype=np.float64)
 
     def embed_images(self, image_refs: Sequence[str]) -> np.ndarray:
-        return self._post(_check_refs(image_refs), "image")
+        return self._post(_check_refs(image_refs), "image").astype(np.float64)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return self.embed_images([image_ref])[0]

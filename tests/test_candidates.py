@@ -320,10 +320,18 @@ class TestFilterConfigTypes:
         ("split_compounds", 1), ("split_compounds", "no"),
         ("apply_remove", 0), ("apply_remove", None),
         ("apply_standardize", "yes"), ("apply_filter", 1.0),
+        ("allowed_pos", 5), ("allowed_pos", "noun"), ("allowed_pos", None),
+        ("allowed_pos", ["noun", 3]),
     ])
     def test_bad_value_is_rejected(self, name, value):
         with pytest.raises(EmptyInputError, match=name):
             FilterConfig(**{name: value})
+
+    def test_pos_categories_are_not_lowercased(self):
+        assert FilterConfig(allowed_pos=["noun", "verb"]).allowed_pos == frozenset(
+            {"noun", "verb"})
+        with pytest.raises(EmptyInputError, match=r"unknown POS categories: \['NOUN'\]"):
+            FilterConfig(allowed_pos={"NOUN"})
 
     def test_word_collections_are_lowercased_sets(self):
         config = FilterConfig(stop_words=["The", "cat"],

@@ -1,9 +1,12 @@
 """Remote embedding client against the deterministic stub service."""
 
+import json
 import socket
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -11,7 +14,9 @@ import numpy as np
 import pytest
 import requests
 
+import vfclass.embedding as embedding_mod
 from vfclass.candidates import FilterConfig, LexiconTagger, extract_candidates
+from vfclass.cli import _prediction_json
 from vfclass.embedding import (
     EMBED_CHUNK,
     PrecomputedStore,
@@ -25,7 +30,7 @@ from vfclass.errors import (
     SchemaError,
 )
 from vfclass.index import CaptionRecord, build_index
-from vfclass.scoring import ClassifierConfig, classify_batch
+from vfclass.scoring import ClassifierConfig, classify, classify_batch
 from vfclass.stubserver import _StubHandler, running_stub
 
 
@@ -81,8 +86,6 @@ class TestRemoteClient:
             client.embed_texts(["a"])
 
     def test_concurrent_requests(self, stub_url):
-        from concurrent.futures import ThreadPoolExecutor
-
         client = RemoteEmbeddingClient(stub_url)
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda i: client.embed_texts([f"t{i % 3}"])[0],
@@ -322,3 +325,183 @@ class TestClientSettings:
         with pytest.raises(ProviderUnavailableError, match="malformed"):
             client.embed_texts(["dog"])
         assert client.dim is None
+
+
+@pytest.fixture
+def posts(monkeypatch):
+    """``(modality, inputs)`` of every POST a client makes during the test."""
+    sent = []
+    post = requests.Session.post
+
+    def recording_post(self, url, **kwargs):
+        sent.append((kwargs["json"]["modality"], kwargs["json"]["inputs"]))
+        return post(self, url, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", recording_post)
+    return sent
+
+
+def stub_rows(texts, dim=4):
+    return np.array([hashed_vector(t, "text", dim) for t in texts],
+                    dtype=np.float32).astype(np.float64)
+
+
+class TestTextCache:
+    def test_second_call_sends_nothing(self, stub_url, posts):
+        client = RemoteEmbeddingClient(stub_url)
+        first = client.embed_texts(["dog", "cat"])
+        second = client.embed_texts(["dog", "cat"])
+        assert posts == [("text", ["dog", "cat"])]
+        assert second.dtype == first.dtype == np.float64
+        assert second.tobytes() == first.tobytes() == stub_rows(["dog", "cat"]).tobytes()
+
+    def test_only_distinct_misses_are_sent_in_first_seen_order(self, stub_url,
+                                                               posts):
+        client = RemoteEmbeddingClient(stub_url)
+        client.embed_texts(["cat", "dog"])
+        texts = ["owl", "dog", "ant", "owl", "cat", "ant", "bee"]
+        rows = client.embed_texts(texts)
+        assert posts[1:] == [("text", ["owl", "ant", "bee"])]
+        assert rows.tobytes() == stub_rows(texts).tobytes()
+
+    def test_image_refs_are_sent_every_call(self, stub_url, posts):
+        client = RemoteEmbeddingClient(stub_url)
+        a = client.embed_image("img/1")
+        b = client.embed_images(["img/1", "img/2"])
+        c = client.embed_images(["img/1", "img/2"])
+        assert posts == [("image", ["img/1"])] + [("image", ["img/1", "img/2"])] * 2
+        assert np.array_equal(a, b[0]) and np.array_equal(b, c)
+
+    def test_text_and_image_of_one_string_are_kept_apart(self, stub_url, posts):
+        client = RemoteEmbeddingClient(stub_url)
+        text = client.embed_texts(["ref-1"])[0]
+        image = client.embed_image("ref-1")
+        assert client.embed_texts(["ref-1"])[0].tobytes() == text.tobytes()
+        assert not np.allclose(text, image)
+        assert posts == [("text", ["ref-1"]), ("image", ["ref-1"])]
+
+    @pytest.mark.parametrize("fault,error", [
+        (requests.ConnectionError("refused"), ProviderUnavailableError),
+        (FakeResponse({"dim": 4}), ProviderUnavailableError),
+        (FakeResponse({"dim": 3, "vectors": [[1.0, 0.0, 0.0]] * 2}),
+         DimensionMismatchError),
+        (FakeResponse({"dim": 4, "vectors": [[1.0, 0.0, 0.0, 0.0]]}),
+         ProviderUnavailableError),
+    ], ids=["unreachable", "malformed", "dim-mismatch", "short-reply"])
+    def test_failed_call_caches_nothing(self, monkeypatch, fault, error):
+        good = FakeResponse({"dim": 4, "vectors": stub_rows(["a", "b"]).tolist()})
+        replies, sent = [fault, good], []
+
+        def scripted_post(self, url, json, timeout):
+            sent.append(json["inputs"])
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(requests.Session, "post", scripted_post)
+        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        with pytest.raises(error):
+            client.embed_texts(["a", "b"])
+        rows = client.embed_texts(["a", "b"])
+        assert client.embed_texts(["b", "a"]).tobytes() == rows[::-1].tobytes()
+        assert sent == [["a", "b"], ["a", "b"]]
+        assert rows.tobytes() == stub_rows(["a", "b"]).tobytes()
+
+    def test_least_recently_used_text_is_evicted(self, stub_url, posts,
+                                                 monkeypatch):
+        monkeypatch.setattr(embedding_mod, "TEXT_CACHE_ROWS", 2)
+        client = RemoteEmbeddingClient(stub_url)
+        client.embed_texts(["a"])
+        client.embed_texts(["b"])
+        client.embed_texts(["a"])  # a hit: "b" is now the oldest
+        client.embed_texts(["c"])  # evicts "b"
+        assert posts == [("text", ["a"]), ("text", ["b"]), ("text", ["c"])]
+        client.embed_texts(["a", "c"])
+        assert len(posts) == 3
+        rows = client.embed_texts(["b"])
+        assert posts[3:] == [("text", ["b"])]
+        assert rows.tobytes() == stub_rows(["b"]).tobytes()
+
+    def test_call_larger_than_the_cache_returns_every_row(self, stub_url, posts,
+                                                          monkeypatch):
+        monkeypatch.setattr(embedding_mod, "TEXT_CACHE_ROWS", 2)
+        client = RemoteEmbeddingClient(stub_url)
+        texts = [f"t{i}" for i in range(5)] + ["t0"]
+        rows = client.embed_texts(texts)
+        assert rows.tobytes() == stub_rows(texts).tobytes()
+        assert posts == [("text", texts[:5])]
+        client.embed_texts(["t3", "t4"])  # the two kept are the last sent
+        assert len(posts) == 1
+        assert len(client._texts) == 2
+
+    def test_clients_do_not_share_a_cache(self, stub_url, posts):
+        first = RemoteEmbeddingClient(stub_url)
+        second = RemoteEmbeddingClient(stub_url)
+        first.embed_texts(["a"])
+        second.embed_texts(["a"])
+        assert posts == [("text", ["a"])] * 2
+
+    def test_threads_sharing_a_client_get_their_own_rows(self, monkeypatch):
+        """A small cache under many threads and a short switch interval:
+        evictions race with lookups, and every reply must still be right."""
+        store = PrecomputedStore(4)
+        words = [f"w{i}" for i in range(24)]
+        for word in words:
+            store.add(word, hashed_vector(word, "text", 4))
+        monkeypatch.setattr(requests.Session, "post", FakeService(store))
+        monkeypatch.setattr(embedding_mod, "TEXT_CACHE_ROWS", 8)
+        client = RemoteEmbeddingClient("http://embedding.test/")
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                texts = [words[i] for i in rng.integers(len(words), size=3)]
+                if client.embed_texts(texts).tobytes() != stub_rows(texts).tobytes():
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                done = list(pool.map(work, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == [True] * 16
+        assert len(client._texts) <= 8
+
+    def test_second_batch_sends_no_text(self, posts):
+        words = ["otter", "falcon", "lantern"]
+        records = [CaptionRecord(f"cap-{i:03d}", f"a {words[i % 3]} near the pier")
+                   for i in range(24)]
+        queries = [(f"q{i}", f"img/{i}") for i in range(12)]
+        dim = 8
+        with running_stub(dim) as url:
+            client = RemoteEmbeddingClient(url)
+            index = build_index(records, client)
+            first = classify_batch(queries, index, client, LexiconTagger())
+            sent = len(posts)
+            second = classify_batch(queries, index, client, LexiconTagger())
+            assert [m for m, _ in posts[sent:]] == ["image"]
+            sent = len(posts)
+            single = classify("img/0", index, client, LexiconTagger())
+        assert posts[sent:] == [("image", ["img/0"])]
+        assert single == first[0].prediction
+
+        store = PrecomputedStore(dim)
+        loose = FilterConfig(min_count=1)
+        names = set(extract_candidates(records, LexiconTagger(), loose).entries)
+        for text in {r.text for r in records} | names:
+            store.add(text, hashed_vector(text, "text", dim))
+        for _, ref in queries:
+            store.add(ref, hashed_vector(ref, "image", dim))
+        local = classify_batch(queries, build_index(records, store), store,
+                               LexiconTagger())
+
+        def output(items):
+            return json.dumps([_prediction_json(item) for item in items])
+
+        assert all(item.error is None for item in first)
+        assert output(second) == output(first) == output(local)
+        assert second == first == local

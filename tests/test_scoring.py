@@ -723,6 +723,31 @@ class TestFaultIsolation:
             assert classify_batch(window, index, store, tagger, config) == (
                 items[start:] + items[:start])
 
+    def test_chunk_of_another_dim_fails_only_its_query(self, tagger,
+                                                       monkeypatch):
+        index, store = fault_world()
+
+        class OddDimImages:
+            """The store's vectors, but a 5-d one for ``img/odd``."""
+            dim = store.dim
+            embed_texts = store.embed_texts
+
+            def embed_images(self, refs):
+                return [np.ones(5) if ref == "img/odd" else store.vector(ref)
+                        for ref in refs]
+
+        monkeypatch.setattr(embedding_mod, "EMBED_CHUNK", 1)
+        queries = [("dog", "img/dog"), ("odd", "img/odd"),
+                   ("dog-again", "img/dog")]
+        config = ClassifierConfig(k=4)
+        provider = OddDimImages()
+        for start in range(len(queries)):
+            window = queries[start:] + queries[:start]
+            items = classify_batch(window, index, provider, tagger, config)
+            assert {item.id: item.error_code for item in items} == {
+                "dog": None, "odd": "dimension-mismatch", "dog-again": None}
+            same_as_alone(items, window, index, provider, tagger, config)
+
 
 class VerbTagger:
     """Tags every word a verb, so no token passes the default POS filter."""
