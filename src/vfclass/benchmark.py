@@ -13,7 +13,7 @@ stage is measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class SyntheticBenchmark:
     store: PrecomputedStore
     queries: list[tuple[str, str]]  # (query id, image ref)
     truths: dict[str, str]
-    extra_tokens: list[str] = field(default_factory=list)
 
     def manifest(self, name: str = "synthetic") -> DatasetManifest:
         entries = [
@@ -84,6 +83,21 @@ def _orthonormal_directions(dim: int, count: int, rng) -> np.ndarray:
 
 def _unit_noise(vec: np.ndarray, sigma: float, rng) -> np.ndarray:
     return normalize(vec + sigma * rng.standard_normal(vec.shape[0]))
+
+
+def _plant_queries(store, names, class_vecs, num_queries, image_noise, rng):
+    """Queries ``query-NNNN`` of random classes, each an ``img/NNNN`` ref
+    added to ``store`` near its class direction; returns (queries, truths)."""
+    queries = []
+    truths = {}
+    for i in range(num_queries):
+        c = int(rng.integers(len(names)))
+        qid = f"query-{i:04d}"
+        ref = f"img/{i:04d}"
+        store.add(ref, _unit_noise(class_vecs[c], image_noise, rng))
+        queries.append((qid, ref))
+        truths[qid] = names[c]
+    return queries, truths
 
 
 def make_benchmark(
@@ -117,15 +131,8 @@ def make_benchmark(
             )
             store.add(rid, _unit_noise(class_vecs[c], caption_noise, rng))
 
-    queries = []
-    truths = {}
-    for i in range(num_queries):
-        c = int(rng.integers(num_classes))
-        qid = f"query-{i:04d}"
-        ref = f"img/{i:04d}"
-        store.add(ref, _unit_noise(class_vecs[c], image_noise, rng))
-        queries.append((qid, ref))
-        truths[qid] = names[c]
+    queries, truths = _plant_queries(store, names, class_vecs, num_queries,
+                                     image_noise, rng)
     return SyntheticBenchmark(dim, names, records, store, queries, truths)
 
 
@@ -198,7 +205,6 @@ def make_noisy_benchmark(
         store.add(word, normalize(rng.standard_normal(dim)))
 
     records = []
-    extra_tokens = sorted(set(surface_map) | set(attackers) | {"pic", "shot", "near"})
     for c, name in enumerate(names):
         for i in range(captions_per_class):
             mention = mentions[name][int(rng.integers(len(mentions[name])))]
@@ -209,15 +215,6 @@ def make_noisy_benchmark(
             records.append(CaptionRecord(rid, text, "synthetic-noisy"))
             store.add(rid, _unit_noise(class_vecs[c], caption_noise, rng))
 
-    queries = []
-    truths = {}
-    for i in range(num_queries):
-        c = int(rng.integers(num_classes))
-        qid = f"query-{i:04d}"
-        ref = f"img/{i:04d}"
-        store.add(ref, _unit_noise(class_vecs[c], image_noise, rng))
-        queries.append((qid, ref))
-        truths[qid] = names[c]
-    return SyntheticBenchmark(
-        dim, names, records, store, queries, truths, extra_tokens
-    )
+    queries, truths = _plant_queries(store, names, class_vecs, num_queries,
+                                     image_noise, rng)
+    return SyntheticBenchmark(dim, names, records, store, queries, truths)

@@ -34,8 +34,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .embedding import is_count
-from .errors import EmptyCandidateSetError, EmptyInputError, TaggerUnavailableError
+from .embedding import is_count, text_lines
+from .errors import (
+    EmptyCandidateSetError,
+    EmptyInputError,
+    SchemaError,
+    TaggerUnavailableError,
+)
 
 POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
 
@@ -43,6 +48,7 @@ _URL_RE = re.compile(r"^(?:[a-z][a-z0-9+.-]*://|www\.)", re.IGNORECASE)
 _EXTENSION_RE = re.compile(r"^(.+)\.([A-Za-z0-9]{1,4})$")
 _COMPOUND_RE = re.compile(r"[-_]+")
 _EDGE_PUNCT = string.punctuation
+_DATA = resources.files("vfclass") / "data"  # the bundled word lists and lexicon
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -107,31 +113,19 @@ _SUFFIX_RULES = (
 )
 
 
-def _read_words(name: str) -> frozenset[str]:
-    path = resources.files("vfclass") / "data" / name
-    return frozenset(
-        line.strip().lower()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
-
-
-def load_word_list(path) -> frozenset[str]:
+def load_word_list(path, what: str = "word list") -> frozenset[str]:
     """Read a word-per-line file (stop words, meta words) into a set."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(
-            line.strip().lower() for line in fh if line.strip()
-        )
+    return frozenset(line.strip().lower() for _, line in text_lines(path, what))
 
 
 @lru_cache(maxsize=None)
 def default_stop_words() -> frozenset[str]:
-    return _read_words("stopwords.txt")
+    return load_word_list(_DATA / "stopwords.txt")
 
 
 @lru_cache(maxsize=None)
 def default_meta_words() -> frozenset[str]:
-    return _read_words("metawords.txt")
+    return load_word_list(_DATA / "metawords.txt")
 
 
 def _word_set(value, name: str, lower: bool = True) -> frozenset[str]:
@@ -289,26 +283,20 @@ class LexiconTagger:
 
     def __init__(self, lexicon_path=None):
         self._lexicon: dict[str, str] = {}
+        path = _DATA / "lexicon.tsv" if lexicon_path is None else lexicon_path
         try:
-            if lexicon_path is None:
-                text = (
-                    resources.files("vfclass") / "data" / "lexicon.tsv"
-                ).read_text(encoding="utf-8")
-            else:
-                with open(lexicon_path, encoding="utf-8") as fh:
-                    text = fh.read()
-        except OSError as exc:
+            for lineno, line in text_lines(path, "lexicon"):
+                line = line.strip()
+                if line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or parts[1] not in POS_CATEGORIES:
+                    raise TaggerUnavailableError(
+                        f"malformed lexicon line {lineno}: {line!r}"
+                    )
+                self._lexicon[parts[0].lower()] = parts[1]
+        except (OSError, SchemaError) as exc:
             raise TaggerUnavailableError(f"cannot load lexicon: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in POS_CATEGORIES:
-                raise TaggerUnavailableError(
-                    f"malformed lexicon line {lineno}: {line!r}"
-                )
-            self._lexicon[parts[0].lower()] = parts[1]
 
     def tag(self, word: str) -> str:
         word = word.strip().lower()

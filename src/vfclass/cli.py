@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 
 from . import benchmark as bench_mod
 from .candidates import FilterConfig, LexiconTagger, load_word_list
-from .embedding import HashEmbedder, PrecomputedStore, RemoteEmbeddingClient, is_count
+from .embedding import (
+    HashEmbedder,
+    PrecomputedStore,
+    RemoteEmbeddingClient,
+    is_count,
+    is_real,
+    text_lines,
+)
 from .errors import EmptyInputError, SchemaError, VfcError
 from .evaluation import (
     evaluate_predictions,
@@ -35,7 +42,7 @@ from .ingestion import (
     canonical_jsonl,
     corpus_stats,
     ingest_corpus,
-    json_lines,
+    json_object,
     load_manifest,
     validate_manifest,
 )
@@ -47,15 +54,13 @@ log = logging.getLogger("vfclass")
 
 def _load_config_file(path) -> dict[str, str]:
     conf: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise EmptyInputError(f"config line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
+    for lineno, line in text_lines(path, "config"):
+        if line.lstrip().startswith("#"):
+            continue
+        if "=" not in line:
+            raise EmptyInputError(f"config line {lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        conf[key.strip()] = value.strip()
     return conf
 
 
@@ -157,9 +162,10 @@ def _provider(args, file_conf):
 
 
 def _filter_config(args) -> FilterConfig:
+    stop, meta = args.stop_words, args.meta_words
     return FilterConfig(
-        stop_words=load_word_list(args.stop_words) if args.stop_words else None,
-        meta_words=load_word_list(args.meta_words) if args.meta_words else None,
+        stop_words=load_word_list(stop, "stop-words") if stop else None,
+        meta_words=load_word_list(meta, "meta-words") if meta else None,
     )
 
 
@@ -241,15 +247,14 @@ def _cmd_build_index(args, file_conf) -> int:
 
 def _read_queries(path) -> list[tuple[str, object]]:
     queries: list[tuple[str, object]] = []
-    for lineno, obj in json_lines(path, "queries"):
+    for lineno, line in text_lines(path, "queries"):
+        obj = json_object(line, "queries", lineno)
         qid = obj.get("id", f"line-{lineno}")
         if not isinstance(qid, str):
             raise SchemaError(f"queries line {lineno}: 'id' must be a string")
         if "embedding" in obj:
             query = obj["embedding"]
-            if not isinstance(query, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in query
-            ):
+            if not isinstance(query, list) or not all(map(is_real, query)):
                 raise SchemaError(
                     f"queries line {lineno}: 'embedding' must be a list of numbers"
                 )
@@ -550,8 +555,8 @@ def run(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
-    file_conf = _load_config_file(args.config) if args.config else {}
     try:
+        file_conf = _load_config_file(args.config) if args.config else {}
         return args.func(args, file_conf)
     except VfcError as err:
         json.dump({"error": err.code, "message": str(err)}, sys.stderr)

@@ -64,6 +64,8 @@ def is_real(value) -> bool:
 def _as_float64(values, name: str, shape: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:  # an int beyond float64 is as bad as 1e400
+        raise EmptyInputError(f"{name} contains non-finite values ({exc})") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name} is not a numeric {shape}: {exc}") from exc
 
@@ -332,6 +334,26 @@ def replacing_file(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def text_lines(path, what: str, skip=None):
+    """Yield ``(lineno, line)``, without its end (``\\n``, ``\\r\\n`` or
+    ``\\r``), for each non-blank line of the UTF-8 text file at ``path``;
+    blank lines are numbered too. A line that is not UTF-8 is a SchemaError
+    naming ``what`` and the line, raised or, if given, passed to ``skip``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:  # an undecodable byte was kept as a lone surrogate
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                err = SchemaError(f"{what} line {lineno}: not valid UTF-8")
+                if skip is None:
+                    raise err from None
+                skip(err)
+            else:
+                yield lineno, line.rstrip("\n")
 
 
 def save_store(store: PrecomputedStore, path) -> None:

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embedding import embed_rows, row_norms
+from .embedding import embed_rows, row_norms, text_lines
 from .errors import EmptyInputError, MissingTruthError, SchemaError
-from .ingestion import json_lines, json_object
+from .ingestion import json_object
 
 _WORD_SPLIT = re.compile(r"[\s\-]+")
 
@@ -325,7 +325,8 @@ def _id_and_label(obj: dict, what: str, lineno: int) -> tuple[str, str]:
 def load_predictions(path) -> list[tuple[str, str]]:
     """Read classifier output JSONL into (id, label) pairs."""
     pairs = []
-    for lineno, obj in json_lines(path, "predictions"):
+    for lineno, line in text_lines(path, "predictions"):
+        obj = json_object(line, "predictions", lineno)
         if "error" not in obj:
             pairs.append(_id_and_label(obj, "predictions", lineno))
     if not pairs:
@@ -336,24 +337,20 @@ def load_predictions(path) -> list[tuple[str, str]]:
 def load_truths(path) -> dict[str, str]:
     """Read ground truths: JSONL {"id", "label"} or two-column TSV."""
     truths: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("{"):
-                obj = json_object(line, "truths", lineno)
-                key, value = _id_and_label(obj, "truths", lineno)
-            else:
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise SchemaError(
-                        f"truths line {lineno}: expected two tab-separated columns"
-                    )
-                key, value = parts[0].strip(), parts[1].strip()
-            if key in truths:
-                raise SchemaError(f"truths line {lineno}: duplicate id {key!r}")
-            truths[key] = value
+    for lineno, line in text_lines(path, "truths"):
+        if line.lstrip().startswith("{"):
+            obj = json_object(line, "truths", lineno)
+            key, value = _id_and_label(obj, "truths", lineno)
+        else:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise SchemaError(
+                    f"truths line {lineno}: expected two tab-separated columns"
+                )
+            key, value = parts[0].strip(), parts[1].strip()
+        if key in truths:
+            raise SchemaError(f"truths line {lineno}: duplicate id {key!r}")
+        truths[key] = value
     if not truths:
         raise EmptyInputError("truths file is empty")
     return truths

@@ -26,12 +26,11 @@ rows queries hit; see ``scoring``).
 Retrieval scans in float32 and decides in float64. ``index.vectors`` stays
 in id order; on its first query, and only then, a partitioned index makes
 one copy of its rows in partition order, so each probe is one float32
-product over a contiguous slice (the inverted-file layout), and probing
-every partition is one product over the whole copy. A flat index scans
-``index.vectors`` as one partition, with no copy. Every row whose float32
-score is within twice the rounding bound of ``_score_bound`` of the k-th
-float32 score is rescored in float64, one row at a time, and the top k of
-that shortlist are exactly the float64 brute-force top k. Each row's
+product over a contiguous slice (the inverted-file layout). A flat index
+scans ``index.vectors`` as one partition, with no copy. Every row whose
+float32 score is within twice the rounding bound of ``_score_bound`` of the
+k-th float32 score is rescored in float64, one row at a time, and the top
+k of that shortlist are exactly the float64 brute-force top k. Each row's
 float64 score is the same bits whichever scan found it.
 """
 
@@ -282,25 +281,6 @@ def check_probes(probes) -> None:
         )
 
 
-def _select_topk(
-    index: CaptionIndex, rows: np.ndarray, scores: np.ndarray, k: int
-) -> list[RetrievedCaption]:
-    """Exact top-k over (rows, scores) in (-score, row) order, which is (-score, id)."""
-    k_eff = min(k, rows.shape[0])
-    if k_eff < rows.shape[0]:
-        part = np.argpartition(-scores, k_eff - 1)[:k_eff]
-        threshold = scores[part].min()
-        keep = np.flatnonzero(scores >= threshold)
-    else:
-        keep = np.arange(rows.shape[0])
-    order = keep[np.lexsort((rows[keep], -scores[keep]))][:k_eff]
-    clipped = np.clip(scores[order], -1.0, 1.0).tolist()
-    return [
-        RetrievedCaption(index.records[row], score, row)
-        for row, score in zip(rows[order].tolist(), clipped)
-    ]
-
-
 def _squared_norms(vectors: np.ndarray) -> np.ndarray:
     """Each row's squared norm, summed in float64; einsum casts the rows
     through its own small buffer, so no float64 copy of them is made."""
@@ -354,14 +334,8 @@ def retrieve_topk(
         n_probe = DEFAULT_PROBES if probes is None else probes
         if n_probe < index.num_partitions:
             d2 = np.sum((index.centroids - q) ** 2, axis=1)
-            probe_ids = np.sort(np.argsort(d2, kind="stable")[:n_probe])
-    spans: list[list[int]] = []
-    for c in probe_ids:  # ascending, so adjacent lists scan as one slice
-        start, stop = layout.offsets[c], layout.offsets[c + 1]
-        if spans and spans[-1][1] == start:
-            spans[-1][1] = stop
-        else:
-            spans.append([start, stop])
+            probe_ids = np.argsort(d2, kind="stable")[:n_probe]
+    spans = [(layout.offsets[c], layout.offsets[c + 1]) for c in probe_ids]
     q32 = q.astype(np.float32)
     scores = np.concatenate([layout.vectors[a:b] @ q32 for a, b in spans])
     positions = np.concatenate([np.arange(a, b) for a, b in spans])
@@ -370,8 +344,16 @@ def retrieve_topk(
         # a float64 threshold, so that the comparison is made in float64
         floor = np.float64(np.partition(scores, kth)[kth]) - 2 * layout.bound
         positions = positions[scores >= floor]
+    # the shortlist holds every row within 2b of the k-th score, so the
+    # exact top k are its first k in (-score, row) order, which is (-score, id)
     exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
-    return _select_topk(index, layout.rows[positions], exact, k)
+    rows = layout.rows[positions]
+    order = np.lexsort((rows, -exact))[:k]
+    return [
+        RetrievedCaption(index.records[row], score, row)
+        for row, score in zip(rows[order].tolist(),
+                              np.clip(exact[order], -1.0, 1.0).tolist())
+    ]
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:

@@ -13,9 +13,11 @@ import json
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .candidates import FilterConfig, POS_CATEGORIES, pos_tag, remove_noise, standardize
-from .errors import EmptyInputError, SchemaError, UnknownKeyError
+from .embedding import text_lines
+from .errors import EmptyInputError, SchemaError
 from .index import CaptionRecord
 
 log = logging.getLogger(__name__)
@@ -30,38 +32,27 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
     """
     if fmt not in ("jsonl", "plain"):
         raise EmptyInputError(f"unknown corpus format {fmt!r}")
+    skip = None if strict else partial(log.warning, "skipping %s")
     records: list[CaptionRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                records.append(_parse_line(line, lineno, fmt))
-            except SchemaError as err:
-                if strict:
-                    raise
-                log.warning("skipping %s", err)
+    for lineno, line in text_lines(path, "corpus", skip):
+        try:
+            records.append(_parse_line(line, lineno, fmt))
+        except SchemaError as err:
+            if skip is None:
+                raise
+            skip(err)
     return records
 
 
 def json_object(line: str, what: str, lineno: int) -> dict:
-    """Parse one JSON-lines line that must hold an object."""
+    """Parse ``line``, JSON that must hold an object, from ``what`` line ``lineno``."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise SchemaError(f"{what} line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} line {lineno}: expected a JSON object")
     return obj
-
-
-def json_lines(path, what: str):
-    """Yield ``(lineno, object)`` for every non-blank line of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, json_object(line, what, lineno)
 
 
 def _parse_line(line: str, lineno: int, fmt: str) -> CaptionRecord:
@@ -152,12 +143,11 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset manifest (JSON document) and validate its schema."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+    lines = dict(text_lines(path, "manifest"))
+    # blank lines put back, so the decoder's line numbers are the file's
+    text = "\n".join(lines.get(n, "") for n in range(1, max(lines, default=0) + 1))
+    doc = json_object(text, "manifest", min(lines, default=1))
+    if not isinstance(doc.get("entries"), list):
         raise SchemaError("manifest must be an object with an 'entries' list")
     name = doc.get("name", "")
     embedder = doc.get("embedder", "")
@@ -205,17 +195,5 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def validate_manifest(manifest: DatasetManifest, store) -> list[str]:
-    """Return ids of entries whose refs do not resolve against the store."""
-    dangling = []
-    for entry in manifest.entries:
-        try:
-            resolvable = entry.ref in store
-        except TypeError:
-            try:
-                store.embed_image(entry.ref)
-                resolvable = True
-            except UnknownKeyError:
-                resolvable = False
-        if not resolvable:
-            dangling.append(entry.id)
-    return dangling
+    """Return ids of entries whose refs are not keys of ``store``."""
+    return [entry.id for entry in manifest.entries if entry.ref not in store]

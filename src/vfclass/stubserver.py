@@ -54,7 +54,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
                 raise ValueError("'inputs' must be a list of strings")
             vectors = [hashed_vector(t, modality, self.dim).tolist() for t in items]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             self._reply(400, {"error": str(exc)})
             return
         self._reply(200, {"dim": self.dim, "vectors": vectors})

@@ -21,7 +21,7 @@ from vfclass.candidates import LexiconTagger
 from vfclass.cli import run
 from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, save_store
 from vfclass.errors import EmptyInputError
-from vfclass.ingestion import ingest_corpus, save_manifest, write_corpus
+from vfclass.ingestion import canonical_jsonl, ingest_corpus, save_manifest, write_corpus
 from vfclass.index import (
     CaptionIndex,
     CaptionRecord,
@@ -534,6 +534,18 @@ class TestMalformedInput:
                     "--embed-url", "http://127.0.0.1:1/"])
         assert_json_error(code, capsys, "empty-input")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("# comment\n\nk=5\nno equals sign\n", "empty-input"),
+        (None, "io-failure"),
+    ], ids=["line-without-equals", "missing-file"])
+    def test_bad_config_file_exits_1(self, world, tmp_path, capsys, text,
+                                     expected):
+        conf = tmp_path / "vfc.conf"
+        if text is not None:
+            conf.write_text(text)
+        code = run(["--config", str(conf), "stats", "--corpus", str(world["corpus"])])
+        assert_json_error(code, capsys, expected)
+
 
 class TestAblate:
     def test_alpha_sweep_rows(self, tmp_path):
@@ -793,3 +805,153 @@ class TestServeStub:
         with pytest.raises(EmptyInputError, match="dim"):
             with running_stub(dim=dim):
                 pass
+
+
+def spoil(src, dst, kind):
+    """Copy ``src`` to ``dst`` with line 2 made not UTF-8 (``"byte"``) or,
+    for JSON, given a 5,000-digit integer (``"long-int"``)."""
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    if kind == "byte":
+        lines[1] = lines[1][:1] + b"\xe9" + lines[1][1:]
+    else:
+        lines[1] = lines[1].rstrip()[:-1] + b', "n": ' + b"1" * 5000 + b"}\n"
+    Path(dst).write_bytes(b"".join(lines))
+    return str(dst)
+
+
+@pytest.fixture(scope="module")
+def inputs(world, built_index):
+    """One clean file per input flag, and the paths the commands need."""
+    root = world["root"]
+    files = {
+        "config": "k=5\nalpha=0.5\n",
+        "stop-words": "the\nof\nand\n",
+        "meta-words": "photo\nimage\n",
+        "lexicon": "dog\tnoun\nrun\tverb\n",
+    }
+    paths = {name: root / f"clean-{name}" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["predictions"] = root / "clean-predictions.jsonl"
+    assert run(["classify", "--index", str(built_index), "--queries",
+                str(world["queries"]), "--embeddings", str(world["store"]),
+                "--out", str(paths["predictions"])]) == 0
+    return {**{k: str(v) for k, v in paths.items()},
+            **{k: str(world[k])
+               for k in ("corpus", "queries", "truths", "store", "manifest")},
+            "index": str(built_index), "root": root}
+
+
+# flag: (the file it names, the command with {bad} for the spoiled copy,
+# the error code); {name} stands for the clean file of that name
+FILE_FLAGS = {
+    "corpus-ingest": ("corpus", "ingest --strict --corpus {bad}",
+                      "schema-violation"),
+    "corpus-build-index": ("corpus", "build-index --strict --corpus {bad} "
+                           "--embeddings {store} --out {root}/spoiled.vfci",
+                           "schema-violation"),
+    "queries": ("queries", "classify --index {index} --queries {bad} "
+                "--embeddings {store}", "schema-violation"),
+    "predictions": ("predictions", "evaluate --predictions {bad} "
+                    "--truths {truths}", "schema-violation"),
+    "truths": ("truths", "evaluate --predictions {predictions} --truths {bad}",
+               "schema-violation"),
+    "manifest": ("manifest", "validate-manifest --manifest {bad} "
+                 "--embeddings {store}", "schema-violation"),
+    "benchmark": ("manifest", "ablate --sweep alpha --values 0.5 --benchmark "
+                  "{bad} --index {index} --embeddings {store}",
+                  "schema-violation"),
+    "config": ("config", "--config {bad} stats --corpus {corpus}",
+               "schema-violation"),
+    "stop-words": ("stop-words", "stats --corpus {corpus} --stop-words {bad}",
+                   "schema-violation"),
+    "meta-words": ("meta-words", "stats --corpus {corpus} --meta-words {bad}",
+                   "schema-violation"),
+    "lexicon": ("lexicon", "stats --corpus {corpus} --lexicon {bad}",
+                "tagger-unavailable"),
+}
+JSON_INPUTS = ("corpus", "queries", "predictions", "truths", "manifest")
+SPOILED = [(flag, kind) for flag, (name, _, _) in FILE_FLAGS.items()
+           for kind in ("byte", "long-int") if kind == "byte" or name in JSON_INPUTS]
+
+
+class TestUndecodableInput:
+    """A line that is not UTF-8, or a JSON integer too long to parse, is one
+    JSON error naming the input and its line, never a traceback."""
+
+    @pytest.mark.parametrize("flag, kind", SPOILED)
+    def test_exits_1_naming_the_line(self, inputs, tmp_path, capsys, flag, kind):
+        name, command, code = FILE_FLAGS[flag]
+        bad = spoil(inputs[name], tmp_path / f"spoiled-{name}", kind)
+        assert run(command.format(bad=bad, **inputs).split()) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == code
+        # a JSON fault the decoder gives no position for is placed at the
+        # line where a multi-line document starts
+        lineno = 1 if (name, kind) == ("manifest", "long-int") else 2
+        assert f"{name} line {lineno}:" in error["message"]
+        reason = "not valid UTF-8" if kind == "byte" else "4300 digits"
+        assert reason in error["message"]
+
+    @pytest.mark.parametrize("kind", ["byte", "long-int"])
+    @pytest.mark.parametrize("command", [
+        "ingest --corpus {bad} --out {root}/kept.jsonl",
+        "build-index --corpus {bad} --embeddings {store} --out {root}/kept.vfci",
+        "stats --corpus {bad} --out {root}/kept.json",
+    ], ids=["ingest", "build-index", "stats"])
+    def test_corpus_line_skipped_without_strict(self, inputs, world, tmp_path,
+                                                caplog, command, kind):
+        bad = spoil(inputs["corpus"], tmp_path / "spoiled.jsonl", kind)
+        argv = command.format(bad=bad, **{**inputs, "root": tmp_path}).split()
+        with caplog.at_level("WARNING"):
+            assert run(argv) == 0
+        assert [m.split(":")[0] for m in caplog.messages] == [
+            "skipping corpus line 2"]
+        kept = world["bench"].records[:1] + world["bench"].records[2:]
+        if argv[0] == "ingest":
+            assert (tmp_path / "kept.jsonl").read_text() == canonical_jsonl(kept)
+        elif argv[0] == "build-index":
+            index = load_index(tmp_path / "kept.vfci")
+            assert [r.id for r in index.records] == sorted(r.id for r in kept)
+        else:
+            stats = json.loads((tmp_path / "kept.json").read_text())
+            assert stats["caption_count"] == len(kept)
+
+    def test_query_beyond_float64_fails_only_its_line(self, inputs, tmp_path):
+        lines = Path(inputs["queries"]).read_text().splitlines()
+        huge = ('{"id": "huge", "embedding": [' + "1" * 401
+                + ", 0" * (16 - 1) + "]}")
+        faulty = tmp_path / "faulty.jsonl"
+        faulty.write_text("\n".join(lines[:3] + [huge] + lines[3:]) + "\n")
+        outs = []
+        for queries in (inputs["queries"], faulty):
+            out = tmp_path / "preds.jsonl"
+            assert run(["classify", "--index", inputs["index"], "--queries",
+                        str(queries), "--embeddings", inputs["store"],
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes().splitlines(keepends=True))
+        clean, mixed = outs
+        error = json.loads(mixed.pop(3))
+        assert (error["id"], error["error"]) == ("huge", "empty-input")
+        assert mixed == clean
+
+    @pytest.mark.parametrize("case", [
+        ("classify --index {index} --queries {bad} --embeddings {store}", 1),
+        ("ingest --corpus {bad} --out {root}/dev.jsonl", 0),
+    ], ids=["raised", "skipped"])
+    def test_dev_mode_reports_no_unclosed_file(self, inputs, tmp_path, case):
+        command, code = case
+        bad = spoil(inputs["queries" if code else "corpus"],
+                    tmp_path / "spoiled", "byte")
+        src = str(Path(vfclass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = command.format(bad=bad, **{**inputs, "root": tmp_path}).split()
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "vfclass", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code
+        [line] = proc.stderr.decode().splitlines()
+        assert "line 2: not valid UTF-8" in line

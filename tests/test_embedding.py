@@ -83,6 +83,14 @@ class TestAsMatrix:
         with pytest.raises(EmptyInputError):
             as_matrix([[1.0, float("inf")]])
 
+    def test_int_beyond_float64_is_non_finite(self):
+        # fails as 1e400 does, not with an OverflowError
+        for value in (10**400, -(10**400)):
+            with pytest.raises(EmptyInputError, match="non-finite"):
+                as_matrix([[1.0, value]])
+            with pytest.raises(EmptyInputError, match="non-finite"):
+                normalize([value, 1.0])
+
     @pytest.mark.parametrize("values", [[[1.0, 0.0]], [], np.ones((3, 2))])
     def test_row_count_checked(self, values):
         with pytest.raises(ProviderUnavailableError,

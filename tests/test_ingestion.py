@@ -223,3 +223,108 @@ class TestManifest:
         out = tmp_path / "m2.json"
         save_manifest(manifest, out)
         assert load_manifest(out) == manifest
+
+
+class TestLineEndings:
+    """Every text reader splits lines as text-mode iteration does: at
+    ``\\n``, ``\\r\\n`` and ``\\r`` only, numbering blank lines too."""
+
+    CORPUS = [json.dumps({"id": "a", "text": "a dog"}),
+              json.dumps({"id": "b", "text": "a cat", "source": "web"})]
+    QUERIES = [json.dumps({"id": "q1", "image_ref": "img/1"}),
+               json.dumps({"id": "q2", "embedding": [0.5, 1]})]
+    TRUTHS = [json.dumps({"id": "q1", "label": "dog"}), "q2\tcat"]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_each_line_ending_reads_the_same_records(self, tmp_path, end):
+        from vfclass.cli import _read_queries
+        from vfclass.evaluation import load_truths
+
+        def write(name, lines):
+            path = tmp_path / name
+            path.write_bytes((end.join(lines) + end).encode("utf-8"))
+            return path
+
+        records = ingest_corpus(write("c.jsonl", self.CORPUS))
+        assert [(r.id, r.text, r.source) for r in records] == [
+            ("a", "a dog", ""), ("b", "a cat", "web")]
+        plain = ingest_corpus(write("c.txt", ["a dog", "a cat"]), fmt="plain")
+        assert [(r.id, r.text) for r in plain] == [
+            ("line-1", "a dog"), ("line-2", "a cat")]
+        assert _read_queries(write("q.jsonl", self.QUERIES)) == [
+            ("q1", "img/1"), ("q2", [0.5, 1])]
+        assert load_truths(write("t.txt", self.TRUTHS)) == {"q1": "dog", "q2": "cat"}
+
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        text = "a dog\u2028on a mat\x85today"
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "u", "text": text},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        [record] = ingest_corpus(path)
+        assert record.text == text
+        plain = tmp_path / "c.txt"
+        plain.write_text(f"{text}\x0cand\x1cmore\n", encoding="utf-8")
+        assert [r.id for r in ingest_corpus(plain, fmt="plain")] == ["line-1"]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, end):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(end.join(["", self.CORPUS[0], "  ", "{bad json", ""])
+                         .encode("utf-8"))
+        with pytest.raises(SchemaError, match="corpus line 4: invalid JSON"):
+            ingest_corpus(path, strict=True)
+        plain = tmp_path / "c.txt"
+        plain.write_bytes(end.join(["", "a dog", "", "", "a cat"]).encode("utf-8"))
+        assert [r.id for r in ingest_corpus(plain, fmt="plain")] == [
+            "line-2", "line-5"]
+
+
+class TestUndecodableLines:
+    def test_bad_line_skipped_and_the_rest_kept(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "a dog"}\n\n'
+                         b'{"id": "b", "text": "caf\xe9"}\n'
+                         b'{"id": "c", "text": "na\xc3\xafve"}\n')
+        with caplog.at_level("WARNING"):
+            records = ingest_corpus(path)
+        assert [(r.id, r.text) for r in records] == [("a", "a dog"), ("c", "naïve")]
+        assert caplog.messages == ["skipping corpus line 3: not valid UTF-8"]
+        with pytest.raises(SchemaError, match="corpus line 3: not valid UTF-8"):
+            ingest_corpus(path, strict=True)
+
+    def test_encoded_surrogate_is_not_utf8(self, tmp_path):
+        # CESU-style bytes for U+D800 decode nowhere in strict UTF-8
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a dog\n\xed\xa0\x80 cat\n")
+        with pytest.raises(SchemaError, match="corpus line 2"):
+            ingest_corpus(path, fmt="plain", strict=True)
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "text": "t", "n": ' + "1" * 5000 + "}",
+        '{"id": "a", "text": "t", "n": ' + "[" * 100_000,
+    ], ids=["5000-digit-int", "deep-nesting"])
+    def test_json_the_decoder_cannot_take_is_a_schema_error(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "b", "text": "ok"}) + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match="corpus line 2: invalid JSON"):
+            ingest_corpus(path, strict=True)
+        assert [r.id for r in ingest_corpus(path)] == ["b"]
+
+    def test_manifest_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest_doc(), indent=2) + "\n")
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if b'"q2"' in line)
+        lines[at] = lines[at].replace(b"q2", b"q\xe92")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SchemaError,
+                           match=f"manifest line {at + 1}: not valid UTF-8"):
+            load_manifest(path)
+
+    def test_manifest_json_error_keeps_the_file_line_number(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"name": "x",\n\n\n  "entries": [}\n')
+        with pytest.raises(SchemaError, match=r"manifest line 1: invalid JSON "
+                                              r"\(Expecting value: line 4"):
+            load_manifest(path)

@@ -106,6 +106,15 @@ class TestRemoteClient:
         assert resp.status_code == 400
         assert "error" in resp.json()
 
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000,
+        b'{"inputs": ' + b"1" * 5000 + b"}",
+    ], ids=["deep-nesting", "5000-digit-int"])
+    def test_stub_rejects_json_it_cannot_decode(self, stub_url, body):
+        resp = requests.post(stub_url, data=body, timeout=5)
+        assert resp.status_code == 400
+        assert "error" in resp.json()
+
     def test_vectors_quantized_to_storage_precision(self, stub_url):
         client = RemoteEmbeddingClient(stub_url)
         [vec] = client.embed_texts(["quantized"])

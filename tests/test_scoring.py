@@ -364,6 +364,29 @@ class TestClassifyBatch:
             assert item.prediction.label == classify(
                 query, index, store, tagger, ClassifierConfig(k=4)).label
 
+    def test_image_vector_beyond_float64_fails_only_its_query(self, tagger):
+        # 10**400 has no float64 value: it must fail like 1e400, not raise
+        # OverflowError out of the batch
+        index, store, queries = self.world()
+        store.add("img/ok", np.eye(4)[0])
+
+        class HugeImageProvider:
+            dim = store.dim
+            embed_texts = staticmethod(store.embed_texts)
+
+            def embed_images(self, refs):
+                return [[10**400, 0, 0, 0] if ref == "img/huge"
+                        else store.embed_image(ref).tolist() for ref in refs]
+
+        mixed = [("before", "img/ok"), ("huge", "img/huge"), ("after", "img/ok")]
+        results = classify_batch(mixed, index, HugeImageProvider(), tagger,
+                                 ClassifierConfig(k=4))
+        assert [r.error_code for r in results] == [None, "empty-input", None]
+        assert "non-finite" in results[1].error
+        expected = classify("img/ok", index, store, tagger, ClassifierConfig(k=4))
+        for item in results[::2]:
+            assert item.prediction == expected
+
 
     def test_provider_fault_fails_only_its_query(self, tagger):
         index, store, queries = self.world()
