@@ -12,7 +12,6 @@ from .candidates import (
     FilterConfig,
     LexiconTagger,
     extract_candidates,
-    filter_candidates,
     pos_tag,
     remove_noise,
     singularize,
@@ -106,7 +105,6 @@ __all__ = [
     "evaluate_predictions",
     "exact_topk",
     "extract_candidates",
-    "filter_candidates",
     "fuse",
     "ground_to_vocabulary",
     "hashed_vector",

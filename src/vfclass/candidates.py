@@ -9,7 +9,8 @@ Three stages run in sequence, each independently switchable for ablation:
 2. standardization: lowercase and map plurals to singular via a fixed
    rule table, so surface variants collapse to one name.
 3. filtering: keep only allowed part-of-speech categories and drop names
-   occurring fewer than ``min_count`` times.
+   occurring fewer than ``min_count`` times. If that drops every name,
+   the most frequent one (the lowest on a tie) is kept as a fallback.
 
 Stages 1-2 are :func:`caption_tokens`, a pure function of one caption's
 text and the settings :func:`token_settings` names, and stage 3 is
@@ -193,10 +194,12 @@ class FilterConfig:
 
 @dataclass
 class CandidateSet:
-    """Candidate names with occurrence counts and contributing caption ids."""
+    """Candidate names with occurrence counts and contributing caption ids,
+    or stage 3's one ``fallback`` name when its threshold keeps none."""
 
     entries: dict[str, int]
     provenance: list[str] = field(default_factory=list)
+    fallback: bool = False
 
     def names(self) -> list[str]:
         return sorted(self.entries)
@@ -339,29 +342,6 @@ class PosTags(dict):
         return category
 
 
-def _pos_and_count_filter(
-    tokens, tags, config: FilterConfig
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Stage 3 on a token list: keep allowed POS categories (``tags`` maps a
-    token to its category), then threshold.
-
-    Returns the names at or above ``min_count`` and the counts before it.
-    """
-    counts = {t: n for t, n in Counter(tokens).items()
-              if tags[t] in config.allowed_pos}
-    entries = {name: n for name, n in counts.items() if n >= config.min_count}
-    return entries, counts
-
-
-def filter_candidates(
-    tokens: list[str], tagger, config: FilterConfig | None = None
-) -> CandidateSet:
-    """Stage 3: keep allowed POS categories, then apply the count threshold."""
-    entries, _ = _pos_and_count_filter(
-        tokens, PosTags(tagger), config or FilterConfig())
-    return CandidateSet(dict(sorted(entries.items())))
-
-
 def token_settings(config: FilterConfig) -> tuple:
     """The settings stages 1-2 read, as a hashable key: configs with equal
     settings give every caption the same tokens."""
@@ -383,25 +363,22 @@ def select_candidates(per_caption, tags, config: FilterConfig) -> CandidateSet:
     """Stage 3 over ``(caption id, tokens)`` pairs; ``tags`` maps a token to
     its POS category and is read only when the filter stage is on.
 
-    Raises :class:`EmptyCandidateSetError` when nothing survives; the error
-    carries the pre-threshold counts so callers can fall back.
+    If the threshold leaves nothing, the set is the lowest name among the
+    highest counts before it, flagged ``fallback``. Raises
+    :class:`EmptyCandidateSetError` when no token gets that far.
     """
-    all_tokens = [t for _, toks in per_caption for t in toks]
+    counts = entries = Counter([t for _, toks in per_caption for t in toks])
     if config.apply_filter:
-        entries, counts = _pos_and_count_filter(all_tokens, tags, config)
-        if not entries:
-            raise EmptyCandidateSetError(
-                "no candidate survived filtering", surviving=dict(counts)
-            )
-    else:
-        entries = dict(Counter(all_tokens))
-        if not entries:
-            raise EmptyCandidateSetError("captions yielded no tokens")
-
-    provenance = [
-        cid for cid, toks in per_caption if any(t in entries for t in toks)
-    ]
-    return CandidateSet(dict(sorted(entries.items())), provenance)
+        counts = {t: n for t, n in counts.items() if tags[t] in config.allowed_pos}
+        entries = {t: n for t, n in counts.items() if n >= config.min_count}
+    if not counts:
+        raise EmptyCandidateSetError(
+            "no candidate survived filtering" if config.apply_filter
+            else "captions yielded no tokens")
+    if fallback := not entries:
+        entries = dict([min(counts.items(), key=lambda kv: (-kv[1], kv[0]))])
+    provenance = [cid for cid, toks in per_caption if any(t in entries for t in toks)]
+    return CandidateSet(dict(sorted(entries.items())), provenance, fallback)
 
 
 def extract_candidates(

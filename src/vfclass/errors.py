@@ -61,17 +61,10 @@ class TaggerUnavailableError(VfcError):
 
 
 class EmptyCandidateSetError(VfcError):
-    """All tokens were filtered away before a candidate could be formed.
-
-    ``surviving`` holds the occurrence counts observed before the min-count
-    threshold was applied, so callers can implement a fallback label.
-    """
+    """No token got through stages 1-2 and the part-of-speech filter, so
+    stage 3 has neither a candidate nor a fallback name."""
 
     code = "empty-candidate-set"
-
-    def __init__(self, message: str, surviving: dict[str, int] | None = None):
-        super().__init__(message)
-        self.surviving = dict(surviving or {})
 
 
 class MissingTruthError(VfcError):

@@ -225,6 +225,8 @@ def build_index(
         )
     if not is_count(seed, low=0):
         raise EmptyInputError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(dedup, bool):
+        raise EmptyInputError(f"dedup must be True or False, got {dedup!r}")
     records = list(records)
     if not records:
         raise EmptyCorpusError("cannot build an index from an empty corpus")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -32,6 +34,8 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
     """
     if fmt not in ("jsonl", "plain"):
         raise EmptyInputError(f"unknown corpus format {fmt!r}")
+    if not isinstance(strict, bool):
+        raise EmptyInputError(f"strict must be True or False, got {strict!r}")
     skip = None if strict else partial(log.warning, "skipping %s")
     records: list[CaptionRecord] = []
     for lineno, line in text_lines(path, "corpus", skip):
@@ -44,11 +48,28 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
     return records
 
 
-def json_object(line: str, what: str, lineno: int) -> dict:
-    """Parse ``line``, JSON that must hold an object, from ``what`` line ``lineno``."""
+# a JSON string or number token, so a number inside a string is not one
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
+
+
+def _long_int_at(text: str) -> int:
+    """Offset in ``text`` of the first JSON integer with more digits than
+    ``int`` converts from a string (``json`` gives no position for it)."""
+    limit = sys.get_int_max_str_digits()
+    return next((t.start() for t in _JSON_TOKEN.finditer(text)
+                 if (digits := t[0].lstrip("-")).isdigit() and len(digits) > limit), 0)
+
+
+def json_object(text: str, what: str, lineno: int) -> dict:
+    """Parse ``text``, JSON that must hold an object, from ``what`` line
+    ``lineno``, the line of its first non-blank character. A fault is named
+    at that line, an over-long integer at its own."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
+        if type(exc) is ValueError:  # an integer over the digit limit
+            start = len(text) - len(text.lstrip())
+            lineno += text.count("\n", start, _long_int_at(text))
         raise SchemaError(f"{what} line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} line {lineno}: expected a JSON object")

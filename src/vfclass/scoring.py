@@ -40,7 +40,6 @@ from .candidates import (
 from .embedding import as_matrix, as_vector, embed_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
-    EmptyCandidateSetError,
     EmptyInputError,
     VfcError,
     ZeroVectorError,
@@ -76,18 +75,20 @@ class ClassifierConfig:
         check_probes(self.probes)
         if not isinstance(self.filter, FilterConfig):
             raise EmptyInputError(f"filter must be a FilterConfig, got {self.filter!r}")
-        if self.prompt_template and not _fills_one_name(self.prompt_template):
+        template = self.prompt_template
+        if not isinstance(template, str) or (template and not _fills_one_name(template)):
             raise EmptyInputError(
                 "prompt_template must be a string with one {} placeholder, "
-                f"got {self.prompt_template!r}"
+                f"got {template!r}"
             )
 
 
-def _fills_one_name(template) -> bool:
+def _fills_one_name(template: str) -> bool:
     try:
-        return "{}" in template and isinstance(template.format("name"), str)
+        template.format("name")
     except (AttributeError, TypeError, IndexError, KeyError, ValueError):
         return False
+    return "{}" in template
 
 
 @dataclass
@@ -210,17 +211,9 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
 
     def stage(image_vec):
         hits = retrieve_topk(index, image_vec, config.k, config.probes)
-        fallback = False
-        try:
-            names = select_candidates(
-                [(h.record.id, tokens(h)) for h in hits], tags, config.filter
-            ).names()
-        except EmptyCandidateSetError as err:
-            if not err.surviving:
-                raise
-            names = [min(err.surviving.items(), key=lambda kv: (-kv[1], kv[0]))[0]]
-            fallback = True
-        return image_vec, hits, names, fallback
+        cands = select_candidates(
+            [(h.record.id, tokens(h)) for h in hits], tags, config.filter)
+        return image_vec, hits, cands.names(), cands.fallback
 
     def score(cand_vecs, image_vec, hits, names, fallback):
         centroid = caption_centroid(index.vectors[[h.row for h in hits]])

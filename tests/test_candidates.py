@@ -8,10 +8,11 @@ from vfclass.candidates import (
     caption_tokens,
     default_meta_words,
     default_stop_words,
+    PosTags,
     extract_candidates,
-    filter_candidates,
     pos_tag,
     remove_noise,
+    select_candidates,
     singularize,
     standardize,
     token_settings,
@@ -130,21 +131,31 @@ class TestPosTag:
             pos_tag("", tagger)
 
 
-class TestFilterCandidates:
+def select(tokens, tagger, config=None):
+    """Stage 3 over one caption's ``tokens``."""
+    return select_candidates([("c1", tokens)], PosTags(tagger),
+                             config or FilterConfig())
+
+
+class TestSelectCandidates:
     def test_count_rule_removes_singletons(self, tagger):
         config = FilterConfig(allowed_pos=frozenset({"noun"}))
-        result = filter_candidates(["running", "dog", "dog"], tagger, config)
+        result = select(["running", "dog", "dog"], tagger, config)
         assert result.entries == {"dog": 2}
+        assert not result.fallback
 
     def test_pos_rule_removes_adjectives_when_nouns_only(self, tagger):
         config = FilterConfig(allowed_pos=frozenset({"noun"}))
-        result = filter_candidates(["blue", "blue", "sky", "sky"], tagger, config)
+        result = select(["blue", "blue", "sky", "sky"], tagger, config)
         assert result.entries == {"sky": 2}
 
-    def test_empty_tokens_give_empty_set(self, tagger):
-        result = filter_candidates([], tagger)
-        assert result.entries == {}
-        assert len(result) == 0
+    def test_empty_tokens_raise(self, tagger):
+        with pytest.raises(EmptyCandidateSetError,
+                           match="no candidate survived filtering"):
+            select([], tagger)
+        with pytest.raises(EmptyCandidateSetError,
+                           match="captions yielded no tokens"):
+            select([], tagger, FilterConfig.for_stages("none"))
 
     def test_each_distinct_token_tagged_once(self):
         calls = []
@@ -155,9 +166,29 @@ class TestFilterCandidates:
                 return super().tag(word)
 
         tokens = ["dog", "red", "dog", "cat", "dog", "cat"]
-        result = filter_candidates(tokens, CountingTagger())
+        result = select(tokens, CountingTagger())
         assert sorted(calls) == ["cat", "dog", "red"]
         assert result.entries == {"cat": 2, "dog": 3}
+
+    def test_tie_falls_back_to_the_lowest_name(self, tagger):
+        result = select(["zebra", "aardvark", "mole"], tagger)
+        assert (result.entries, result.fallback) == ({"aardvark": 1}, True)
+
+    def test_higher_count_beats_a_lower_name(self, tagger):
+        result = select(["zebra", "zebra", "aardvark"], tagger,
+                        FilterConfig(min_count=3))
+        assert (result.entries, result.fallback) == ({"zebra": 2}, True)
+
+    def test_fallback_counts_only_what_the_pos_filter_kept(self, tagger):
+        result = select(["running", "running", "running", "dog"], tagger,
+                        FilterConfig(min_count=5))
+        assert (result.entries, result.fallback) == ({"dog": 1}, True)
+
+    def test_no_fallback_without_the_filter_stage(self, tagger):
+        result = select(["zebra", "aardvark"], tagger,
+                        FilterConfig(apply_filter=False, min_count=5))
+        assert (result.entries, result.fallback) == (
+            {"aardvark": 1, "zebra": 1}, False)
 
 
 def caption(text, rid="c1"):
@@ -181,12 +212,14 @@ class TestExtractCandidates:
         result = extract_candidates(caps, tagger)
         assert result.entries == {"dog": 7, "spotted": 7}
 
-    def test_error_carries_pre_threshold_counts(self, tagger):
-        caps = [caption("a spotted cassowary", "c1")]
-        with pytest.raises(EmptyCandidateSetError) as excinfo:
-            extract_candidates(caps, tagger)
-        # both words survive POS but fail min_count=2
-        assert excinfo.value.surviving == {"cassowary": 1, "spotted": 1}
+    def test_threshold_leaving_nothing_falls_back(self, tagger):
+        caps = [caption("a spotted cassowary", "c1"), caption("of the", "c2")]
+        result = extract_candidates(caps, tagger)
+        # both words survive POS but fail min_count=2; the tie goes to the
+        # lowest name
+        assert result.entries == {"cassowary": 1}
+        assert result.fallback
+        assert result.provenance == ["c1"]
 
     def test_output_names_are_clean(self, tagger):
         caps = [

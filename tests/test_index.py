@@ -247,6 +247,13 @@ class TestBuildIndex:
         index = build_index(records, store, dedup=True)
         assert [r.id for r in index.records] == ["a", "c"]
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_dedup_must_be_a_bool(self, value):
+        store = PrecomputedStore(2)
+        store.add("a", [1.0, 0.0])
+        with pytest.raises(EmptyInputError, match="dedup"):
+            build_index([CaptionRecord("a", "text")], store, dedup=value)
+
     def test_insertion_order_irrelevant(self):
         rng = np.random.default_rng(12)
         records, store = random_corpus(rng, 200, 8)

@@ -72,6 +72,13 @@ class TestIngestCorpus:
         with pytest.raises(EmptyInputError):
             ingest_corpus(path, fmt="xml")
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_strict_must_be_a_bool(self, tmp_path, value):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": "fine"}) + "\n")
+        with pytest.raises(EmptyInputError, match="strict"):
+            ingest_corpus(path, strict=value)
+
     def test_canonical_roundtrip_byte_exact(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [
@@ -327,4 +334,14 @@ class TestUndecodableLines:
         path.write_text('{"name": "x",\n\n\n  "entries": [}\n')
         with pytest.raises(SchemaError, match=r"manifest line 1: invalid JSON "
                                               r"\(Expecting value: line 4"):
+            load_manifest(path)
+
+    def test_manifest_long_int_is_named_at_its_own_line(self, tmp_path):
+        # the digits of a string and of a fraction come first and are not it
+        path = tmp_path / "m.json"
+        path.write_text("\n".join([
+            "", "", "{", f'  "note": "{"9" * 5000}",', f'  "ratio": 0.{"5" * 5000},',
+            f'  "n": -{"1" * 5000},', '  "entries": []', "}", ""]))
+        with pytest.raises(SchemaError, match=r"manifest line 6: invalid JSON "
+                                              r"\(Exceeds the limit"):
             load_manifest(path)

@@ -171,6 +171,8 @@ class TestClassifierConfig:
         ("probes", "abc"), ("probes", True), ("probes", 2.7), ("probes", 0),
         ("prompt_template", "a {} and {}"), ("prompt_template", "a {x} {}"),
         ("prompt_template", 5), ("filter", None), ("filter", {"min_count": 1}),
+        ("prompt_template", None), ("prompt_template", 0),
+        ("prompt_template", False), ("prompt_template", []),
     ])
     def test_bad_value_is_rejected(self, name, value):
         with pytest.raises(EmptyInputError, match=name):
@@ -545,6 +547,14 @@ class TestBatchPath:
                 assert item.prediction == want
         assert 0 < failed < len(queries)
 
+    def test_batch_mixing_fallbacks_equals_single_calls(self, noisy_bench, index,
+                                                        tagger):
+        queries, store = noisy_bench.queries, noisy_bench.store
+        config = ClassifierConfig(k=3, filter=FilterConfig(min_count=5))
+        items = classify_batch(queries, index, store, tagger, config)
+        assert {item.prediction.fallback for item in items} == {False, True}
+        same_as_alone(items, queries, index, store, tagger, config)
+
     def test_empty_batch(self, noisy_bench, index, tagger):
         provider = CountingStore(noisy_bench.store)
         assert classify_batch([], index, provider, tagger) == []
@@ -833,7 +843,7 @@ class TestTokenMemo:
         assert len(index.row_tokens) == 2
         for item in warm:
             pred = item.prediction
-            if pred is not None and not pred.fallback:
+            if pred is not None:
                 names = extract_candidates(
                     [h.record for h in pred.retrieved], tagger, other).names()
                 assert sorted(b.candidate for b in pred.ranked) == names
