@@ -65,11 +65,9 @@ from .scoring import (
     ClassifierConfig,
     Prediction,
     ScoreBreakdown,
-    caption_centroid,
     classify,
     classify_batch,
     fuse,
-    visual_scores,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +94,6 @@ __all__ = [
     "aggregate_reports",
     "build_index",
     "canonical_jsonl",
-    "caption_centroid",
     "classify",
     "classify_batch",
     "cluster_accuracy",
@@ -125,6 +122,5 @@ __all__ = [
     "singularize",
     "standardize",
     "validate_manifest",
-    "visual_scores",
     "write_corpus",
 ]

@@ -10,8 +10,8 @@ machine-readable JSON error on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
 import logging
 import math
@@ -23,11 +23,12 @@ from . import benchmark as bench_mod
 from .candidates import FilterConfig, LexiconTagger, load_word_list
 from .embedding import (
     HashEmbedder,
-    PrecomputedStore,
     RemoteEmbeddingClient,
     is_count,
     is_real,
+    load_store,
     text_lines,
+    write_file,
 )
 from .errors import EmptyInputError, SchemaError, VfcError
 from .evaluation import (
@@ -135,20 +136,18 @@ def _parse_probes(value: str):
     return value if value == "all" else _parse_count(value, "'all' or an integer >= 1")
 
 
-@contextlib.contextmanager
-def _output(path):
-    """Stdout for ``-`` (or no path), else the file, closed afterwards."""
-    if path is None or path == "-":
-        yield sys.stdout
+def _output(path, text: str) -> None:
+    """Write ``text`` to stdout for ``-``, else to the file at ``path``."""
+    if path == "-":
+        sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        write_file(path, text)
 
 
 def _provider(args, file_conf):
     embed_url = resolve_option("embed_url", args.embed_url, file_conf)
     if args.embeddings:
-        return PrecomputedStore.load(args.embeddings)
+        return load_store(args.embeddings)
     if embed_url:
         timeout = resolve_option("embed_timeout", args.embed_timeout, file_conf,
                                  cast=_parse_timeout)
@@ -211,8 +210,7 @@ def _prediction_json(item) -> dict:
 
 def _cmd_ingest(args, file_conf) -> int:
     records = ingest_corpus(args.corpus, strict=args.strict, **_given(fmt=args.format))
-    with _output(args.out) as handle:
-        handle.write(canonical_jsonl(records))
+    _output(args.out, canonical_jsonl(records))
     log.info("ingested %d records", len(records))
     return 0
 
@@ -220,9 +218,7 @@ def _cmd_ingest(args, file_conf) -> int:
 def _cmd_stats(args, file_conf) -> int:
     records = ingest_corpus(args.corpus, **_given(fmt=args.format))
     stats = corpus_stats(records, _tagger(args), _filter_config(args))
-    with _output(args.out) as handle:
-        json.dump(stats.to_dict(), handle, indent=2)
-        handle.write("\n")
+    _output(args.out, json.dumps(stats.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -278,10 +274,8 @@ def _cmd_classify(args, file_conf) -> int:
     config = _classifier_config(args, file_conf)
     queries = _read_queries(args.queries)
     results = classify_batch(queries, index, provider, _tagger(args), config)
-    with _output(args.out) as handle:
-        for item in results:
-            handle.write(json.dumps(_prediction_json(item), ensure_ascii=False))
-            handle.write("\n")
+    _output(args.out, "".join(json.dumps(_prediction_json(item), ensure_ascii=False)
+                              + "\n" for item in results))
     failures = sum(1 for r in results if r.error is not None)
     log.info("classified %d queries (%d failures)", len(results), failures)
     return 0
@@ -299,12 +293,9 @@ def _cmd_evaluate(args, file_conf) -> int:
     labeled = join_predictions(pairs, truths)
     report = evaluate_predictions(labeled, _make_eval_embedder(args, file_conf),
                                   **_given(mode=args.mode))
-    with _output(args.out) as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")
+    _output(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        write_file(args.csv, report.to_csv())
     return 0
 
 
@@ -422,24 +413,24 @@ def _cmd_ablate(args, file_conf) -> int:
         ),
     )
     rows = _sweep_rows(spec, args, file_conf)
-    with _output(args.out) as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=["sweep", "value", "cluster_accuracy",
-                        "semantic_similarity", "semantic_iou", "samples"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf,
+        fieldnames=["sweep", "value", "cluster_accuracy",
+                    "semantic_similarity", "semantic_iou", "samples"],
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    _output(args.out, buf.getvalue())
     return 0
 
 
 def _cmd_validate_manifest(args, file_conf) -> int:
     manifest = load_manifest(args.manifest)
-    store = PrecomputedStore.load(args.embeddings)
+    store = load_store(args.embeddings)
     dangling = validate_manifest(manifest, store)
-    json.dump({"entries": len(manifest.entries), "dangling": dangling},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps({"entries": len(manifest.entries),
+                                 "dangling": dangling}, indent=2) + "\n")
     return 0 if not dangling else 1
 
 

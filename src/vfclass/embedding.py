@@ -14,6 +14,7 @@ provider. Two providers are shipped:
   vision-language model's do. Image refs are sent on every call.
 
 Vectors are stored at float32; all similarity math runs at float64.
+Every file the package writes goes through :func:`write_file`.
 """
 
 from __future__ import annotations
@@ -216,8 +217,6 @@ class PrecomputedStore:
     ``embed_images`` and ``embed_image`` resolve refs the same way.
     """
 
-    kind = "precomputed-store"
-
     def __init__(self, dim: int, identity: str = "precomputed"):
         if not is_count(dim):
             raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
@@ -294,13 +293,6 @@ class PrecomputedStore:
             [rid if rid in self._rows else text for rid, text in zip(ids, texts)]
         )
 
-    def save(self, path) -> None:
-        save_store(self, path)
-
-    @classmethod
-    def load(cls, path, identity: str | None = None) -> "PrecomputedStore":
-        return load_store(path, identity=identity)
-
 
 def pack_string(value: str) -> bytes:
     """A u32 LE byte length followed by the UTF-8 bytes of ``value``."""
@@ -318,15 +310,21 @@ def store_payload(dim: int, rows: np.ndarray, keys: Sequence[str]) -> bytes:
     return b"".join(parts)
 
 
-@contextlib.contextmanager
-def replacing_file(path):
-    """Open a new file beside ``path`` for binary writing; it is synced to
-    disk and replaces ``path`` only when the block completes, so a failed
-    save leaves the previous file as it was and no partial file behind."""
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+def write_file(path, *parts) -> None:
+    """Write ``parts`` (``bytes``, or ``str`` as UTF-8) to a new file beside
+    ``path``, sync it and let it replace ``path`` (a symlink's target), so a
+    failed write leaves the old file and no partial one. A path that is not
+    a regular file, such as a pipe or ``/dev/stdout``, is written in place."""
+    encoded = (p.encode("utf-8") if isinstance(p, str) else p for p in parts)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(encoded)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            yield fh
+            fh.writelines(encoded)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -357,8 +355,7 @@ def text_lines(path, what: str, skip=None):
 
 
 def save_store(store: PrecomputedStore, path) -> None:
-    with replacing_file(path) as fh:
-        fh.write(store_payload(store.dim, store._materialize(), store.keys()))
+    write_file(path, store_payload(store.dim, store._materialize(), store.keys()))
 
 
 class _Reader:
@@ -450,8 +447,6 @@ class RemoteEmbeddingClient:
     are not cached: a ref names content the client cannot see.
     """
 
-    kind = "remote-service"
-
     def __init__(
         self,
         base_url: str,
@@ -536,8 +531,6 @@ class HashEmbedder:
     Identical inputs always map to identical vectors, which makes it the
     deterministic default for text-similarity scoring without a service.
     """
-
-    kind = "hash"
 
     def __init__(self, dim: int = 64):
         if not is_count(dim):

@@ -51,9 +51,9 @@ from .embedding import (
     normalize,
     pack_string,
     read_store_payload,
-    replacing_file,
     row_norms,
     store_payload,
+    write_file,
 )
 from .errors import (
     CorruptFileError,
@@ -395,11 +395,9 @@ def _index_body(index: CaptionIndex) -> bytes:
 def save_index(index: CaptionIndex, path) -> None:
     """Write the ``VFCI`` file: magic, version, body, trailing CRC32."""
     body = _index_body(index)
-    with replacing_file(path) as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<I", INDEX_VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", body_crc(body)))
+    # the parts go out one by one: joining them would copy the whole body
+    write_file(path, INDEX_MAGIC, struct.pack("<I", INDEX_VERSION), body,
+               struct.pack("<I", body_crc(body)))
 
 
 def load_index(path) -> CaptionIndex:

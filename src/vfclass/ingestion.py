@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .candidates import FilterConfig, POS_CATEGORIES, pos_tag, remove_noise, standardize
-from .embedding import text_lines
+from .embedding import text_lines, write_file
 from .errors import EmptyInputError, SchemaError
 from .index import CaptionRecord
 
@@ -50,29 +50,46 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
 
 # a JSON string or number token, so a number inside a string is not one
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
+_SURROGATE = re.compile("[\ud800-\udfff]")  # left by a \\u escape that is not a pair
 
 
-def _long_int_at(text: str) -> int:
-    """Offset in ``text`` of the first JSON integer with more digits than
-    ``int`` converts from a string (``json`` gives no position for it)."""
-    limit = sys.get_int_max_str_digits()
-    return next((t.start() for t in _JSON_TOKEN.finditer(text)
-                 if (digits := t[0].lstrip("-")).isdigit() and len(digits) > limit), 0)
+def _long_int(token: str) -> bool:
+    """A JSON integer with more digits than ``int`` converts from a string
+    (``json`` gives no position for it)."""
+    digits = token.lstrip("-")
+    return digits.isdigit() and len(digits) > sys.get_int_max_str_digits()
+
+
+def _lone_surrogate(token: str) -> bool:
+    """A JSON string whose escapes decode to a lone surrogate."""
+    return token[0] == '"' and bool(_SURROGATE.search(json.loads(token)))
+
+
+def _line_of(text: str, lineno: int, bad) -> int:
+    """The line of the first JSON token in ``text`` that is ``bad``, or 0;
+    ``lineno`` is the line of the first non-blank character of ``text``."""
+    at = next((t.start() for t in _JSON_TOKEN.finditer(text) if bad(t[0])), None)
+    start = len(text) - len(text.lstrip())
+    return 0 if at is None else lineno + text.count("\n", start, at)
 
 
 def json_object(text: str, what: str, lineno: int) -> dict:
     """Parse ``text``, JSON that must hold an object, from ``what`` line
     ``lineno``, the line of its first non-blank character. A fault is named
-    at that line, an over-long integer at its own."""
+    at that line; an over-long integer, or a string that decodes to a lone
+    surrogate, at its own."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         if type(exc) is ValueError:  # an integer over the digit limit
-            start = len(text) - len(text.lstrip())
-            lineno += text.count("\n", start, _long_int_at(text))
+            lineno = _line_of(text, lineno, _long_int) or lineno
         raise SchemaError(f"{what} line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} line {lineno}: expected a JSON object")
+    # only an escape decodes to a surrogate: valid UTF-8 text holds none
+    if "\\u" in text and (bad := _line_of(text, lineno, _lone_surrogate)):
+        raise SchemaError(f"{what} line {bad}: a \\u escape decodes to a lone "
+                          "surrogate, which is not valid UTF-8")
     return obj
 
 
@@ -106,8 +123,7 @@ def canonical_jsonl(records) -> str:
 
 
 def write_corpus(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_jsonl(records))
+    write_file(path, canonical_jsonl(records))
 
 
 @dataclass
@@ -210,9 +226,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             for e in manifest.entries
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_file(path, json.dumps(doc, ensure_ascii=False, indent=2), "\n")
 
 
 def validate_manifest(manifest: DatasetManifest, store) -> list[str]:

@@ -19,7 +19,10 @@ distinct token per batch (:class:`~vfclass.candidates.PosTags`), and
 nothing it answers outlives the call. The batch's distinct candidate texts
 are embedded together in the same way, and each query is scored from its
 own rows in its own candidate order, so a prediction does not depend on
-the batch it arrives in. Each query has one slot: its prediction, or the
+the batch it arrives in. The provider loop has already checked every row
+(:func:`~vfclass.embedding._embed_chunks`), so scoring checks only that the
+candidate dim is the image dim, takes the candidate norms once, and computes
+both cosines from them. Each query has one slot: its prediction, or the
 error that classifying it alone raises. A failed provider call is retried on
 each half of its queries, down to one query, which sends what a batch of one does.
 """
@@ -37,7 +40,7 @@ from .candidates import (
     select_candidates,
     token_settings,
 )
-from .embedding import as_matrix, as_vector, embed_rows, is_count, is_real
+from .embedding import as_vector, embed_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -109,23 +112,12 @@ class BatchItem:
     error_code: str | None = None
 
 
-def visual_scores(image_vec, candidate_vecs) -> list[float]:
-    """Cosine of the image vector or caption centroid against each candidate."""
-    matrix = as_matrix(candidate_vecs, "candidate vectors")
-    query = as_vector(image_vec, "image vector")
-    if query.shape[0] != matrix.shape[1]:
-        raise DimensionMismatchError(
-            f"image dim {query.shape[0]} != candidate dim {matrix.shape[1]}"
-        )
-    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query)
-    if not norms.all():
+def _cosines(rows: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> list[float]:
+    """Cosine of ``vec`` against each of ``rows``, whose norms are ``norms``."""
+    scale = norms * np.linalg.norm(vec)
+    if not scale.all():
         raise ZeroVectorError("cosine similarity undefined for zero vectors")
-    return np.clip(matrix @ query / norms, -1.0, 1.0).tolist()
-
-
-def caption_centroid(caption_vecs) -> np.ndarray:
-    """Arithmetic mean of the retrieved-caption embeddings (not re-normalized)."""
-    return as_matrix(caption_vecs, "caption vectors").mean(axis=0)
+    return np.clip(rows @ vec / scale, -1.0, 1.0).tolist()
 
 
 def softmax(values) -> np.ndarray:
@@ -216,9 +208,15 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
         return image_vec, hits, cands.names(), cands.fallback
 
     def score(cand_vecs, image_vec, hits, names, fallback):
-        centroid = caption_centroid(index.vectors[[h.row for h in hits]])
-        vis = visual_scores(image_vec, cand_vecs)
-        tex = visual_scores(centroid, cand_vecs)
+        if cand_vecs.shape[1] != image_vec.shape[0]:
+            raise DimensionMismatchError(
+                f"image dim {image_vec.shape[0]} != candidate dim {cand_vecs.shape[1]}"
+            )
+        norms = np.linalg.norm(cand_vecs, axis=1)
+        # the retrieved captions' mean, not re-normalized
+        centroid = index.vectors[[h.row for h in hits]].astype(np.float64).mean(axis=0)
+        vis = _cosines(cand_vecs, norms, image_vec)
+        tex = _cosines(cand_vecs, norms, centroid)
         fused = fuse(vis, tex, config.alpha)
         ranked = sorted(map(ScoreBreakdown, names, vis, tex, fused),
                         key=lambda b: (-b.fused, b.candidate))

@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import errno
 import inspect
 import io
 import json
 import os
 import socket
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from vfclass import cli
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.candidates import LexiconTagger
 from vfclass.cli import run
-from vfclass.embedding import PrecomputedStore, RemoteEmbeddingClient, save_store
+from vfclass.embedding import RemoteEmbeddingClient, load_store, save_store
 from vfclass.errors import EmptyInputError
 from vfclass.ingestion import canonical_jsonl, ingest_corpus, save_manifest, write_corpus
 from vfclass.index import (
@@ -173,7 +176,7 @@ class TestBuildIndex:
         seed = {} if env_seed is None else {"seed": int(env_seed)}
         library = tmp_path / "library.vfci"
         save_index(build_index(ingest_corpus(world["corpus"]),
-                               PrecomputedStore.load(world["store"]),
+                               load_store(world["store"]),
                                structure="partitioned", **seed), library)
         assert out.read_bytes() == library.read_bytes()
 
@@ -816,12 +819,16 @@ class TestServeStub:
 
 def spoil(src, dst, kind):
     """Copy ``src`` to ``dst`` with line 2 made not UTF-8 (``"byte"``) or,
-    for JSON, given a 5,000-digit integer (``"long-int"``)."""
+    for JSON, given a 5,000-digit integer (``"long-int"``) or a first string
+    value that starts with the escape of a lone surrogate
+    (``"lone-surrogate"``)."""
     lines = Path(src).read_bytes().splitlines(keepends=True)
     if kind == "byte":
         lines[1] = lines[1][:1] + b"\xe9" + lines[1][1:]
-    else:
+    elif kind == "long-int":
         lines[1] = lines[1].rstrip()[:-1] + b', "n": ' + b"1" * 5000 + b"}\n"
+    else:
+        lines[1] = lines[1].replace(b'": "', b'": "\\ud800', 1)
     Path(dst).write_bytes(b"".join(lines))
     return str(dst)
 
@@ -878,13 +885,16 @@ FILE_FLAGS = {
                 "tagger-unavailable"),
 }
 JSON_INPUTS = ("corpus", "queries", "predictions", "truths", "manifest")
+REASONS = {"byte": "not valid UTF-8", "long-int": "4300 digits",
+           "lone-surrogate": "lone surrogate, which is not valid UTF-8"}
 SPOILED = [(flag, kind) for flag, (name, _, _) in FILE_FLAGS.items()
-           for kind in ("byte", "long-int") if kind == "byte" or name in JSON_INPUTS]
+           for kind in REASONS if kind == "byte" or name in JSON_INPUTS]
 
 
 class TestUndecodableInput:
-    """A line that is not UTF-8, or a JSON integer too long to parse, is one
-    JSON error naming the input and its line, never a traceback."""
+    """A line that is not UTF-8, a JSON integer too long to parse, or a JSON
+    string that decodes to a lone surrogate is one JSON error naming the
+    input and its line, never a traceback."""
 
     @pytest.mark.parametrize("flag, kind", SPOILED)
     def test_exits_1_naming_the_line(self, inputs, tmp_path, capsys, flag, kind):
@@ -897,10 +907,9 @@ class TestUndecodableInput:
         error = json.loads(line)
         assert error["error"] == code
         assert f"{name} line 2:" in error["message"]
-        reason = "not valid UTF-8" if kind == "byte" else "4300 digits"
-        assert reason in error["message"]
+        assert REASONS[kind] in error["message"]
 
-    @pytest.mark.parametrize("kind", ["byte", "long-int"])
+    @pytest.mark.parametrize("kind", REASONS)
     @pytest.mark.parametrize("command", [
         "ingest --corpus {bad} --out {root}/kept.jsonl",
         "build-index --corpus {bad} --embeddings {store} --out {root}/kept.vfci",
@@ -959,3 +968,72 @@ class TestUndecodableInput:
         assert proc.returncode == code
         [line] = proc.stderr.decode().splitlines()
         assert "line 2: not valid UTF-8" in line
+
+    def test_surrogate_pair_round_trips_through_ingest(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(r'{"id": "a", "text": "a grinning \ud83d\ude00 dog"}' + "\n")
+        out = tmp_path / "out.jsonl"
+        assert run(["ingest", "--strict", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            '{"id": "a", "text": "a grinning \U0001f600 dog", "source": ""}\n'
+        ).encode("utf-8")
+
+
+# output flag: the command, with {out} for the file it writes
+OUTPUT_FLAGS = {
+    "ingest": "ingest --corpus {corpus} --out {out}",
+    "stats": "stats --corpus {corpus} --out {out}",
+    "classify": "classify --index {index} --queries {queries} "
+                "--embeddings {store} --out {out}",
+    "evaluate": "evaluate --predictions {predictions} --truths {truths} --out {out}",
+    "evaluate-csv": "evaluate --predictions {predictions} --truths {truths} "
+                    "--csv {out}",
+    "ablate": "ablate --sweep alpha --values 0.5 --num-queries 20 --out {out}",
+}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("flag", OUTPUT_FLAGS)
+    def test_failed_write_keeps_the_previous_file(self, inputs, tmp_path,
+                                                  monkeypatch, capsys, flag):
+        out = tmp_path / "out"
+        out.write_bytes(b"a good file from an earlier run\n")
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        assert run(OUTPUT_FLAGS[flag].format(out=out, **inputs).split()) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "io-failure"
+        assert out.read_bytes() == b"a good file from an earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("how", ["stdout", "fifo", "symlink"])
+    def test_out_takes_stdout_a_fifo_or_a_symlink(self, inputs, tmp_path, capsys,
+                                                  how):
+        want = Path(inputs["corpus"]).read_bytes()  # written canonically
+        argv = ["ingest", "--corpus", inputs["corpus"], "--out"]
+        if how == "stdout":
+            assert run([*argv, "-"]) == 0
+            assert capsys.readouterr().out.encode("utf-8") == want
+        elif how == "fifo":
+            fifo = tmp_path / "fifo"
+            os.mkfifo(fifo)
+            got = []
+            reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                      daemon=True)
+            reader.start()
+            assert run([*argv, str(fifo)]) == 0
+            reader.join(timeout=30)
+            assert got == [want]
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        else:
+            (tmp_path / "real").mkdir()
+            target = tmp_path / "real" / "c.jsonl"
+            target.write_bytes(b"old\n")
+            link = tmp_path / "link"
+            link.symlink_to(target)
+            assert run([*argv, str(link)]) == 0
+            assert link.is_symlink() and target.read_bytes() == want
+            assert [p.name for p in target.parent.iterdir()] == ["c.jsonl"]

@@ -1,6 +1,11 @@
-"""Vector math, the binary store, and provider behavior."""
+"""Vector math, the binary store, provider behavior, and the file writer."""
 
+import ast
 import hashlib
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from vfclass.embedding import (
     normalize,
     row_norms,
     save_store,
+    write_file,
 )
 from vfclass.errors import (
     CorruptFileError,
@@ -240,6 +246,69 @@ class TestPrecomputedStore:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CorruptFileError):
             load_store(path)
+
+
+class TestWriteFile:
+    def test_parts_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out"
+        write_file(path, b"\x00\xff", "caf\u00e9 ", "\U0001f600\n", b"")
+        assert path.read_bytes() == b"\x00\xff" + "café 😀\n".encode("utf-8")
+
+    def test_unencodable_part_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"good")
+        with pytest.raises(UnicodeEncodeError):
+            write_file(path, "new ", "a\ud800")
+        assert path.read_bytes() == b"good"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_symlink_target_is_replaced_and_the_link_kept(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out"
+        target.write_bytes(b"old")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        write_file(link, "new")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == b"new"
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["out"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_file(fifo, "through ", b"the pipe")
+        reader.join(timeout=30)
+        assert got == [b"through the pipe"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_only_write_file_opens_a_file_for_writing(self):
+        writers = []
+        for path in sorted(Path(embedding_mod.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for call in ast.walk(tree):
+                if isinstance(call, ast.Call) and writes(call):
+                    owner = max((d for d in defs
+                                 if d.lineno <= call.lineno <= d.end_lineno),
+                                key=lambda d: d.lineno, default=None)
+                    writers.append((path.name, owner and owner.name))
+        assert writers == [("embedding.py", "write_file")] * 2
+
+
+def writes(call: ast.Call) -> bool:
+    """True for an ``open`` whose mode is not a literal read-only one, and
+    for a ``write_text`` or ``write_bytes``."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name != "open":
+        return name in ("write_text", "write_bytes")
+    mode = (call.args[1:2] or [kw.value for kw in call.keywords if kw.arg == "mode"]
+            or [ast.Constant("r")])[0]
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
 
 
 class TestHashedVector:

@@ -345,3 +345,35 @@ class TestUndecodableLines:
         with pytest.raises(SchemaError, match=r"manifest line 6: invalid JSON "
                                               r"\(Exceeds the limit"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("line", [
+        r'{"id": "a\ud800", "text": "a spotted dog"}',
+        r'{"id": "a", "text": "a spotted dog", "x\udfff": 1}',
+        r'{"id": "a", "text": "a spotted dog", "tags": [["ok", "\ude00\ud83d"]]}',
+    ], ids=["value", "key", "nested-reversed-pair"])
+    def test_lone_surrogate_escape_is_a_schema_error(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "b", "text": "ok"}) + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match="corpus line 2: a \\\\u escape "
+                                              "decodes to a lone surrogate"):
+            ingest_corpus(path, strict=True)
+        assert [r.id for r in ingest_corpus(path)] == ["b"]
+
+    def test_surrogate_pair_and_escaped_backslash_are_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(r'{"id": "a\ud83d\ude00", "text": "not \\ud800 but text"}'
+                        + "\n")
+        [rec] = ingest_corpus(path, strict=True)
+        assert (rec.id, rec.text) == ("a\U0001f600", "not \\ud800 but text")
+        out = tmp_path / "out.jsonl"
+        write_corpus([rec], out)
+        assert ingest_corpus(out, strict=True) == [rec]
+
+    def test_manifest_lone_surrogate_is_named_at_its_own_line(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest_doc(), indent=2).replace(
+            '"q2"', '"q\\udc802"') + "\n")
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if "udc80" in line)
+        with pytest.raises(SchemaError, match=f"manifest line {at + 1}: a "):
+            load_manifest(path)

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vfclass.benchmark import make_noisy_benchmark
+from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.candidates import (
     FilterConfig,
     LexiconTagger,
@@ -25,16 +25,15 @@ from vfclass.errors import (
     ProviderUnavailableError,
     UnknownKeyError,
     VfcError,
+    ZeroVectorError,
 )
 from vfclass.index import CaptionRecord, build_index, retrieve_topk
 import vfclass.scoring as scoring_mod
 from vfclass.scoring import (
     ClassifierConfig,
-    caption_centroid,
     classify,
     classify_batch,
     fuse,
-    visual_scores,
 )
 
 
@@ -50,53 +49,154 @@ def tagger():
     return LexiconTagger()
 
 
+@pytest.fixture(scope="module")
+def scored(tagger):
+    """A small planted benchmark classified in one batch at k=5, with the
+    image vector and the retrieved rows' float64 mean of each prediction."""
+    bench = make_benchmark(num_classes=4, captions_per_class=15, num_queries=12,
+                           dim=8, seed=3)
+    index, store = bench.build_index(), bench.store
+    items = classify_batch(bench.queries, index, store, tagger, ClassifierConfig(k=5))
+    refs = dict(bench.queries)
+    return store, [
+        (item.prediction, store.vector(refs[item.id]),
+         index.vectors[[h.row for h in item.prediction.retrieved]]
+         .astype(np.float64).mean(axis=0))
+        for item in items]
+
+
+def two_class_world(store):
+    """Captions about dog and cat at e0, about whale and shark at e1 (the
+    caller adds ``shark``); a query at e0, one at e1 and one more near e0,
+    each retrieving two captions."""
+    e = np.eye(4)
+    records = []
+    for i, (text, vec) in enumerate([("a dog and a cat", e[0])] * 2
+                                    + [("a whale and a shark", e[1])] * 2):
+        records.append(CaptionRecord(f"cap-{i}", text))
+        store.add(f"cap-{i}", vec)
+    for word, vec in [("dog", e[0]), ("cat", e[2]), ("whale", e[1])]:
+        store.add(word, vec)
+    queries = [("q0", e[0]), ("q1", e[1]), ("q2", e[0] + 0.1 * e[3])]
+    return build_index(records, store), queries
+
+
 class TestVisualScores:
-    def test_identical_vector_scores_one(self):
-        scores = visual_scores([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(0.0)
+    """The image-to-text cosine of each candidate, seen through ``classify``."""
 
-    def test_matches_pairwise_cosine(self):
-        rng = np.random.default_rng(40)
-        image = rng.standard_normal(8)
-        cands = [rng.standard_normal(8) for _ in range(5)]
-        scores = visual_scores(image, cands)
-        for got, cand in zip(scores, cands):
-            assert got == pytest.approx(cosine_similarity(image, cand), abs=1e-9)
+    def test_identical_vector_scores_one(self, tagger):
+        index, store = planted_world(np.eye(4)[0])
+        pred = classify(np.eye(4)[0], index, store, tagger, ClassifierConfig(k=4))
+        visual = {b.candidate: b.visual for b in pred.ranked}
+        assert visual["dog"] == pytest.approx(1.0)
+        assert visual["cat"] == pytest.approx(0.0)
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(EmptyInputError):
-            visual_scores([1.0, 0.0], [])
+    def test_matches_pairwise_cosine(self, scored):
+        store, preds = scored
+        for pred, image, _ in preds:
+            for b in pred.ranked:
+                want = cosine_similarity(image, store.vector(b.candidate))
+                assert abs(b.visual - want) <= 1e-12
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, tagger):
+        """A text dim other than the image dim fails only its own query."""
+        store = PrecomputedStore(4)
+        store.add("shark", np.eye(4)[3])
+        index, queries = two_class_world(store)
+        config = ClassifierConfig(k=2)
+        plain = classify_batch(queries, index, store, tagger, config)
+        assert all(item.error is None for item in plain)
+
+        class LongWhales:
+            """The store, with one more dimension on the sea animals' rows:
+            a call that mixes them with others is ragged, so it is split."""
+
+            dim = 4
+
+            def embed_images(self, refs):
+                return store.embed_images(refs)
+
+            def embed_texts(self, texts):
+                return [np.append(v, 0.0) if t in ("whale", "shark") else v
+                        for t, v in zip(texts, store.embed_texts(texts))]
+
+        got = classify_batch(queries, index, LongWhales(), tagger, config)
+        assert (got[1].error_code, got[1].error) == (
+            "dimension-mismatch", "image dim 4 != candidate dim 5")
+        assert [got[0], got[2]] == [plain[0], plain[2]]
         with pytest.raises(DimensionMismatchError):
-            visual_scores([1.0, 0.0, 0.0], [[1.0, 0.0]])
+            classify(queries[1][1], index, LongWhales(), tagger, config)
 
-    def test_centroid_parallel_candidate(self):
-        centroid = [0.5, 0.5]
-        scores = visual_scores(centroid, [[1.0, 1.0], [1.0, -1.0]])
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(0.0)
+    def test_zero_candidate_vector_fails_only_its_query(self, tagger):
+        store = PrecomputedStore(4)
+        store.add("shark", np.zeros(4))
+        index, queries = two_class_world(store)
+        config = ClassifierConfig(k=2)
+        got = classify_batch(queries, index, store, tagger, config)
+        assert got[1].error_code == "zero-vector"
+        assert [got[0].prediction.label, got[2].prediction.label] == ["dog", "dog"]
+        with pytest.raises(ZeroVectorError):
+            classify(queries[1][1], index, store, tagger, config)
+
+    def test_centroid_parallel_candidate(self, tagger):
+        index, store = planted_world([1.0, 1.0, 0.0, 0.0])
+        store.add("park", [1.0, 1.0, 0.0, 0.0])
+        store.add("cat", [1.0, -1.0, 0.0, 0.0])
+        pred = classify(np.eye(4)[0], index, store, tagger, ClassifierConfig(k=4))
+        textual = {b.candidate: b.textual for b in pred.ranked}
+        assert textual["park"] == pytest.approx(1.0)
+        assert textual["cat"] == pytest.approx(0.0)
 
 
 class TestCaptionCentroid:
-    def test_identical_vectors_mean_is_vector(self):
-        v = np.array([0.2, 0.4, 0.6])
-        assert np.allclose(caption_centroid([v, v, v]), v)
+    """The text-to-text cosine, against the mean of the retrieved captions."""
 
-    def test_two_basis_vectors(self):
-        got = caption_centroid([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(got, [0.5, 0.5])
+    def test_identical_vectors_mean_is_vector(self, tagger):
+        v = np.array([0.2, 0.4, 0.6, 0.0])
+        index, store = planted_world(v)
+        pred = classify(np.eye(4)[0], index, store, tagger, ClassifierConfig(k=4))
+        for b in pred.ranked:
+            want = cosine_similarity(v, store.vector(b.candidate))
+            assert b.textual == pytest.approx(want, abs=1e-7)  # rows are float32
 
-    def test_coordinate_wise_mean(self):
-        rng = np.random.default_rng(41)
-        vecs = [rng.standard_normal(6) for _ in range(10)]
-        want = np.stack(vecs).mean(axis=0)
-        assert np.allclose(caption_centroid(vecs), want, atol=1e-12)
+    def test_two_basis_vectors(self, tagger):
+        e = np.eye(4)
+        _, store = planted_world(e[0])
+        store.add("park", [1.0, 1.0, 0.0, 0.0])
+        records = [CaptionRecord(f"cap-{i}", "a dog and a cat in a park")
+                   for i in range(4)]
+        for i, rec in enumerate(records):
+            store.add(rec.id, e[i % 2])
+        index = build_index(records, store)
+        pred = classify(e[0] + e[1], index, store, tagger, ClassifierConfig(k=4))
+        textual = {b.candidate: b.textual for b in pred.ranked}
+        assert textual["park"] == pytest.approx(1.0)
+        assert textual["dog"] == pytest.approx(math.sqrt(0.5))
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(EmptyInputError):
-            caption_centroid([])
+    def test_coordinate_wise_mean(self, scored):
+        store, preds = scored
+        for pred, _, centroid in preds:
+            for b in pred.ranked:
+                want = cosine_similarity(centroid, store.vector(b.candidate))
+                assert abs(b.textual - want) <= 1e-12
+
+    def test_zero_centroid_fails_only_its_query(self, tagger):
+        store = PrecomputedStore(3)
+        e = np.eye(3)
+        records = []
+        for i, (text, vec) in enumerate([("a dog", e[0]), ("a dog", -e[0]),
+                                         ("a cat", e[1]), ("a cat", e[1])]):
+            records.append(CaptionRecord(f"cap-{i}", text))
+            store.add(f"cap-{i}", vec)
+        store.add("dog", e[0])
+        store.add("cat", e[1])
+        index = build_index(records, store)
+        # q0 scores 0 against every caption, so it retrieves the first two
+        # by id, the opposite ones, whose mean is zero
+        got = classify_batch([("q0", e[2]), ("q1", e[1])], index, store, tagger,
+                             ClassifierConfig(k=2))
+        assert got[0].error_code == "zero-vector"
+        assert got[1].prediction.label == "cat"
 
 
 class TestFuse:
