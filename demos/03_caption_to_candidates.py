@@ -1,7 +1,8 @@
 """How raw captions become candidate category names.
 
 Walks one noisy caption set through the three pipeline stages and shows
-what each stage removes or merges.
+what each stage removes or merges. The stages stack: each value of
+``FilterConfig.stages`` runs one stage more than the value before it.
 
 Run: python3 demos/03_caption_to_candidates.py
 """
@@ -15,6 +16,7 @@ from vfclass import (
     remove_noise,
     standardize,
 )
+from vfclass.candidates import STAGES
 
 captions = [
     CaptionRecord("c1", "Cassowary walking at http://img.example.com/Cassowary_3.jpg"),
@@ -41,8 +43,8 @@ for word in words:
     print(f"pos({word!r}) = {pos_tag(word, tagger)}")
 
 print("\n== the four pipeline configurations ==")
-for stages in ("none", "remove", "standardize", "all"):
-    config = FilterConfig.for_stages(stages)
+for stages in STAGES:
+    config = FilterConfig(stages=stages)
     result = extract_candidates(captions, tagger, config)
     preview = dict(sorted(result.entries.items(), key=lambda kv: -kv[1])[:6])
     print(f"{stages:12s} {len(result.entries):3d} candidates, top: {preview}")

@@ -1,7 +1,8 @@
 """Ablation sweeps over the synthetic benchmarks.
 
 Sweeps the mixing weight, the number of retrieved captions, and the
-candidate-filter stages, printing one metric row per value. The same
+candidate-filter stages (``FilterConfig.stages``, each value running one
+stage more than the one before), printing one metric row per value. The same
 sweeps are available from the command line via `vfclass ablate`.
 
 Run: python3 demos/06_ablation_sweeps.py
@@ -17,6 +18,7 @@ from vfclass import (
     evaluate_predictions,
 )
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
+from vfclass.candidates import STAGES
 
 tagger = LexiconTagger()
 embedder = HashEmbedder(64)
@@ -56,7 +58,6 @@ noisy_index = noisy.build_index()
 sweep(
     noisy,
     noisy_index,
-    [(s, ClassifierConfig(filter=FilterConfig.for_stages(s)))
-     for s in ("none", "remove", "standardize", "all")],
+    [(s, ClassifierConfig(filter=FilterConfig(stages=s))) for s in STAGES],
     eval_mode="one-to-one",
 )

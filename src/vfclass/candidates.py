@@ -1,6 +1,7 @@
 """Turn retrieved captions into candidate category names.
 
-Three stages run in sequence, each independently switchable for ablation:
+Three stages run in sequence. For ablation, ``FilterConfig.stages`` names
+the last one that runs, one of :data:`STAGES`; each runs the ones before it:
 
 1. noise removal: drop URLs (keeping the final path segment's stem),
    angle-bracket tokens, file extensions (keeping the stem), short words,
@@ -44,6 +45,8 @@ from .errors import (
 )
 
 POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
+# "none" keeps the raw whitespace tokens; each later value adds one stage
+STAGES = ("none", "remove", "standardize", "all")
 
 _URL_RE = re.compile(r"^(?:[a-z][a-z0-9+.-]*://|www\.)", re.IGNORECASE)
 _EXTENSION_RE = re.compile(r"^(.+)\.([A-Za-z0-9]{1,4})$")
@@ -143,9 +146,9 @@ def _word_set(value, name: str, lower: bool = True) -> frozenset[str]:
 class FilterConfig:
     """Knobs for the candidate pipeline.
 
-    The ``apply_*`` flags switch whole stages on and off so the four
-    pipeline configurations (nothing / remove / remove+standardize / all)
-    are each constructible.
+    ``stages`` is the last stage that runs, one of :data:`STAGES`:
+    nothing, noise removal, then standardization, then the part-of-speech
+    and count filter (``"all"``).
     """
 
     min_word_length: int = 3
@@ -154,18 +157,18 @@ class FilterConfig:
     stop_words: frozenset[str] | None = None
     allowed_pos: frozenset[str] = frozenset({"noun", "adjective"})
     split_compounds: bool = True
-    apply_remove: bool = True
-    apply_standardize: bool = True
-    apply_filter: bool = True
+    stages: str = "all"
 
     def __post_init__(self):
         for name in ("min_word_length", "min_count"):
             if not is_count(value := getattr(self, name)):
                 raise EmptyInputError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("split_compounds", "apply_remove", "apply_standardize",
-                     "apply_filter"):
-            if not isinstance(value := getattr(self, name), bool):
-                raise EmptyInputError(f"{name} must be True or False, got {value!r}")
+        if not isinstance(self.split_compounds, bool):
+            raise EmptyInputError(
+                f"split_compounds must be True or False, got {self.split_compounds!r}")
+        if not (isinstance(self.stages, str) and self.stages in STAGES):
+            raise EmptyInputError(
+                f"stages must be one of {STAGES}, got {self.stages!r}")
         self.meta_words = (default_meta_words() if self.meta_words is None
                            else _word_set(self.meta_words, "meta_words"))
         self.stop_words = (default_stop_words() if self.stop_words is None
@@ -174,22 +177,6 @@ class FilterConfig:
         unknown = self.allowed_pos - set(POS_CATEGORIES)
         if unknown:
             raise EmptyInputError(f"unknown POS categories: {sorted(unknown)}")
-
-    @classmethod
-    def for_stages(cls, stages: str, **kwargs) -> "FilterConfig":
-        """Build a config from a stage name: none/remove/standardize/all."""
-        flags = {
-            "none": (False, False, False),
-            "remove": (True, False, False),
-            "standardize": (True, True, False),
-            "all": (True, True, True),
-        }
-        if stages not in flags:
-            raise EmptyInputError(f"unknown stage configuration {stages!r}")
-        remove, std, filt = flags[stages]
-        return cls(
-            apply_remove=remove, apply_standardize=std, apply_filter=filt, **kwargs
-        )
 
 
 @dataclass
@@ -347,33 +334,33 @@ def token_settings(config: FilterConfig) -> tuple:
     settings give every caption the same tokens."""
     return (config.min_word_length, frozenset(config.stop_words),
             frozenset(config.meta_words), config.split_compounds,
-            config.apply_remove, config.apply_standardize)
+            min(config.stages, "standardize", key=STAGES.index))
 
 
 def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:
-    """Stages 1-2 on one caption: noise removal, then standardization, each
-    when its switch is on (the raw whitespace tokens when both are off)."""
-    tokens = remove_noise(text, config) if config.apply_remove else text.split()
-    if config.apply_standardize:
+    """Stages 1-2 on one caption: noise removal, then standardization, as
+    far as ``config.stages`` goes (the raw whitespace tokens at ``"none"``)."""
+    tokens = remove_noise(text, config) if config.stages in STAGES[1:] else text.split()
+    if config.stages in STAGES[2:]:
         tokens = standardize(tokens)
     return tuple(tokens)
 
 
 def select_candidates(per_caption, tags, config: FilterConfig) -> CandidateSet:
     """Stage 3 over ``(caption id, tokens)`` pairs; ``tags`` maps a token to
-    its POS category and is read only when the filter stage is on.
+    its POS category and is read only when ``config.stages`` is ``"all"``.
 
     If the threshold leaves nothing, the set is the lowest name among the
     highest counts before it, flagged ``fallback``. Raises
     :class:`EmptyCandidateSetError` when no token gets that far.
     """
     counts = entries = Counter([t for _, toks in per_caption for t in toks])
-    if config.apply_filter:
+    if config.stages == "all":
         counts = {t: n for t, n in counts.items() if tags[t] in config.allowed_pos}
         entries = {t: n for t, n in counts.items() if n >= config.min_count}
     if not counts:
         raise EmptyCandidateSetError(
-            "no candidate survived filtering" if config.apply_filter
+            "no candidate survived filtering" if config.stages == "all"
             else "captions yielded no tokens")
     if fallback := not entries:
         entries = dict([min(counts.items(), key=lambda kv: (-kv[1], kv[0]))])

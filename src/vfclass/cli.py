@@ -137,9 +137,11 @@ def _parse_probes(value: str):
 
 
 def _output(path, text: str) -> None:
-    """Write ``text`` to stdout for ``-``, else to the file at ``path``."""
+    """Write ``text`` to stdout for ``-``, else to the file at ``path``; as
+    UTF-8 either way, whatever encoding stdout has."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
         write_file(path, text)
 
@@ -328,10 +330,11 @@ class AblationSpec:
     def config_for(self, value: str) -> ClassifierConfig:
         """The base configuration with the swept variable set to ``value``;
         ``ClassifierConfig`` checks it when it is made."""
-        if self.sweep == "filter-stages":
-            return replace(self.base, filter=FilterConfig.for_stages(value))
         modes = {"visual": 1.0, "textual": 0.0, "multimodal": self.base.alpha}
         try:
+            if self.sweep == "filter-stages":
+                filters = replace(self.base.filter, stages=value)
+                return replace(self.base, filter=filters)
             if self.sweep == "alpha":
                 return replace(self.base, alpha=float(value))
             if self.sweep == "k":

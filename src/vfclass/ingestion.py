@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from .candidates import FilterConfig, POS_CATEGORIES, pos_tag, remove_noise, standardize
+from .candidates import FilterConfig, POS_CATEGORIES, caption_tokens, pos_tag
 from .embedding import text_lines, write_file
 from .errors import EmptyInputError, SchemaError
 from .index import CaptionRecord
@@ -138,13 +138,13 @@ class CorpusStats:
 
 
 def corpus_stats(records, tagger, config: FilterConfig | None = None) -> CorpusStats:
-    """Token counts and POS distribution after noise removal + standardization."""
+    """Token counts and POS distribution of every caption's :func:`caption_tokens`."""
     if not records:
         raise EmptyInputError("corpus is empty")
     config = config or FilterConfig()
     tokens: Counter[str] = Counter()
     for rec in records:
-        tokens.update(standardize(remove_noise(rec.text, config)))
+        tokens.update(caption_tokens(rec.text, config))
     pos_counts: Counter[str] = Counter()
     for tok, n in tokens.items():
         pos_counts[pos_tag(tok, tagger)] += n

@@ -58,7 +58,7 @@ class Reference:
         """Stages 1-3 under the ``FilterConfig`` ``config``: the sorted
         names and the fallback flag."""
         counts = kept = Counter(t for text in texts for t in caption_tokens(text, config))
-        if config.apply_filter:
+        if config.stages == "all":
             counts = {t: n for t, n in counts.items()
                       if pos_tag(t, self.tagger) in config.allowed_pos}
             kept = {t: n for t, n in counts.items() if n >= config.min_count}

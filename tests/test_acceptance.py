@@ -203,7 +203,7 @@ def test_criterion_5_candidate_pipeline_stages():
     """The four filter configurations on the bundled noisy-caption fixture."""
     captions = ingest_corpus(DATA_DIR / "noisy_captions.jsonl")
     results = {
-        stage: extract_candidates(captions, TAGGER, FilterConfig.for_stages(stage))
+        stage: extract_candidates(captions, TAGGER, FilterConfig(stages=stage))
         for stage in ("none", "remove", "standardize", "all")
     }
     nothing = results["none"]

@@ -66,7 +66,7 @@ class TestNoisyBenchmark:
         index = bench.build_index()
         scores = {}
         for stages in ("none", "remove", "standardize", "all"):
-            config = ClassifierConfig(filter=FilterConfig.for_stages(stages))
+            config = ClassifierConfig(filter=FilterConfig(stages=stages))
             results = classify_batch(bench.queries, index, bench.store, tagger,
                                      config)
             labeled = [

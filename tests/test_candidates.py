@@ -155,7 +155,7 @@ class TestSelectCandidates:
             select([], tagger)
         with pytest.raises(EmptyCandidateSetError,
                            match="captions yielded no tokens"):
-            select([], tagger, FilterConfig.for_stages("none"))
+            select([], tagger, FilterConfig(stages="none"))
 
     def test_each_distinct_token_tagged_once(self):
         calls = []
@@ -186,7 +186,7 @@ class TestSelectCandidates:
 
     def test_no_fallback_without_the_filter_stage(self, tagger):
         result = select(["zebra", "aardvark"], tagger,
-                        FilterConfig(apply_filter=False, min_count=5))
+                        FilterConfig(stages="standardize", min_count=5))
         assert (result.entries, result.fallback) == (
             {"aardvark": 1, "zebra": 1}, False)
 
@@ -278,14 +278,14 @@ class TestStageConfigurations:
     ]
 
     def test_none_keeps_raw_tokens(self, tagger):
-        config = FilterConfig.for_stages("none")
+        config = FilterConfig(stages="none")
         result = extract_candidates(self.noisy, tagger, config)
         assert "Cassowary" in result.entries
         assert "photo" in result.entries
         assert "<PERSON>" in result.entries
 
     def test_remove_strips_noise_but_keeps_case(self, tagger):
-        config = FilterConfig.for_stages("remove")
+        config = FilterConfig(stages="remove")
         result = extract_candidates(self.noisy, tagger, config)
         assert "Cassowary" in result.entries
         assert "cassowary" in result.entries  # case variants still distinct
@@ -293,15 +293,15 @@ class TestStageConfigurations:
         assert all("<" not in name for name in result.entries)
 
     def test_standardize_collapses_variants(self, tagger):
-        config = FilterConfig.for_stages("standardize")
+        config = FilterConfig(stages="standardize")
         result = extract_candidates(self.noisy, tagger, config)
         assert "Cassowary" not in result.entries
         # one mention per caption plus the stem of Cassowary.jpg in n1
         assert result.entries["cassowary"] == 4
 
     def test_all_is_strictly_smaller_and_clean(self, tagger):
-        nothing = extract_candidates(self.noisy, tagger, FilterConfig.for_stages("none"))
-        everything = extract_candidates(self.noisy, tagger, FilterConfig.for_stages("all"))
+        nothing = extract_candidates(self.noisy, tagger, FilterConfig(stages="none"))
+        everything = extract_candidates(self.noisy, tagger, FilterConfig(stages="all"))
         assert len(everything) < len(nothing)
         for name in everything.entries:
             assert name.isalpha() and name == name.lower()
@@ -315,18 +315,18 @@ class TestStageSplit:
 
     @pytest.mark.parametrize("stages", ["none", "remove", "standardize", "all"])
     def test_caption_tokens_per_stage(self, stages):
-        config = FilterConfig.for_stages(stages)
+        config = FilterConfig(stages=stages)
         tokens = self.text.split()
-        if config.apply_remove:
+        if stages != "none":
             tokens = remove_noise(self.text, config)
-        if config.apply_standardize:
+        if stages in ("standardize", "all"):
             tokens = standardize(tokens)
         assert caption_tokens(self.text, config) == tuple(tokens)
 
     def test_stage_three_settings_share_a_key(self):
         base = token_settings(FilterConfig())
         assert token_settings(FilterConfig(
-            min_count=5, allowed_pos=frozenset({"noun"}), apply_filter=False,
+            min_count=5, allowed_pos=frozenset({"noun"}), stages="standardize",
         )) == base
         assert hash(base) == hash(token_settings(FilterConfig()))
 
@@ -335,8 +335,8 @@ class TestStageSplit:
         {"stop_words": default_stop_words() | {"dog"}},
         {"meta_words": frozenset()},
         {"split_compounds": False},
-        {"apply_remove": False},
-        {"apply_standardize": False},
+        {"stages": "remove"},
+        {"stages": "none"},
     ])
     def test_stage_one_two_settings_change_the_key(self, change):
         assert token_settings(FilterConfig(**change)) != token_settings(FilterConfig())
@@ -351,10 +351,9 @@ class TestFilterConfigTypes:
         ("stop_words", "the cat"), ("stop_words", 5), ("stop_words", ["the", 5]),
         ("meta_words", "img"), ("meta_words", b"img"), ("meta_words", [None]),
         ("split_compounds", 1), ("split_compounds", "no"),
-        ("apply_remove", 0), ("apply_remove", None),
-        ("apply_standardize", "yes"), ("apply_filter", 1.0),
+        ("stages", 3), ("stages", None), ("stages", "ALL"), ("stages", ["all"]),
         ("allowed_pos", 5), ("allowed_pos", "noun"), ("allowed_pos", None),
-        ("allowed_pos", ["noun", 3]),
+        ("allowed_pos", ["noun", 3]), ("stages", "filter"),
     ])
     def test_bad_value_is_rejected(self, name, value):
         with pytest.raises(EmptyInputError, match=name):

@@ -20,7 +20,7 @@ import pytest
 import vfclass
 from vfclass import cli
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
-from vfclass.candidates import LexiconTagger
+from vfclass.candidates import FilterConfig, LexiconTagger
 from vfclass.cli import run
 from vfclass.embedding import RemoteEmbeddingClient, load_store, save_store
 from vfclass.errors import EmptyInputError
@@ -598,6 +598,24 @@ class TestAblate:
         assert accuracy["all"] >= max(accuracy.values()) - 1e-12
         assert accuracy["all"] > accuracy["none"]
 
+    def test_filter_stage_sweep_keeps_the_word_lists(self, tmp_path):
+        stop_words = tmp_path / "stop.txt"
+        stop_words.write_text("airplane\nbicycle\n")
+        rows = []
+        for extra in ([], ["--stop-words", str(stop_words)]):
+            out = tmp_path / "stages.csv"
+            assert run(["ablate", "--sweep", "filter-stages", "--values", "all",
+                        "--num-queries", "60", *extra, "--out", str(out)]) == 0
+            row = next(csv.DictReader(io.StringIO(out.read_text())))
+            rows.append([row[key] for key in
+                         ("cluster_accuracy", "semantic_similarity", "semantic_iou")])
+        assert rows[0] != rows[1]
+        base = ClassifierConfig(filter=FilterConfig(stop_words=["airplane", "bicycle"]))
+        spec = cli.AblationSpec("filter-stages", ["all"], base)
+        assert spec.config_for("all").filter.stop_words == {"airplane", "bicycle"}
+        assert spec.config_for("none").filter == dataclasses.replace(
+            base.filter, stages="none")
+
     def test_ablate_single_point_equals_classify_then_evaluate(
         self, world, built_index, tmp_path
     ):
@@ -630,7 +648,7 @@ class TestAblate:
 
     @pytest.mark.parametrize("sweep,value", [
         ("alpha", "1.5"), ("alpha", "x"), ("k", "0"), ("k", "2.5"),
-        ("scoring-mode", "audio"),
+        ("scoring-mode", "audio"), ("filter-stages", "filter"),
     ])
     def test_bad_sweep_value_exits_1(self, tmp_path, capsys, sweep, value):
         code = run(["ablate", "--sweep", sweep, "--values", value,
@@ -1008,6 +1026,28 @@ class TestOutputFiles:
         assert json.loads(line)["error"] == "io-failure"
         assert out.read_bytes() == b"a good file from an earlier run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("command", ["ingest", "classify"])
+    def test_stdout_is_utf8_whatever_its_encoding(self, inputs, tmp_path, command):
+        corpus, queries = tmp_path / "c.jsonl", tmp_path / "q.jsonl"
+        corpus.write_text('{"id": "a", "text": "un café", "source": ""}\n',
+                          encoding="utf-8")
+        queries.write_text("".join(
+            json.dumps({**json.loads(line), "id": f"café-{n}"}) + "\n"
+            for n, line in enumerate(Path(inputs["queries"]).read_text().splitlines())))
+        argv = {"ingest": ["ingest", "--corpus", str(corpus)],
+                "classify": ["classify", "--index", inputs["index"], "--queries",
+                             str(queries), "--embeddings", inputs["store"]]}[command]
+        src = str(Path(vfclass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        procs = [subprocess.run([sys.executable, "-m", "vfclass", *argv, "--out", to],
+                                env=env, capture_output=True, timeout=120)
+                 for to in ("-", str(out))]
+        assert [p.returncode for p in procs] == [0, 0], procs[0].stderr
+        assert procs[0].stdout == out.read_bytes()
+        assert "café".encode("utf-8") in procs[0].stdout
 
     @pytest.mark.parametrize("how", ["stdout", "fifo", "symlink"])
     def test_out_takes_stdout_a_fifo_or_a_symlink(self, inputs, tmp_path, capsys,

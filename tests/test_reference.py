@@ -58,7 +58,7 @@ def config_at(i, kind, k, alpha, probes):
     stages = STAGES[i % 4] if kind == "noisy" else "all"
     return ClassifierConfig(k=k, alpha=alpha, probes=probes,
                             prompt_template=PROMPT if i // 4 % 2 else "",
-                            filter=FilterConfig.for_stages(stages))
+                            filter=FilterConfig(stages=stages))
 
 
 def assert_agrees(item, ref, query, config):

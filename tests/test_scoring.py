@@ -927,8 +927,8 @@ class TestTokenMemo:
 
     @pytest.mark.parametrize("other", [
         FilterConfig(stop_words=default_stop_words() | {"airplane", "dolphin"}),
-        FilterConfig(apply_standardize=False),
-        FilterConfig(apply_remove=False),
+        FilterConfig(stages="remove"),
+        FilterConfig(stages="none"),
         FilterConfig(split_compounds=False),
     ])
     def test_settings_that_differ_give_fresh_results(self, noisy_bench, index,
