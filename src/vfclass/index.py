@@ -23,15 +23,18 @@ An index is immutable: its fields cannot be replaced, and
 and starts with an empty ``row_tokens`` memo (the candidate tokens of the
 rows queries hit; see ``scoring``).
 
-Retrieval scans in float32 and decides in float64. ``index.vectors`` stays
-in id order; on its first query, and only then, a partitioned index makes
-one copy of its rows in partition order, so each probe is one float32
-product over a contiguous slice (the inverted-file layout). A flat index
-scans ``index.vectors`` as one partition, with no copy. Every row whose
-float32 score is within twice the rounding bound of ``_score_bound`` of the
-k-th float32 score is rescored in float64, one row at a time, and the top
-k of that shortlist are exactly the float64 brute-force top k. Each row's
-float64 score is the same bits whichever scan found it.
+Retrieval scans in float32 and decides in float64, a window of queries
+at a time (:func:`retrieve_topk` is a window of one). ``index.vectors``
+stays in id order; on its first query, and only then, a partitioned index
+makes one copy of its rows in partition order, so each probed list is one
+contiguous slice (the inverted-file layout), scanned by one float32
+product over the window's queries that probe it. A flat index scans
+``index.vectors`` as one list, with no copy. For each query, every row
+whose float32 score is within twice the rounding bound of
+``_score_bound`` of its k-th float32 score is rescored in float64, one row
+at a time, and the top k of that shortlist are exactly the float64
+brute-force top k. Each row's float64 score is the same bits whichever
+scan or window found it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .embedding import (
     as_vector,
     body_crc,
     is_count,
-    normalize,
     pack_string,
     read_store_payload,
     row_norms,
@@ -62,6 +64,7 @@ from .errors import (
     EmptyCorpusError,
     EmptyIndexError,
     EmptyInputError,
+    ZeroVectorError,
 )
 
 INDEX_MAGIC = b"VFCI"
@@ -71,6 +74,11 @@ STRUCTURE_PARTITIONED = 1
 
 KMEANS_ITERS = 25
 DEFAULT_PROBES = 8
+SCAN_BLOCK = 1 << 20  # float32 scores one retrieval product holds at most (4 MiB)
+# a list that fewer queries probe gets one matrix-vector product per query:
+# with OpenBLAS, a float32 product over 2 or 3 query columns took longer
+# than 2 or 3 matrix-vector products (3,125 x 128 rows, one thread)
+GEMM_QUERIES = 4
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,9 @@ def build_index(
     )
 
 
-def _check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
+def check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
+    """The unit float64 vector of ``query``, checked against ``index`` and
+    ``k``."""
     if len(index) == 0:
         raise EmptyIndexError("index contains no records")
     if not is_count(k):
@@ -271,7 +281,11 @@ def _check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"query dim {q.shape[0]} != index dim {index.dim}"
         )
-    return normalize(q)
+    # normalize(q) would check q again
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
+        raise ZeroVectorError("cannot normalize a zero vector")
+    return q / norm
 
 
 def check_probes(probes) -> None:
@@ -326,41 +340,80 @@ def retrieve_topk(
     For a flat index (or ``probes="all"``) results are exactly the
     brute-force top-k. For a partitioned index, only the ``probes`` nearest
     partitions are scanned (default 8). A hit's score is the same bits
-    whichever scan finds it (see the module docstring).
+    whichever scan finds it (see the module docstring). This is
+    :func:`retrieve_window` over a window of one.
     """
-    q = _check_query(index, query, k)
+    [hits] = retrieve_window(index, [check_query(index, query, k)], k, probes)
+    return hits
+
+
+def retrieve_window(
+    index: CaptionIndex, queries, k: int, probes: int | str | None = None
+) -> list[list[RetrievedCaption]]:
+    """The :func:`retrieve_topk` hits of each of ``queries``, the unit
+    vectors :func:`check_query` returns for ``k``, in order.
+
+    Each probed list is scanned by one float32 product over the queries
+    that probe it, at most ``SCAN_BLOCK // len(index)`` queries at a time,
+    so that no product holds more than ``SCAN_BLOCK`` scores.
+    """
     check_probes(probes)
+    step = max(1, SCAN_BLOCK // max(1, len(index)))
+    chunks = (np.array(queries[start : start + step])
+              for start in range(0, len(queries), step))
+    return [hits for chunk in chunks for hits in _scan(index, chunk, k, probes)]
+
+
+def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
     layout = index._layout
-    probe_ids = range(len(layout.offsets) - 1)  # all; a flat index is one list
+    probed = [range(len(layout.offsets) - 1)] * len(queries)  # a flat index is one list
     if index.structure == "partitioned" and probes != "all":
         n_probe = DEFAULT_PROBES if probes is None else probes
         if n_probe < index.num_partitions:
-            d2 = np.sum((index.centroids - q) ** 2, axis=1)
-            probe_ids = np.argsort(d2, kind="stable")[:n_probe]
-    spans = [(layout.offsets[c], layout.offsets[c + 1]) for c in probe_ids]
-    q32 = q.astype(np.float32)
-    scores = np.concatenate([layout.vectors[a:b] @ q32 for a, b in spans])
-    positions = np.concatenate([np.arange(a, b) for a, b in spans])
-    if scores.size > k:
-        kth = scores.size - k
-        # a float64 threshold, so that the comparison is made in float64
-        floor = np.float64(np.partition(scores, kth)[kth]) - 2 * layout.bound
-        positions = positions[scores >= floor]
-    # the shortlist holds every row within 2b of the k-th score, so the
-    # exact top k are its first k in (-score, row) order, which is (-score, id)
-    exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
-    rows = layout.rows[positions]
-    order = np.lexsort((rows, -exact))[:k]
-    return [
-        RetrievedCaption(index.records[row], score, row)
-        for row, score in zip(rows[order].tolist(),
-                              np.clip(exact[order], -1.0, 1.0).tolist())
-    ]
+            d2 = np.sum((index.centroids - queries[:, None]) ** 2, axis=2)
+            probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe].tolist()
+    users: dict[int, list[int]] = {}
+    for u, lists in enumerate(probed):
+        for c in lists:
+            users.setdefault(c, []).append(u)
+    q32 = queries.astype(np.float32)
+    scores = {}  # (query, list) -> that list's float32 scores for the query
+    for c, us in users.items():
+        vectors = layout.vectors[layout.offsets[c] : layout.offsets[c + 1]]
+        if len(us) < GEMM_QUERIES:
+            scores.update(((u, c), vectors @ q32[u]) for u in us)
+        else:
+            # V @ Q.T: with a few queries, Q @ V.T is about twice as slow
+            block = vectors @ q32[us].T
+            scores.update(((u, c), block[:, j]) for j, u in enumerate(us))
+    out = []
+    for u, (q, lists) in enumerate(zip(queries, probed)):
+        found = [scores[u, c] for c in lists]
+        s = np.concatenate(found)
+        floor = -np.inf
+        if s.size > k:
+            kth = s.size - k
+            s.partition(kth)  # in place: s is a copy, found keeps the scan order
+            # a float64 threshold, so that the comparison is made in float64
+            floor = np.float64(s[kth]) - 2 * layout.bound
+        positions = np.concatenate([(f >= floor).nonzero()[0] + layout.offsets[c]
+                                    for c, f in zip(lists, found)])
+        # the shortlist holds every row within 2b of the k-th score, so the
+        # exact top k are its first k in (-score, row) order, which is (-score, id)
+        exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
+        rows = layout.rows[positions]
+        order = np.lexsort((rows, -exact))[:k]
+        out.append([
+            RetrievedCaption(index.records[row], score, row)
+            for row, score in zip(rows[order].tolist(),
+                                  exact[order].clip(-1.0, 1.0).tolist())
+        ])
+    return out
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
     """Linear-scan oracle: full sort of every record by (-score, id)."""
-    q = _check_query(index, query, k)
+    q = check_query(index, query, k)
     scored = []
     for row, rec in enumerate(index.records):
         score = float(np.dot(index.vectors[row].astype(np.float64), q))

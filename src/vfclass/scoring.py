@@ -6,30 +6,37 @@ candidate embedding). A softmax over the candidate axis turns each score
 vector into a distribution, and the two are mixed with weight ``alpha`` on
 the visual side. The label is the argmax of the fused distribution.
 
-Queries are classified in batches; :func:`classify` is a batch of one.
-The batch's distinct image refs are embedded together, ``EMBED_CHUNK`` refs
-per provider call. Each query then retrieves its captions and extracts its
-candidates on its own. Stages 1-2 of extraction run through the index's
-memo (``CaptionIndex.row_tokens``): a hit row is tokenized the first time
-a query hits it under the filter's stage-1/2 settings
-(:func:`~vfclass.candidates.token_settings`, read at call time), and its
-tokens live as long as the index, at most one tuple per row and distinct
-settings, with no eviction and no option. The tagger is asked once per
-distinct token per batch (:class:`~vfclass.candidates.PosTags`), and
-nothing it answers outlives the call. The batch's distinct candidate texts
-are embedded together in the same way, and each query is scored from its
-own rows in its own candidate order, so a prediction does not depend on
-the batch it arrives in. The provider loop has already checked every row
-(:func:`~vfclass.embedding._embed_chunks`), so scoring checks only that the
-candidate dim is the image dim, takes the candidate norms once, and computes
-both cosines from them. Each query has one slot: its prediction, or the
-error that classifying it alone raises. A failed provider call is retried on
-each half of its queries, down to one query, which sends what a batch of one does.
+Queries are classified in windows; :func:`classify` is a window of one.
+The window's distinct image refs are embedded together, ``EMBED_CHUNK``
+refs per provider call, and its queries retrieve their captions together
+(:func:`~vfclass.index.retrieve_window`). Stages 1-2 of extraction run
+through the index's memo (``CaptionIndex.row_tokens``): a hit row is
+tokenized the first time a query hits it under the filter's stage-1/2
+settings (:func:`~vfclass.candidates.token_settings`, read at call time),
+and its tokens live as long as the index, at most one tuple per row and
+distinct settings, with no eviction and no option. The tagger is asked once
+per distinct token per window (:class:`~vfclass.candidates.PosTags`), and
+nothing it answers outlives the call. The window's distinct candidate texts
+are embedded together in the same way. The provider loop has already
+checked every row (:func:`~vfclass.embedding._embed_chunks`), so scoring
+checks only that the candidate dim is the query dim.
+
+Score/fuse then runs over the window's candidate rows at once: each row's
+two cosines are row-wise products with its own query's unit vector and
+caption centroid, and each query's softmaxes run over its own segment of
+rows, so a prediction does not depend on the window it arrives in. A
+window whose candidate rows times dim exceed ``SCORE_BLOCK`` is scored in
+chunks of whole queries. Each query has one slot: its prediction, or the
+error that classifying it alone raises. A failed provider call is retried
+on each half of its queries, down to one query, which sends what a window
+of one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +54,15 @@ from .errors import (
     VfcError,
     ZeroVectorError,
 )
-from .index import CaptionIndex, RetrievedCaption, check_probes, retrieve_topk
+from .index import (
+    CaptionIndex,
+    RetrievedCaption,
+    check_probes,
+    check_query,
+    retrieve_window,
+)
+
+SCORE_BLOCK = 1 << 20  # candidate rows x dim one score/fuse block holds at most
 
 
 @dataclass
@@ -71,10 +86,7 @@ class ClassifierConfig:
     def __post_init__(self):
         if not is_count(self.k):
             raise EmptyInputError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise EmptyInputError(
-                f"alpha must be a number in [0, 1], got {self.alpha!r}"
-            )
+        _check_alpha(self.alpha)
         check_probes(self.probes)
         if not isinstance(self.filter, FilterConfig):
             raise EmptyInputError(f"filter must be a FilterConfig, got {self.filter!r}")
@@ -112,37 +124,36 @@ class BatchItem:
     error_code: str | None = None
 
 
-def _cosines(rows: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> list[float]:
-    """Cosine of ``vec`` against each of ``rows``, whose norms are ``norms``."""
-    scale = norms * np.linalg.norm(vec)
-    if not scale.all():
-        raise ZeroVectorError("cosine similarity undefined for zero vectors")
-    return np.clip(rows @ vec / scale, -1.0, 1.0).tolist()
+def _check_alpha(alpha) -> None:
+    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise EmptyInputError(f"alpha must be a number in [0, 1], got {alpha!r}")
 
 
-def softmax(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    shifted = arr - arr.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _fuse(scores: np.ndarray, alpha: float, starts, sizes) -> np.ndarray:
+    """``alpha * s(visual) + (1-alpha) * s(textual)`` for ``scores`` =
+    ``[visual, textual]``, the softmax ``s`` taken over each segment
+    ``scores[:, start:start + size]``."""
+    top = np.maximum.reduceat(scores, starts, axis=1)
+    exp = np.exp(scores - top.repeat(sizes, axis=1))
+    visual, textual = exp / np.add.reduceat(exp, starts, axis=1).repeat(sizes, axis=1)
+    return alpha * visual + (1.0 - alpha) * textual
 
 
 def fuse(visual, textual, alpha: float) -> list[float]:
     """Mix the two score vectors: ``alpha * s(visual) + (1-alpha) * s(textual)``.
 
     The softmax ``s`` runs across the candidate set per modality, so the
-    result is a probability vector over candidates.
+    result is a probability vector over candidates. ``alpha`` is a number
+    in [0, 1], not a ``bool``; the scores are equal-length, non-empty and
+    finite, or the call raises :class:`EmptyInputError` (a value that is
+    not a number: :class:`SchemaError`).
     """
-    vis = np.asarray(visual, dtype=np.float64)
-    tex = np.asarray(textual, dtype=np.float64)
-    if vis.shape != tex.shape or vis.ndim != 1:
+    _check_alpha(alpha)
+    vis = as_vector(visual, "visual scores")
+    tex = as_vector(textual, "textual scores")
+    if vis.shape != tex.shape:
         raise EmptyInputError("visual and textual score lists must have equal length")
-    if vis.size == 0:
-        raise EmptyInputError("score lists must be non-empty")
-    if not 0.0 <= alpha <= 1.0:
-        raise EmptyInputError("alpha must be in [0, 1]")
-    fused = alpha * softmax(vis) + (1.0 - alpha) * softmax(tex)
-    return [float(x) for x in fused]
+    return _fuse(np.stack([vis, tex]), alpha, [0], [vis.size]).tolist()
 
 
 def _embed_each(embed, groups, name) -> list:
@@ -184,6 +195,10 @@ def _hit_tokens(index, config: FilterConfig):
     return tokens
 
 
+def _live(slots) -> list[int]:
+    return [i for i, slot in enumerate(slots) if not isinstance(slot, VfcError)]
+
+
 def _slot(stage, value, *args):
     """``stage(value, *args)``, or the :class:`VfcError` ``value`` is or it raises."""
     try:
@@ -192,43 +207,83 @@ def _slot(stage, value, *args):
         return err
 
 
+def _score(window, index, alpha: float) -> list:
+    """Score/fuse over a window of ``(unit query vector, hits, names,
+    fallback, candidate rows)``: each query's :class:`Prediction`, or the
+    :class:`ZeroVectorError` that scoring it alone raises."""
+    sizes = [len(w[2]) for w in window]
+    starts = [0, *accumulate(sizes)][:-1]
+    counts = [0, *accumulate(len(w[1]) for w in window)][:-1]
+    hit_vecs = index.vectors[[h.row for w in window for h in w[1]]]
+    # each query's vector, and the sum of its retrieved captions: a cosine
+    # does not depend on scale, so these give the image's and the mean's
+    targets = np.array([np.array([w[0] for w in window]),
+                        np.add.reduceat(hit_vecs, counts, dtype=np.float64)])
+    rows = np.concatenate([w[4] for w in window])
+    norms = np.sqrt(np.einsum("kij,kij->ki", targets, targets))
+    scale = np.sqrt(np.einsum("ij,ij->i", rows, rows)) * norms.repeat(sizes, axis=1)
+    scored = [True] * len(window)
+    if not scale.all():
+        ok = scale.all(axis=0)
+        scale[:, ~ok] = 1.0  # the query fails, and its scores go unused
+        scored = np.logical_and.reduceat(ok, starts).tolist()
+    cosines = np.einsum("ij,kij->ki", rows, targets.repeat(sizes, axis=1))
+    cosines = (cosines / scale).clip(-1.0, 1.0)
+    fused = _fuse(cosines, alpha, starts, sizes)
+    # a stable sort: within a query, fused ties keep the sorted names' order
+    order = np.lexsort((-fused, np.repeat(starts, sizes)))
+    names = [name for w in window for name in w[2]]
+    ranked = list(map(ScoreBreakdown, [names[i] for i in order.tolist()],
+                      *np.concatenate([cosines, fused[None]])[:, order].tolist()))
+    return [Prediction(ranked[a].candidate, ranked[a:a + n], w[1], w[3]) if good
+            else ZeroVectorError("cosine similarity undefined for zero vectors")
+            for w, a, n, good in zip(window, starts, sizes, scored)]
+
+
 def _classify_all(queries, index, provider, tagger, config) -> list:
     """One slot per query, in order: its :class:`Prediction`, or the
     :class:`VfcError` that classifying it alone raises."""
     template = config.prompt_template or "{}"
     tokens, tags = _hit_tokens(index, config.filter), PosTags(tagger)
-    refs = [[q] for q in queries if isinstance(q, str)]
-    images = (rows if isinstance(rows, VfcError) else rows[0] for rows in
-              _embed_each(_image_method(provider), refs, "image embeddings"))
+    refs = iter(_embed_each(_image_method(provider),
+                            [[q] for q in queries if isinstance(q, str)],
+                            "image embeddings"))
+    images = (_slot(itemgetter(0), next(refs)) if isinstance(q, str)
+              else _slot(as_vector, q, "query embedding") for q in queries)
 
-    def stage(image_vec):
-        hits = retrieve_topk(index, image_vec, config.k, config.probes)
+    def unit(image_vec):
+        return check_query(index, image_vec, config.k)
+
+    def stage(hits, unit_vec):
         cands = select_candidates(
             [(h.record.id, tokens(h)) for h in hits], tags, config.filter)
-        return image_vec, hits, cands.names(), cands.fallback
+        return unit_vec, hits, cands.names(), cands.fallback
 
-    def score(cand_vecs, image_vec, hits, names, fallback):
-        if cand_vecs.shape[1] != image_vec.shape[0]:
+    def checked(cand_vecs, unit_vec, hits, names, fallback):
+        if cand_vecs.shape[1] != unit_vec.shape[0]:
             raise DimensionMismatchError(
-                f"image dim {image_vec.shape[0]} != candidate dim {cand_vecs.shape[1]}"
+                f"image dim {unit_vec.shape[0]} != candidate dim {cand_vecs.shape[1]}"
             )
-        norms = np.linalg.norm(cand_vecs, axis=1)
-        # the retrieved captions' mean, not re-normalized
-        centroid = index.vectors[[h.row for h in hits]].astype(np.float64).mean(axis=0)
-        vis = _cosines(cand_vecs, norms, image_vec)
-        tex = _cosines(cand_vecs, norms, centroid)
-        fused = fuse(vis, tex, config.alpha)
-        ranked = sorted(map(ScoreBreakdown, names, vis, tex, fused),
-                        key=lambda b: (-b.fused, b.candidate))
-        return Prediction(ranked[0].candidate, ranked, hits, fallback)
+        return unit_vec, hits, names, fallback, cand_vecs
 
-    slots = [_slot(stage, next(images) if isinstance(q, str)
-                   else _slot(as_vector, q, "query embedding")) for q in queries]
-    live = [i for i, slot in enumerate(slots) if not isinstance(slot, VfcError)]
+    slots = [_slot(unit, image) for image in images]
+    live = _live(slots)
+    for i, hits in zip(live, retrieve_window(index, [slots[i] for i in live],
+                                             config.k, config.probes)):
+        slots[i] = _slot(stage, hits, slots[i])
+    live = _live(slots)
     texts = [[template.format(name) for name in slots[i][2]] for i in live]
     for i, rows in zip(live, _embed_each(provider.embed_texts, texts,
                                          "candidate vectors")):
-        slots[i] = _slot(score, rows, *slots[i])
+        slots[i] = _slot(checked, rows, *slots[i])
+    live = _live(slots)
+    # whole queries, each block within SCORE_BLOCK candidate rows x dim
+    step = max(1, SCORE_BLOCK // max((slots[i][4].size for i in live), default=1))
+    for start in range(0, len(live), step):
+        window = live[start : start + step]
+        for i, slot in zip(window, _score([slots[i] for i in window], index,
+                                          config.alpha)):
+            slots[i] = slot
     return slots
 
 

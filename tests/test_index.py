@@ -26,8 +26,10 @@ from vfclass.index import (
     CaptionRecord,
     build_index,
     exact_topk,
+    check_query,
     load_index,
     retrieve_topk,
+    retrieve_window,
     save_index,
 )
 
@@ -537,6 +539,83 @@ class TestFloat32Shortlist:
             for probes in (1, 2, 4):
                 for hit in retrieve_topk(part, query, 10, probes=probes):
                     assert hit.score == every_row[hit.row]
+
+
+
+def probed_oracle_ids(index, query, k, probes):
+    """Independent oracle for a limited probe: the partitions nearest the
+    unit query in float64, ties to the lower partition, then a brute-force
+    top k over their rows by (-score, id)."""
+    q = np.asarray(query, dtype=np.float64)
+    q = q / np.linalg.norm(q)
+    nearest = np.argsort(np.sum((index.centroids - q) ** 2, axis=1), kind="stable")
+    rows = np.sort(np.concatenate([index.partitions[c] for c in nearest[:probes]]))
+    return brute_force_ids(index.vectors[rows], [index.records[r].id for r in rows],
+                           query, k)
+
+
+class TestRetrieveWindow:
+    """A window of queries gives each query the hits of its own
+    ``retrieve_topk``, whatever the window's size or the product used."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        rng = np.random.default_rng(50)
+        records, store = random_corpus(rng, 300, 16)
+        # every fifth caption has a twin: the same vector under the next id,
+        # so the float64 scores tie and k cuts through the twins by id
+        for rec in records[::5]:
+            records.append(CaptionRecord(rec.id + "+", rec.text))
+            store.add(rec.id + "+", store.vector(rec.id))
+        flat = build_index(records, store)
+        part = build_index(records, store, structure="partitioned",
+                           num_partitions=8, seed=5)
+        # queries on a twin (an exact tie at the top) and random ones
+        queries = [*flat.vectors[:120:6], *rng.standard_normal((60, 16))]
+        return flat, part, queries
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 40])
+    @pytest.mark.parametrize("structure, probes", [
+        ("flat", None), ("partitioned", 1), ("partitioned", 2),
+        ("partitioned", None), ("partitioned", "all")])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_window_equals_each_query_alone(self, world, window, structure,
+                                            probes, k):
+        flat, part, queries = world
+        index = flat if structure == "flat" else part
+        units = [check_query(index, q, k) for q in queries]
+        got = [hits for start in range(0, len(units), window)
+               for hits in retrieve_window(index, units[start:start + window], k,
+                                           probes)]
+        ties = 0
+        for query, hits in zip(queries, got, strict=True):
+            alone = retrieve_topk(index, query, k, probes)
+            assert [(h.record.id, h.row, h.score.hex()) for h in hits] == [
+                (h.record.id, h.row, h.score.hex()) for h in alone]
+            ids = [h.record.id for h in hits]
+            if structure == "flat" or probes == "all":
+                assert ids == [h.record.id for h in exact_topk(index, query, k)]
+            else:
+                n_probe = index_mod.DEFAULT_PROBES if probes is None else probes
+                assert ids == probed_oracle_ids(index, query, k, n_probe)
+            ties += any(a.score == b.score for a, b in zip(hits, hits[1:]))
+        assert ties or k == 1  # the twins put exact ties in the windows
+
+    def test_scan_block_of_one_query(self, world, monkeypatch):
+        """With room for one query's scores, a window is scanned a query at
+        a time, and the hits do not change."""
+        flat, part, queries = world
+        for index, probes in ((flat, None), (part, 2)):
+            units = [check_query(index, q, 10) for q in queries]
+            whole = retrieve_window(index, units, 10, probes)
+            monkeypatch.setattr(index_mod, "SCAN_BLOCK", 1)
+            assert retrieve_window(index, units, 10, probes) == whole
+            monkeypatch.undo()
+
+    def test_empty_window(self, world):
+        flat, part, _ = world
+        assert retrieve_window(flat, [], 10) == []
+        assert retrieve_window(part, [], 10, probes=2) == []
 
 
 @pytest.mark.parametrize("value", [0, 2.5, True])

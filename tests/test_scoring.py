@@ -23,11 +23,14 @@ from vfclass.errors import (
     EmptyCandidateSetError,
     EmptyInputError,
     ProviderUnavailableError,
+    SchemaError,
     UnknownKeyError,
     VfcError,
     ZeroVectorError,
 )
-from vfclass.index import CaptionRecord, build_index, retrieve_topk
+import vfclass.index as index_mod
+from vfclass.cli import _prediction_json
+from vfclass.index import CaptionRecord, build_index, retrieve_topk, retrieve_window
 import vfclass.scoring as scoring_mod
 from vfclass.scoring import (
     ClassifierConfig,
@@ -246,6 +249,33 @@ class TestFuse:
     def test_length_mismatch(self):
         with pytest.raises(EmptyInputError):
             fuse([0.1, 0.2], [0.3], 0.5)
+
+    @pytest.mark.parametrize("alpha", [True, False, "0.5", None, 1.5, -0.1,
+                                       math.nan])
+    def test_alpha_other_than_a_number_in_range_is_rejected(self, alpha):
+        with pytest.raises(EmptyInputError, match="alpha must be a number"):
+            fuse([0.1, 0.2], [0.3, 0.4], alpha)
+
+    @pytest.mark.parametrize("visual, textual, error", [
+        ([0.1, math.nan], [0.3, 0.4], EmptyInputError),
+        ([0.1, 0.2], [math.inf, 0.4], EmptyInputError),
+        ([], [], EmptyInputError),
+        ([[0.1, 0.2]], [[0.3, 0.4]], EmptyInputError),
+        (["a"], ["b"], SchemaError),
+    ], ids=["nan", "inf", "empty", "two-d", "text"])
+    def test_bad_scores_are_rejected(self, visual, textual, error):
+        with pytest.raises(error):
+            fuse(visual, textual, 0.5)
+
+    def test_fuse_is_the_classifier_fusion(self, scored):
+        """Each prediction's fused scores are ``fuse`` of its cosines in
+        name order, bit for bit: the window path and ``fuse`` are one
+        implementation."""
+        _, preds = scored
+        for pred, _, _ in preds:
+            by_name = sorted(pred.ranked, key=lambda b: b.candidate)
+            assert fuse([b.visual for b in by_name], [b.textual for b in by_name],
+                        ClassifierConfig().alpha) == [b.fused for b in by_name]
 
 
 def planted_world(caption_vec, captions=None):
@@ -803,10 +833,10 @@ class TestFaultIsolation:
         retrieved = []
 
         def counting_retrieve(*args, **kwargs):
-            retrieved.append(args[1])
-            return retrieve_topk(*args, **kwargs)
+            retrieved.extend(args[1])
+            return retrieve_window(*args, **kwargs)
 
-        monkeypatch.setattr(scoring_mod, "retrieve_topk", counting_retrieve)
+        monkeypatch.setattr(scoring_mod, "retrieve_window", counting_retrieve)
         items = classify_batch(bench.queries, index, store, tagger)
         assert len(retrieved) == len(bench.queries)
         failed = [item for item in items if item.error is not None]
@@ -880,6 +910,59 @@ class TestFaultIsolation:
             assert {item.id: item.error_code for item in items} == {
                 "dog": None, "odd": "dimension-mismatch", "dog-again": None}
             same_as_alone(items, window, index, provider, tagger, config)
+
+
+class TestWindowScoring:
+    """Score/fuse runs over a window's candidate rows at once, and each
+    query's outcome is still the one it has alone."""
+
+    def test_zero_vectors_fail_only_their_own_query(self, noisy_bench, tagger):
+        """A zero image vector, and a provider row of zeros for one
+        candidate, each fail their own query with ZeroVectorError; the rest
+        of the window equals each query run alone."""
+        bench = noisy_bench
+        index = build_index(bench.records, bench.store)
+        clean = classify_batch(bench.queries[:40], index, bench.store, tagger)
+        counts = Counter(b.candidate for item in clean for b in item.prediction.ranked)
+        word = min(name for name, n in counts.items() if n < len(clean) // 2)
+        store = PrecomputedStore(bench.store.dim)
+        store.add_many((key, np.zeros(store.dim) if key == word
+                        else bench.store.vector(key)) for key in bench.store.keys())
+        queries = list(bench.queries[:40])
+        queries.insert(13, ("zero-image", [0.0] * store.dim))
+        items = classify_batch(queries, index, store, tagger)
+        failed = {item.id for item in items if item.error_code == "zero-vector"}
+        assert "zero-image" in failed and len(failed) > 1
+        assert failed - {"zero-image"} == {
+            item.id for item in clean
+            if word in {b.candidate for b in item.prediction.ranked}}
+        assert all(item.error is None for item in items if item.id not in failed)
+        same_as_alone(items, queries, index, store, tagger, ClassifierConfig())
+
+    @pytest.mark.parametrize("module, name", [(scoring_mod, "SCORE_BLOCK"),
+                                              (index_mod, "SCAN_BLOCK")])
+    def test_block_of_one_query_gives_the_same_bytes(self, noisy_bench, tagger,
+                                                     monkeypatch, module, name):
+        """With room for one query's block, a window runs a query at a time,
+        and the prediction JSON does not change by a byte."""
+        bench = noisy_bench
+        queries = [*bench.queries[:60], ("unknown", "img/none"),
+                   ("zero", [0.0] * bench.store.dim)]
+        for index, probes in ((build_index(bench.records, bench.store), None),
+                              (build_index(bench.records, bench.store,
+                                           structure="partitioned",
+                                           num_partitions=8), 2)):
+            config = ClassifierConfig(probes=probes)
+
+            def run():
+                return "".join(json.dumps(_prediction_json(item)) + "\n" for item in
+                               classify_batch(queries, index, bench.store, tagger,
+                                              config))
+
+            whole = run()
+            monkeypatch.setattr(module, name, 1)
+            assert run() == whole
+            monkeypatch.undo()
 
 
 class VerbTagger:
