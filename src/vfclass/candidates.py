@@ -15,10 +15,18 @@ the last one that runs, one of :data:`STAGES`; each runs the ones before it:
 
 Stages 1-2 are :func:`caption_tokens`, a pure function of one caption's
 text and the settings :func:`token_settings` names, and stage 3 is
+:func:`select_window` over a window of queries, whose window of one is
 :func:`select_candidates`; :func:`extract_candidates` composes them. The
 query path in :mod:`vfclass.scoring` memoizes stages 1-2 per index row,
-lazily, keyed by those settings, for as long as the index lives (at most
-rows x distinct settings entries, no eviction).
+lazily, keyed by those settings, for as long as the index lives: a
+:class:`TokenIds` per settings holds each hit row's caption id and tokens,
+the tokens as ids into a vocabulary that grows with it (at most rows x
+distinct settings entries, no eviction). Stage 3 ranks a window's
+distinct tokens in name order and counts each (query, rank) pair with
+one ``bincount``, in blocks of whole queries sized by ``COUNT_SPREAD``,
+so the POS filter and the threshold are masks and the fallback an
+``argmax``, which takes the first, that is the lowest, name among the
+highest counts.
 
 The part-of-speech tagger is pluggable; the default is an offline lexicon
 tagger with closed-class word lists and suffix heuristics. Unknown words
@@ -30,11 +38,14 @@ from __future__ import annotations
 
 import re
 import string
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .embedding import is_count, text_lines
 from .errors import (
@@ -42,11 +53,17 @@ from .errors import (
     EmptyInputError,
     SchemaError,
     TaggerUnavailableError,
+    VfcError,
 )
 
 POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
 # "none" keeps the raw whitespace tokens; each later value adds one stage
 STAGES = ("none", "remove", "standardize", "all")
+# stage 3 counts a window in blocks of whole queries whose dense (query,
+# token) counts number at most this many per token of the window
+COUNT_SPREAD = 8
+# a query's stage-3 error, by whether the POS and count filter ran
+_EMPTY = ("captions yielded no tokens", "no candidate survived filtering")
 
 _URL_RE = re.compile(r"^(?:[a-z][a-z0-9+.-]*://|www\.)", re.IGNORECASE)
 _EXTENSION_RE = re.compile(r"^(.+)\.([A-Za-z0-9]{1,4})$")
@@ -287,8 +304,16 @@ class LexiconTagger:
                 self._lexicon[parts[0].lower()] = parts[1]
         except (OSError, SchemaError) as exc:
             raise TaggerUnavailableError(f"cannot load lexicon: {exc}") from exc
+        # word -> category: the lexicon is fixed now, so an answer never changes
+        self._answers: dict[str, str] = {}
 
     def tag(self, word: str) -> str:
+        category = self._answers.get(word)
+        if category is None:
+            category = self._answers[word] = self._resolve(word)
+        return category
+
+    def _resolve(self, word: str) -> str:
         word = word.strip().lower()
         if not word:
             raise EmptyInputError("cannot tag an empty word")
@@ -346,26 +371,120 @@ def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+class TokenIds(dict):
+    """Row -> the row's caption id and its tokens as ids into ``words``, a
+    vocabulary that grows as rows are numbered."""
+
+    def __init__(self):
+        super().__init__()
+        self.words: list[str] = []
+        self._ids: dict[str, int] = {}
+
+    def number(self, tokens) -> tuple[int, ...]:
+        """``tokens`` as ids, new tokens taking the next ones."""
+        for token in tokens:
+            if token not in self._ids:
+                self._ids[token] = len(self.words)
+                self.words.append(token)
+        return tuple(map(self._ids.__getitem__, tokens))
+
+
+def select_window(queries, words, tags, config: FilterConfig) -> list:
+    """Stage 3 over a window: ``queries`` holds each query's ``(caption id,
+    token ids)`` pairs, the ids indexing ``words``; ``tags`` maps a token to
+    its POS category and is read only when ``config.stages`` is ``"all"``,
+    once per distinct token of a block. One slot per query: its
+    :class:`CandidateSet`, or the :class:`VfcError` that
+    :func:`select_candidates` on it raises.
+
+    The window is counted in blocks of whole queries, each block's (query,
+    token) counts at most ``COUNT_SPREAD`` times the window's tokens, so the
+    work and memory grow with the tokens, not with queries x vocabulary. A
+    window whose queries share most of their tokens is one block.
+    """
+    tokens = [list(chain.from_iterable(map(itemgetter(1), pairs))) for pairs in queries]
+    step = 1
+    if len(queries) > 1:  # a window of one query is one block
+        size = sum(map(len, tokens))
+        step = max(1, COUNT_SPREAD * size // max(1, len(set(chain.from_iterable(tokens)))))
+    failed, out = {}, []
+    for a in range(0, len(queries), step):
+        out += _select_block(queries[a:a + step], tokens[a:a + step], words, tags,
+                             config, failed)
+    for j, toks in enumerate(tokens) if failed else ():
+        # the error of the query's first token that the tagger failed on
+        out[j] = next((failed[i] for i in toks if i in failed), out[j])
+    return out
+
+
+def _select_block(queries, tokens, words, tags, config, failed) -> list:
+    """:func:`select_window` on a block of queries, each query's token ids
+    in ``tokens``, apart from tagger faults: those go to ``failed``, token
+    id -> error. The block's distinct tokens are ranked in name order, and
+    its (query, rank) pairs are counted by one ``bincount``."""
+    filtered = config.stages == "all"
+    flat = list(chain.from_iterable(tokens))
+    distinct = sorted(set(flat), key=words.__getitem__)
+    if filtered:
+        allowed, pos = [], config.allowed_pos
+        for i in distinct:
+            try:
+                if tags[words[i]] in pos:
+                    allowed.append(i)
+            except VfcError as err:
+                failed[i] = err
+        distinct = allowed
+    # ranks from 1 in name order; rank 0 counts what the POS filter drops
+    rank, width = dict(zip(distinct, range(1, len(distinct) + 1))), len(distinct) + 1
+    keys = np.fromiter(map(rank.get, flat, repeat(0)), np.intp, len(flat))
+    if len(queries) > 1:  # (query, rank) as one key: query * width + rank
+        keys += np.repeat(np.arange(0, len(queries) * width, width),
+                          list(map(len, tokens)))
+    full = np.bincount(keys, minlength=len(queries) * width).reshape(-1, width)
+    counts = full[:, 1:]
+    kept = counts >= (config.min_count if filtered else 1)
+    rows, cols = kept.nonzero()
+    ids = [distinct[r] for r in cols.tolist()]
+    entries = list(zip(map(words.__getitem__, ids), counts[kept].tolist()))
+    nkept = np.bincount(rows, minlength=len(queries)).tolist()
+    if bare := [j for j, n in enumerate(nkept) if not n]:
+        # the fallback: the lowest name among the highest counts, as (rank,
+        # count); column 0 counts what the POS filter dropped
+        left = full[bare]
+        left[:, 0] = 0
+        fallbacks = dict(zip(bare, zip(left.argmax(axis=1).tolist(),
+                                       left.max(axis=1).tolist())))
+    out, ends = [], [0, *accumulate(nkept)]
+    for j, pairs in enumerate(queries):
+        lo, hi = ends[j], ends[j + 1]
+        found, kept_ids = entries[lo:hi], set(ids[lo:hi])
+        if not found:
+            r, n = fallbacks[j]
+            if not n:
+                out.append(EmptyCandidateSetError(_EMPTY[filtered]))
+                continue
+            found, kept_ids = [(words[distinct[r - 1]], n)], {distinct[r - 1]}
+        # a caption contributes if it holds a kept token
+        provenance = [cid for cid, toks in pairs if not kept_ids.isdisjoint(toks)]
+        out.append(CandidateSet(dict(found), provenance, not nkept[j]))
+    return out
+
+
 def select_candidates(per_caption, tags, config: FilterConfig) -> CandidateSet:
     """Stage 3 over ``(caption id, tokens)`` pairs; ``tags`` maps a token to
     its POS category and is read only when ``config.stages`` is ``"all"``.
 
     If the threshold leaves nothing, the set is the lowest name among the
     highest counts before it, flagged ``fallback``. Raises
-    :class:`EmptyCandidateSetError` when no token gets that far.
+    :class:`EmptyCandidateSetError` when no token gets that far. This is
+    :func:`select_window` on a window of one query.
     """
-    counts = entries = Counter([t for _, toks in per_caption for t in toks])
-    if config.stages == "all":
-        counts = {t: n for t, n in counts.items() if tags[t] in config.allowed_pos}
-        entries = {t: n for t, n in counts.items() if n >= config.min_count}
-    if not counts:
-        raise EmptyCandidateSetError(
-            "no candidate survived filtering" if config.stages == "all"
-            else "captions yielded no tokens")
-    if fallback := not entries:
-        entries = dict([min(counts.items(), key=lambda kv: (-kv[1], kv[0]))])
-    provenance = [cid for cid, toks in per_caption if any(t in entries for t in toks)]
-    return CandidateSet(dict(sorted(entries.items())), provenance, fallback)
+    vocab = TokenIds()
+    [slot] = select_window([[(cid, vocab.number(toks)) for cid, toks in per_caption]],
+                           vocab.words, tags, config)
+    if isinstance(slot, VfcError):
+        raise slot
+    return slot
 
 
 def extract_candidates(

@@ -13,9 +13,12 @@ refs per provider call, and its queries retrieve their captions together
 through the index's memo (``CaptionIndex.row_tokens``): a hit row is
 tokenized the first time a query hits it under the filter's stage-1/2
 settings (:func:`~vfclass.candidates.token_settings`, read at call time),
-and its tokens live as long as the index, at most one tuple per row and
-distinct settings, with no eviction and no option. The tagger is asked once
-per distinct token per window (:class:`~vfclass.candidates.PosTags`), and
+and its tokens live as long as the index, numbered as ids into a
+vocabulary that grows with the memo (:class:`~vfclass.candidates.TokenIds`):
+at most one (caption id, token ids) pair per row and distinct settings,
+with no eviction and no option. Stage 3 then runs once over the window's ids
+(:func:`~vfclass.candidates.select_window`). The tagger is asked once per
+distinct token per window (:class:`~vfclass.candidates.PosTags`), and
 nothing it answers outlives the call. The window's distinct candidate texts
 are embedded together in the same way. The provider loop has already
 checked every row (:func:`~vfclass.embedding._embed_chunks`), so scoring
@@ -43,8 +46,9 @@ import numpy as np
 from .candidates import (
     FilterConfig,
     PosTags,
+    TokenIds,
     caption_tokens,
-    select_candidates,
+    select_window,
     token_settings,
 )
 from .embedding import as_vector, embed_rows, is_count, is_real
@@ -181,18 +185,18 @@ def _image_method(provider):
     return lambda refs: [provider.embed_image(ref) for ref in refs]
 
 
-def _hit_tokens(index, config: FilterConfig):
-    """``caption_tokens`` of a hit's caption, through the index's memo for
-    the stage-1/2 settings ``config`` has now."""
-    memo = index.row_tokens.setdefault(token_settings(config), {})
-
-    def tokens(hit):
-        toks = memo.get(hit.row)
-        if toks is None:
-            toks = memo[hit.row] = caption_tokens(hit.record.text, config)
-        return toks
-
-    return tokens
+def _hit_ids(index, found, config: FilterConfig) -> tuple[list, list[str]]:
+    """Each query's ``(caption id, token ids)`` per hit in ``found``, and
+    the vocabulary the ids index: the index's memo for the stage-1/2
+    settings ``config`` has now, where a row's pair is made on its first
+    hit."""
+    memo = index.row_tokens.setdefault(token_settings(config), TokenIds())
+    for hits in found:
+        for hit in hits:
+            if hit.row not in memo:
+                memo[hit.row] = (hit.record.id, memo.number(
+                    caption_tokens(hit.record.text, config)))
+    return [[memo[h.row] for h in hits] for hits in found], memo.words
 
 
 def _live(slots) -> list[int]:
@@ -244,7 +248,6 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
     """One slot per query, in order: its :class:`Prediction`, or the
     :class:`VfcError` that classifying it alone raises."""
     template = config.prompt_template or "{}"
-    tokens, tags = _hit_tokens(index, config.filter), PosTags(tagger)
     refs = iter(_embed_each(_image_method(provider),
                             [[q] for q in queries if isinstance(q, str)],
                             "image embeddings"))
@@ -253,11 +256,6 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
 
     def unit(image_vec):
         return check_query(index, image_vec, config.k)
-
-    def stage(hits, unit_vec):
-        cands = select_candidates(
-            [(h.record.id, tokens(h)) for h in hits], tags, config.filter)
-        return unit_vec, hits, cands.names(), cands.fallback
 
     def checked(cand_vecs, unit_vec, hits, names, fallback):
         if cand_vecs.shape[1] != unit_vec.shape[0]:
@@ -268,9 +266,12 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
 
     slots = [_slot(unit, image) for image in images]
     live = _live(slots)
-    for i, hits in zip(live, retrieve_window(index, [slots[i] for i in live],
-                                             config.k, config.probes)):
-        slots[i] = _slot(stage, hits, slots[i])
+    found = retrieve_window(index, [slots[i] for i in live], config.k, config.probes)
+    sets = select_window(*_hit_ids(index, found, config.filter), PosTags(tagger),
+                         config.filter)
+    for i, hits, cands in zip(live, found, sets):
+        slots[i] = (cands if isinstance(cands, VfcError)
+                    else (slots[i], hits, cands.names(), cands.fallback))
     live = _live(slots)
     texts = [[template.format(name) for name in slots[i][2]] for i in live]
     for i, rows in zip(live, _embed_each(provider.embed_texts, texts,

@@ -1,10 +1,19 @@
 """Candidate extraction: noise removal, standardization, filtering."""
 
+import random
+import tracemalloc
+import types
+
+import numpy as np
 import pytest
 
+from reference import NoCandidates, Reference
+import vfclass.candidates as candidates_mod
 from vfclass.candidates import (
+    STAGES,
     FilterConfig,
     LexiconTagger,
+    TokenIds,
     caption_tokens,
     default_meta_words,
     default_stop_words,
@@ -13,11 +22,16 @@ from vfclass.candidates import (
     pos_tag,
     remove_noise,
     select_candidates,
+    select_window,
     singularize,
     standardize,
     token_settings,
 )
-from vfclass.errors import EmptyCandidateSetError, EmptyInputError
+from vfclass.errors import (
+    EmptyCandidateSetError,
+    EmptyInputError,
+    TaggerUnavailableError,
+)
 from vfclass.index import CaptionRecord
 
 
@@ -371,3 +385,135 @@ class TestFilterConfigTypes:
         assert config.stop_words == frozenset({"the", "cat"})
         assert config.meta_words == frozenset({"img"})
         assert FilterConfig(stop_words=[]).stop_words == frozenset()
+
+
+# caption words: nouns, adjectives and a verb the default tagger tells
+# apart, stop words, non-ASCII words, and raw tokens that differ only in
+# case or by a NUL, which only stages="none" keeps as they are
+WORDS = ["dog", "dogs", "cat", "zebra", "aardvark", "red", "blue", "running",
+         "the", "of", "éclair", "ça", "Dog", "DOG", "Zebra", "e", "e\x00",
+         "\x00e", "x-ray"]
+
+
+def window_slots(memo, window, tagger, config):
+    """Stage 3 over ``window``, each query's ``(caption id, tokens)`` pairs
+    numbered through ``memo``."""
+    return select_window([[(cid, memo.number(toks)) for cid, toks in pairs]
+                          for pairs in window], memo.words, PosTags(tagger), config)
+
+
+class TestSelectWindow:
+    """Stage 3 over a window equals the plain-Python reference and each
+    query's stage 3 alone."""
+
+    def test_random_windows_equal_the_reference_and_each_query_alone(
+            self, tagger, monkeypatch):
+        no_index = types.SimpleNamespace(records=[], vectors=np.zeros((0, 1)))
+        reference = Reference(no_index, None, tagger)
+        memo = TokenIds()  # shared, so ids follow first sight, not name order
+        seen = set()
+        for seed in range(300):
+            # blocks of one query, of a few, and the default
+            monkeypatch.setattr(candidates_mod, "COUNT_SPREAD", (0, 1, 8)[seed % 3])
+            rnd = random.Random(seed)
+            config = FilterConfig(stages=STAGES[seed % 4],
+                                  min_count=rnd.choice([1, 2, 3, 5]))
+            texts = [[" ".join(rnd.choices(WORDS, k=rnd.randrange(5)))
+                      for _ in range(rnd.randrange(5))]
+                     for _ in range(rnd.randrange(1, 9))]
+            window = [[(f"c{i}", caption_tokens(text, config))
+                       for i, text in enumerate(caps)] for caps in texts]
+            for caps, pairs, slot in zip(texts, window,
+                                         window_slots(memo, window, tagger, config)):
+                try:
+                    alone = select_candidates(pairs, PosTags(tagger), config)
+                except EmptyCandidateSetError as err:
+                    assert (type(slot), str(slot)) == (type(err), str(err))
+                    with pytest.raises(NoCandidates):
+                        reference.candidates(caps, config)
+                    seen.add((config.stages, str(err)))
+                    continue
+                assert (list(slot.entries.items()), slot.provenance, slot.fallback) == (
+                    list(alone.entries.items()), alone.provenance, alone.fallback)
+                assert (slot.names(), slot.fallback) == reference.candidates(caps,
+                                                                             config)
+                assert list(slot.entries) == slot.names()
+                assert slot.provenance == [cid for cid, toks in pairs
+                                           if any(t in slot.entries for t in toks)]
+                seen.add((config.stages, slot.fallback))
+        assert seen >= {(stages, False) for stages in STAGES} | {
+            ("all", True), ("all", "no candidate survived filtering"),
+            ("none", "captions yielded no tokens")}
+
+    def test_fallback_tie_goes_to_the_lowest_name_whatever_its_id(self, tagger):
+        memo = TokenIds()
+        memo.number(["zebra", "éclair", "mole"])  # ids against name order
+        window = [[("a", ("zebra", "aardvark")), ("b", ("mole",))],
+                  [("c", ("éclair", "zebra", "éclair", "zebra"))]]
+        first, second = window_slots(memo, window, tagger, FilterConfig(min_count=3))
+        assert (first.entries, first.fallback, first.provenance) == (
+            {"aardvark": 1}, True, ["a"])
+        assert (second.entries, second.fallback) == ({"zebra": 2}, True)
+
+    def test_a_token_counts_only_in_its_own_query(self, tagger):
+        window = [[("a", ("dog", "dog"))], [("b", ("walrus", "walrus", "dog"))]]
+        first, second = window_slots(TokenIds(), window, tagger, FilterConfig())
+        assert (first.entries, second.entries) == ({"dog": 2}, {"walrus": 2})
+        assert (first.provenance, second.provenance) == (["a"], ["b"])
+
+    def test_a_query_without_tokens_fails_alone(self, tagger):
+        window = [[("a", ("dog", "dog"))], [("b", ()), ("c", ())], [],
+                  [("d", ("blue", "blue"))]]
+        for config, message in ((FilterConfig(), "no candidate survived filtering"),
+                                (FilterConfig(stages="remove"),
+                                 "captions yielded no tokens")):
+            first, empty, none, last = window_slots(TokenIds(), window, tagger, config)
+            assert (first.entries, last.entries) == ({"dog": 2}, {"blue": 2})
+            for slot in (empty, none):
+                assert isinstance(slot, EmptyCandidateSetError)
+                assert str(slot) == message
+
+    def test_raw_tokens_keep_python_order(self, tagger):
+        tokens = ("e\x00", "ça", "E", "e", "\x00e", "Zebra", "zebra", "e\x00", "é")
+        window = [[("a", tokens)], [("b", ("é", "e\x00", "E"))]]
+        first, second = window_slots(TokenIds(), window, tagger,
+                                     FilterConfig(stages="none"))
+        assert list(first.entries) == sorted(set(tokens))
+        assert first.entries["e\x00"] == 2 and first.entries["e"] == 1
+        assert list(second.entries) == ["E", "e\x00", "é"]
+
+    def test_a_tagger_fault_fails_only_the_queries_with_that_token(self):
+        asked = []
+
+        class Faulty(LexiconTagger):
+            def tag(self, word):
+                asked.append(word)
+                if word in ("walrus", "zebra"):
+                    raise TaggerUnavailableError(f"cannot tag {word}")
+                return super().tag(word)
+
+        window = [[("a", ("dog", "dog"))], [("b", ("dog", "zebra", "walrus"))],
+                  [("c", ("walrus", "zebra"))]]
+        first, second, third = window_slots(TokenIds(), window, Faulty(),
+                                            FilterConfig())
+        assert first.entries == {"dog": 2}
+        assert (str(second), str(third)) == ("cannot tag zebra", "cannot tag walrus")
+        assert sorted(asked) == ["dog", "walrus", "zebra"]
+
+    def test_window_memory_does_not_scale_with_queries_times_vocabulary(self, tagger):
+        """1,000 queries of 20 tokens each that no other query has: a dense
+        (query, token) count over the window would hold 20 million counts."""
+        memo = TokenIds()
+        window = [[(f"c{q}", memo.number([f"walrus{q:03d}{c}" for c in "abcdefghij"
+                                          "klmnopqrst"]))] for q in range(1000)]
+        dense = 1000 * len(memo.words) * np.dtype(np.intp).itemsize
+        tags = PosTags(tagger)
+        tracemalloc.start()
+        try:
+            slots = select_window(window, memo.words, tags, FilterConfig(min_count=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(memo.words) == 20_000
+        assert all(len(slot.entries) == 20 for slot in slots)
+        assert peak < dense / 4

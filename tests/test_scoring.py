@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
+import vfclass.candidates as candidates_mod
 from vfclass.candidates import (
     FilterConfig,
     LexiconTagger,
@@ -939,10 +940,15 @@ class TestWindowScoring:
         assert all(item.error is None for item in items if item.id not in failed)
         same_as_alone(items, queries, index, store, tagger, ClassifierConfig())
 
-    @pytest.mark.parametrize("module, name", [(scoring_mod, "SCORE_BLOCK"),
-                                              (index_mod, "SCAN_BLOCK")])
+    @pytest.mark.parametrize("module, name, one_query", [
+        pytest.param(scoring_mod, "SCORE_BLOCK", 1, id="vfclass.scoring-SCORE_BLOCK"),
+        pytest.param(index_mod, "SCAN_BLOCK", 1, id="vfclass.index-SCAN_BLOCK"),
+        pytest.param(candidates_mod, "COUNT_SPREAD", 0,
+                     id="vfclass.candidates-COUNT_SPREAD"),
+    ])
     def test_block_of_one_query_gives_the_same_bytes(self, noisy_bench, tagger,
-                                                     monkeypatch, module, name):
+                                                     monkeypatch, module, name,
+                                                     one_query):
         """With room for one query's block, a window runs a query at a time,
         and the prediction JSON does not change by a byte."""
         bench = noisy_bench
@@ -960,7 +966,7 @@ class TestWindowScoring:
                                               config))
 
             whole = run()
-            monkeypatch.setattr(module, name, 1)
+            monkeypatch.setattr(module, name, one_query)
             assert run() == whole
             monkeypatch.undo()
 
