@@ -19,14 +19,14 @@ text and the settings :func:`token_settings` names, and stage 3 is
 :func:`select_candidates`; :func:`extract_candidates` composes them. The
 query path in :mod:`vfclass.scoring` memoizes stages 1-2 per index row,
 lazily, keyed by those settings, for as long as the index lives: a
-:class:`TokenIds` per settings holds each hit row's caption id and tokens,
-the tokens as ids into a vocabulary that grows with it (at most rows x
-distinct settings entries, no eviction). Stage 3 ranks a window's
-distinct tokens in name order and counts each (query, rank) pair with
-one ``bincount``, in blocks of whole queries sized by ``COUNT_SPREAD``,
-so the POS filter and the threshold are masks and the fallback an
-``argmax``, which takes the first, that is the lowest, name among the
-highest counts.
+:class:`TokenIds` per settings holds each hit row's tokens as ids into a
+vocabulary that grows with it (at most rows x distinct settings entries,
+no eviction). Stage 3 ranks a window's distinct tokens in name order and
+counts each (query, rank) pair with one ``bincount``, in blocks of whole
+queries sized by ``COUNT_SPREAD``, so the POS filter and the threshold are
+masks and the fallback an ``argmax``, which takes the first, that is the
+lowest, name among the highest counts. A window needs no caption ids: only
+:func:`select_candidates` names the captions that hold a kept name.
 
 The part-of-speech tagger is pluggable; the default is an offline lexicon
 tagger with closed-class word lists and suffix heuristics. Unknown words
@@ -42,8 +42,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, pairwise, repeat
 
 import numpy as np
 
@@ -198,8 +197,9 @@ class FilterConfig:
 
 @dataclass
 class CandidateSet:
-    """Candidate names with occurrence counts and contributing caption ids,
-    or stage 3's one ``fallback`` name when its threshold keeps none."""
+    """Candidate names with occurrence counts and contributing caption ids
+    (from :func:`select_candidates`; a window's sets have none), or stage
+    3's one ``fallback`` name when its threshold keeps none."""
 
     entries: dict[str, int]
     provenance: list[str] = field(default_factory=list)
@@ -341,19 +341,6 @@ def pos_tag(word: str, tagger) -> str:
     return category
 
 
-class PosTags(dict):
-    """Word -> category from ``tagger`` via :func:`pos_tag`, each distinct
-    word tagged once, on its first lookup, for as long as this map lives."""
-
-    def __init__(self, tagger):
-        super().__init__()
-        self.tagger = tagger
-
-    def __missing__(self, word: str) -> str:
-        self[word] = category = pos_tag(word, self.tagger)
-        return category
-
-
 def token_settings(config: FilterConfig) -> tuple:
     """The settings stages 1-2 read, as a hashable key: configs with equal
     settings give every caption the same tokens."""
@@ -372,8 +359,8 @@ def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:
 
 
 class TokenIds(dict):
-    """Row -> the row's caption id and its tokens as ids into ``words``, a
-    vocabulary that grows as rows are numbered."""
+    """Row -> the row's tokens as ids into ``words``, a vocabulary that
+    grows as rows are numbered."""
 
     def __init__(self):
         super().__init__()
@@ -389,39 +376,41 @@ class TokenIds(dict):
         return tuple(map(self._ids.__getitem__, tokens))
 
 
-def select_window(queries, words, tags, config: FilterConfig) -> list:
-    """Stage 3 over a window: ``queries`` holds each query's ``(caption id,
-    token ids)`` pairs, the ids indexing ``words``; ``tags`` maps a token to
-    its POS category and is read only when ``config.stages`` is ``"all"``,
-    once per distinct token of a block. One slot per query: its
-    :class:`CandidateSet`, or the :class:`VfcError` that
-    :func:`select_candidates` on it raises.
+def select_window(queries, words, tagger, config: FilterConfig) -> list:
+    """Stage 3 over a window: ``queries`` holds each query's captions as
+    tuples of token ids, the ids indexing ``words``. ``tagger`` is asked
+    only when ``config.stages`` is ``"all"``, once per distinct token of
+    the window, and its answers are not kept after the call. One slot per
+    query: its :class:`CandidateSet`, without provenance, or the
+    :class:`VfcError` that :func:`select_candidates` on it raises.
 
     The window is counted in blocks of whole queries, each block's (query,
     token) counts at most ``COUNT_SPREAD`` times the window's tokens, so the
     work and memory grow with the tokens, not with queries x vocabulary. A
     window whose queries share most of their tokens is one block.
     """
-    tokens = [list(chain.from_iterable(map(itemgetter(1), pairs))) for pairs in queries]
+    tokens = [list(chain.from_iterable(captions)) for captions in queries]
     step = 1
     if len(queries) > 1:  # a window of one query is one block
         size = sum(map(len, tokens))
         step = max(1, COUNT_SPREAD * size // max(1, len(set(chain.from_iterable(tokens)))))
+    # a word's category, asked once per window; a fault is not kept
+    tags = lru_cache(maxsize=None)(lambda word: pos_tag(word, tagger))
     failed, out = {}, []
     for a in range(0, len(queries), step):
-        out += _select_block(queries[a:a + step], tokens[a:a + step], words, tags,
-                             config, failed)
+        out += _select_block(tokens[a:a + step], words, tags, config, failed)
     for j, toks in enumerate(tokens) if failed else ():
         # the error of the query's first token that the tagger failed on
         out[j] = next((failed[i] for i in toks if i in failed), out[j])
     return out
 
 
-def _select_block(queries, tokens, words, tags, config, failed) -> list:
+def _select_block(tokens, words, tags, config, failed) -> list:
     """:func:`select_window` on a block of queries, each query's token ids
-    in ``tokens``, apart from tagger faults: those go to ``failed``, token
-    id -> error. The block's distinct tokens are ranked in name order, and
-    its (query, rank) pairs are counted by one ``bincount``."""
+    in ``tokens`` and ``tags`` a word's POS category, apart from tagger
+    faults: those go to ``failed``, token id -> error. The block's distinct
+    tokens are ranked in name order, and its (query, rank) pairs are counted
+    by one ``bincount``."""
     filtered = config.stages == "all"
     flat = list(chain.from_iterable(tokens))
     distinct = sorted(set(flat), key=words.__getitem__)
@@ -429,7 +418,7 @@ def _select_block(queries, tokens, words, tags, config, failed) -> list:
         allowed, pos = [], config.allowed_pos
         for i in distinct:
             try:
-                if tags[words[i]] in pos:
+                if tags(words[i]) in pos:
                     allowed.append(i)
             except VfcError as err:
                 failed[i] = err
@@ -437,53 +426,45 @@ def _select_block(queries, tokens, words, tags, config, failed) -> list:
     # ranks from 1 in name order; rank 0 counts what the POS filter drops
     rank, width = dict(zip(distinct, range(1, len(distinct) + 1))), len(distinct) + 1
     keys = np.fromiter(map(rank.get, flat, repeat(0)), np.intp, len(flat))
-    if len(queries) > 1:  # (query, rank) as one key: query * width + rank
-        keys += np.repeat(np.arange(0, len(queries) * width, width),
+    if len(tokens) > 1:  # (query, rank) as one key: query * width + rank
+        keys += np.repeat(np.arange(0, len(tokens) * width, width),
                           list(map(len, tokens)))
-    full = np.bincount(keys, minlength=len(queries) * width).reshape(-1, width)
+    full = np.bincount(keys, minlength=len(tokens) * width).reshape(-1, width)
     counts = full[:, 1:]
     kept = counts >= (config.min_count if filtered else 1)
     rows, cols = kept.nonzero()
-    ids = [distinct[r] for r in cols.tolist()]
-    entries = list(zip(map(words.__getitem__, ids), counts[kept].tolist()))
-    nkept = np.bincount(rows, minlength=len(queries)).tolist()
+    names = [words[distinct[r]] for r in cols.tolist()]
+    entries = list(zip(names, counts[kept].tolist()))
+    nkept = np.bincount(rows, minlength=len(tokens)).tolist()
+    out = [CandidateSet(dict(entries[a:b])) for a, b in pairwise([0, *accumulate(nkept)])]
     if bare := [j for j, n in enumerate(nkept) if not n]:
         # the fallback: the lowest name among the highest counts, as (rank,
         # count); column 0 counts what the POS filter dropped
         left = full[bare]
         left[:, 0] = 0
-        fallbacks = dict(zip(bare, zip(left.argmax(axis=1).tolist(),
-                                       left.max(axis=1).tolist())))
-    out, ends = [], [0, *accumulate(nkept)]
-    for j, pairs in enumerate(queries):
-        lo, hi = ends[j], ends[j + 1]
-        found, kept_ids = entries[lo:hi], set(ids[lo:hi])
-        if not found:
-            r, n = fallbacks[j]
-            if not n:
-                out.append(EmptyCandidateSetError(_EMPTY[filtered]))
-                continue
-            found, kept_ids = [(words[distinct[r - 1]], n)], {distinct[r - 1]}
-        # a caption contributes if it holds a kept token
-        provenance = [cid for cid, toks in pairs if not kept_ids.isdisjoint(toks)]
-        out.append(CandidateSet(dict(found), provenance, not nkept[j]))
+        for j, r, n in zip(bare, left.argmax(axis=1).tolist(), left.max(axis=1).tolist()):
+            out[j] = (CandidateSet({words[distinct[r - 1]]: n}, fallback=True) if n
+                      else EmptyCandidateSetError(_EMPTY[filtered]))
     return out
 
 
-def select_candidates(per_caption, tags, config: FilterConfig) -> CandidateSet:
-    """Stage 3 over ``(caption id, tokens)`` pairs; ``tags`` maps a token to
-    its POS category and is read only when ``config.stages`` is ``"all"``.
+def select_candidates(per_caption, tagger, config: FilterConfig) -> CandidateSet:
+    """Stage 3 over ``(caption id, tokens)`` pairs; ``tagger`` is asked only
+    when ``config.stages`` is ``"all"``. A caption contributes to the set's
+    provenance if it holds a kept name.
 
     If the threshold leaves nothing, the set is the lowest name among the
     highest counts before it, flagged ``fallback``. Raises
     :class:`EmptyCandidateSetError` when no token gets that far. This is
     :func:`select_window` on a window of one query.
     """
-    vocab = TokenIds()
-    [slot] = select_window([[(cid, vocab.number(toks)) for cid, toks in per_caption]],
-                           vocab.words, tags, config)
+    per_caption, vocab = list(per_caption), TokenIds()
+    [slot] = select_window([[vocab.number(toks) for _, toks in per_caption]],
+                           vocab.words, tagger, config)
     if isinstance(slot, VfcError):
         raise slot
+    slot.provenance = [cid for cid, toks in per_caption
+                       if not slot.entries.keys().isdisjoint(toks)]
     return slot
 
 
@@ -495,4 +476,4 @@ def extract_candidates(
     config = config or FilterConfig()
     return select_candidates(
         [(rec.id, caption_tokens(rec.text, config)) for rec in captions],
-        PosTags(tagger), config)
+        tagger, config)

@@ -34,7 +34,8 @@ whose float32 score is within twice the rounding bound of
 ``_score_bound`` of its k-th float32 score is rescored in float64, one row
 at a time, and the top k of that shortlist are exactly the float64
 brute-force top k. Each row's float64 score is the same bits whichever
-scan or window found it.
+scan or window found it. A window gives each query its hits as two
+arrays, rows and scores; :func:`retrieved` makes them captions.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ class CaptionIndex:
     @cached_property
     def row_tokens(self) -> dict[tuple, dict[int, tuple]]:
         """The memo of candidate stages 1-2: stage-1/2 settings -> {row:
-        (caption id, token ids)}, a ``candidates.TokenIds`` filled on the
-        query path one hit row at a time."""
+        token ids}, a ``candidates.TokenIds`` filled on the query path one
+        hit row at a time."""
         return {}
 
     @cached_property
@@ -344,15 +345,23 @@ def retrieve_topk(
     whichever scan finds it (see the module docstring). This is
     :func:`retrieve_window` over a window of one.
     """
-    [hits] = retrieve_window(index, [check_query(index, query, k)], k, probes)
-    return hits
+    [(rows, scores)] = retrieve_window(index, [check_query(index, query, k)], k, probes)
+    return retrieved(index, rows, scores)
+
+
+def retrieved(index: CaptionIndex, rows, scores) -> list[RetrievedCaption]:
+    """The :class:`RetrievedCaption` of each of ``rows``, arrays of index
+    rows and their scores."""
+    return [RetrievedCaption(index.records[row], score, row)
+            for row, score in zip(rows.tolist(), scores.tolist())]
 
 
 def retrieve_window(
     index: CaptionIndex, queries, k: int, probes: int | str | None = None
-) -> list[list[RetrievedCaption]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The :func:`retrieve_topk` hits of each of ``queries``, the unit
-    vectors :func:`check_query` returns for ``k``, in order.
+    vectors :func:`check_query` returns for ``k``, in order, as a pair of
+    arrays: the hit rows and their scores, best first.
 
     Each probed list is scanned by one float32 product over the queries
     that probe it, at most ``SCAN_BLOCK // len(index)`` queries at a time,
@@ -404,26 +413,16 @@ def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
         exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
         rows = layout.rows[positions]
         order = np.lexsort((rows, -exact))[:k]
-        out.append([
-            RetrievedCaption(index.records[row], score, row)
-            for row, score in zip(rows[order].tolist(),
-                                  exact[order].clip(-1.0, 1.0).tolist())
-        ])
+        out.append((rows[order], exact[order].clip(-1.0, 1.0)))
     return out
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
     """Linear-scan oracle: full sort of every record by (-score, id)."""
     q = check_query(index, query, k)
-    scored = []
-    for row, rec in enumerate(index.records):
-        score = float(np.dot(index.vectors[row].astype(np.float64), q))
-        scored.append((rec, score, row))
-    scored.sort(key=lambda item: (-item[1], item[0].id))
-    return [
-        RetrievedCaption(rec, max(-1.0, min(1.0, score)), row)
-        for rec, score, row in scored[:k]
-    ]
+    scores = [float(np.dot(row.astype(np.float64), q)) for row in index.vectors]
+    top = sorted(range(len(index)), key=lambda r: (-scores[r], index.records[r].id))[:k]
+    return retrieved(index, np.array(top), np.clip([scores[r] for r in top], -1.0, 1.0))
 
 
 def _index_body(index: CaptionIndex) -> bytes:

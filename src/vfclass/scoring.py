@@ -15,12 +15,12 @@ tokenized the first time a query hits it under the filter's stage-1/2
 settings (:func:`~vfclass.candidates.token_settings`, read at call time),
 and its tokens live as long as the index, numbered as ids into a
 vocabulary that grows with the memo (:class:`~vfclass.candidates.TokenIds`):
-at most one (caption id, token ids) pair per row and distinct settings,
-with no eviction and no option. Stage 3 then runs once over the window's ids
+at most one tuple of token ids per row and distinct settings, with no
+eviction and no option. Stage 3 then runs once over the window's ids
 (:func:`~vfclass.candidates.select_window`). The tagger is asked once per
-distinct token per window (:class:`~vfclass.candidates.PosTags`), and
-nothing it answers outlives the call. The window's distinct candidate texts
-are embedded together in the same way. The provider loop has already
+distinct token per window, and nothing it answers outlives the call. The
+window's distinct candidate texts are embedded together in the same way.
+The provider loop has already
 checked every row (:func:`~vfclass.embedding._embed_chunks`), so scoring
 checks only that the candidate dim is the query dim.
 
@@ -29,23 +29,21 @@ two cosines are row-wise products with its own query's unit vector and
 caption centroid, and each query's softmaxes run over its own segment of
 rows, so a prediction does not depend on the window it arrives in. A
 window whose candidate rows times dim exceed ``SCORE_BLOCK`` is scored in
-chunks of whole queries. Each query has one slot: its prediction, or the
-error that classifying it alone raises. A failed provider call is retried
-on each half of its queries, down to one query, which sends what a window
-of one does.
+chunks of whole queries. Between the stages a query is one record of named
+arrays, or the error that classifying it alone raises, which the later
+stages skip. A failed provider call is retried on each half of its
+queries, down to one query, which sends what a window of one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .candidates import (
     FilterConfig,
-    PosTags,
     TokenIds,
     caption_tokens,
     select_window,
@@ -55,6 +53,7 @@ from .embedding import as_vector, embed_rows, is_count, is_real
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    SchemaError,
     VfcError,
     ZeroVectorError,
 )
@@ -64,6 +63,7 @@ from .index import (
     check_probes,
     check_query,
     retrieve_window,
+    retrieved,
 )
 
 SCORE_BLOCK = 1 << 20  # candidate rows x dim one score/fuse block holds at most
@@ -186,106 +186,110 @@ def _image_method(provider):
 
 
 def _hit_ids(index, found, config: FilterConfig) -> tuple[list, list[str]]:
-    """Each query's ``(caption id, token ids)`` per hit in ``found``, and
-    the vocabulary the ids index: the index's memo for the stage-1/2
-    settings ``config`` has now, where a row's pair is made on its first
-    hit."""
+    """Each query's token ids per hit row in ``found``, and the vocabulary
+    the ids index: the index's memo for the stage-1/2 settings ``config``
+    has now, where a row's ids are made on its first hit."""
     memo = index.row_tokens.setdefault(token_settings(config), TokenIds())
-    for hits in found:
-        for hit in hits:
-            if hit.row not in memo:
-                memo[hit.row] = (hit.record.id, memo.number(
-                    caption_tokens(hit.record.text, config)))
-    return [[memo[h.row] for h in hits] for hits in found], memo.words
+    hit_rows = [rows.tolist() for rows, _ in found]
+    for row in chain.from_iterable(hit_rows):
+        if row not in memo:
+            memo[row] = memo.number(caption_tokens(index.records[row].text, config))
+    return [list(map(memo.__getitem__, rows)) for rows in hit_rows], memo.words
 
 
-def _live(slots) -> list[int]:
-    return [i for i, slot in enumerate(slots) if not isinstance(slot, VfcError)]
+@dataclass
+class _Query:
+    """One query of a window, as far as the stages have taken it; a query
+    that failed holds its error, and the later stages skip it."""
+
+    error: VfcError | None = None
+    unit: np.ndarray | None = None  # the unit query vector
+    rows: np.ndarray | None = None  # the hit rows, best first
+    scores: np.ndarray | None = None  # the hits' scores
+    names: list[str] | None = None  # the candidate names, in name order
+    fallback: bool = False
+    vectors: np.ndarray | None = None  # a candidate vector per name
+    prediction: Prediction | None = None
 
 
-def _slot(stage, value, *args):
-    """``stage(value, *args)``, or the :class:`VfcError` ``value`` is or it raises."""
-    try:
-        return value if isinstance(value, VfcError) else stage(value, *args)
-    except VfcError as err:
-        return err
-
-
-def _score(window, index, alpha: float) -> list:
-    """Score/fuse over a window of ``(unit query vector, hits, names,
-    fallback, candidate rows)``: each query's :class:`Prediction`, or the
-    :class:`ZeroVectorError` that scoring it alone raises."""
-    sizes = [len(w[2]) for w in window]
+def _score(window: list[_Query], index, alpha: float) -> None:
+    """Score/fuse over a window: give each query its :class:`Prediction`, or
+    the :class:`ZeroVectorError` that scoring it alone raises."""
+    sizes = [len(w.names) for w in window]
     starts = [0, *accumulate(sizes)][:-1]
-    counts = [0, *accumulate(len(w[1]) for w in window)][:-1]
-    hit_vecs = index.vectors[[h.row for w in window for h in w[1]]]
+    counts = [0, *accumulate(len(w.rows) for w in window)][:-1]
+    hit_vecs = index.vectors[np.concatenate([w.rows for w in window])]
     # each query's vector, and the sum of its retrieved captions: a cosine
     # does not depend on scale, so these give the image's and the mean's
-    targets = np.array([np.array([w[0] for w in window]),
+    targets = np.array([np.array([w.unit for w in window]),
                         np.add.reduceat(hit_vecs, counts, dtype=np.float64)])
-    rows = np.concatenate([w[4] for w in window])
+    cands = np.concatenate([w.vectors for w in window])
     norms = np.sqrt(np.einsum("kij,kij->ki", targets, targets))
-    scale = np.sqrt(np.einsum("ij,ij->i", rows, rows)) * norms.repeat(sizes, axis=1)
+    scale = np.sqrt(np.einsum("ij,ij->i", cands, cands)) * norms.repeat(sizes, axis=1)
     scored = [True] * len(window)
     if not scale.all():
         ok = scale.all(axis=0)
         scale[:, ~ok] = 1.0  # the query fails, and its scores go unused
         scored = np.logical_and.reduceat(ok, starts).tolist()
-    cosines = np.einsum("ij,kij->ki", rows, targets.repeat(sizes, axis=1))
+    cosines = np.einsum("ij,kij->ki", cands, targets.repeat(sizes, axis=1))
     cosines = (cosines / scale).clip(-1.0, 1.0)
     fused = _fuse(cosines, alpha, starts, sizes)
     # a stable sort: within a query, fused ties keep the sorted names' order
     order = np.lexsort((-fused, np.repeat(starts, sizes)))
-    names = [name for w in window for name in w[2]]
+    names = [name for w in window for name in w.names]
     ranked = list(map(ScoreBreakdown, [names[i] for i in order.tolist()],
                       *np.concatenate([cosines, fused[None]])[:, order].tolist()))
-    return [Prediction(ranked[a].candidate, ranked[a:a + n], w[1], w[3]) if good
-            else ZeroVectorError("cosine similarity undefined for zero vectors")
-            for w, a, n, good in zip(window, starts, sizes, scored)]
+    for w, a, n, good in zip(window, starts, sizes, scored):
+        if good:
+            w.prediction = Prediction(ranked[a].candidate, ranked[a:a + n],
+                                      retrieved(index, w.rows, w.scores), w.fallback)
+        else:
+            w.error = ZeroVectorError("cosine similarity undefined for zero vectors")
 
 
 def _classify_all(queries, index, provider, tagger, config) -> list:
-    """One slot per query, in order: its :class:`Prediction`, or the
-    :class:`VfcError` that classifying it alone raises."""
+    """Each query's :class:`Prediction`, in order, or the :class:`VfcError`
+    that classifying it alone raises."""
     template = config.prompt_template or "{}"
-    refs = iter(_embed_each(_image_method(provider),
-                            [[q] for q in queries if isinstance(q, str)],
-                            "image embeddings"))
-    images = (_slot(itemgetter(0), next(refs)) if isinstance(q, str)
-              else _slot(as_vector, q, "query embedding") for q in queries)
-
-    def unit(image_vec):
-        return check_query(index, image_vec, config.k)
-
-    def checked(cand_vecs, unit_vec, hits, names, fallback):
-        if cand_vecs.shape[1] != unit_vec.shape[0]:
-            raise DimensionMismatchError(
-                f"image dim {unit_vec.shape[0]} != candidate dim {cand_vecs.shape[1]}"
-            )
-        return unit_vec, hits, names, fallback, cand_vecs
-
-    slots = [_slot(unit, image) for image in images]
-    live = _live(slots)
-    found = retrieve_window(index, [slots[i] for i in live], config.k, config.probes)
-    sets = select_window(*_hit_ids(index, found, config.filter), PosTags(tagger),
-                         config.filter)
-    for i, hits, cands in zip(live, found, sets):
-        slots[i] = (cands if isinstance(cands, VfcError)
-                    else (slots[i], hits, cands.names(), cands.fallback))
-    live = _live(slots)
-    texts = [[template.format(name) for name in slots[i][2]] for i in live]
-    for i, rows in zip(live, _embed_each(provider.embed_texts, texts,
-                                         "candidate vectors")):
-        slots[i] = _slot(checked, rows, *slots[i])
-    live = _live(slots)
+    window = [_Query() for _ in queries]
+    images = iter(_embed_each(_image_method(provider),
+                              [[q] for q in queries if isinstance(q, str)],
+                              "image embeddings"))
+    for w, q in zip(window, queries):
+        try:
+            image = (next(images) if isinstance(q, str)
+                     else [as_vector(q, "query embedding")])
+            if isinstance(image, VfcError):
+                raise image
+            w.unit = check_query(index, image[0], config.k)
+        except VfcError as err:
+            w.error = err
+    live = [w for w in window if w.error is None]
+    found = retrieve_window(index, [w.unit for w in live], config.k, config.probes)
+    sets = select_window(*_hit_ids(index, found, config.filter), tagger, config.filter)
+    for w, (rows, scores), cands in zip(live, found, sets):
+        w.rows, w.scores = rows, scores
+        if isinstance(cands, VfcError):
+            w.error = cands
+        else:
+            w.names, w.fallback = cands.names(), cands.fallback
+    live = [w for w in live if w.error is None]
+    texts = [[template.format(name) for name in w.names] for w in live]
+    for w, vectors in zip(live, _embed_each(provider.embed_texts, texts,
+                                            "candidate vectors")):
+        if isinstance(vectors, VfcError):
+            w.error = vectors
+        elif vectors.shape[1] != w.unit.shape[0]:
+            w.error = DimensionMismatchError(
+                f"image dim {w.unit.shape[0]} != candidate dim {vectors.shape[1]}")
+        else:
+            w.vectors = vectors
+    live = [w for w in live if w.error is None]
     # whole queries, each block within SCORE_BLOCK candidate rows x dim
-    step = max(1, SCORE_BLOCK // max((slots[i][4].size for i in live), default=1))
+    step = max(1, SCORE_BLOCK // max((w.vectors.size for w in live), default=1))
     for start in range(0, len(live), step):
-        window = live[start : start + step]
-        for i, slot in zip(window, _score([slots[i] for i in window], index,
-                                          config.alpha)):
-            slots[i] = slot
-    return slots
+        _score(live[start : start + step], index, config.alpha)
+    return [w.error or w.prediction for w in window]
 
 
 def classify(
@@ -303,10 +307,10 @@ def classify(
     prediction is flagged as a fallback.
     """
     config = config or ClassifierConfig()
-    [slot] = _classify_all([query], index, provider, tagger, config)
-    if isinstance(slot, VfcError):
-        raise slot
-    return slot
+    [result] = _classify_all([query], index, provider, tagger, config)
+    if isinstance(result, VfcError):
+        raise result
+    return result
 
 
 def classify_batch(
@@ -320,10 +324,16 @@ def classify_batch(
 
     Results keep input order. A failing query yields a BatchItem with the
     code and message a single :func:`classify` of it raises, and the others
-    are classified as usual.
+    are classified as usual. An entry that is not a 2-tuple or 2-list with
+    a ``str`` id is a :class:`SchemaError` before any provider call.
     """
     config = config or ClassifierConfig()
     queries = list(queries)
-    slots = _classify_all([q for _, q in queries], index, provider, tagger, config)
-    return [BatchItem(qid, error=str(s), error_code=s.code) if isinstance(s, VfcError)
-            else BatchItem(qid, prediction=s) for (qid, _), s in zip(queries, slots)]
+    for i, entry in enumerate(queries):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise SchemaError(f"queries[{i}] must be an (id, query) pair with a "
+                              f"string id, got {entry!r:.60}")
+    results = _classify_all([q for _, q in queries], index, provider, tagger, config)
+    return [BatchItem(qid, error=str(r), error_code=r.code) if isinstance(r, VfcError)
+            else BatchItem(qid, prediction=r) for (qid, _), r in zip(queries, results)]

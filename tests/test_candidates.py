@@ -17,7 +17,6 @@ from vfclass.candidates import (
     caption_tokens,
     default_meta_words,
     default_stop_words,
-    PosTags,
     extract_candidates,
     pos_tag,
     remove_noise,
@@ -147,8 +146,7 @@ class TestPosTag:
 
 def select(tokens, tagger, config=None):
     """Stage 3 over one caption's ``tokens``."""
-    return select_candidates([("c1", tokens)], PosTags(tagger),
-                             config or FilterConfig())
+    return select_candidates([("c1", tokens)], tagger, config or FilterConfig())
 
 
 class TestSelectCandidates:
@@ -397,9 +395,9 @@ WORDS = ["dog", "dogs", "cat", "zebra", "aardvark", "red", "blue", "running",
 
 def window_slots(memo, window, tagger, config):
     """Stage 3 over ``window``, each query's ``(caption id, tokens)`` pairs
-    numbered through ``memo``."""
-    return select_window([[(cid, memo.number(toks)) for cid, toks in pairs]
-                          for pairs in window], memo.words, PosTags(tagger), config)
+    numbered through ``memo``; the window takes no caption ids."""
+    return select_window([[memo.number(toks) for _, toks in pairs] for pairs in window],
+                         memo.words, tagger, config)
 
 
 class TestSelectWindow:
@@ -426,20 +424,22 @@ class TestSelectWindow:
             for caps, pairs, slot in zip(texts, window,
                                          window_slots(memo, window, tagger, config)):
                 try:
-                    alone = select_candidates(pairs, PosTags(tagger), config)
+                    alone = select_candidates(pairs, tagger, config)
                 except EmptyCandidateSetError as err:
                     assert (type(slot), str(slot)) == (type(err), str(err))
                     with pytest.raises(NoCandidates):
                         reference.candidates(caps, config)
                     seen.add((config.stages, str(err)))
                     continue
-                assert (list(slot.entries.items()), slot.provenance, slot.fallback) == (
-                    list(alone.entries.items()), alone.provenance, alone.fallback)
+                assert (list(slot.entries.items()), slot.fallback) == (
+                    list(alone.entries.items()), alone.fallback)
                 assert (slot.names(), slot.fallback) == reference.candidates(caps,
                                                                              config)
                 assert list(slot.entries) == slot.names()
-                assert slot.provenance == [cid for cid, toks in pairs
-                                           if any(t in slot.entries for t in toks)]
+                # provenance is select_candidates' own; the window has none
+                assert slot.provenance == []
+                assert alone.provenance == [cid for cid, toks in pairs
+                                            if any(t in alone.entries for t in toks)]
                 seen.add((config.stages, slot.fallback))
         assert seen >= {(stages, False) for stages in STAGES} | {
             ("all", True), ("all", "no candidate survived filtering"),
@@ -451,15 +451,18 @@ class TestSelectWindow:
         window = [[("a", ("zebra", "aardvark")), ("b", ("mole",))],
                   [("c", ("éclair", "zebra", "éclair", "zebra"))]]
         first, second = window_slots(memo, window, tagger, FilterConfig(min_count=3))
-        assert (first.entries, first.fallback, first.provenance) == (
-            {"aardvark": 1}, True, ["a"])
+        assert (first.entries, first.fallback) == ({"aardvark": 1}, True)
         assert (second.entries, second.fallback) == ({"zebra": 2}, True)
+        alone = select_candidates(window[0], tagger, FilterConfig(min_count=3))
+        assert (alone.entries, alone.fallback, alone.provenance) == (
+            {"aardvark": 1}, True, ["a"])
 
     def test_a_token_counts_only_in_its_own_query(self, tagger):
         window = [[("a", ("dog", "dog"))], [("b", ("walrus", "walrus", "dog"))]]
         first, second = window_slots(TokenIds(), window, tagger, FilterConfig())
         assert (first.entries, second.entries) == ({"dog": 2}, {"walrus": 2})
-        assert (first.provenance, second.provenance) == (["a"], ["b"])
+        assert [select_candidates(pairs, tagger, FilterConfig()).provenance
+                for pairs in window] == [["a"], ["b"]]
 
     def test_a_query_without_tokens_fails_alone(self, tagger):
         window = [[("a", ("dog", "dog"))], [("b", ()), ("c", ())], [],
@@ -504,13 +507,12 @@ class TestSelectWindow:
         """1,000 queries of 20 tokens each that no other query has: a dense
         (query, token) count over the window would hold 20 million counts."""
         memo = TokenIds()
-        window = [[(f"c{q}", memo.number([f"walrus{q:03d}{c}" for c in "abcdefghij"
-                                          "klmnopqrst"]))] for q in range(1000)]
+        window = [[memo.number([f"walrus{q:03d}{c}" for c in "abcdefghij"
+                                 "klmnopqrst"])] for q in range(1000)]
         dense = 1000 * len(memo.words) * np.dtype(np.intp).itemsize
-        tags = PosTags(tagger)
         tracemalloc.start()
         try:
-            slots = select_window(window, memo.words, tags, FilterConfig(min_count=1))
+            slots = select_window(window, memo.words, tagger, FilterConfig(min_count=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,8 +14,10 @@ import vfclass.candidates as candidates_mod
 from vfclass.candidates import (
     FilterConfig,
     LexiconTagger,
+    TokenIds,
     default_stop_words,
     extract_candidates,
+    token_settings,
 )
 import vfclass.embedding as embedding_mod
 from vfclass.embedding import EMBED_CHUNK, PrecomputedStore, cosine_similarity
@@ -477,6 +479,28 @@ class TestClassifyBatch:
         assert results[0].prediction is not None
         assert results[1].prediction is None
         assert results[1].error_code == "unknown-image-ref"
+
+    @pytest.mark.parametrize("entry", ["ab", ("a",), 1, (5, "missing/ref"),
+                                       ("a", "b", "c"), None],
+                             ids=["str", "1-tuple", "int", "int-id", "3-tuple", "None"])
+    def test_malformed_entry_is_a_schema_error_before_any_call(self, tagger, entry):
+        """An entry is an (id, query) pair; a string of two characters is
+        not read as one."""
+        index, _, queries = self.world()
+
+        class Untouched:
+            def __getattr__(self, name):
+                raise AssertionError(f"provider.{name} used")
+
+        with pytest.raises(SchemaError, match=r"^queries\[1\] must be an \(id, query\)"):
+            classify_batch([queries[0], entry], index, Untouched(), tagger)
+
+    def test_entry_may_be_a_list(self, tagger):
+        index, store, queries = self.world()
+        config = ClassifierConfig(k=4)
+        assert classify_batch([list(q) for q in queries], index, store, tagger,
+                              config) == classify_batch(queries, index, store,
+                                                        tagger, config)
 
     def test_non_numeric_image_vector_fails_only_its_query(self, tagger):
         index, store, queries = self.world()
@@ -1036,6 +1060,24 @@ class TestTokenMemo:
                 names = extract_candidates(
                     [h.record for h in pred.retrieved], tagger, other).names()
                 assert sorted(b.candidate for b in pred.ranked) == names
+
+    def test_query_path_looks_up_only_its_hit_rows(self, noisy_bench, index, tagger):
+        """The memo is filled by one lookup per hit row, never by walking it:
+        it grows with every row the index has been asked about."""
+        class Unwalkable(TokenIds):
+            def __iter__(self):
+                raise AssertionError("the memo was walked")
+
+            keys = values = items = __iter__
+
+        queries, store = noisy_bench.queries, noisy_bench.store
+        want = classify_batch(queries, dataclasses.replace(index), store, tagger)
+        index.row_tokens[token_settings(FilterConfig())] = Unwalkable()
+        assert [classify(q, index, store, tagger) for _, q in queries[:10]] == [
+            item.prediction for item in want[:10]]
+        for _ in range(2):  # a memo partly filled, then one holding every hit row
+            assert classify_batch(queries, index, store, tagger) == want
+        assert type(index.row_tokens[token_settings(FilterConfig())]) is Unwalkable
 
     def test_replaced_index_starts_empty(self, noisy_bench, index, tagger):
         classify_batch(noisy_bench.queries[:5], index, noisy_bench.store, tagger)
