@@ -46,7 +46,7 @@ from itertools import accumulate, chain, pairwise, repeat
 
 import numpy as np
 
-from .embedding import is_count, text_lines
+from .embedding import check_count, check_flag, text_lines
 from .errors import (
     EmptyCandidateSetError,
     EmptyInputError,
@@ -176,12 +176,9 @@ class FilterConfig:
     stages: str = "all"
 
     def __post_init__(self):
-        for name in ("min_word_length", "min_count"):
-            if not is_count(value := getattr(self, name)):
-                raise EmptyInputError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.split_compounds, bool):
-            raise EmptyInputError(
-                f"split_compounds must be True or False, got {self.split_compounds!r}")
+        check_count(self.min_word_length, "min_word_length")
+        check_count(self.min_count, "min_count")
+        check_flag(self.split_compounds, "split_compounds")
         if not (isinstance(self.stages, str) and self.stages in STAGES):
             raise EmptyInputError(
                 f"stages must be one of {STAGES}, got {self.stages!r}")

@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ingest, build-index, classify, evaluate, stats, ablate,
-serve-stub. Option precedence is flags > environment (``VFC_`` prefix) >
-config file (``key=value`` lines via ``--config``) > the defaults of the
-library's signatures (alpha 0.7, k 10). Runtime failures exit 1 with a
-machine-readable JSON error on stderr; usage errors exit 2.
+validate-manifest, serve-stub. Option precedence is flags > environment
+(``VFC_<NAME>``) > config file (``name=value`` lines via ``--config``) >
+the defaults of the library's signatures (alpha 0.7, k 10); ``run``
+settles the names of :data:`SETTINGS` once, before the command runs. Each
+typed value is checked by the library's own rule for it: a bad flag is a
+usage error (exit 2), and every runtime failure, a bad environment or
+config-file value too, exits 1 with a machine-readable JSON error on
+stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -24,7 +27,8 @@ from .candidates import FilterConfig, LexiconTagger, load_word_list
 from .embedding import (
     HashEmbedder,
     RemoteEmbeddingClient,
-    is_count,
+    check_count,
+    check_timeout,
     is_real,
     load_store,
     text_lines,
@@ -38,7 +42,7 @@ from .evaluation import (
     load_truths,
     LabeledPrediction,
 )
-from .index import build_index, load_index, save_index
+from .index import build_index, check_probes, load_index, save_index
 from .ingestion import (
     canonical_jsonl,
     corpus_stats,
@@ -47,8 +51,8 @@ from .ingestion import (
     load_manifest,
     validate_manifest,
 )
-from .scoring import ClassifierConfig, classify_batch
-from .stubserver import serve
+from .scoring import ClassifierConfig, check_alpha, classify_batch
+from .stubserver import check_port, serve
 
 log = logging.getLogger("vfclass")
 
@@ -65,75 +69,59 @@ def _load_config_file(path) -> dict[str, str]:
     return conf
 
 
-def resolve_option(name, flag_value, file_conf, cast=str):
-    """flags > VFC_<NAME> env > config file; None if none of them sets it."""
-    raw = os.environ.get(f"VFC_{name.upper()}", file_conf.get(name))
-    if flag_value is not None or raw is None:
-        return flag_value
-    try:
-        return cast(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
+def _rule(convert, check, *check_args):
+    """An argparse type that converts the text with ``convert`` and passes
+    the value (the text itself if it does not convert, so the message names
+    it) to the library's ``check(value, *check_args)``; a value the check
+    rejects is a usage error carrying the check's message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            check(value, *check_args)
+        except VfcError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    return parse
+
+
+# the settings that a flag, VFC_<NAME> or a --config line sets, and their parsers
+SETTINGS = {
+    "embed_url": str,
+    "embed_timeout": _rule(float, check_timeout),
+    "embed_dim": _rule(int, check_count, "dim"),
+    "k": _rule(int, check_count, "k"),
+    "alpha": _rule(float, check_alpha),
+    "probes": _rule(int, check_probes),  # "all" does not convert and passes
+    "prompt": str,
+    "seed": _rule(int, check_count, "seed", 0),
+}
+
+
+def _settle(args, file_conf: dict[str, str]) -> None:
+    """Set each of the command's settings that no flag set from
+    ``VFC_<NAME>``, else from the config file: flags > environment > config
+    file. A setting none of them sets stays None."""
+    for name, parse in SETTINGS.items():
+        if getattr(args, name, "") is not None:
+            continue  # not an option of this command, or set by its flag
+        raw = os.environ.get(f"VFC_{name.upper()}", file_conf.get(name))
+        if raw is None:
+            continue
+        try:
+            setattr(args, name, parse(raw))
+        except argparse.ArgumentTypeError as exc:
+            raise EmptyInputError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
 def _given(**options) -> dict:
     """The options that are set; a library call given only these keeps its
     own defaults for the rest."""
     return {name: value for name, value in options.items() if value is not None}
-
-
-def _parse_count(value: str, expected: str | None = None, low: int = 1,
-                 high: float = math.inf) -> int:
-    """An integer from ``low`` to ``high``: by default a count of at least 1."""
-    try:
-        count = int(value)
-    except ValueError:
-        count = low - 1
-    if not low <= count <= high:
-        expected = expected or f"an integer >= {low}"
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
-    return count
-
-
-def _parse_seed(value: str) -> int:
-    """A random seed: an integer >= 0."""
-    return _parse_count(value, low=0)
-
-
-def _parse_port(value: str) -> int:
-    """A TCP port; 0 lets the system choose one."""
-    return _parse_count(value, "a port from 0 to 65535", low=0, high=65535)
-
-
-def _parse_timeout(value: str) -> float:
-    """A finite number of seconds above 0."""
-    try:
-        seconds = float(value)
-    except ValueError:
-        seconds = 0.0
-    if not 0.0 < seconds < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds > 0, got {value!r}"
-        )
-    return seconds
-
-
-def _parse_alpha(value: str) -> float:
-    """The visual weight: a finite number from 0 to 1."""
-    try:
-        alpha = float(value)
-    except ValueError:
-        alpha = math.nan
-    if not 0.0 <= alpha <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a number from 0 to 1, got {value!r}"
-        )
-    return alpha
-
-
-def _parse_probes(value: str):
-    """``all`` or a partition count of at least 1."""
-    return value if value == "all" else _parse_count(value, "'all' or an integer >= 1")
 
 
 def _output(path, text: str) -> None:
@@ -146,16 +134,12 @@ def _output(path, text: str) -> None:
         write_file(path, text)
 
 
-def _provider(args, file_conf):
-    embed_url = resolve_option("embed_url", args.embed_url, file_conf)
+def _provider(args):
     if args.embeddings:
         return load_store(args.embeddings)
-    if embed_url:
-        timeout = resolve_option("embed_timeout", args.embed_timeout, file_conf,
-                                 cast=_parse_timeout)
-        dim = resolve_option("embed_dim", args.embed_dim, file_conf,
-                             cast=_parse_count)
-        return RemoteEmbeddingClient(embed_url, **_given(dim=dim, timeout=timeout))
+    if args.embed_url:
+        return RemoteEmbeddingClient(
+            args.embed_url, **_given(dim=args.embed_dim, timeout=args.embed_timeout))
     raise EmptyInputError(
         "no embedding provider: pass --embeddings or --embed-url",
         code="provider-unavailable",
@@ -174,16 +158,11 @@ def _tagger(args) -> LexiconTagger:
     return LexiconTagger(lexicon_path=args.lexicon)
 
 
-def _classifier_config(args, file_conf) -> ClassifierConfig:
+def _classifier_config(args) -> ClassifierConfig:
     return ClassifierConfig(
         filter=_filter_config(args),
-        **_given(
-            k=resolve_option("k", args.k, file_conf, cast=_parse_count),
-            alpha=resolve_option("alpha", args.alpha, file_conf, cast=_parse_alpha),
-            prompt_template=resolve_option("prompt", args.prompt, file_conf),
-            probes=resolve_option("probes", args.probes, file_conf,
-                                  cast=_parse_probes),
-        ),
+        **_given(k=args.k, alpha=args.alpha, prompt_template=args.prompt,
+                 probes=args.probes),
     )
 
 
@@ -210,23 +189,23 @@ def _prediction_json(item) -> dict:
     }
 
 
-def _cmd_ingest(args, file_conf) -> int:
+def _cmd_ingest(args) -> int:
     records = ingest_corpus(args.corpus, strict=args.strict, **_given(fmt=args.format))
     _output(args.out, canonical_jsonl(records))
     log.info("ingested %d records", len(records))
     return 0
 
 
-def _cmd_stats(args, file_conf) -> int:
+def _cmd_stats(args) -> int:
     records = ingest_corpus(args.corpus, **_given(fmt=args.format))
     stats = corpus_stats(records, _tagger(args), _filter_config(args))
     _output(args.out, json.dumps(stats.to_dict(), indent=2) + "\n")
     return 0
 
 
-def _cmd_build_index(args, file_conf) -> int:
+def _cmd_build_index(args) -> int:
     records = ingest_corpus(args.corpus, strict=args.strict, **_given(fmt=args.format))
-    provider = _provider(args, file_conf)
+    provider = _provider(args)
     index = build_index(
         records,
         provider,
@@ -234,7 +213,7 @@ def _cmd_build_index(args, file_conf) -> int:
         **_given(
             structure=args.structure,
             num_partitions=args.partitions,
-            seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
+            seed=args.seed,
         ),
     )
     save_index(index, args.out)
@@ -270,10 +249,10 @@ def _read_queries(path) -> list[tuple[str, object]]:
     return queries
 
 
-def _cmd_classify(args, file_conf) -> int:
+def _cmd_classify(args) -> int:
     index = load_index(args.index)
-    provider = _provider(args, file_conf)
-    config = _classifier_config(args, file_conf)
+    provider = _provider(args)
+    config = _classifier_config(args)
     queries = _read_queries(args.queries)
     results = classify_batch(queries, index, provider, _tagger(args), config)
     _output(args.out, "".join(json.dumps(_prediction_json(item), ensure_ascii=False)
@@ -283,21 +262,21 @@ def _cmd_classify(args, file_conf) -> int:
     return 0
 
 
-def _make_eval_embedder(args, file_conf):
-    if args.embeddings or resolve_option("embed_url", args.embed_url, file_conf):
-        return _provider(args, file_conf)
+def _make_eval_embedder(args):
+    if args.embeddings or args.embed_url:
+        return _provider(args)
     return HashEmbedder(64)
 
 
-def _cmd_evaluate(args, file_conf) -> int:
+def _cmd_evaluate(args) -> int:
     pairs = load_predictions(args.predictions)
     truths = load_truths(args.truths)
     labeled = join_predictions(pairs, truths)
-    report = evaluate_predictions(labeled, _make_eval_embedder(args, file_conf),
+    report = evaluate_predictions(labeled, _make_eval_embedder(args),
                                   **_given(mode=args.mode))
     _output(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     if args.csv:
-        write_file(args.csv, report.to_csv())
+        _output(args.csv, report.to_csv())
     return 0
 
 
@@ -322,10 +301,7 @@ class AblationSpec:
             raise EmptyInputError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
             raise EmptyInputError("sweep needs at least one value")
-        if not is_count(self.num_queries):
-            raise EmptyInputError(
-                f"num_queries must be an integer >= 1, got {self.num_queries!r}"
-            )
+        check_count(self.num_queries, "num_queries")
 
     def config_for(self, value: str) -> ClassifierConfig:
         """The base configuration with the swept variable set to ``value``;
@@ -348,7 +324,7 @@ class AblationSpec:
         return replace(self.base)
 
 
-def _sweep_rows(spec: AblationSpec, args, file_conf) -> list[dict]:
+def _sweep_rows(spec: AblationSpec, args) -> list[dict]:
     embedder = HashEmbedder(64)
     tagger = _tagger(args)
 
@@ -356,7 +332,7 @@ def _sweep_rows(spec: AblationSpec, args, file_conf) -> list[dict]:
         manifest = load_manifest(args.benchmark)
         if not args.index and spec.sweep != "database":
             raise EmptyInputError("--index is required with --benchmark")
-        provider = _provider(args, file_conf)
+        provider = _provider(args)
         queries = [(e.id, e.ref) for e in manifest.entries]
         truths = {e.id: e.label for e in manifest.entries}
         index = load_index(args.index) if args.index else None
@@ -404,18 +380,18 @@ def _sweep_rows(spec: AblationSpec, args, file_conf) -> list[dict]:
     return rows
 
 
-def _cmd_ablate(args, file_conf) -> int:
+def _cmd_ablate(args) -> int:
     spec = AblationSpec(
         sweep=args.sweep,
         values=[v for v in args.values.split(",") if v],
-        base=_classifier_config(args, file_conf),
+        base=_classifier_config(args),
         **_given(
             eval_mode=args.eval_mode,
-            seed=resolve_option("seed", args.seed, file_conf, cast=_parse_seed),
+            seed=args.seed,
             num_queries=args.num_queries,
         ),
     )
-    rows = _sweep_rows(spec, args, file_conf)
+    rows = _sweep_rows(spec, args)
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf,
@@ -428,7 +404,7 @@ def _cmd_ablate(args, file_conf) -> int:
     return 0
 
 
-def _cmd_validate_manifest(args, file_conf) -> int:
+def _cmd_validate_manifest(args) -> int:
     manifest = load_manifest(args.manifest)
     store = load_store(args.embeddings)
     dangling = validate_manifest(manifest, store)
@@ -437,7 +413,7 @@ def _cmd_validate_manifest(args, file_conf) -> int:
     return 0 if not dangling else 1
 
 
-def _cmd_serve_stub(args, file_conf) -> int:
+def _cmd_serve_stub(args) -> int:
     serve(**_given(host=args.host, port=args.port, dim=args.dim))
     return 0
 
@@ -456,16 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
     provider = argparse.ArgumentParser(add_help=False)
     provider.add_argument("--embeddings", help="precomputed store (.vfce)")
     provider.add_argument("--embed-url", help="remote embedding service URL")
-    provider.add_argument("--embed-dim", type=_parse_count)
-    provider.add_argument("--embed-timeout", type=_parse_timeout)
+    provider.add_argument("--embed-dim", type=SETTINGS["embed_dim"])
+    provider.add_argument("--embed-timeout", type=SETTINGS["embed_timeout"])
     words = argparse.ArgumentParser(add_help=False)
     words.add_argument("--lexicon", help="word<TAB>pos lexicon file")
     words.add_argument("--stop-words", help="stop-word list, one word per line")
     words.add_argument("--meta-words", help="meta-word list, one word per line")
     classifier = argparse.ArgumentParser(add_help=False)
-    classifier.add_argument("--alpha", type=_parse_alpha)
-    classifier.add_argument("--k", type=_parse_count)
-    classifier.add_argument("--probes", type=_parse_probes)
+    classifier.add_argument("--alpha", type=SETTINGS["alpha"])
+    classifier.add_argument("--k", type=SETTINGS["k"])
+    classifier.add_argument("--probes", type=SETTINGS["probes"])
     classifier.add_argument("--prompt")
 
     p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
@@ -488,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "plain"])
     p.add_argument("--strict", action="store_true")
     p.add_argument("--structure", choices=["flat", "partitioned"])
-    p.add_argument("--partitions", type=_parse_count)
+    p.add_argument("--partitions", type=_rule(int, check_count, "num_partitions"))
     p.add_argument("--dedup", action="store_true",
                    help="drop records with duplicate caption text")
-    p.add_argument("--seed", type=_parse_seed)
+    p.add_argument("--seed", type=SETTINGS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_index)
 
@@ -518,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--benchmark", help="dataset manifest (default: synthetic)")
     p.add_argument("--index", help="index for --benchmark runs")
-    p.add_argument("--num-queries", type=_parse_count)
+    p.add_argument("--num-queries", type=_rule(int, check_count, "num_queries"))
     p.add_argument("--eval-mode", choices=EVAL_MODES)
-    p.add_argument("--seed", type=_parse_seed)
+    p.add_argument("--seed", type=SETTINGS["seed"])
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ablate)
 
@@ -532,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-stub", help="run the deterministic embedding stub")
     p.add_argument("--host")
-    p.add_argument("--port", type=_parse_port)
-    p.add_argument("--dim", type=_parse_count)
+    p.add_argument("--port", type=_rule(int, check_port))
+    p.add_argument("--dim", type=_rule(int, check_count, "dim"))
     p.set_defaults(func=_cmd_serve_stub)
 
     return parser
@@ -550,8 +526,8 @@ def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        file_conf = _load_config_file(args.config) if args.config else {}
-        return args.func(args, file_conf)
+        _settle(args, _load_config_file(args.config) if args.config else {})
+        return args.func(args)
     except VfcError as err:
         json.dump({"error": err.code, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")

@@ -62,6 +62,31 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_count(value, name: str, low: int = 1):
+    """``value`` if :func:`is_count` holds for it, else an
+    :class:`EmptyInputError` naming ``name``."""
+    if not is_count(value, low):
+        raise EmptyInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_flag(value, name: str):
+    """``value`` if it is a ``bool``, else an :class:`EmptyInputError`."""
+    if not isinstance(value, bool):
+        raise EmptyInputError(f"{name} must be True or False, got {value!r}")
+    return value
+
+
+def check_timeout(value):
+    """``value`` if it is a finite number of seconds > 0, else an
+    :class:`EmptyInputError`."""
+    if not (is_real(value) and 0 < value < math.inf):
+        raise EmptyInputError(
+            f"timeout must be a finite number of seconds > 0, got {value!r}"
+        )
+    return value
+
+
 def _as_float64(values, name: str, shape: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=np.float64)
@@ -179,8 +204,7 @@ def hashed_vector(text: str, modality: str = "text", dim: int = 64) -> np.ndarra
     independent of platform or library version. Used by the stub embedding
     service and as the offline default for semantic-similarity scoring.
     """
-    if not is_count(dim):
-        raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
+    check_count(dim, "dim")
     seed = f"{modality}\x00{text}".encode("utf-8")
     digests = [
         hashlib.sha256(seed + b"\x00" + str(block).encode()).digest()
@@ -218,9 +242,7 @@ class PrecomputedStore:
     """
 
     def __init__(self, dim: int, identity: str = "precomputed"):
-        if not is_count(dim):
-            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
-        self.dim = dim
+        self.dim = check_count(dim, "dim")
         self.identity = identity
         self._keys: list[str] = []
         self._rows: dict[str, int] = {}
@@ -237,7 +259,9 @@ class PrecomputedStore:
         return list(self._keys)
 
     def add(self, key: str, vector) -> None:
-        """Register ``vector`` under ``key``; later adds overwrite."""
+        """Register ``vector`` under ``key``, a ``str``; later adds overwrite."""
+        if not isinstance(key, str):
+            raise SchemaError(f"store key must be a string, got {key!r:.60}")
         arr = as_vector(vector, f"vector for {key!r}")
         if arr.shape[0] != self.dim:
             raise DimensionMismatchError(
@@ -454,15 +478,9 @@ class RemoteEmbeddingClient:
         timeout: float = 10.0,
         identity: str | None = None,
     ):
-        if dim is not None and not is_count(dim):
-            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
-        if not (is_real(timeout) and 0 < timeout < math.inf):
-            raise EmptyInputError(
-                f"timeout must be a finite number of seconds > 0, got {timeout!r}"
-            )
         self.base_url = base_url
-        self.dim = dim
-        self.timeout = timeout
+        self.dim = dim if dim is None else check_count(dim, "dim")
+        self.timeout = check_timeout(timeout)
         self.identity = identity or f"remote:{base_url}"
         self._session = requests.Session()  # one kept-alive connection
         self._texts: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -533,9 +551,7 @@ class HashEmbedder:
     """
 
     def __init__(self, dim: int = 64):
-        if not is_count(dim):
-            raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
-        self.dim = dim
+        self.dim = check_count(dim, "dim")
         self.identity = f"hash-v1:{dim}"
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:

@@ -51,6 +51,8 @@ from .embedding import (
     _Reader,
     as_vector,
     body_crc,
+    check_count,
+    check_flag,
     is_count,
     pack_string,
     read_store_payload,
@@ -229,14 +231,10 @@ def build_index(
     """
     if structure not in ("flat", "partitioned"):
         raise EmptyInputError(f"unknown index structure {structure!r}")
-    if structure == "partitioned" and not is_count(num_partitions):
-        raise EmptyInputError(
-            f"num_partitions must be an integer >= 1, got {num_partitions!r}"
-        )
-    if not is_count(seed, low=0):
-        raise EmptyInputError(f"seed must be an integer >= 0, got {seed!r}")
-    if not isinstance(dedup, bool):
-        raise EmptyInputError(f"dedup must be True or False, got {dedup!r}")
+    if structure == "partitioned":
+        check_count(num_partitions, "num_partitions")
+    check_count(seed, "seed", low=0)
+    check_flag(dedup, "dedup")
     records = list(records)
     if not records:
         raise EmptyCorpusError("cannot build an index from an empty corpus")
@@ -276,8 +274,7 @@ def check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
     ``k``."""
     if len(index) == 0:
         raise EmptyIndexError("index contains no records")
-    if not is_count(k):
-        raise EmptyInputError(f"k must be an integer >= 1, got {k!r}")
+    check_count(k, "k")
     q = as_vector(query, "query")
     if q.shape[0] != index.dim:
         raise DimensionMismatchError(

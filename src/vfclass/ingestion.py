@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .candidates import FilterConfig, POS_CATEGORIES, caption_tokens, pos_tag
-from .embedding import text_lines, write_file
+from .embedding import check_flag, text_lines, write_file
 from .errors import EmptyInputError, SchemaError
 from .index import CaptionRecord
 
@@ -34,8 +34,7 @@ def ingest_corpus(path, fmt: str = "jsonl", strict: bool = False) -> list[Captio
     """
     if fmt not in ("jsonl", "plain"):
         raise EmptyInputError(f"unknown corpus format {fmt!r}")
-    if not isinstance(strict, bool):
-        raise EmptyInputError(f"strict must be True or False, got {strict!r}")
+    check_flag(strict, "strict")
     skip = None if strict else partial(log.warning, "skipping %s")
     records: list[CaptionRecord] = []
     for lineno, line in text_lines(path, "corpus", skip):
@@ -188,6 +187,9 @@ def load_manifest(path) -> DatasetManifest:
         raise SchemaError("manifest must be an object with an 'entries' list")
     name = doc.get("name", "")
     embedder = doc.get("embedder", "")
+    for key, value in (("name", name), ("embedder", embedder)):
+        if not isinstance(value, str):
+            raise SchemaError(f"manifest '{key}' must be a string, got {value!r:.60}")
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for pos, raw in enumerate(doc["entries"]):
@@ -213,8 +215,7 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(ref, str) or not ref:
             raise SchemaError(f"entry {pos}: ref must be a non-empty string")
         entries.append(ManifestEntry(eid, ref, label, kind))
-    return DatasetManifest(name=str(name), embedder_identity=str(embedder),
-                           entries=entries)
+    return DatasetManifest(name=name, embedder_identity=embedder, entries=entries)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

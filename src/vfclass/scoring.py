@@ -49,7 +49,7 @@ from .candidates import (
     select_window,
     token_settings,
 )
-from .embedding import as_vector, embed_rows, is_count, is_real
+from .embedding import as_vector, check_count, embed_rows, is_real
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -88,9 +88,8 @@ class ClassifierConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
 
     def __post_init__(self):
-        if not is_count(self.k):
-            raise EmptyInputError(f"k must be an integer >= 1, got {self.k!r}")
-        _check_alpha(self.alpha)
+        check_count(self.k, "k")
+        check_alpha(self.alpha)
         check_probes(self.probes)
         if not isinstance(self.filter, FilterConfig):
             raise EmptyInputError(f"filter must be a FilterConfig, got {self.filter!r}")
@@ -128,9 +127,11 @@ class BatchItem:
     error_code: str | None = None
 
 
-def _check_alpha(alpha) -> None:
+def check_alpha(alpha):
+    """``alpha`` if it is a number in [0, 1], else an :class:`EmptyInputError`."""
     if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
         raise EmptyInputError(f"alpha must be a number in [0, 1], got {alpha!r}")
+    return alpha
 
 
 def _fuse(scores: np.ndarray, alpha: float, starts, sizes) -> np.ndarray:
@@ -152,7 +153,7 @@ def fuse(visual, textual, alpha: float) -> list[float]:
     finite, or the call raises :class:`EmptyInputError` (a value that is
     not a number: :class:`SchemaError`).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     vis = as_vector(visual, "visual scores")
     tex = as_vector(textual, "textual scores")
     if vis.shape != tex.shape:

@@ -15,7 +15,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .embedding import hashed_vector, is_count
+from .embedding import check_count, hashed_vector, is_count
 from .errors import EmptyInputError, VfcError
 
 
@@ -75,9 +75,17 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+def check_port(port):
+    """``port`` if it is a TCP port, an integer from 0 to 65535 (0 lets the
+    system choose one), else an :class:`EmptyInputError`."""
+    if not (is_count(port, low=0) and port <= 65535):
+        raise EmptyInputError(f"port must be an integer from 0 to 65535, got {port!r}")
+    return port
+
+
 def make_server(host: str, port: int, dim: int) -> ThreadingHTTPServer:
-    if not is_count(dim):  # checked before binding, not in every request
-        raise EmptyInputError(f"dim must be an integer >= 1, got {dim!r}")
+    check_count(dim, "dim")  # checked before binding, not in every request
+    check_port(port)
     handler = type("Handler", (_StubHandler,), {"dim": dim})
     try:
         return ThreadingHTTPServer((host, port), handler)

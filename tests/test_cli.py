@@ -33,7 +33,7 @@ from vfclass.index import (
     save_index,
 )
 from vfclass.scoring import ClassifierConfig, classify_batch
-from vfclass.stubserver import running_stub
+from vfclass.stubserver import make_server, running_stub
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +301,16 @@ class TestConfigPrecedence:
             for item in items)
         args = cli.build_parser().parse_args(
             ["classify", "--index", "i", "--queries", "q", "--embed-url", "u"])
-        assert cli._provider(args, {}).timeout == RemoteEmbeddingClient("u").timeout
+        assert cli._provider(args).timeout == RemoteEmbeddingClient("u").timeout
+
+
+def handed_over(text, convert):
+    """The value a flag's text reaches the library's check as: converted by
+    ``convert``, or the text itself if it does not convert."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
 
 
 def assert_json_error(code, capsys, expected):
@@ -396,7 +405,8 @@ class TestMalformedInput:
             run(self.seeded(world, tmp_path, command) + ["--seed", value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --seed: expected an integer >= 0" in err
+        shown = repr(handed_over(value, int))
+        assert f"argument --seed: seed must be an integer >= 0, got {shown}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -674,7 +684,9 @@ class TestAblate:
                  "--num-queries", value, "--out", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --num-queries: expected an integer >= 1" in err
+        shown = repr(handed_over(value, int))
+        assert (f"argument --num-queries: num_queries must be an integer >= 1, "
+                f"got {shown}\n") in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -683,6 +695,150 @@ class TestAblate:
         with pytest.raises(EmptyInputError, match="num_queries"):
             cli.AblationSpec("alpha", ["0.5"], ClassifierConfig(),
                              num_queries=value)
+
+
+BAD_TEXTS = ["0", "-1", "1.5", "x", "nan", "inf", "70000"]
+# typed flag: (its setting in cli.SETTINGS or None, the conversion of its
+# text, the library call that checks the value, the texts of BAD_TEXTS
+# that are good values)
+RULES = {
+    "--embed-timeout": ("embed_timeout", float,
+                        lambda v: RemoteEmbeddingClient("u", timeout=v), {"1.5", "70000"}),
+    "--embed-dim": ("embed_dim", int, lambda v: RemoteEmbeddingClient("u", dim=v),
+                    {"70000"}),
+    "--k": ("k", int, lambda v: ClassifierConfig(k=v), {"70000"}),
+    "--alpha": ("alpha", float, lambda v: ClassifierConfig(alpha=v), {"0"}),
+    "--probes": ("probes", int, lambda v: ClassifierConfig(probes=v), {"70000"}),
+    "--seed": ("seed", int, lambda v: build_index([], None, seed=v), {"0", "70000"}),
+    "--partitions": (None, int, lambda v: build_index(
+        [], None, structure="partitioned", num_partitions=v), {"70000"}),
+    "--num-queries": (None, int, lambda v: cli.AblationSpec(
+        "alpha", ["0.5"], ClassifierConfig(), num_queries=v), {"70000"}),
+    "--port": (None, int, lambda v: make_server("127.0.0.1", v, 8), {"0"}),
+    "--dim": (None, int, lambda v: make_server("127.0.0.1", 0, v), {"70000"}),
+}
+BAD_CASES = [(flag, text) for flag, (*_, good) in RULES.items()
+             for text in BAD_TEXTS if text not in good]
+
+
+def library_message(flag, text):
+    """The library's message for the value the text of ``flag`` hands it."""
+    _, convert, call, _ = RULES[flag]
+    with pytest.raises(EmptyInputError) as excinfo:
+        call(handed_over(text, convert))
+    return str(excinfo.value)
+
+
+class TestOneRule:
+    """Each typed flag, ``VFC_<NAME>`` and ``--config`` line is checked by
+    the library's own rule for its setting."""
+
+    @staticmethod
+    def argv(world, built_index, flag):
+        """A command that has ``flag`` and would run if its value passed."""
+        if flag in ("--seed", "--partitions"):
+            return ["build-index", "--corpus", str(world["corpus"]),
+                    "--embeddings", str(world["store"]), "--structure",
+                    "partitioned", "--out", str(world["root"] / "rule.vfci")]
+        if flag == "--num-queries":
+            return ["ablate", "--sweep", "alpha", "--values", "0.5", "--out", "-"]
+        if flag in ("--port", "--dim"):
+            return ["serve-stub"]
+        return ["classify", "--index", str(built_index), "--queries",
+                str(world["queries"]), "--embeddings", str(world["store"])]
+
+    def test_the_settings_are_the_eight_names(self):
+        assert list(cli.SETTINGS) == ["embed_url", "embed_timeout", "embed_dim",
+                                      "k", "alpha", "probes", "prompt", "seed"]
+        assert {s for s, *_ in RULES.values() if s} == set(cli.SETTINGS) - {
+            "embed_url", "prompt"}
+
+    @pytest.mark.parametrize("flag, text", BAD_CASES)
+    def test_bad_flag_exits_2_with_the_library_message(
+            self, world, built_index, monkeypatch, capsys, flag, text):
+        message = library_message(flag, text)
+        monkeypatch.setattr(cli, "serve", lambda **kw: pytest.fail("served"))
+        with pytest.raises(SystemExit) as excinfo:
+            run(self.argv(world, built_index, flag) + [flag, text])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, text", [(flag, text) for flag, text in BAD_CASES
+                                            if RULES[flag][0]])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_bad_setting_exits_1_with_the_library_message(
+            self, world, built_index, tmp_path, monkeypatch, capsys, flag, text,
+            source):
+        name = RULES[flag][0]
+        message = library_message(flag, text)
+        conf = tmp_path / "vfc.conf"
+        conf.write_text(f"{name}={text}\n" if source == "config" else "")
+        if source == "env":
+            monkeypatch.setenv(f"VFC_{name.upper()}", text)
+        code = run(["--config", str(conf)] + self.argv(world, built_index, flag))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": "empty-input",
+                                   "message": f"bad {name} value {text!r}: {message}"}
+
+    @pytest.mark.parametrize("flag, text", [(flag, text) for flag, (*_, good)
+                                            in RULES.items() for text in sorted(good)])
+    def test_a_good_text_of_the_table_is_taken(self, world, built_index, flag,
+                                               text):
+        argv = self.argv(world, built_index, flag) + [flag, text]
+        args = cli.build_parser().parse_args(argv)
+        dest = flag[2:].replace("-", "_")
+        assert getattr(args, dest) == handed_over(text, RULES[flag][1])
+
+    @pytest.mark.parametrize("name, value", [("embed_timeout", "0"),
+                                             ("embed_dim", "x")])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_bad_embed_setting_is_an_error_though_unused(
+            self, world, built_index, tmp_path, monkeypatch, capsys, name,
+            value, source, command):
+        # --embeddings (classify) or the offline hash embedder (evaluate)
+        # leaves the remote client's settings unused; they are checked anyway
+        conf = tmp_path / "vfc.conf"
+        conf.write_text(f"{name}={value}\n" if source == "config" else "")
+        if source == "env":
+            monkeypatch.setenv(f"VFC_{name.upper()}", value)
+        argv = {"classify": self.argv(world, built_index, "--k"),
+                "evaluate": ["evaluate", "--predictions", str(world["truths"]),
+                             "--truths", str(world["truths"])]}[command]
+        code = run(["--config", str(conf)] + argv)
+        assert_json_error(code, capsys, "empty-input")
+
+    def test_prompt_from_env_or_config_equals_the_flag(self, world, built_index,
+                                                       tmp_path, monkeypatch):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("prompt=a photo of a {}\n")
+        outs = {}
+        for source in ("none", "flag", "env", "config"):
+            out = tmp_path / f"{source}.jsonl"
+            argv = self.argv(world, built_index, "--k") + ["--out", str(out)]
+            if source == "flag":
+                argv += ["--prompt", "a photo of a {}"]
+            elif source == "config":
+                argv = ["--config", str(conf)] + argv
+            with monkeypatch.context() as env:
+                if source == "env":
+                    env.setenv("VFC_PROMPT", "a photo of a {}")
+                assert run(argv) == 0
+            outs[source] = out.read_bytes()
+        assert outs["env"] == outs["config"] == outs["flag"] != outs["none"]
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_bad_prompt_setting_exits_1(self, world, built_index, tmp_path,
+                                        monkeypatch, capsys, source):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("prompt=no placeholder\n" if source == "config" else "")
+        if source == "env":
+            monkeypatch.setenv("VFC_PROMPT", "no placeholder")
+        code = run(["--config", str(conf)] + self.argv(world, built_index, "--k"))
+        assert_json_error(code, capsys, "empty-input")
 
 
 class _Reached(Exception):
@@ -833,6 +989,12 @@ class TestServeStub:
         with pytest.raises(EmptyInputError, match="dim"):
             with running_stub(dim=dim):
                 pass
+
+    @pytest.mark.parametrize("port", [70000, -1, 65536, 1.5, True, "80"])
+    def test_make_server_rejects_a_bad_port_before_binding(self, port):
+        with pytest.raises(EmptyInputError,
+                           match="port must be an integer from 0 to 65535"):
+            make_server("127.0.0.1", port, 8)
 
 
 def spoil(src, dst, kind):
@@ -1048,6 +1210,18 @@ class TestOutputFiles:
         assert [p.returncode for p in procs] == [0, 0], procs[0].stderr
         assert procs[0].stdout == out.read_bytes()
         assert "café".encode("utf-8") in procs[0].stdout
+
+    def test_csv_dash_writes_to_stdout(self, inputs, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["evaluate", "--predictions", inputs["predictions"],
+                    "--truths", inputs["truths"], "--out", "report.json",
+                    "--csv", "-"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert run(["evaluate", "--predictions", inputs["predictions"],
+                    "--truths", inputs["truths"], "--out", "report.json",
+                    "--csv", "report.csv"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == Path("report.csv").read_bytes()
 
     @pytest.mark.parametrize("how", ["stdout", "fifo", "symlink"])
     def test_out_takes_stdout_a_fifo_or_a_symlink(self, inputs, tmp_path, capsys,

@@ -203,6 +203,17 @@ class TestPrecomputedStore:
         with pytest.raises(DimensionMismatchError):
             store.add("bad", [1.0, 2.0])
 
+    @pytest.mark.parametrize("key", [5, None, b"dog", ("dog",)])
+    def test_key_that_is_not_a_string_is_rejected(self, tmp_path, key):
+        store = self.make_store()
+        with pytest.raises(SchemaError, match="store key must be a string"):
+            store.add(key, [1.0, 0.0, 0.0])
+        assert store.keys() == ["dog", "cat", "img_001"]
+        assert len(store) == 3
+        path = tmp_path / "vectors.vfce"
+        save_store(store, path)
+        assert load_store(path).keys() == store.keys()
+
     def test_overwrite_updates_vector(self):
         store = self.make_store()
         store.add("dog", [0.5, 0.5, 0.0])

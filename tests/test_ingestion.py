@@ -231,6 +231,24 @@ class TestManifest:
         save_manifest(manifest, out)
         assert load_manifest(out) == manifest
 
+    @pytest.mark.parametrize("value", [["x"], 5, None, {}])
+    @pytest.mark.parametrize("key", ["name", "embedder"])
+    def test_name_or_embedder_that_is_not_a_string(self, tmp_path, key, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**manifest_doc(), key: value}))
+        with pytest.raises(SchemaError, match=f"manifest '{key}' must be a string"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key", ["name", "embedder"])
+    def test_absent_name_or_embedder_is_empty(self, tmp_path, key):
+        doc = manifest_doc()
+        del doc[key]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        manifest = load_manifest(path)
+        assert {"name": manifest.name,
+                "embedder": manifest.embedder_identity}[key] == ""
+
 
 class TestLineEndings:
     """Every text reader splits lines as text-mode iteration does: at
