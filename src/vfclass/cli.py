@@ -2,9 +2,10 @@
 
 Subcommands: ingest, build-index, classify, evaluate, stats, ablate,
 validate-manifest, serve-stub. Option precedence is flags > environment
-(``VFC_<NAME>``) > config file (``name=value`` lines via ``--config``) >
-the defaults of the library's signatures (alpha 0.7, k 10); ``run``
-settles the names of :data:`SETTINGS` once, before the command runs. Each
+(``VFC_<NAME>``) > config file (``name=value`` lines via ``--config``,
+each name one of :data:`SETTINGS`) > the defaults of the library's
+signatures (alpha 0.7, k 10); ``run`` settles the names of
+:data:`SETTINGS` once, before the command runs. Each
 typed value is checked by the library's own rule for it: a bad flag is a
 usage error (exit 2), and every runtime failure, a bad environment or
 config-file value too, exits 1 with a machine-readable JSON error on
@@ -51,7 +52,7 @@ from .ingestion import (
     load_manifest,
     validate_manifest,
 )
-from .scoring import ClassifierConfig, check_alpha, classify_batch
+from .scoring import ClassifierConfig, check_alpha, check_prompt, classify_batch
 from .stubserver import check_port, serve
 
 log = logging.getLogger("vfclass")
@@ -64,8 +65,10 @@ def _load_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise EmptyInputError(f"config line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        conf[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
+            raise EmptyInputError(f"config line {lineno}: unknown setting {key!r}")
+        conf[key] = value
     return conf
 
 
@@ -97,7 +100,7 @@ SETTINGS = {
     "k": _rule(int, check_count, "k"),
     "alpha": _rule(float, check_alpha),
     "probes": _rule(int, check_probes),  # "all" does not convert and passes
-    "prompt": str,
+    "prompt": _rule(str, check_prompt),
     "seed": _rule(int, check_count, "seed", 0),
 }
 
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     classifier.add_argument("--alpha", type=SETTINGS["alpha"])
     classifier.add_argument("--k", type=SETTINGS["k"])
     classifier.add_argument("--probes", type=SETTINGS["probes"])
-    classifier.add_argument("--prompt")
+    classifier.add_argument("--prompt", type=SETTINGS["prompt"])
 
     p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
     p.add_argument("--corpus", required=True)

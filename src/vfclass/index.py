@@ -36,6 +36,28 @@ at a time, and the top k of that shortlist are exactly the float64
 brute-force top k. Each row's float64 score is the same bits whichever
 scan or window found it. A window gives each query its hits as two
 arrays, rows and scores; :func:`retrieved` makes them captions.
+
+An index of at least ``PROJECT_MIN`` rows x dim values first scans a
+projected copy of its rows (a lower-dimensional filter with a proven
+bound, refined exactly). On the first query that needs it, the scan layout
+takes an orthonormal basis ``P`` (dim x width) from an SVD of
+``PROJECT_SAMPLE`` rows taken at a stride: the fewest singular vectors
+that hold half of the sample's energy, rounded up so that a projected row
+is a whole number of 16-byte words (width 51 of 128 on the seeded 100k x
+128 corpus). It stores each row, in scan order, as the float32 row
+``[P.T x | ||x - P P.T x||]``: n * (width + 1) * 4 bytes more (20.8 MB for
+that corpus), made once in about 0.1 s. The product of such a row with the
+query's own projected row bounds the row's score from above, to within the
+float32 error of :func:`_projected_bound`, which counts ``P``'s measured
+departure from orthonormality. A query's nearest list is scanned first:
+the k-th float64 score among its ``PRUNE_ROWS`` rows of highest upper
+bound, less that error, is the floor, and every row of the probed lists
+whose upper bound reaches it is rescored in float64 and cut as above. So
+the top k are the same rows and the same bits. A query that keeps more
+than ``FALLBACK_SHARE`` of the rows it scanned, in its nearest list or in
+all of them, falls back to the full-width scan, so on data where the
+bound prunes nothing a partitioned query costs one projected list more than
+before (a flat index's nearest list is all of it).
 """
 
 from __future__ import annotations
@@ -82,6 +104,19 @@ SCAN_BLOCK = 1 << 20  # float32 scores one retrieval product holds at most (4 Mi
 # with OpenBLAS, a float32 product over 2 or 3 query columns took longer
 # than 2 or 3 matrix-vector products (3,125 x 128 rows, one thread)
 GEMM_QUERIES = 4
+# an index of fewer rows x dim values (16 MiB of float32 rows) scans its
+# full-width rows only: below it, the rows a query scans were not read faster
+# through the projection (seeded clusters of 50 rows, 32 lists, probes 8,
+# one thread: partitioned 16k x 128 took 58 -> 69 us/query and 100k x 32
+# 80 -> 104; partitioned 64k x 128 213 -> 151, and flat 32k x 256 340 -> 150)
+PROJECT_MIN = 1 << 22
+PROJECT_SAMPLE = 4096  # rows, taken at a stride, whose SVD gives the basis
+PRUNE_ROWS = 32  # rows, at least k, rescored for the lower bound
+# a query keeping more of its scanned rows than this falls back to the
+# full-width scan: a kept row costs a gather and a float64 rescore, 17 times
+# a row of the full-width float32 scan (25k of 100k x 128 rows, one thread),
+# so at this share the two cost about the same
+FALLBACK_SHARE = 1 / 16
 
 
 @dataclass(frozen=True)
@@ -103,13 +138,72 @@ class RetrievedCaption:
 @dataclass(frozen=True)
 class _ScanLayout:
     """Rows in scan order: partition ``c`` is ``vectors[offsets[c]:offsets[c + 1]]``,
-    scan position ``i`` holds index row ``rows[i]``, and ``bound`` is the
-    float32 rounding bound of ``_score_bound`` for these rows."""
+    scan position ``i`` holds index row ``rows[i]``, ``max_norm`` is the
+    largest row norm and ``bound`` the float32 rounding bound of
+    ``_score_bound`` for these rows."""
 
     vectors: np.ndarray
     rows: np.ndarray
     offsets: list[int]
     bound: float
+    max_norm: float
+
+    @cached_property
+    def projection(self) -> _Projection:
+        """The projected copy of the rows, made on the first query that
+        scans it."""
+        return _Projection.of(self.vectors, _basis(self.vectors), self.max_norm)
+
+
+@dataclass(frozen=True)
+class _Projection:
+    """The rows in scan order as ``[P.T @ x | ||x - P @ P.T @ x||]`` in
+    float32, for an orthonormal basis ``P`` (dim x width, float64), and the
+    bound of :func:`_projected_bound` on what the product of such a row
+    with :meth:`queries` may fall short of the row's float64 score."""
+
+    basis: np.ndarray
+    vectors: np.ndarray
+    bound: float
+
+    @classmethod
+    def of(cls, vectors: np.ndarray, basis: np.ndarray, max_norm: float) -> _Projection:
+        width = basis.shape[1]
+        # PᵀP - I is measured, not assumed, and so is the float64 rounding
+        # of that product (each entry errs by at most dim * 2**-53)
+        eta = (np.linalg.norm(basis.T @ basis - np.eye(width))
+               + width * basis.shape[0] * 2.0**-52)
+        out = np.empty((len(vectors), width + 1), dtype=np.float32)
+        # SCAN_BLOCK values at a time: no float64 copy of all the rows is made
+        step = max(1, SCAN_BLOCK // max(1, vectors.shape[1]))
+        for start in range(0, len(vectors), step):
+            out[start : start + step] = _project(
+                vectors[start : start + step].astype(np.float64), basis)
+        return cls(basis, out, _projected_bound(width, eta, max_norm))
+
+    def queries(self, queries: np.ndarray) -> np.ndarray:
+        """The float32 rows ``[P.T @ q | ||q - P @ P.T @ q||]`` of ``queries``."""
+        return _project(queries, self.basis).astype(np.float32)
+
+
+def _project(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``[x @ P | ||x - x @ P @ P.T||]`` in float64; the residual is formed,
+    not taken as ``||x||² - ||x @ P||²``, which cancels for rows near the
+    span of ``P``."""
+    low = x @ basis
+    return np.hstack([low, np.linalg.norm(x - low @ basis.T, axis=1)[:, None]])
+
+
+def _basis(vectors: np.ndarray) -> np.ndarray:
+    """The top right singular vectors of ``PROJECT_SAMPLE`` rows taken at a
+    stride: the fewest that hold at least half of the sample's energy, and
+    then more, up to 3 short of a multiple of 4, so that a projected row
+    (with its residual column) is a whole number of 16-byte words."""
+    sample = vectors[:: max(1, len(vectors) // PROJECT_SAMPLE)].astype(np.float64)
+    _, sigma, vt = np.linalg.svd(sample, full_matrices=False)
+    energy = np.cumsum(sigma**2)
+    half = int(np.searchsorted(energy, energy[-1] / 2)) + 1
+    return np.ascontiguousarray(vt[: -(-(half + 1) // 4) * 4 - 1].T)
 
 
 @dataclass(frozen=True)
@@ -149,7 +243,7 @@ class CaptionIndex:
         max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
         return _ScanLayout(
             vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
-            _score_bound(self.dim, max_norm),
+            _score_bound(self.dim, max_norm), max_norm,
         )
 
 
@@ -331,6 +425,42 @@ def _score_bound(dim: int, max_norm: float) -> float:
     return g / (1.0 - g) * max_norm
 
 
+def _projected_bound(width: int, eta: float, max_norm: float) -> float:
+    """Bound on ``s64 - ub32`` for every row ``x`` with ``||x|| <= max_norm``.
+
+    ``s64`` is the float64 score of ``x`` as :func:`_score_bound` has it;
+    ``ub32`` is the float32 product of the row's projection
+    ``[P.T x | ||r_x||]`` with the query's ``[P.T q | ||r_q||]``, each
+    computed in float64 and rounded to float32 (``r_x = x - P P.T x``, and
+    ``r_q`` likewise). ``P`` is dim x ``width``, ``E = P.T P - I`` and
+    ``eta >= ||E||``. With ``a = P.T x``, ``b = P.T q`` and ``u``, ``g`` as
+    in :func:`_score_bound`:
+
+    - ``P.T r_x = -E a`` and ``P.T r_q = -E b``, so
+      ``x.q = a.b - a.E b + r_x.r_q <= a.b + ||r_x|| ||r_q|| + eta (1 + eta)``
+      ``* ||x|| ||q||`` by Cauchy-Schwarz and ``||a|| <= ||P|| ||x||``,
+      ``||P||² <= 1 + eta``;
+    - ``||[a, ||r_x||]||² = ||x||² + a.E a <= (1 + eta)² ||x||²``, and the
+      same for the query, so the product below has the form of a dot of
+      ``x`` with ``q``, over ``width + 1`` columns;
+    - rounding both projected rows to float32 moves the product by at most
+      ``(2u + u²) * sum|y_j w_j|``, and the float32 dot of length
+      ``width + 1`` errs by at most ``g(width + 1) (1 + u)² * sum|y_j w_j|``;
+      together that is at most ``g(width + 3) * (1 + eta)² * ||x||``;
+    - the float64 products and norms that form both projected rows err by
+      at most ``3 dim^1.5 * 2**-53 * ||x||`` (``dim <= 2**16``) and move the
+      product by less than one ``u``; one more ``u`` covers the float64
+      score, ``||q||``, the float64 threshold and float32 underflow, as in
+      :func:`_score_bound`.
+
+    So ``s64 <= ub32 + (g(width + 5) (1 + eta)² + eta (1 + eta)) * max_norm``.
+    A row whose ``ub32`` is below a float64 score less this bound scores
+    below it in float64, whatever ``P`` is, as long as ``eta`` is measured.
+    """
+    g = (width + 5) * 2.0**-24
+    return (g / (1.0 - g) * (1.0 + eta) ** 2 + eta * (1.0 + eta)) * max_norm
+
+
 def retrieve_topk(
     index: CaptionIndex, query, k: int, probes: int | str | None = None
 ) -> list[RetrievedCaption]:
@@ -374,44 +504,109 @@ def retrieve_window(
 def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
     layout = index._layout
     probed = [range(len(layout.offsets) - 1)] * len(queries)  # a flat index is one list
-    if index.structure == "partitioned" and probes != "all":
-        n_probe = DEFAULT_PROBES if probes is None else probes
-        if n_probe < index.num_partitions:
-            d2 = np.sum((index.centroids - queries[:, None]) ** 2, axis=2)
-            probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe].tolist()
+    if index.structure == "partitioned":  # nearest list first
+        n_probe = index.num_partitions
+        if probes != "all":
+            n_probe = min(n_probe, DEFAULT_PROBES if probes is None else probes)
+        d2 = np.sum((index.centroids - queries[:, None]) ** 2, axis=2)
+        probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe].tolist()
+    out: list = [None] * len(queries)
+    full = range(len(queries))
+    if len(index) * index.dim >= PROJECT_MIN:
+        full = _scan_projected(layout, queries, probed, k, out)
+    found = _products(layout.vectors, layout.offsets,
+                      queries[full].astype(np.float32), [probed[u] for u in full])
+    for u, f in zip(full, found):
+        s = np.concatenate(f)
+        floor = -np.inf
+        if s.size > k:
+            kth = s.size - k
+            s.partition(kth)  # in place: s is a copy, f keeps the scan order
+            floor = np.float64(s[kth]) - 2 * layout.bound
+        out[u] = _exact(layout, _above(layout, probed[u], f, floor), queries[u], k)
+    return out
+
+
+def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> list[int]:
+    """Fill ``out`` with the hits of each query the projection prunes, and
+    return the others, in order.
+
+    Each query's nearest list is scanned first, and the k-th float64 score
+    of its ``max(k, PRUNE_ROWS)`` rows of highest upper bound, less the
+    bound of :func:`_projected_bound`, is the floor: a row whose upper bound
+    is below it cannot reach the top k. A query keeps every row at or above
+    its floor, unless the rows kept, in its nearest list or in all its
+    lists, are more than ``FALLBACK_SHARE`` of those scanned.
+    """
+    projection = layout.projection
+    zq = projection.queries(queries)
+    nearest = _products(projection.vectors, layout.offsets, zq,
+                        [lists[:1] for lists in probed])
+    floors, full = {}, []
+    for u, ([ub], q, lists) in enumerate(zip(nearest, queries, probed)):
+        floor = -np.inf
+        if ub.size >= k:
+            m = min(ub.size, max(k, PRUNE_ROWS))
+            top = np.argpartition(ub, ub.size - m)[ub.size - m :]
+            exact = _rescore(layout, top + layout.offsets[lists[0]], q)
+            # the k-th of these float64 scores is at most the k-th of all rows
+            floor = np.partition(exact, exact.size - k)[exact.size - k] - projection.bound
+        if np.count_nonzero(ub >= floor) > FALLBACK_SHARE * ub.size:
+            full.append(u)
+        else:
+            floors[u] = floor
+    rest = _products(projection.vectors, layout.offsets, zq[list(floors)],
+                     [probed[u][1:] for u in floors])
+    for (u, floor), found in zip(floors.items(), rest):
+        found = [*nearest[u], *found]
+        positions = _above(layout, probed[u], found, floor)
+        if positions.size > FALLBACK_SHARE * sum(f.size for f in found):
+            full.append(u)
+        else:
+            out[u] = _exact(layout, positions, queries[u], k)
+    return sorted(full)
+
+
+def _products(vectors, offsets, q32, probed) -> list:
+    """For each query, its float32 products with the rows of each list it
+    probes, in probe order: one product per list over the queries that
+    probe it."""
     users: dict[int, list[int]] = {}
     for u, lists in enumerate(probed):
         for c in lists:
             users.setdefault(c, []).append(u)
-    q32 = queries.astype(np.float32)
     scores = {}  # (query, list) -> that list's float32 scores for the query
     for c, us in users.items():
-        vectors = layout.vectors[layout.offsets[c] : layout.offsets[c + 1]]
+        block = vectors[offsets[c] : offsets[c + 1]]
         if len(us) < GEMM_QUERIES:
-            scores.update(((u, c), vectors @ q32[u]) for u in us)
+            scores.update(((u, c), block @ q32[u]) for u in us)
         else:
             # V @ Q.T: with a few queries, Q @ V.T is about twice as slow
-            block = vectors @ q32[us].T
-            scores.update(((u, c), block[:, j]) for j, u in enumerate(us))
-    out = []
-    for u, (q, lists) in enumerate(zip(queries, probed)):
-        found = [scores[u, c] for c in lists]
-        s = np.concatenate(found)
-        floor = -np.inf
-        if s.size > k:
-            kth = s.size - k
-            s.partition(kth)  # in place: s is a copy, found keeps the scan order
-            # a float64 threshold, so that the comparison is made in float64
-            floor = np.float64(s[kth]) - 2 * layout.bound
-        positions = np.concatenate([(f >= floor).nonzero()[0] + layout.offsets[c]
-                                    for c, f in zip(lists, found)])
-        # the shortlist holds every row within 2b of the k-th score, so the
-        # exact top k are its first k in (-score, row) order, which is (-score, id)
-        exact = np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
-        rows = layout.rows[positions]
-        order = np.lexsort((rows, -exact))[:k]
-        out.append((rows[order], exact[order].clip(-1.0, 1.0)))
-    return out
+            product = block @ q32[us].T
+            scores.update(((u, c), product[:, j]) for j, u in enumerate(us))
+    return [[scores[u, c] for c in lists] for u, lists in enumerate(probed)]
+
+
+def _above(layout: _ScanLayout, lists, found, floor) -> np.ndarray:
+    """The scan positions of the rows of ``lists`` whose score in ``found``
+    is at least ``floor``, a float64 so that the comparison is made in
+    float64."""
+    return np.concatenate([(f >= floor).nonzero()[0] + layout.offsets[c]
+                           for c, f in zip(lists, found)])
+
+
+def _rescore(layout: _ScanLayout, positions: np.ndarray, q) -> np.ndarray:
+    return np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
+
+
+def _exact(layout: _ScanLayout, positions: np.ndarray, q, k: int) -> tuple:
+    """The rows and float64 scores of the top k of ``positions``, a
+    shortlist that holds every row that can reach the float64 top k; its
+    first k in (-score, row) order are those in (-score, id) order."""
+    exact = _rescore(layout, positions, q)
+    rows = layout.rows[positions]
+    order = np.lexsort((rows, -exact))[:k]
+    return rows[order], exact[order].clip(-1.0, 1.0)
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:

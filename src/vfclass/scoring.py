@@ -93,12 +93,18 @@ class ClassifierConfig:
         check_probes(self.probes)
         if not isinstance(self.filter, FilterConfig):
             raise EmptyInputError(f"filter must be a FilterConfig, got {self.filter!r}")
-        template = self.prompt_template
-        if not isinstance(template, str) or (template and not _fills_one_name(template)):
-            raise EmptyInputError(
-                "prompt_template must be a string with one {} placeholder, "
-                f"got {template!r}"
-            )
+        check_prompt(self.prompt_template)
+
+
+def check_prompt(template):
+    """``template`` if it is "" (no prompt) or a string that fills one name
+    through one ``{}`` placeholder, else an :class:`EmptyInputError`."""
+    if not isinstance(template, str) or (template and not _fills_one_name(template)):
+        raise EmptyInputError(
+            "prompt_template must be a string with one {} placeholder, "
+            f"got {template!r}"
+        )
+    return template
 
 
 def _fills_one_name(template: str) -> bool:

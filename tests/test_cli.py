@@ -566,6 +566,14 @@ class TestMalformedInput:
         code = run(["--config", str(conf), "stats", "--corpus", str(world["corpus"])])
         assert_json_error(code, capsys, expected)
 
+    def test_unknown_config_key_exits_1(self, world, tmp_path, capsys):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("k=5\nalpah=0.2\n")
+        code = run(["--config", str(conf), "stats", "--corpus", str(world["corpus"])])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "empty-input", "message": "config line 2: unknown setting 'alpah'"}
+
 
 class TestAblate:
     def test_alpha_sweep_rows(self, tmp_path):
@@ -716,6 +724,7 @@ RULES = {
         "alpha", ["0.5"], ClassifierConfig(), num_queries=v), {"70000"}),
     "--port": (None, int, lambda v: make_server("127.0.0.1", v, 8), {"0"}),
     "--dim": (None, int, lambda v: make_server("127.0.0.1", 0, v), {"70000"}),
+    "--prompt": ("prompt", str, lambda v: ClassifierConfig(prompt_template=v), set()),
 }
 BAD_CASES = [(flag, text) for flag, (*_, good) in RULES.items()
              for text in BAD_TEXTS if text not in good]
@@ -751,7 +760,7 @@ class TestOneRule:
         assert list(cli.SETTINGS) == ["embed_url", "embed_timeout", "embed_dim",
                                       "k", "alpha", "probes", "prompt", "seed"]
         assert {s for s, *_ in RULES.values() if s} == set(cli.SETTINGS) - {
-            "embed_url", "prompt"}
+            "embed_url"}
 
     @pytest.mark.parametrize("flag, text", BAD_CASES)
     def test_bad_flag_exits_2_with_the_library_message(

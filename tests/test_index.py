@@ -620,6 +620,205 @@ class TestRetrieveWindow:
         assert retrieve_window(part, [], 10, probes=2) == []
 
 
+def planted(rng, basis, query, count):
+    """Unit float32 rows whose residual off ``basis`` is parallel to that of
+    ``query``, so that ``||r_x|| ||r_q||`` equals ``r_x.r_q``: the
+    projected upper bound is as tight as it can be."""
+    t = query - basis @ (basis.T @ query)
+    low = rng.standard_normal((count, basis.shape[1]))
+    rows = low @ basis.T + rng.uniform(0.1, 2.0, (count, 1)) * (t / np.linalg.norm(t))
+    return unit_rows_of(rows)
+
+
+def unit_rows_of(rows):
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+def shortfall(rows, basis, query):
+    """Each row's float64 score less its float32 projected upper bound, and
+    the projection of the rows."""
+    max_norm = float(np.sqrt(index_mod._squared_norms(rows).max()))
+    projection = index_mod._Projection.of(rows, basis, max_norm)
+    ub = projection.vectors @ projection.queries(query[None])[0]
+    return np.einsum("ij,j->i", rows.astype(np.float64), query) - ub, projection
+
+
+class TestProjectedBound:
+    """The float32 product of projected rows, plus the bound of
+    ``_projected_bound``, is never below a row's float64 score."""
+
+    def test_rows_planted_at_the_bound(self):
+        rng = np.random.default_rng(60)
+        basis = np.linalg.qr(rng.standard_normal((64, 15)))[0]
+        worst = 0.0
+        for _ in range(20):
+            query = rng.standard_normal(64)
+            query /= np.linalg.norm(query)
+            short, projection = shortfall(planted(rng, basis, query, 200), basis, query)
+            assert short.max() <= projection.bound
+            worst = max(worst, short.max())
+        assert worst > 0  # the float32 product alone falls short of some scores
+
+    def test_departure_from_orthonormality_is_measured(self):
+        """A basis 1e-5 off orthonormal: rows whose projection lies along
+        ``-E b`` score above the float32 product by more than the bound
+        without ``eta``, and within the bound with it."""
+        rng = np.random.default_rng(61)
+        exact = np.linalg.qr(rng.standard_normal((64, 15)))[0]
+        basis = exact + 1e-5 * rng.standard_normal((64, 15))
+        departure = basis.T @ basis - np.eye(15)
+        for _ in range(10):
+            query = rng.standard_normal(64)
+            query /= np.linalg.norm(query)
+            b = basis.T @ query
+            t = query - basis @ b
+            aim = -departure @ b
+            low = (aim / np.linalg.norm(aim) * rng.uniform(0.5, 1.0, (100, 1))
+                   + 0.1 * rng.standard_normal((100, 15)))
+            rows = unit_rows_of(low @ basis.T + rng.uniform(0.1, 1.0, (100, 1))
+                                * (t / np.linalg.norm(t)))
+            short, projection = shortfall(rows, basis, query)
+            assert short.max() > index_mod._projected_bound(15, 0.0, 1.0)
+            assert short.max() <= projection.bound
+
+    def test_zero_residual_rows(self):
+        rng = np.random.default_rng(62)
+        basis = np.linalg.qr(rng.standard_normal((32, 7)))[0]
+        rows = unit_rows_of(rng.standard_normal((300, 7)) @ basis.T)
+        for _ in range(10):
+            query = rng.standard_normal(32)
+            query /= np.linalg.norm(query)
+            short, projection = shortfall(rows, basis, query)
+            assert projection.vectors[:, -1].max() < 1e-6
+            assert short.max() <= projection.bound
+
+
+@pytest.fixture
+def projected(monkeypatch):
+    """Every index takes the projected scan. Returns a list that gets, per
+    window, the number of queries and the number that fell back to the
+    full-width scan."""
+    monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
+    counts = []
+    scan = index_mod._scan_projected
+
+    def counted(layout, queries, probed, k, out):
+        full = scan(layout, queries, probed, k, out)
+        counts.append((len(queries), len(full)))
+        return full
+
+    monkeypatch.setattr(index_mod, "_scan_projected", counted)
+    return counts
+
+
+def full_width_hits(index, units, k, probes, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(index_mod, "PROJECT_MIN", float("inf"))
+        return bits(retrieve_window(index, units, k, probes))
+
+
+def bits(hits):
+    return [(rows.tolist(), scores.tobytes()) for rows, scores in hits]
+
+
+class TestProjectedScan:
+    """The projected scan gives the hits of the full-width scan, to the
+    bits of each score, whether it prunes a query or falls back."""
+
+    def test_clustered_rows_are_pruned(self, projected, monkeypatch):
+        rng = np.random.default_rng(70)
+        centres = unit_rows(rng, 300, 32)
+        vectors = unit_rows_of(np.repeat(centres, 20, axis=0)
+                               + 0.05 * rng.standard_normal((6000, 32)))
+        records = [CaptionRecord(f"r{i:05d}", "x") for i in range(6000)]
+        store = PrecomputedStore(32)
+        store.add_many((r.id, v) for r, v in zip(records, vectors))
+        index = build_index(records, store, structure="partitioned", num_partitions=4)
+        units = [check_query(index, q, 10) for q in
+                 [*centres[:40] + 0.02 * rng.standard_normal((40, 32)),
+                  *vectors[:600:30]]]
+        for probes, k in ((1, 10), (2, 1), ("all", 10)):
+            want = full_width_hits(index, units, k, probes, monkeypatch)
+            assert bits(retrieve_window(index, units, k, probes)) == want
+            for query, (rows, _) in zip(units, want):
+                if probes == "all":
+                    assert rows == [h.row for h in exact_topk(index, query, k)]
+        assert sum(n for n, _ in projected) == 3 * len(units)
+        assert sum(full for _, full in projected) == 0  # every query was pruned
+
+    @pytest.mark.parametrize("share", [index_mod.FALLBACK_SHARE, 1.0])
+    def test_rows_in_the_span_of_the_basis(self, projected, monkeypatch, share):
+        """Rows of rank 3 in 16 dimensions: the basis spans them, so every
+        residual column is 0, and rows repeat, so scores tie."""
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", share)
+        rng = np.random.default_rng(71)
+        vectors = unit_rows_of(rng.standard_normal((150, 3)) @ rng.standard_normal((3, 16)))
+        vectors = np.concatenate([vectors, vectors[::3]])
+        flat = hand_index(vectors)
+        part = hand_index(vectors, [np.arange(c, len(vectors), 4) for c in range(4)],
+                          rng.standard_normal((4, 16)))
+        queries = [*vectors[:10], *rng.standard_normal((10, 16))]
+        for k in (1, 5, 40):
+            for index, probes in ((flat, None), (part, 2), (part, "all")):
+                units = [check_query(index, q, k) for q in queries]
+                want = full_width_hits(index, units, k, probes, monkeypatch)
+                assert bits(retrieve_window(index, units, k, probes)) == want
+        assert part._layout.projection.vectors[:, -1].max() < 1e-6
+
+    @pytest.mark.parametrize("share", [index_mod.FALLBACK_SHARE, 1.0])
+    def test_k_at_least_the_rows_scanned(self, projected, monkeypatch, share):
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", share)
+        rng = np.random.default_rng(72)
+        vectors = unit_rows(rng, 30, 8)
+        lists = [np.arange(0, 10), np.arange(10, 30)]
+        part = hand_index(vectors, lists, [vectors[m].mean(axis=0) for m in lists])
+        for _ in range(10):
+            query = rng.standard_normal(8)
+            for k, probes in ((25, 1), (30, 2), (50, "all")):
+                units = [check_query(part, query, k)]
+                assert bits(retrieve_window(part, units, k, probes)) == (
+                    full_width_hits(part, units, k, probes, monkeypatch))
+            assert hit_keys(retrieve_topk(part, query, 50, "all")) == hit_keys(
+                exact_topk(part, query, 30))
+
+    @pytest.mark.parametrize("share", [index_mod.FALLBACK_SHARE, 1.0])
+    def test_ties_across_lists_break_by_id(self, projected, monkeypatch, share):
+        """Against the first axis, a row's float64 score is its first
+        coordinate; rows that share it, spread over lists, tie exactly."""
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", share)
+        rng = np.random.default_rng(73)
+        first = rng.choice([0.9, 0.6, 0.3], 400)
+        rest = unit_rows(rng, 400, 11) * np.sqrt(1 - first**2)[:, None]
+        vectors = np.column_stack([first, rest]).astype(np.float32)
+        lists = [np.arange(c, 400, 5) for c in range(5)]
+        part = hand_index(vectors, lists, rng.standard_normal((5, 12)))
+        axis = np.eye(12)[0]
+        for k in (1, 7, 200):
+            hits = retrieve_topk(part, axis, k, probes="all")
+            assert hit_keys(hits) == hit_keys(exact_topk(part, axis, k))
+            tied = [h.row for h in hits if h.score == hits[0].score]
+            assert tied == sorted(tied)
+            assert k == 1 or len({row % 5 for row in tied}) == 5  # over every list
+
+    def test_isotropic_rows_fall_back(self, projected, monkeypatch):
+        rng = np.random.default_rng(74)
+        records, store = random_corpus(rng, 4000, 32)
+        index = build_index(records, store, structure="partitioned", num_partitions=4)
+        units = [check_query(index, q, 10) for q in rng.standard_normal((30, 32))]
+        for probes in (1, 2, "all"):
+            want = full_width_hits(index, units, 10, probes, monkeypatch)
+            assert bits(retrieve_window(index, units, 10, probes)) == want
+        assert projected == [(30, 30)] * 3  # every query fell back
+
+
+class TestFloat32ShortlistProjected(TestFloat32Shortlist):
+    """The shortlist cases again, each query pruned by the projected scan."""
+
+    @pytest.fixture(autouse=True)
+    def pruned(self, projected, monkeypatch):
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", 1.0)
+
+
 @pytest.mark.parametrize("value", [0, 2.5, True])
 @pytest.mark.parametrize("name,call", [
     ("k", lambda v: retrieve_topk(basis_index(), [1.0, 0.0, 0.0], v)),

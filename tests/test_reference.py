@@ -11,6 +11,7 @@ from reference import NoCandidates, Reference
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.candidates import FilterConfig, LexiconTagger
 from vfclass.errors import VfcError
+import vfclass.index as index_mod
 from vfclass.index import CaptionRecord, build_index
 from vfclass.scoring import ClassifierConfig, classify_batch
 
@@ -123,3 +124,23 @@ def test_windows_equal_the_whole_list(tagger, kind, seed, classes, dim):
             for a, b in zip([0, *cuts], [*cuts, len(mixed)]):
                 windows += classify_batch(mixed[a:b], index, store, tagger, config)
             assert windows == whole
+
+
+@pytest.fixture(params=[index_mod.FALLBACK_SHARE, 1.0], ids=["share", "no-fallback"])
+def projected(request, monkeypatch):
+    """Every index takes the projected scan, whose queries fall back to
+    the full-width scan past ``FALLBACK_SHARE`` or never."""
+    monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
+    monkeypatch.setattr(index_mod, "FALLBACK_SHARE", request.param)
+
+
+@pytest.mark.parametrize("kind, seed, classes, dim", WORLDS)
+def test_projected_scan_equals_the_reference(projected, tagger, kind, seed, classes,
+                                             dim):
+    test_classifier_equals_the_reference(tagger, kind, seed, classes, dim)
+
+
+@pytest.mark.parametrize("kind, seed, classes, dim", WORLDS[::2])
+def test_projected_windows_equal_the_whole_list(projected, tagger, kind, seed,
+                                                classes, dim):
+    test_windows_equal_the_whole_list(tagger, kind, seed, classes, dim)

@@ -967,6 +967,7 @@ class TestWindowScoring:
     @pytest.mark.parametrize("module, name, one_query", [
         pytest.param(scoring_mod, "SCORE_BLOCK", 1, id="vfclass.scoring-SCORE_BLOCK"),
         pytest.param(index_mod, "SCAN_BLOCK", 1, id="vfclass.index-SCAN_BLOCK"),
+        pytest.param(index_mod, "PROJECT_MIN", 0, id="vfclass.index-PROJECT_MIN"),
         pytest.param(candidates_mod, "COUNT_SPREAD", 0,
                      id="vfclass.candidates-COUNT_SPREAD"),
     ])
@@ -974,7 +975,8 @@ class TestWindowScoring:
                                                      monkeypatch, module, name,
                                                      one_query):
         """With room for one query's block, a window runs a query at a time,
-        and the prediction JSON does not change by a byte."""
+        and with a projection threshold of 0 every index scans its projected
+        rows first; the prediction JSON does not change by a byte."""
         bench = noisy_bench
         queries = [*bench.queries[:60], ("unknown", "img/none"),
                    ("zero", [0.0] * bench.store.dim)]
