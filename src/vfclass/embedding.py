@@ -8,10 +8,13 @@ provider. Two providers are shipped:
   and offline runs. File format ``VFCE``, see :func:`save_store`.
 - :class:`RemoteEmbeddingClient`, an HTTP client speaking a small JSON
   contract (``{"inputs": [...], "modality": "text"|"image"}``), used for
-  live runs against an embedding service. It caches the vectors of the
-  last ``TEXT_CACHE_ROWS`` texts it used, which assumes the service's text
-  vectors stay fixed for the client's lifetime, as a frozen
-  vision-language model's do. Image refs are sent on every call.
+  live runs against an embedding service. It keeps one HTTP/1.1
+  connection per thread alive between calls, with the standard library's
+  ``http.client``, and reopens it once if the service has closed it. It
+  caches the vectors of the last ``TEXT_CACHE_ROWS`` texts it used, which
+  assumes the service's text vectors stay fixed for the client's
+  lifetime, as a frozen vision-language model's do. Image refs are sent
+  on every call.
 
 Vectors are stored at float32; all similarity math runs at float64.
 Every file the package writes goes through :func:`write_file`.
@@ -21,18 +24,21 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import http.client
+import json
 import math
 import numbers
 import os
 import secrets
 import struct
 import threading
+import weakref
 import zlib
 from collections import OrderedDict
 from typing import Iterable, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import (
     CorruptFileError,
@@ -450,14 +456,47 @@ def load_store(path, identity: str | None = None) -> PrecomputedStore:
     return store
 
 
+class _Link:
+    """One thread's kept-alive connection to an embedding service, and the
+    target its requests name: the path and query of the service's URL, as
+    given. The socket is closed when the link is dropped, that is when its
+    thread ends or its client is closed or collected."""
+
+    __slots__ = ("conn", "target", "__weakref__")
+    # https verifies the service's certificate against the system's CA store
+    KINDS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+    def __init__(self, url: str, timeout: float):
+        try:
+            parts = urlsplit(url)
+        except ValueError as exc:  # such as an unclosed "[" in the host
+            raise http.client.InvalidURL(str(exc)) from None
+        kind = self.KINDS.get(parts.scheme)
+        if kind is None or not parts.hostname:
+            raise http.client.InvalidURL("not an http:// or https:// URL with a host")
+        # the timeout bounds the connect and each read
+        self.conn = kind(parts.netloc, timeout=timeout)
+        self.target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        weakref.finalize(self, self.conn.close)
+
+
 class RemoteEmbeddingClient:
     """Embedding provider speaking the remote HTTP JSON contract.
 
     POSTs ``{"inputs": [...], "modality": "text"|"image"}`` to ``base_url``
     and expects ``{"dim": N, "vectors": [[...], ...]}``. The dimension is
     pinned on the first successful response (or up front via ``dim``) and
-    any later deviation is a hard error. Every call goes through one
-    ``requests.Session``, so calls reuse a kept-alive connection.
+    any later deviation is a hard error.
+
+    Each thread that calls the client gets its own HTTP/1.1 connection
+    (``http.client``), kept alive across calls. A reused connection that
+    the service has closed since, after an idle spell or an error reply, is
+    reopened once per call; a fault on a new connection is not retried.
+    Every transport fault, status >= 400 included, is a
+    :class:`ProviderUnavailableError`. Proxy variables and ``.netrc`` are
+    not read, and an ``https://`` service's certificate is verified
+    against the system's CA store. :meth:`close`, or collecting the
+    client, closes its connections.
 
     Returned vectors are quantized to float32 (the engine's storage
     precision) so a live run is bit-identical to a run against the same
@@ -482,23 +521,55 @@ class RemoteEmbeddingClient:
         self.dim = dim if dim is None else check_count(dim, "dim")
         self.timeout = check_timeout(timeout)
         self.identity = identity or f"remote:{base_url}"
-        self._session = requests.Session()  # one kept-alive connection
+        self._local = threading.local()  # each thread's _Link
         self._texts: OrderedDict[str, np.ndarray] = OrderedDict()
         self._texts_lock = threading.Lock()  # a client may serve many threads
 
+    def close(self) -> None:
+        """Close the client's connections; a later call opens a new one.
+        A connection that a call is using is closed when the call returns."""
+        # dropping the thread-local object drops every thread's link in it
+        self._local = threading.local()
+
+    def _exchange(self, body: bytes) -> bytes:
+        """POST ``body`` on this thread's connection and return the reply's
+        body. A fault is an ``OSError`` or an ``HTTPException`` (a status
+        >= 400 too) and closes the connection; a ``ConnectionError`` on a
+        reused connection, which the service may have closed since, is
+        instead retried once on a new one."""
+        link = getattr(self._local, "link", None)
+        if link is None:
+            link = self._local.link = _Link(self.base_url, self.timeout)
+        conn = link.conn
+        for retry in (conn.sock is not None, False):
+            try:
+                conn.request("POST", link.target, body,
+                             {"Content-Type": "application/json"})
+                reply = conn.getresponse()
+                data = reply.read()
+                break
+            except ConnectionError:
+                conn.close()
+                if not retry:
+                    raise
+            except BaseException:
+                conn.close()
+                raise
+        if reply.status >= 400:
+            raise http.client.HTTPException(f"HTTP {reply.status} {reply.reason}")
+        return data
+
     def _post(self, inputs: Sequence[str], modality: str) -> np.ndarray:
+        payload = json.dumps({"inputs": list(inputs), "modality": modality})
         try:
-            resp = self._session.post(
-                self.base_url,
-                json={"inputs": list(inputs), "modality": modality},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            body = resp.json()
-        except requests.RequestException as exc:
+            data = self._exchange(payload.encode())
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderUnavailableError(
-                f"embedding service at {self.base_url} unavailable: {exc}"
+                f"embedding service at {self.base_url} unavailable: "
+                f"{type(exc).__name__}: {exc}"
             ) from exc
+        try:
+            body = json.loads(data)
         except ValueError as exc:
             raise ProviderUnavailableError(
                 f"embedding service returned invalid JSON: {exc}"

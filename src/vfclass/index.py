@@ -57,7 +57,8 @@ the top k are the same rows and the same bits. A query that keeps more
 than ``FALLBACK_SHARE`` of the rows it scanned, in its nearest list or in
 all of them, falls back to the full-width scan, so on data where the
 bound prunes nothing a partitioned query costs one projected list more than
-before (a flat index's nearest list is all of it).
+before (a flat index's nearest list is all of it). An index of fewer than
+``PROJECT_MIN_DIM`` dimensions scans its full-width rows only.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ GEMM_QUERIES = 4
 # one thread: partitioned 16k x 128 took 58 -> 69 us/query and 100k x 32
 # 80 -> 104; partitioned 64k x 128 213 -> 151, and flat 32k x 256 340 -> 150)
 PROJECT_MIN = 1 << 22
+# an index of fewer dimensions scans its full-width rows only, however many
+# rows it has: its rows are narrow enough that the pruned scan's fixed cost
+# per query outweighs the bytes it saves (200k rows in clusters of 50, 32
+# lists, probes 8, windows of 8, one thread, hits equal on both paths:
+# full-width against projected 200 -> 249 us/query at d=32, 206 -> 218 at
+# d=36, 280 -> 238 at d=40, 336 -> 245 at d=48, 403 -> 291 at d=64)
+PROJECT_MIN_DIM = 40
 PROJECT_SAMPLE = 4096  # rows, taken at a stride, whose SVD gives the basis
 PRUNE_ROWS = 32  # rows, at least k, rescored for the lower bound
 # a query keeping more of its scanned rows than this falls back to the
@@ -512,7 +520,7 @@ def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
         probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe].tolist()
     out: list = [None] * len(queries)
     full = range(len(queries))
-    if len(index) * index.dim >= PROJECT_MIN:
+    if len(index) * index.dim >= PROJECT_MIN and index.dim >= PROJECT_MIN_DIM:
         full = _scan_projected(layout, queries, probed, k, out)
     found = _products(layout.vectors, layout.offsets,
                       queries[full].astype(np.float32), [probed[u] for u in full])

@@ -75,6 +75,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _StubServer(ThreadingHTTPServer):
+    # the listen backlog: with the default of 5, a client whose 8 threads
+    # each open a connection at once had connects dropped and retried after
+    # a second
+    request_queue_size = 64
+
+
 def check_port(port):
     """``port`` if it is a TCP port, an integer from 0 to 65535 (0 lets the
     system choose one), else an :class:`EmptyInputError`."""
@@ -88,7 +95,7 @@ def make_server(host: str, port: int, dim: int) -> ThreadingHTTPServer:
     check_port(port)
     handler = type("Handler", (_StubHandler,), {"dim": dim})
     try:
-        return ThreadingHTTPServer((host, port), handler)
+        return _StubServer((host, port), handler)
     except OSError as exc:
         raise VfcError(f"cannot bind {host}:{port}: {exc}",
                        code="port-in-use") from exc
@@ -107,7 +114,8 @@ def serve(host: str = "127.0.0.1", port: int = 8765, dim: int = 64) -> None:
 def running_stub(dim: int = 64, host: str = "127.0.0.1"):
     """Start the stub on a free port in a thread; yields its base URL."""
     server = make_server(host, 0, dim)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval: shutdown waits for the poll that sees it
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield f"http://{host}:{server.server_address[1]}/"

@@ -699,6 +699,7 @@ def projected(monkeypatch):
     window, the number of queries and the number that fell back to the
     full-width scan."""
     monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
+    monkeypatch.setattr(index_mod, "PROJECT_MIN_DIM", 0)
     counts = []
     scan = index_mod._scan_projected
 
@@ -719,6 +720,25 @@ def full_width_hits(index, units, k, probes, monkeypatch):
 
 def bits(hits):
     return [(rows.tolist(), scores.tobytes()) for rows, scores in hits]
+
+
+@pytest.mark.parametrize("dim, rows, takes", [
+    (32, 1 << 17, False), (36, -(-(1 << 22) // 36), False),
+    (40, (1 << 22) // 40, False), (40, -(-(1 << 22) // 40), True),
+    (48, -(-(1 << 22) // 48), True)])
+def test_which_indexes_scan_projected_rows(monkeypatch, dim, rows, takes):
+    """Only an index of at least ``PROJECT_MIN`` values and
+    ``PROJECT_MIN_DIM`` dimensions scans projected rows: at 32 and 36
+    dimensions the full-width scan was the faster."""
+    assert (index_mod.PROJECT_MIN, index_mod.PROJECT_MIN_DIM) == (1 << 22, 40)
+    calls = []
+    scan = index_mod._scan_projected
+    monkeypatch.setattr(index_mod, "_scan_projected",
+                        lambda *args: calls.append(1) or scan(*args))
+    rng = np.random.default_rng(75)
+    index = hand_index(np.resize(unit_rows(rng, 1024, dim), (rows, dim)))
+    retrieve_topk(index, rng.standard_normal(dim), 5)
+    assert bool(calls) == takes
 
 
 class TestProjectedScan:

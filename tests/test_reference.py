@@ -131,6 +131,7 @@ def projected(request, monkeypatch):
     """Every index takes the projected scan, whose queries fall back to
     the full-width scan past ``FALLBACK_SHARE`` or never."""
     monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
+    monkeypatch.setattr(index_mod, "PROJECT_MIN_DIM", 0)
     monkeypatch.setattr(index_mod, "FALLBACK_SHARE", request.param)
 
 

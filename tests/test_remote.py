@@ -1,18 +1,22 @@
 """Remote embedding client against the deterministic stub service."""
 
+import contextlib
+import gc
+import http.client
 import json
+import select
 import socket
 import struct
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-import requests
 
 import vfclass.embedding as embedding_mod
 from vfclass.candidates import FilterConfig, LexiconTagger, extract_candidates
@@ -43,6 +47,19 @@ SHORT_REQUEST = (b"POST / HTTP/1.1\r\nHost: stub\r\nContent-Length: 100\r\n\r\n"
 def stub_url():
     with running_stub(dim=4) as url:
         yield url
+
+
+def raw_post(url, body):
+    """The status and the decoded JSON reply of one POST of ``body``, bytes,
+    to the service at ``url``, over a connection of its own."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        conn.request("POST", parts.path, body, {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
 
 
 class TestRemoteClient:
@@ -102,18 +119,18 @@ class TestRemoteClient:
         ["a"],
     ])
     def test_stub_rejects_a_malformed_request(self, stub_url, body):
-        resp = requests.post(stub_url, json=body, timeout=5)
-        assert resp.status_code == 400
-        assert "error" in resp.json()
+        status, reply = raw_post(stub_url, json.dumps(body).encode())
+        assert status == 400
+        assert "error" in reply
 
     @pytest.mark.parametrize("body", [
         b"[" * 100_000,
         b'{"inputs": ' + b"1" * 5000 + b"}",
     ], ids=["deep-nesting", "5000-digit-int"])
     def test_stub_rejects_json_it_cannot_decode(self, stub_url, body):
-        resp = requests.post(stub_url, data=body, timeout=5)
-        assert resp.status_code == 400
-        assert "error" in resp.json()
+        status, reply = raw_post(stub_url, body)
+        assert status == 400
+        assert "error" in reply
 
     def test_vectors_quantized_to_storage_precision(self, stub_url):
         client = RemoteEmbeddingClient(stub_url)
@@ -218,13 +235,13 @@ class TestOneConnection:
         refs = [f"img/{i}" for i in range(EMBED_CHUNK + 6)]
         queries = [(ref, ref) for ref in refs] + [("again", refs[0])]
         modalities = []
-        post = requests.Session.post
+        exchange = RemoteEmbeddingClient._exchange
 
-        def counting_post(self, url, **kwargs):
-            modalities.append(kwargs["json"]["modality"])
-            return post(self, url, **kwargs)
+        def counting_exchange(self, body):
+            modalities.append(json.loads(body)["modality"])
+            return exchange(self, body)
 
-        monkeypatch.setattr(requests.Session, "post", counting_post)
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", counting_exchange)
         dim = 8
         with running_stub(dim) as url:
             client = RemoteEmbeddingClient(url)
@@ -246,31 +263,203 @@ class TestOneConnection:
         assert remote[-1].prediction == remote[0].prediction
 
 
-class FakeResponse:
-    def __init__(self, body):
-        self.body = body
+@contextlib.contextmanager
+def mute_server(hold):
+    """A server that reads each connection's request and never replies: it
+    closes the connection, or with ``hold`` keeps it open until the test
+    ends. Yields its URL and the list of connections it accepted."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(0.05)  # a blocked accept would not see the test end
+    accepted, done = [], threading.Event()
 
-    def raise_for_status(self):
-        pass
+    def serve():
+        while not done.is_set():
+            try:
+                conn, _ = server.accept()
+            except TimeoutError:
+                continue
+            accepted.append(conn)
+            with conn:
+                conn.recv(65536)
+                if hold:
+                    done.wait(10)
 
-    def json(self):
-        return self.body
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with server:
+        try:
+            yield f"http://127.0.0.1:{server.getsockname()[1]}/", accepted
+        finally:
+            done.set()
+            thread.join(5)
+
+
+class TestTransport:
+    """One kept-alive connection per client and thread, reopened once when
+    the service has closed it."""
+
+    def test_idle_close_is_reopened(self, monkeypatch, connections):
+        monkeypatch.setattr(_StubHandler, "timeout", 0.2)
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+            client.embed_texts(["a"])
+            idle = client._local.link.conn.sock
+            assert select.select([idle], [], [], 5)[0]  # the stub closed it
+            assert client.embed_texts(["b"]).tobytes() == stub_rows(["b"]).tobytes()
+            client.embed_image("img/1")
+        assert len(connections) == 2
+
+    def test_error_reply_is_followed_by_a_new_connection(self, connections):
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+            client.embed_texts(["a"])
+            with pytest.raises(ProviderUnavailableError, match="HTTP 400 Bad Request"):
+                client._post(["a"], "audio")  # the stub answers 400 and closes
+            assert client.embed_texts(["b"]).tobytes() == stub_rows(["b"]).tobytes()
+            client.embed_image("img/1")
+        assert len(connections) == 2
+
+    def test_close_without_reply_is_not_retried(self):
+        with mute_server(hold=False) as (url, accepted):
+            client = RemoteEmbeddingClient(url)
+            with pytest.raises(ProviderUnavailableError,
+                               match=f"^embedding service at {url} unavailable: "
+                                     "RemoteDisconnected"):
+                client.embed_texts(["a"])
+            assert len(accepted) == 1
+
+    def test_timeout_bounds_a_silent_service(self):
+        with mute_server(hold=True) as (url, accepted):
+            client = RemoteEmbeddingClient(url, timeout=0.2)
+            start = time.perf_counter()
+            with pytest.raises(ProviderUnavailableError, match="TimeoutError"):
+                client.embed_image("img/1")
+            assert time.perf_counter() - start < 2
+            assert len(accepted) == 1
+
+    def test_server_error_caches_nothing(self, monkeypatch, posts):
+        do_post = _StubHandler.do_POST
+        calls = []
+
+        def failing_once(handler):
+            calls.append(handler.path)
+            if len(calls) == 1:
+                handler._reply(500, {"error": "model not loaded"})
+            else:
+                do_post(handler)
+
+        monkeypatch.setattr(_StubHandler, "do_POST", failing_once)
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+            with pytest.raises(ProviderUnavailableError,
+                               match=f"^embedding service at {url} unavailable: "
+                                     ".*HTTP 500 Internal Server Error"):
+                client.embed_texts(["a"])
+            assert client.dim is None and not client._texts
+            assert client.embed_texts(["a"]).tobytes() == stub_rows(["a"]).tobytes()
+        assert posts == [("text", ["a"])] * 2
+
+    def test_path_and_query_are_sent_as_given(self, monkeypatch):
+        do_post = _StubHandler.do_POST
+        paths = []
+
+        def recording(handler):
+            paths.append(handler.path)
+            do_post(handler)
+
+        monkeypatch.setattr(_StubHandler, "do_POST", recording)
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(f"{url}v1/embed?model=a%20b&x=1")
+            client.embed_texts(["a"])
+            RemoteEmbeddingClient(url.rstrip("/")).embed_texts(["b"])
+        assert paths == ["/v1/embed?model=a%20b&x=1", "/"]
+
+    def test_other_scheme_fails_on_the_first_call(self):
+        client = RemoteEmbeddingClient("ftp://embedding.test/", dim=4)
+        with pytest.raises(ProviderUnavailableError,
+                           match="^embedding service at ftp://embedding.test/ "
+                                 "unavailable: InvalidURL"):
+            client.embed_texts(["a"])
+
+    def test_dropped_client_closes_its_connections(self, stub_url):
+        """A connection of the calling thread and one of a thread still
+        alive are both closed when the client is collected."""
+        client = RemoteEmbeddingClient(stub_url)
+        client.embed_texts(["a"])
+        called, release = threading.Event(), threading.Event()
+        socks = [client._local.link.conn.sock]
+
+        def other():
+            client.embed_texts(["b"])
+            socks.append(client._local.link.conn.sock)
+            called.set()
+            release.wait(10)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert called.wait(10)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                del client
+                gc.collect()
+            assert [s.fileno() for s in socks] == [-1, -1]
+        finally:
+            release.set()
+            thread.join(10)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_close_then_call_opens_a_new_connection(self, connections):
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+            client.embed_texts(["a"])
+            sock = client._local.link.conn.sock
+            client.close()
+            assert sock.fileno() == -1
+            client.embed_texts(["b"])
+            client.close()
+        assert len(connections) == 2
+
+    def test_each_thread_reuses_its_own_connection(self, connections):
+        threads = 8
+        ready = threading.Barrier(threads)
+        with running_stub(dim=4) as url:
+            client = RemoteEmbeddingClient(url)
+
+            def work(i):
+                ready.wait(10)  # all 8 threads are alive at once
+                ports = set()
+                for j in range(5):
+                    client.embed_image(f"img/{i}/{j}")
+                    ports.add(client._local.link.conn.sock.getsockname())
+                return ports
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                ports = list(pool.map(work, range(threads), timeout=60))
+        assert all(len(p) == 1 for p in ports)
+        assert sorted(p for [p] in map(list, ports)) == sorted(connections)
+        assert len(connections) == threads
+
+
+def reply_of(obj):
+    """The body of a service reply of ``obj``."""
+    return json.dumps(obj).encode()
 
 
 class FakeService:
-    """Stands in for ``requests.Session.post``: answers from a store, except
-    that the vector for ``bad-ref`` has a non-numeric element. An instance
-    is not a descriptor, so it gets no session argument."""
+    """Stands in for ``RemoteEmbeddingClient._exchange``: answers from a
+    store, except that the vector for ``bad-ref`` has a non-numeric element.
+    An instance is not a descriptor, so it gets no client argument."""
 
     def __init__(self, store):
         self.store = store
 
-    def __call__(self, url, json, timeout):
+    def __call__(self, body):
         vectors = [
             [1.0, "x", 0.0, 0.0] if key == "bad-ref" else self.store.vector(key).tolist()
-            for key in json["inputs"]
+            for key in json.loads(body)["inputs"]
         ]
-        return FakeResponse({"dim": self.store.dim, "vectors": vectors})
+        return reply_of({"dim": self.store.dim, "vectors": vectors})
 
 
 class TestMalformedReply:
@@ -284,7 +473,7 @@ class TestMalformedReply:
                    for i in range(4)]
         for i, rec in enumerate(records):
             store.add(rec.id, e[i % 2])
-        monkeypatch.setattr(requests.Session, "post", FakeService(store))
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", FakeService(store))
         return build_index(records, store)
 
     def test_non_numeric_vector_is_a_schema_error(self, monkeypatch):
@@ -294,9 +483,9 @@ class TestMalformedReply:
             client.embed_image("bad-ref")
 
     def test_reply_that_is_not_an_object(self, monkeypatch):
-        reply = FakeResponse([[1.0, 0.0]])
-        monkeypatch.setattr(requests.Session, "post",
-                            lambda self, url, json, timeout: reply)
+        reply = reply_of([[1.0, 0.0]])
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            lambda self, body: reply)
         client = RemoteEmbeddingClient("http://embedding.test/", dim=2)
         with pytest.raises(ProviderUnavailableError, match="not an object"):
             client.embed_texts(["dog"])
@@ -327,9 +516,9 @@ class TestClientSettings:
 
     @pytest.mark.parametrize("dim", [True, 0, 4.0])
     def test_reply_dim_that_is_not_a_count(self, monkeypatch, dim):
-        reply = FakeResponse({"dim": dim, "vectors": [[1.0, 0.0, 0.0, 0.0]]})
-        monkeypatch.setattr(requests.Session, "post",
-                            lambda self, url, json, timeout: reply)
+        reply = reply_of({"dim": dim, "vectors": [[1.0, 0.0, 0.0, 0.0]]})
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            lambda self, body: reply)
         client = RemoteEmbeddingClient("http://embedding.test/")
         with pytest.raises(ProviderUnavailableError, match="malformed"):
             client.embed_texts(["dog"])
@@ -340,13 +529,14 @@ class TestClientSettings:
 def posts(monkeypatch):
     """``(modality, inputs)`` of every POST a client makes during the test."""
     sent = []
-    post = requests.Session.post
+    exchange = RemoteEmbeddingClient._exchange
 
-    def recording_post(self, url, **kwargs):
-        sent.append((kwargs["json"]["modality"], kwargs["json"]["inputs"]))
-        return post(self, url, **kwargs)
+    def recording_exchange(self, body):
+        request = json.loads(body)
+        sent.append((request["modality"], request["inputs"]))
+        return exchange(self, body)
 
-    monkeypatch.setattr(requests.Session, "post", recording_post)
+    monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", recording_exchange)
     return sent
 
 
@@ -390,25 +580,25 @@ class TestTextCache:
         assert posts == [("text", ["ref-1"]), ("image", ["ref-1"])]
 
     @pytest.mark.parametrize("fault,error", [
-        (requests.ConnectionError("refused"), ProviderUnavailableError),
-        (FakeResponse({"dim": 4}), ProviderUnavailableError),
-        (FakeResponse({"dim": 3, "vectors": [[1.0, 0.0, 0.0]] * 2}),
+        (ConnectionRefusedError("refused"), ProviderUnavailableError),
+        (reply_of({"dim": 4}), ProviderUnavailableError),
+        (reply_of({"dim": 3, "vectors": [[1.0, 0.0, 0.0]] * 2}),
          DimensionMismatchError),
-        (FakeResponse({"dim": 4, "vectors": [[1.0, 0.0, 0.0, 0.0]]}),
+        (reply_of({"dim": 4, "vectors": [[1.0, 0.0, 0.0, 0.0]]}),
          ProviderUnavailableError),
     ], ids=["unreachable", "malformed", "dim-mismatch", "short-reply"])
     def test_failed_call_caches_nothing(self, monkeypatch, fault, error):
-        good = FakeResponse({"dim": 4, "vectors": stub_rows(["a", "b"]).tolist()})
+        good = reply_of({"dim": 4, "vectors": stub_rows(["a", "b"]).tolist()})
         replies, sent = [fault, good], []
 
-        def scripted_post(self, url, json, timeout):
-            sent.append(json["inputs"])
+        def scripted_exchange(self, body):
+            sent.append(json.loads(body)["inputs"])
             reply = replies.pop(0)
             if isinstance(reply, Exception):
                 raise reply
             return reply
 
-        monkeypatch.setattr(requests.Session, "post", scripted_post)
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", scripted_exchange)
         client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
         with pytest.raises(error):
             client.embed_texts(["a", "b"])
@@ -458,7 +648,7 @@ class TestTextCache:
         words = [f"w{i}" for i in range(24)]
         for word in words:
             store.add(word, hashed_vector(word, "text", 4))
-        monkeypatch.setattr(requests.Session, "post", FakeService(store))
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", FakeService(store))
         monkeypatch.setattr(embedding_mod, "TEXT_CACHE_ROWS", 8)
         client = RemoteEmbeddingClient("http://embedding.test/")
 

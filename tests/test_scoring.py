@@ -964,18 +964,18 @@ class TestWindowScoring:
         assert all(item.error is None for item in items if item.id not in failed)
         same_as_alone(items, queries, index, store, tagger, ClassifierConfig())
 
-    @pytest.mark.parametrize("module, name, one_query", [
-        pytest.param(scoring_mod, "SCORE_BLOCK", 1, id="vfclass.scoring-SCORE_BLOCK"),
-        pytest.param(index_mod, "SCAN_BLOCK", 1, id="vfclass.index-SCAN_BLOCK"),
-        pytest.param(index_mod, "PROJECT_MIN", 0, id="vfclass.index-PROJECT_MIN"),
-        pytest.param(candidates_mod, "COUNT_SPREAD", 0,
+    @pytest.mark.parametrize("module, limits", [
+        pytest.param(scoring_mod, {"SCORE_BLOCK": 1}, id="vfclass.scoring-SCORE_BLOCK"),
+        pytest.param(index_mod, {"SCAN_BLOCK": 1}, id="vfclass.index-SCAN_BLOCK"),
+        pytest.param(index_mod, {"PROJECT_MIN": 0, "PROJECT_MIN_DIM": 0},
+                     id="vfclass.index-PROJECT_MIN"),
+        pytest.param(candidates_mod, {"COUNT_SPREAD": 0},
                      id="vfclass.candidates-COUNT_SPREAD"),
     ])
     def test_block_of_one_query_gives_the_same_bytes(self, noisy_bench, tagger,
-                                                     monkeypatch, module, name,
-                                                     one_query):
+                                                     monkeypatch, module, limits):
         """With room for one query's block, a window runs a query at a time,
-        and with a projection threshold of 0 every index scans its projected
+        and with projection thresholds of 0 every index scans its projected
         rows first; the prediction JSON does not change by a byte."""
         bench = noisy_bench
         queries = [*bench.queries[:60], ("unknown", "img/none"),
@@ -992,7 +992,8 @@ class TestWindowScoring:
                                               config))
 
             whole = run()
-            monkeypatch.setattr(module, name, one_query)
+            for name, value in limits.items():
+                monkeypatch.setattr(module, name, value)
             assert run() == whole
             monkeypatch.undo()
 
