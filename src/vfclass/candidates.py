@@ -18,14 +18,12 @@ text and the settings :func:`token_settings` names, and stage 3 is
 :func:`select_window` over a window of queries, whose window of one is
 :func:`select_candidates`; :func:`extract_candidates` composes them. The
 query path in :mod:`vfclass.scoring` memoizes stages 1-2 per index row,
-lazily, keyed by those settings, for as long as the index lives: a
-:class:`TokenIds` per settings holds each hit row's tokens as ids into a
-vocabulary that grows with it (at most rows x distinct settings entries,
-no eviction). Stage 3 ranks a window's distinct tokens in name order and
-counts each (query, rank) pair with one ``bincount``, in blocks of whole
-queries sized by ``COUNT_SPREAD``, so the POS filter and the threshold are
-masks and the fallback an ``argmax``, which takes the first, that is the
-lowest, name among the highest counts. A window needs no caption ids: only
+lazily, keyed by those settings, for as long as the index lives (at most
+rows x distinct settings token tuples, no eviction). Stage 3 tags a
+window's distinct tokens once each, in name order, then counts each
+query's tokens in one ``Counter``: the POS filter is a set lookup, the
+threshold a comparison, and the fallback the lowest name among the
+highest counts. A window needs no caption ids: only
 :func:`select_candidates` names the captions that hold a kept name.
 
 The part-of-speech tagger is pluggable; the default is an offline lexicon
@@ -38,13 +36,12 @@ from __future__ import annotations
 
 import re
 import string
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, pairwise, repeat
-
-import numpy as np
+from itertools import chain
 
 from .embedding import check_count, check_flag, text_lines
 from .errors import (
@@ -58,9 +55,6 @@ from .errors import (
 POS_CATEGORIES = ("noun", "adjective", "verb", "article", "pronoun", "other")
 # "none" keeps the raw whitespace tokens; each later value adds one stage
 STAGES = ("none", "remove", "standardize", "all")
-# stage 3 counts a window in blocks of whole queries whose dense (query,
-# token) counts number at most this many per token of the window
-COUNT_SPREAD = 8
 # a query's stage-3 error, by whether the POS and count filter ran
 _EMPTY = ("captions yielded no tokens", "no candidate survived filtering")
 
@@ -355,93 +349,38 @@ def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-class TokenIds(dict):
-    """Row -> the row's tokens as ids into ``words``, a vocabulary that
-    grows as rows are numbered."""
-
-    def __init__(self):
-        super().__init__()
-        self.words: list[str] = []
-        self._ids: dict[str, int] = {}
-
-    def number(self, tokens) -> tuple[int, ...]:
-        """``tokens`` as ids, new tokens taking the next ones."""
-        for token in tokens:
-            if token not in self._ids:
-                self._ids[token] = len(self.words)
-                self.words.append(token)
-        return tuple(map(self._ids.__getitem__, tokens))
-
-
-def select_window(queries, words, tagger, config: FilterConfig) -> list:
+def select_window(queries, tagger, config: FilterConfig) -> list:
     """Stage 3 over a window: ``queries`` holds each query's captions as
-    tuples of token ids, the ids indexing ``words``. ``tagger`` is asked
-    only when ``config.stages`` is ``"all"``, once per distinct token of
-    the window, and its answers are not kept after the call. One slot per
+    tuples of tokens. ``tagger`` is asked only when ``config.stages`` is
+    ``"all"``, once per distinct token of the window in name order, a fault
+    included, and nothing it answers is kept after the call. One slot per
     query: its :class:`CandidateSet`, without provenance, or the
-    :class:`VfcError` that :func:`select_candidates` on it raises.
-
-    The window is counted in blocks of whole queries, each block's (query,
-    token) counts at most ``COUNT_SPREAD`` times the window's tokens, so the
-    work and memory grow with the tokens, not with queries x vocabulary. A
-    window whose queries share most of their tokens is one block.
-    """
-    tokens = [list(chain.from_iterable(captions)) for captions in queries]
-    step = 1
-    if len(queries) > 1:  # a window of one query is one block
-        size = sum(map(len, tokens))
-        step = max(1, COUNT_SPREAD * size // max(1, len(set(chain.from_iterable(tokens)))))
-    # a word's category, asked once per window; a fault is not kept
-    tags = lru_cache(maxsize=None)(lambda word: pos_tag(word, tagger))
-    failed, out = {}, []
-    for a in range(0, len(queries), step):
-        out += _select_block(tokens[a:a + step], words, tags, config, failed)
-    for j, toks in enumerate(tokens) if failed else ():
-        # the error of the query's first token that the tagger failed on
-        out[j] = next((failed[i] for i in toks if i in failed), out[j])
-    return out
-
-
-def _select_block(tokens, words, tags, config, failed) -> list:
-    """:func:`select_window` on a block of queries, each query's token ids
-    in ``tokens`` and ``tags`` a word's POS category, apart from tagger
-    faults: those go to ``failed``, token id -> error. The block's distinct
-    tokens are ranked in name order, and its (query, rank) pairs are counted
-    by one ``bincount``."""
+    :class:`VfcError` that :func:`select_candidates` on it raises (for a
+    query that holds a token the tagger failed on, the error of its first
+    such token)."""
     filtered = config.stages == "all"
-    flat = list(chain.from_iterable(tokens))
-    distinct = sorted(set(flat), key=words.__getitem__)
-    if filtered:
-        allowed, pos = [], config.allowed_pos
-        for i in distinct:
-            try:
-                if tags(words[i]) in pos:
-                    allowed.append(i)
-            except VfcError as err:
-                failed[i] = err
-        distinct = allowed
-    # ranks from 1 in name order; rank 0 counts what the POS filter drops
-    rank, width = dict(zip(distinct, range(1, len(distinct) + 1))), len(distinct) + 1
-    keys = np.fromiter(map(rank.get, flat, repeat(0)), np.intp, len(flat))
-    if len(tokens) > 1:  # (query, rank) as one key: query * width + rank
-        keys += np.repeat(np.arange(0, len(tokens) * width, width),
-                          list(map(len, tokens)))
-    full = np.bincount(keys, minlength=len(tokens) * width).reshape(-1, width)
-    counts = full[:, 1:]
-    kept = counts >= (config.min_count if filtered else 1)
-    rows, cols = kept.nonzero()
-    names = [words[distinct[r]] for r in cols.tolist()]
-    entries = list(zip(names, counts[kept].tolist()))
-    nkept = np.bincount(rows, minlength=len(tokens)).tolist()
-    out = [CandidateSet(dict(entries[a:b])) for a, b in pairwise([0, *accumulate(nkept)])]
-    if bare := [j for j, n in enumerate(nkept) if not n]:
-        # the fallback: the lowest name among the highest counts, as (rank,
-        # count); column 0 counts what the POS filter dropped
-        left = full[bare]
-        left[:, 0] = 0
-        for j, r, n in zip(bare, left.argmax(axis=1).tolist(), left.max(axis=1).tolist()):
-            out[j] = (CandidateSet({words[distinct[r - 1]]: n}, fallback=True) if n
-                      else EmptyCandidateSetError(_EMPTY[filtered]))
+    counts = [Counter(chain.from_iterable(captions)) for captions in queries]
+    dropped, failed = set(), {}
+    for word in sorted(set().union(*counts)) if filtered else ():
+        try:
+            if pos_tag(word, tagger) not in config.allowed_pos:
+                dropped.add(word)
+        except VfcError as err:
+            failed[word] = err
+    least = config.min_count if filtered else 1
+    out = []
+    for count in counts:
+        names = sorted(count.keys() - dropped)
+        kept = {w: count[w] for w in names if count[w] >= least}
+        if failed and not failed.keys().isdisjoint(count):
+            out.append(next(failed[w] for w in count if w in failed))
+        elif kept:
+            out.append(CandidateSet(kept))
+        elif names:  # the fallback: the lowest name among the highest counts
+            top = max(names, key=count.__getitem__)
+            out.append(CandidateSet({top: count[top]}, fallback=True))
+        else:
+            out.append(EmptyCandidateSetError(_EMPTY[filtered]))
     return out
 
 
@@ -455,9 +394,8 @@ def select_candidates(per_caption, tagger, config: FilterConfig) -> CandidateSet
     :class:`EmptyCandidateSetError` when no token gets that far. This is
     :func:`select_window` on a window of one query.
     """
-    per_caption, vocab = list(per_caption), TokenIds()
-    [slot] = select_window([[vocab.number(toks) for _, toks in per_caption]],
-                           vocab.words, tagger, config)
+    per_caption = list(per_caption)
+    [slot] = select_window([[toks for _, toks in per_caption]], tagger, config)
     if isinstance(slot, VfcError):
         raise slot
     slot.provenance = [cid for cid, toks in per_caption

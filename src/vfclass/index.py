@@ -20,8 +20,8 @@ row order is id order: score ties break by row, that is, by ascending id.
 
 An index is immutable: its fields cannot be replaced, and
 ``dataclasses.replace`` derives a new index, which makes its own scan copy
-and starts with an empty ``row_tokens`` memo (the candidate token ids of
-the rows queries hit; see ``scoring``).
+and starts with an empty ``row_tokens`` memo (the candidate tokens of the
+rows queries hit; see ``scoring``).
 
 Retrieval scans in float32 and decides in float64, a window of queries
 at a time (:func:`retrieve_topk` is a window of one). ``index.vectors``
@@ -236,8 +236,8 @@ class CaptionIndex:
     @cached_property
     def row_tokens(self) -> dict[tuple, dict[int, tuple]]:
         """The memo of candidate stages 1-2: stage-1/2 settings -> {row:
-        token ids}, a ``candidates.TokenIds`` filled on the query path one
-        hit row at a time."""
+        the row's interned tokens}, filled on the query path one hit row at
+        a time."""
         return {}
 
     @cached_property

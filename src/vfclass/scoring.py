@@ -13,16 +13,15 @@ refs per provider call, and its queries retrieve their captions together
 through the index's memo (``CaptionIndex.row_tokens``): a hit row is
 tokenized the first time a query hits it under the filter's stage-1/2
 settings (:func:`~vfclass.candidates.token_settings`, read at call time),
-and its tokens live as long as the index, numbered as ids into a
-vocabulary that grows with the memo (:class:`~vfclass.candidates.TokenIds`):
-at most one tuple of token ids per row and distinct settings, with no
-eviction and no option. Stage 3 then runs once over the window's ids
+and its tokens, interned, live as long as the index: at most one tuple of
+tokens per row and distinct settings, with no eviction and no option.
+Stage 3 then runs once over the window's tokens
 (:func:`~vfclass.candidates.select_window`). The tagger is asked once per
 distinct token per window, and nothing it answers outlives the call. The
 window's distinct candidate texts are embedded together in the same way.
-The provider loop has already
-checked every row (:func:`~vfclass.embedding._embed_chunks`), so scoring
-checks only that the candidate dim is the query dim.
+The provider loop has already checked every row
+(:func:`~vfclass.embedding._embed_chunks`), so scoring checks only that
+the candidate dim is the query dim.
 
 Score/fuse then runs over the window's candidate rows at once: each row's
 two cosines are row-wise products with its own query's unit vector and
@@ -37,6 +36,7 @@ queries, down to one query, which sends what a window of one does.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -44,7 +44,6 @@ import numpy as np
 
 from .candidates import (
     FilterConfig,
-    TokenIds,
     caption_tokens,
     select_window,
     token_settings,
@@ -192,16 +191,18 @@ def _image_method(provider):
     return lambda refs: [provider.embed_image(ref) for ref in refs]
 
 
-def _hit_ids(index, found, config: FilterConfig) -> tuple[list, list[str]]:
-    """Each query's token ids per hit row in ``found``, and the vocabulary
-    the ids index: the index's memo for the stage-1/2 settings ``config``
-    has now, where a row's ids are made on its first hit."""
-    memo = index.row_tokens.setdefault(token_settings(config), TokenIds())
+def _hit_tokens(index, found, config: FilterConfig) -> list:
+    """Each query's tokens per hit row in ``found``, from the index's memo
+    for the stage-1/2 settings ``config`` has now, where a row's tokens are
+    made on its first hit."""
+    memo = index.row_tokens.setdefault(token_settings(config), {})
     hit_rows = [rows.tolist() for rows, _ in found]
     for row in chain.from_iterable(hit_rows):
         if row not in memo:
-            memo[row] = memo.number(caption_tokens(index.records[row].text, config))
-    return [list(map(memo.__getitem__, rows)) for rows in hit_rows], memo.words
+            # interned, so equal tokens of different rows are one object
+            memo[row] = tuple(map(sys.intern,
+                                  caption_tokens(index.records[row].text, config)))
+    return [list(map(memo.__getitem__, rows)) for rows in hit_rows]
 
 
 @dataclass
@@ -273,7 +274,7 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
             w.error = err
     live = [w for w in window if w.error is None]
     found = retrieve_window(index, [w.unit for w in live], config.k, config.probes)
-    sets = select_window(*_hit_ids(index, found, config.filter), tagger, config.filter)
+    sets = select_window(_hit_tokens(index, found, config.filter), tagger, config.filter)
     for w, (rows, scores), cands in zip(live, found, sets):
         w.rows, w.scores = rows, scores
         if isinstance(cands, VfcError):

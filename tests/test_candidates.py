@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from reference import NoCandidates, Reference
-import vfclass.candidates as candidates_mod
 from vfclass.candidates import (
     STAGES,
     FilterConfig,
     LexiconTagger,
-    TokenIds,
     caption_tokens,
     default_meta_words,
     default_stop_words,
@@ -393,11 +391,11 @@ WORDS = ["dog", "dogs", "cat", "zebra", "aardvark", "red", "blue", "running",
          "\x00e", "x-ray"]
 
 
-def window_slots(memo, window, tagger, config):
-    """Stage 3 over ``window``, each query's ``(caption id, tokens)`` pairs
-    numbered through ``memo``; the window takes no caption ids."""
-    return select_window([[memo.number(toks) for _, toks in pairs] for pairs in window],
-                         memo.words, tagger, config)
+def window_slots(window, tagger, config):
+    """Stage 3 over ``window``, each query's ``(caption id, tokens)`` pairs;
+    the window takes the token tuples and no caption ids."""
+    return select_window([[toks for _, toks in pairs] for pairs in window],
+                         tagger, config)
 
 
 class TestSelectWindow:
@@ -405,14 +403,11 @@ class TestSelectWindow:
     query's stage 3 alone."""
 
     def test_random_windows_equal_the_reference_and_each_query_alone(
-            self, tagger, monkeypatch):
+            self, tagger):
         no_index = types.SimpleNamespace(records=[], vectors=np.zeros((0, 1)))
         reference = Reference(no_index, None, tagger)
-        memo = TokenIds()  # shared, so ids follow first sight, not name order
         seen = set()
         for seed in range(300):
-            # blocks of one query, of a few, and the default
-            monkeypatch.setattr(candidates_mod, "COUNT_SPREAD", (0, 1, 8)[seed % 3])
             rnd = random.Random(seed)
             config = FilterConfig(stages=STAGES[seed % 4],
                                   min_count=rnd.choice([1, 2, 3, 5]))
@@ -422,7 +417,7 @@ class TestSelectWindow:
             window = [[(f"c{i}", caption_tokens(text, config))
                        for i, text in enumerate(caps)] for caps in texts]
             for caps, pairs, slot in zip(texts, window,
-                                         window_slots(memo, window, tagger, config)):
+                                         window_slots(window, tagger, config)):
                 try:
                     alone = select_candidates(pairs, tagger, config)
                 except EmptyCandidateSetError as err:
@@ -446,11 +441,11 @@ class TestSelectWindow:
             ("none", "captions yielded no tokens")}
 
     def test_fallback_tie_goes_to_the_lowest_name_whatever_its_id(self, tagger):
-        memo = TokenIds()
-        memo.number(["zebra", "éclair", "mole"])  # ids against name order
+        # first sight in the window (zebra, aardvark, mole, éclair) is
+        # against name order
         window = [[("a", ("zebra", "aardvark")), ("b", ("mole",))],
                   [("c", ("éclair", "zebra", "éclair", "zebra"))]]
-        first, second = window_slots(memo, window, tagger, FilterConfig(min_count=3))
+        first, second = window_slots(window, tagger, FilterConfig(min_count=3))
         assert (first.entries, first.fallback) == ({"aardvark": 1}, True)
         assert (second.entries, second.fallback) == ({"zebra": 2}, True)
         alone = select_candidates(window[0], tagger, FilterConfig(min_count=3))
@@ -459,7 +454,7 @@ class TestSelectWindow:
 
     def test_a_token_counts_only_in_its_own_query(self, tagger):
         window = [[("a", ("dog", "dog"))], [("b", ("walrus", "walrus", "dog"))]]
-        first, second = window_slots(TokenIds(), window, tagger, FilterConfig())
+        first, second = window_slots(window, tagger, FilterConfig())
         assert (first.entries, second.entries) == ({"dog": 2}, {"walrus": 2})
         assert [select_candidates(pairs, tagger, FilterConfig()).provenance
                 for pairs in window] == [["a"], ["b"]]
@@ -470,7 +465,7 @@ class TestSelectWindow:
         for config, message in ((FilterConfig(), "no candidate survived filtering"),
                                 (FilterConfig(stages="remove"),
                                  "captions yielded no tokens")):
-            first, empty, none, last = window_slots(TokenIds(), window, tagger, config)
+            first, empty, none, last = window_slots(window, tagger, config)
             assert (first.entries, last.entries) == ({"dog": 2}, {"blue": 2})
             for slot in (empty, none):
                 assert isinstance(slot, EmptyCandidateSetError)
@@ -479,8 +474,7 @@ class TestSelectWindow:
     def test_raw_tokens_keep_python_order(self, tagger):
         tokens = ("e\x00", "ça", "E", "e", "\x00e", "Zebra", "zebra", "e\x00", "é")
         window = [[("a", tokens)], [("b", ("é", "e\x00", "E"))]]
-        first, second = window_slots(TokenIds(), window, tagger,
-                                     FilterConfig(stages="none"))
+        first, second = window_slots(window, tagger, FilterConfig(stages="none"))
         assert list(first.entries) == sorted(set(tokens))
         assert first.entries["e\x00"] == 2 and first.entries["e"] == 1
         assert list(second.entries) == ["E", "e\x00", "é"]
@@ -497,25 +491,56 @@ class TestSelectWindow:
 
         window = [[("a", ("dog", "dog"))], [("b", ("dog", "zebra", "walrus"))],
                   [("c", ("walrus", "zebra"))]]
-        first, second, third = window_slots(TokenIds(), window, Faulty(),
-                                            FilterConfig())
+        first, second, third = window_slots(window, Faulty(), FilterConfig())
         assert first.entries == {"dog": 2}
         assert (str(second), str(third)) == ("cannot tag zebra", "cannot tag walrus")
         assert sorted(asked) == ["dog", "walrus", "zebra"]
 
+    def test_tagger_asked_once_per_distinct_token_in_name_order(self, tagger):
+        """24 queries of 10 tokens each their own, and a token that faults in
+        the first, the twelfth and the last: every distinct token is asked
+        for once, in name order, the faulty one too, and only the queries
+        holding it fail."""
+        asked = []
+
+        class Faulty(LexiconTagger):
+            def tag(self, word):
+                asked.append(word)
+                if word == "walrus":
+                    raise TaggerUnavailableError("cannot tag walrus")
+                return super().tag(word)
+
+        faulty = (0, 11, 23)
+        window = [[(f"c{q}", tuple(f"{c}{'abcdefghijklmnopqrstuvwx'[q]}zebra"
+                                   for c in "klmnopqrst")),
+                   (f"d{q}", ("walrus", "dog") if q in faulty else ("dog",))]
+                  for q in range(24)]
+        config = FilterConfig(min_count=1)
+        slots = window_slots(window, Faulty(), config)
+        assert asked == sorted({tok for pairs in window for _, toks in pairs
+                                for tok in toks})
+        for q, (pairs, slot) in enumerate(zip(window, slots)):
+            if q in faulty:
+                assert (type(slot), str(slot)) == (TaggerUnavailableError,
+                                                   "cannot tag walrus")
+            else:
+                alone = select_candidates(pairs, tagger, config)
+                assert (slot.entries, slot.fallback) == (alone.entries, alone.fallback)
+                assert len(slot.entries) == 11
+
     def test_window_memory_does_not_scale_with_queries_times_vocabulary(self, tagger):
         """1,000 queries of 20 tokens each that no other query has: a dense
         (query, token) count over the window would hold 20 million counts."""
-        memo = TokenIds()
-        window = [[memo.number([f"walrus{q:03d}{c}" for c in "abcdefghij"
-                                 "klmnopqrst"])] for q in range(1000)]
-        dense = 1000 * len(memo.words) * np.dtype(np.intp).itemsize
+        window = [[tuple(f"walrus{q:03d}{c}" for c in "abcdefghijklmnopqrst")]
+                  for q in range(1000)]
+        words = {token for (captions,) in window for token in captions}
+        dense = 1000 * len(words) * np.dtype(np.intp).itemsize
         tracemalloc.start()
         try:
-            slots = select_window(window, memo.words, tagger, FilterConfig(min_count=1))
+            slots = select_window(window, tagger, FilterConfig(min_count=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(memo.words) == 20_000
+        assert len(words) == 20_000
         assert all(len(slot.entries) == 20 for slot in slots)
         assert peak < dense / 4

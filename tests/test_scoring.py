@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
-import vfclass.candidates as candidates_mod
 from vfclass.candidates import (
     FilterConfig,
     LexiconTagger,
-    TokenIds,
     default_stop_words,
     extract_candidates,
     token_settings,
@@ -969,8 +967,6 @@ class TestWindowScoring:
         pytest.param(index_mod, {"SCAN_BLOCK": 1}, id="vfclass.index-SCAN_BLOCK"),
         pytest.param(index_mod, {"PROJECT_MIN": 0, "PROJECT_MIN_DIM": 0},
                      id="vfclass.index-PROJECT_MIN"),
-        pytest.param(candidates_mod, {"COUNT_SPREAD": 0},
-                     id="vfclass.candidates-COUNT_SPREAD"),
     ])
     def test_block_of_one_query_gives_the_same_bytes(self, noisy_bench, tagger,
                                                      monkeypatch, module, limits):
@@ -1067,7 +1063,7 @@ class TestTokenMemo:
     def test_query_path_looks_up_only_its_hit_rows(self, noisy_bench, index, tagger):
         """The memo is filled by one lookup per hit row, never by walking it:
         it grows with every row the index has been asked about."""
-        class Unwalkable(TokenIds):
+        class Unwalkable(dict):
             def __iter__(self):
                 raise AssertionError("the memo was walked")
 
