@@ -152,13 +152,14 @@ def _word_set(value, name: str, lower: bool = True) -> frozenset[str]:
     raise EmptyInputError(f"{name} must be a collection of strings, got {value!r:.60}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
     """Knobs for the candidate pipeline.
 
     ``stages`` is the last stage that runs, one of :data:`STAGES`:
     nothing, noise removal, then standardization, then the part-of-speech
-    and count filter (``"all"``).
+    and count filter (``"all"``). A config is frozen: a variant is
+    ``dataclasses.replace(config, ...)``, checked as a new one is.
     """
 
     min_word_length: int = 3
@@ -176,11 +177,13 @@ class FilterConfig:
         if not (isinstance(self.stages, str) and self.stages in STAGES):
             raise EmptyInputError(
                 f"stages must be one of {STAGES}, got {self.stages!r}")
-        self.meta_words = (default_meta_words() if self.meta_words is None
-                           else _word_set(self.meta_words, "meta_words"))
-        self.stop_words = (default_stop_words() if self.stop_words is None
-                           else _word_set(self.stop_words, "stop_words"))
-        self.allowed_pos = _word_set(self.allowed_pos, "allowed_pos", lower=False)
+        meta, stop = self.meta_words, self.stop_words
+        object.__setattr__(self, "meta_words", default_meta_words() if meta is None
+                           else _word_set(meta, "meta_words"))
+        object.__setattr__(self, "stop_words", default_stop_words() if stop is None
+                           else _word_set(stop, "stop_words"))
+        object.__setattr__(self, "allowed_pos",
+                           _word_set(self.allowed_pos, "allowed_pos", lower=False))
         unknown = self.allowed_pos - set(POS_CATEGORIES)
         if unknown:
             raise EmptyInputError(f"unknown POS categories: {sorted(unknown)}")
@@ -335,9 +338,8 @@ def pos_tag(word: str, tagger) -> str:
 def token_settings(config: FilterConfig) -> tuple:
     """The settings stages 1-2 read, as a hashable key: configs with equal
     settings give every caption the same tokens."""
-    return (config.min_word_length, frozenset(config.stop_words),
-            frozenset(config.meta_words), config.split_compounds,
-            min(config.stages, "standardize", key=STAGES.index))
+    return (config.min_word_length, config.stop_words, config.meta_words,
+            config.split_compounds, min(config.stages, "standardize", key=STAGES.index))
 
 
 def caption_tokens(text: str, config: FilterConfig) -> tuple[str, ...]:

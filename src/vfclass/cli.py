@@ -96,7 +96,6 @@ def _rule(convert, check, *check_args):
 SETTINGS = {
     "embed_url": str,
     "embed_timeout": _rule(float, check_timeout),
-    "embed_dim": _rule(int, check_count, "dim"),
     "k": _rule(int, check_count, "k"),
     "alpha": _rule(float, check_alpha),
     "probes": _rule(int, check_probes),  # "all" does not convert and passes
@@ -141,8 +140,7 @@ def _provider(args):
     if args.embeddings:
         return load_store(args.embeddings)
     if args.embed_url:
-        return RemoteEmbeddingClient(
-            args.embed_url, **_given(dim=args.embed_dim, timeout=args.embed_timeout))
+        return RemoteEmbeddingClient(args.embed_url, **_given(timeout=args.embed_timeout))
     raise EmptyInputError(
         "no embedding provider: pass --embeddings or --embed-url",
         code="provider-unavailable",
@@ -324,7 +322,7 @@ class AblationSpec:
                 return replace(self.base, alpha=modes[value])
         except (ValueError, EmptyInputError) as exc:
             raise EmptyInputError(f"bad {self.sweep} value {value!r}: {exc}") from exc
-        return replace(self.base)
+        return self.base  # frozen, so it can be shared
 
 
 def _sweep_rows(spec: AblationSpec, args) -> list[dict]:
@@ -435,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     provider = argparse.ArgumentParser(add_help=False)
     provider.add_argument("--embeddings", help="precomputed store (.vfce)")
     provider.add_argument("--embed-url", help="remote embedding service URL")
-    provider.add_argument("--embed-dim", type=SETTINGS["embed_dim"])
     provider.add_argument("--embed-timeout", type=SETTINGS["embed_timeout"])
     words = argparse.ArgumentParser(add_help=False)
     words.add_argument("--lexicon", help="word<TAB>pos lexicon file")

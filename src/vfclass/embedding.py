@@ -1,20 +1,17 @@
 """Embedding-space primitives and the providers that produce vectors.
 
 The engine never runs a model itself: every vector enters through a
-provider. Two providers are shipped:
-
-- :class:`PrecomputedStore`, a binary dump of vectors keyed by string
-  (caption id, caption text, image ref, or candidate word), used for tests
-  and offline runs. File format ``VFCE``, see :func:`save_store`.
-- :class:`RemoteEmbeddingClient`, an HTTP client speaking a small JSON
-  contract (``{"inputs": [...], "modality": "text"|"image"}``), used for
-  live runs against an embedding service. It keeps one HTTP/1.1
-  connection per thread alive between calls, with the standard library's
-  ``http.client``, and reopens it once if the service has closed it. It
-  caches the vectors of the last ``TEXT_CACHE_ROWS`` texts it used, which
-  assumes the service's text vectors stay fixed for the client's
-  lifetime, as a frozen vision-language model's do. Image refs are sent
-  on every call.
+provider. A provider has ``dim`` (a remote client's is None until its
+first reply), ``embed_texts(texts)`` and ``embed_images(refs)``, one
+vector per input in order, and may have ``embed_records(ids, texts)``,
+one per caption, for a store keyed by caption id. Each method takes a
+non-empty sequence of ``str`` that is not itself a ``str``
+(:func:`_check_inputs`), and the engine checks each reply once
+(:func:`as_matrix`). The shipped providers, each with ``embed_image(ref)``
+too, are :class:`PrecomputedStore` (vectors keyed by string, dumped to
+``VFCE`` files, see :func:`save_store`), :class:`RemoteEmbeddingClient`
+(an HTTP client of an embedding service) and :class:`HashEmbedder`
+(hash-derived vectors, for offline runs).
 
 Vectors are stored at float32; all similarity math runs at float64.
 Every file the package writes goes through :func:`write_file`.
@@ -35,7 +32,7 @@ import threading
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -221,22 +218,25 @@ def hashed_vector(text: str, modality: str = "text", dim: int = 64) -> np.ndarra
     return normalize(words / 2.0**64 * 2.0 - 1.0)
 
 
-def _check_texts(texts: Sequence[str]) -> list[str]:
-    if not texts:
-        raise EmptyInputError("texts must be non-empty")
-    cleaned = []
-    for t in texts:
-        if not isinstance(t, str) or not t.strip():
-            raise EmptyInputError("each text must be a non-empty string")
-        cleaned.append(t)
-    return cleaned
-
-
-def _check_refs(refs: Sequence[str]) -> list[str]:
-    refs = list(refs)
-    if not refs or not all(refs):
-        raise EmptyInputError("image_ref must be non-empty")
-    return refs
+def _check_inputs(items, modality: str) -> list[str]:
+    """``items`` as a list if it is a non-empty sequence of ``str`` that is
+    not itself a ``str``, with no blank input (for ``"text"``, one of only
+    whitespace; for ``"image"``, ""); else an :class:`EmptyInputError`."""
+    text = modality == "text"
+    if not isinstance(items, str) and isinstance(items, Sequence):
+        for item in items:  # one pass: this runs on every provider call
+            if not isinstance(item, str):
+                break
+            if not (item.strip() if text else item):
+                raise EmptyInputError("each text must be a non-empty string" if text
+                                      else "image_ref must be non-empty")
+        else:
+            if items:
+                return list(items)
+            raise EmptyInputError("texts must be non-empty" if text
+                                  else "image_ref must be non-empty")
+    raise EmptyInputError(f"{modality} inputs must be a sequence of strings, "
+                          f"got {items!r:.60}")
 
 
 class PrecomputedStore:
@@ -309,10 +309,10 @@ class PrecomputedStore:
         return self._materialize()[[self._rows[k] for k in keys]].astype(np.float64)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return self._gather(_check_texts(texts))
+        return self._gather(_check_inputs(texts, "text"))
 
     def embed_images(self, image_refs: Sequence[str]) -> np.ndarray:
-        return self._gather(_check_refs(image_refs))
+        return self._gather(_check_inputs(image_refs, "image"))
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return self.embed_images([image_ref])[0]
@@ -330,18 +330,20 @@ def pack_string(value: str) -> bytes:
     return struct.pack("<I", len(encoded)) + encoded
 
 
-def store_payload(dim: int, rows: np.ndarray, keys: Sequence[str]) -> bytes:
-    """Serialize ``rows`` (count x dim) keyed by ``keys`` to the ``VFCE`` layout."""
-    parts = [
+def store_payload(dim: int, rows: np.ndarray, keys: Sequence[str]) -> list:
+    """The ``VFCE`` layout of ``rows`` (count x dim) keyed by ``keys``, as
+    parts to write in order; the rows are a view of their float32 array
+    (copied only if they are not one already)."""
+    rows = np.ascontiguousarray(rows, dtype="<f4")
+    return [
         struct.pack("<4sIIQB", STORE_MAGIC, STORE_VERSION, dim, len(keys), DTYPE_F32),
-        rows.astype("<f4").tobytes(),
+        memoryview(rows.reshape(-1).view(np.uint8)),
+        *map(pack_string, keys),
     ]
-    parts.extend(pack_string(key) for key in keys)
-    return b"".join(parts)
 
 
 def write_file(path, *parts) -> None:
-    """Write ``parts`` (``bytes``, or ``str`` as UTF-8) to a new file beside
+    """Write ``parts`` (bytes-like, or ``str`` as UTF-8) to a new file beside
     ``path``, sync it and let it replace ``path`` (a symlink's target), so a
     failed write leaves the old file and no partial one. A path that is not
     a regular file, such as a pipe or ``/dev/stdout``, is written in place."""
@@ -385,43 +387,47 @@ def text_lines(path, what: str, skip=None):
 
 
 def save_store(store: PrecomputedStore, path) -> None:
-    write_file(path, store_payload(store.dim, store._materialize(), store.keys()))
+    write_file(path, *store_payload(store.dim, store._materialize(), store.keys()))
 
 
 class _Reader:
-    """Cursor over a byte buffer that fails loudly on truncation."""
+    """Cursor over ``data[start:end]``, bytes, that fails loudly on
+    truncation; what it takes is a view of ``data``, not a copy."""
 
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
+    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
+        self.data, self.view = data, memoryview(data)
+        self.offset, self.end = start, len(data) if end is None else end
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
+    def _skip(self, n: int) -> int:
+        """Move past ``n`` bytes; return where they start."""
+        if self.offset + n > self.end:
             raise CorruptFileError("unexpected end of file")
-        chunk = self.data[self.offset : self.offset + n]
         self.offset += n
-        return chunk
+        return self.offset - n
+
+    def take(self, n: int) -> memoryview:
+        return self.view[self._skip(n) : self.offset]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._skip(1)]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack_from("<I", self.data, self._skip(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return struct.unpack_from("<Q", self.data, self._skip(8))[0]
 
     def string(self) -> str:
-        length = self.u32()
+        start = self._skip(self.u32())
         try:
-            return self.take(length).decode("utf-8")
+            return self.data[start : self.offset].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptFileError("malformed UTF-8 in key table") from exc
 
 
 def read_store_payload(reader: _Reader) -> tuple[int, np.ndarray, list[str]]:
     """Parse one ``VFCE`` payload into (dim, float32 rows, keys)."""
-    magic = reader.take(4)
+    magic = bytes(reader.take(4))
     if magic != STORE_MAGIC:
         raise CorruptFileError(f"bad magic {magic!r}, expected {STORE_MAGIC!r}")
     version = reader.u32()
@@ -484,9 +490,10 @@ class RemoteEmbeddingClient:
     """Embedding provider speaking the remote HTTP JSON contract.
 
     POSTs ``{"inputs": [...], "modality": "text"|"image"}`` to ``base_url``
-    and expects ``{"dim": N, "vectors": [[...], ...]}``. The dimension is
-    pinned on the first successful response (or up front via ``dim``) and
-    any later deviation is a hard error.
+    and expects ``{"dim": N, "vectors": [[...], ...]}``. ``dim`` is None
+    until the first good reply, which pins it; a later reply of another
+    dim is a :class:`DimensionMismatchError`. ``timeout`` (seconds, for
+    the connect and each read) and ``identity`` are keyword-only.
 
     Each thread that calls the client gets its own HTTP/1.1 connection
     (``http.client``), kept alive across calls. A reused connection that
@@ -510,15 +517,10 @@ class RemoteEmbeddingClient:
     are not cached: a ref names content the client cannot see.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        dim: int | None = None,
-        timeout: float = 10.0,
-        identity: str | None = None,
-    ):
+    def __init__(self, base_url: str, *, timeout: float = 10.0,
+                 identity: str | None = None):
         self.base_url = base_url
-        self.dim = dim if dim is None else check_count(dim, "dim")
+        self.dim: int | None = None  # learned from the first good reply
         self.timeout = check_timeout(timeout)
         self.identity = identity or f"remote:{base_url}"
         self._local = threading.local()  # each thread's _Link
@@ -580,17 +582,15 @@ class RemoteEmbeddingClient:
         vectors = body.get("vectors")
         if not is_count(dim) or not isinstance(vectors, list):
             raise ProviderUnavailableError("malformed response from embedding service")
-        if self.dim is None:
-            self.dim = dim
-        if dim != self.dim:
+        if self.dim not in (None, dim):
             raise DimensionMismatchError(
-                f"service returned dim {dim}, expected {self.dim}"
-            )
-        matrix = as_matrix(vectors, "service vectors", self.dim, count=len(inputs))
+                f"service returned dim {dim}, expected {self.dim}")
+        matrix = as_matrix(vectors, "service vectors", dim, count=len(inputs))
+        self.dim = dim
         return matrix.astype(np.float32)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        texts = _check_texts(texts)
+        texts = _check_inputs(texts, "text")
         with self._texts_lock:
             found = {t: self._texts[t] for t in texts if t in self._texts}
             for text in found:
@@ -608,7 +608,7 @@ class RemoteEmbeddingClient:
         return np.array([found[t] for t in texts], dtype=np.float64)
 
     def embed_images(self, image_refs: Sequence[str]) -> np.ndarray:
-        return self._post(_check_refs(image_refs), "image").astype(np.float64)
+        return self._post(_check_inputs(image_refs, "image"), "image").astype(np.float64)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return self.embed_images([image_ref])[0]
@@ -626,16 +626,20 @@ class HashEmbedder:
         self.identity = f"hash-v1:{dim}"
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return np.array(
-            [hashed_vector(t, "text", self.dim) for t in _check_texts(texts)]
-        )
+        return np.array([hashed_vector(t, "text", self.dim)
+                         for t in _check_inputs(texts, "text")])
 
     def embed_images(self, image_refs: Sequence[str]) -> list[np.ndarray]:
-        return [hashed_vector(r, "image", self.dim) for r in _check_refs(image_refs)]
+        return [hashed_vector(r, "image", self.dim)
+                for r in _check_inputs(image_refs, "image")]
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return self.embed_images([image_ref])[0]
 
 
-def body_crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+def body_crc(parts) -> int:
+    """The CRC32 of ``parts``, bytes-like objects, as if joined."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc

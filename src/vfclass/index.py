@@ -625,14 +625,13 @@ def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
     return retrieved(index, np.array(top), np.clip([scores[r] for r in top], -1.0, 1.0))
 
 
-def _index_body(index: CaptionIndex) -> bytes:
+def _index_body(index: CaptionIndex) -> list:
+    """The body of a ``VFCI`` file, as parts to write in order."""
     parts = [
-        store_payload(index.dim, index.vectors, [rec.id for rec in index.records]),
+        *store_payload(index.dim, index.vectors, [rec.id for rec in index.records]),
         pack_string(index.provider_identity),
     ]
-    for rec in index.records:
-        parts.append(pack_string(rec.text))
-        parts.append(pack_string(rec.source))
+    parts.extend(pack_string(s) for rec in index.records for s in (rec.text, rec.source))
     if index.structure == "partitioned":
         parts.append(struct.pack("<B", STRUCTURE_PARTITIONED))
         parts.append(struct.pack("<I", index.num_partitions))
@@ -642,14 +641,13 @@ def _index_body(index: CaptionIndex) -> bytes:
             parts.append(members.astype("<u4").tobytes())
     else:
         parts.append(struct.pack("<B", STRUCTURE_FLAT))
-    return b"".join(parts)
+    return parts
 
 
 def save_index(index: CaptionIndex, path) -> None:
     """Write the ``VFCI`` file: magic, version, body, trailing CRC32."""
     body = _index_body(index)
-    # the parts go out one by one: joining them would copy the whole body
-    write_file(path, INDEX_MAGIC, struct.pack("<I", INDEX_VERSION), body,
+    write_file(path, INDEX_MAGIC, struct.pack("<I", INDEX_VERSION), *body,
                struct.pack("<I", body_crc(body)))
 
 
@@ -664,12 +662,10 @@ def load_index(path) -> CaptionIndex:
     version = struct.unpack("<I", data[4:8])[0]
     if version != INDEX_VERSION:
         raise CorruptFileError(f"unsupported index version {version}")
-    body = data[8:-4]
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if body_crc(body) != stored_crc:
+    if body_crc([memoryview(data)[8:-4]]) != struct.unpack("<I", data[-4:])[0]:
         raise CorruptFileError("CRC mismatch: file is corrupt or truncated")
 
-    reader = _Reader(body)
+    reader = _Reader(data, 8, len(data) - 4)
     dim, vectors, ids = read_store_payload(reader)
     count = len(ids)
     # ties break by row, which is the id order only for ascending ids
@@ -697,7 +693,7 @@ def load_index(path) -> CaptionIndex:
             raise CorruptFileError("partition member lists do not cover the corpus")
     elif structure_code != STRUCTURE_FLAT:
         raise CorruptFileError(f"unknown structure code {structure_code}")
-    if reader.offset != len(body):
+    if reader.offset != reader.end:
         raise CorruptFileError("trailing bytes in index body")
     return CaptionIndex(
         dim=dim, records=records, vectors=vectors,

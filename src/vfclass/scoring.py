@@ -8,13 +8,14 @@ the visual side. The label is the argmax of the fused distribution.
 
 Queries are classified in windows; :func:`classify` is a window of one.
 The window's distinct image refs are embedded together, ``EMBED_CHUNK``
-refs per provider call, and its queries retrieve their captions together
+refs per ``provider.embed_images`` call (a window of vectors makes none),
+and its queries retrieve their captions together
 (:func:`~vfclass.index.retrieve_window`). Stages 1-2 of extraction run
 through the index's memo (``CaptionIndex.row_tokens``): a hit row is
 tokenized the first time a query hits it under the filter's stage-1/2
-settings (:func:`~vfclass.candidates.token_settings`, read at call time),
-and its tokens, interned, live as long as the index: at most one tuple of
-tokens per row and distinct settings, with no eviction and no option.
+settings (:func:`~vfclass.candidates.token_settings`), and its tokens,
+interned, live as long as the index: at most one tuple of tokens per row
+and distinct settings, with no eviction and no option.
 Stage 3 then runs once over the window's tokens
 (:func:`~vfclass.candidates.select_window`). The tagger is asked once per
 distinct token per window, and nothing it answers outlives the call. The
@@ -78,8 +79,11 @@ class ScoreBreakdown:
     fused: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierConfig:
+    """A classify call's settings, checked when made; frozen, so a variant
+    is ``dataclasses.replace(config, ...)``, checked the same way."""
+
     k: int = 10
     alpha: float = 0.7
     prompt_template: str = ""
@@ -183,18 +187,10 @@ def _embed_each(embed, groups, name) -> list:
     return [rows.take([row[item] for item in group], axis=0) for group in groups]
 
 
-def _image_method(provider):
-    """``provider.embed_images``, or ``embed_image`` once per ref for a
-    provider without it."""
-    if hasattr(provider, "embed_images"):
-        return provider.embed_images
-    return lambda refs: [provider.embed_image(ref) for ref in refs]
-
-
 def _hit_tokens(index, found, config: FilterConfig) -> list:
     """Each query's tokens per hit row in ``found``, from the index's memo
-    for the stage-1/2 settings ``config`` has now, where a row's tokens are
-    made on its first hit."""
+    for ``config``'s stage-1/2 settings, where a row's tokens are made on
+    its first hit."""
     memo = index.row_tokens.setdefault(token_settings(config), {})
     hit_rows = [rows.tolist() for rows, _ in found]
     for row in chain.from_iterable(hit_rows):
@@ -260,7 +256,9 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
     that classifying it alone raises."""
     template = config.prompt_template or "{}"
     window = [_Query() for _ in queries]
-    images = iter(_embed_each(_image_method(provider),
+    # looked up at the call, which a window without refs never makes, so a
+    # provider without embed_images fails only its ref queries
+    images = iter(_embed_each(lambda refs: provider.embed_images(refs),
                               [[q] for q in queries if isinstance(q, str)],
                               "image embeddings"))
     for w, q in zip(window, queries):

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import re
 import socket
 import stat
 import subprocess
@@ -510,7 +511,6 @@ class TestMalformedInput:
         assert_json_error(code, capsys, "empty-input")
 
     @pytest.mark.parametrize("flag,value", [
-        ("--embed-dim", "0"), ("--embed-dim", "2.5"), ("--embed-dim", "x"),
         ("--embed-timeout", "0"), ("--embed-timeout", "-1"),
         ("--embed-timeout", "nan"), ("--embed-timeout", "inf"),
         ("--embed-timeout", "x"), ("--k", "0"), ("--k", "2.5"),
@@ -537,7 +537,6 @@ class TestMalformedInput:
                     "--out", str(tmp_path / "preds.jsonl")]) == 0
 
     @pytest.mark.parametrize("name,value", [
-        ("embed_dim", "0"), ("embed_dim", "true"),
         ("embed_timeout", "0"), ("embed_timeout", "nan"),
         ("alpha", "2"), ("alpha", "nan"), ("alpha", "x"),
     ])
@@ -712,8 +711,6 @@ BAD_TEXTS = ["0", "-1", "1.5", "x", "nan", "inf", "70000"]
 RULES = {
     "--embed-timeout": ("embed_timeout", float,
                         lambda v: RemoteEmbeddingClient("u", timeout=v), {"1.5", "70000"}),
-    "--embed-dim": ("embed_dim", int, lambda v: RemoteEmbeddingClient("u", dim=v),
-                    {"70000"}),
     "--k": ("k", int, lambda v: ClassifierConfig(k=v), {"70000"}),
     "--alpha": ("alpha", float, lambda v: ClassifierConfig(alpha=v), {"0"}),
     "--probes": ("probes", int, lambda v: ClassifierConfig(probes=v), {"70000"}),
@@ -756,9 +753,9 @@ class TestOneRule:
         return ["classify", "--index", str(built_index), "--queries",
                 str(world["queries"]), "--embeddings", str(world["store"])]
 
-    def test_the_settings_are_the_eight_names(self):
-        assert list(cli.SETTINGS) == ["embed_url", "embed_timeout", "embed_dim",
-                                      "k", "alpha", "probes", "prompt", "seed"]
+    def test_the_settings_are_the_seven_names(self):
+        assert list(cli.SETTINGS) == ["embed_url", "embed_timeout", "k", "alpha",
+                                      "probes", "prompt", "seed"]
         assert {s for s, *_ in RULES.values() if s} == set(cli.SETTINGS) - {
             "embed_url"}
 
@@ -801,8 +798,7 @@ class TestOneRule:
         dest = flag[2:].replace("-", "_")
         assert getattr(args, dest) == handed_over(text, RULES[flag][1])
 
-    @pytest.mark.parametrize("name, value", [("embed_timeout", "0"),
-                                             ("embed_dim", "x")])
+    @pytest.mark.parametrize("name, value", [("embed_timeout", "0")])
     @pytest.mark.parametrize("source", ["env", "config"])
     @pytest.mark.parametrize("command", ["classify", "evaluate"])
     def test_bad_embed_setting_is_an_error_though_unused(
@@ -838,6 +834,53 @@ class TestOneRule:
                 assert run(argv) == 0
             outs[source] = out.read_bytes()
         assert outs["env"] == outs["config"] == outs["flag"] != outs["none"]
+
+    def test_embed_dim_is_gone(self, world, built_index, tmp_path, monkeypatch,
+                               capsys):
+        # the remote client learns its dim from its first reply
+        argv = self.argv(world, built_index, "--k")
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--embed-dim", "64"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --embed-dim 64" in capsys.readouterr().err
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("embed_dim=64\n")
+        assert run(["--config", str(conf)] + argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "empty-input",
+            "message": "config line 1: unknown setting 'embed_dim'"}
+        monkeypatch.setenv("VFC_EMBED_DIM", "0")  # a name vfclass does not read
+        assert run(argv + ["--out", str(tmp_path / "preds.jsonl")]) == 0
+
+    def test_readme_names_the_settings_and_their_rules(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        precedence = readme[readme.index("Option precedence:"):]
+        precedence = precedence[:precedence.index("\n\n")]
+        assert re.findall(r"`(VFC_\w+)`", precedence) == [
+            f"VFC_{name.upper()}" for name in cli.SETTINGS]
+        table = {}
+        for line in readme.splitlines():
+            row = re.fullmatch(r"\| `(\w+\.check_\w+)` \| (.+) \| (.+) \|", line)
+            if row:
+                for flag in re.findall(r"`(--[\w-]+)`", row[3]):
+                    table[flag] = (row[1], row[2])
+        declared = {}
+        for parser in cli.build_parser()._subparsers._group_actions[0].choices.values():
+            for action in parser._actions:
+                rule = action.type
+                if getattr(rule, "__qualname__", "") == "_rule.<locals>.parse":
+                    bound = inspect.getclosurevars(rule).nonlocals
+                    check = bound["check"]
+                    module = check.__module__.rsplit(".", 1)[1]
+                    declared.update({flag: (f"{module}.{check.__name__}",
+                                            bound["check_args"])
+                                     for flag in action.option_strings})
+        assert table.keys() == declared.keys()
+        for flag, (rule, args) in declared.items():
+            assert table[flag][0] == rule, flag
+            if rule == "embedding.check_count":
+                low = args[1] if len(args) > 1 else 1
+                assert table[flag][1] == f"an integer >= {low}", flag
 
     @pytest.mark.parametrize("source", ["env", "config"])
     def test_bad_prompt_setting_exits_1(self, world, built_index, tmp_path,

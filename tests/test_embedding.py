@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import os
+import re
 import stat
 import threading
 from pathlib import Path
@@ -14,6 +15,7 @@ import vfclass.embedding as embedding_mod
 from vfclass.embedding import (
     HashEmbedder,
     PrecomputedStore,
+    RemoteEmbeddingClient,
     as_matrix,
     cosine_similarity,
     hashed_vector,
@@ -359,3 +361,60 @@ class TestHashedVector:
         assert got.shape == (3, 8)
         assert np.array_equal(got[0], hashed_vector("dog", "text", 8))
         assert np.array_equal(got[0], got[2])
+
+
+def shipped_providers():
+    """One of each shipped provider; every string of length one is a key
+    of the store, so a string read as its characters would resolve."""
+    store = PrecomputedStore(dim=2)
+    for key in ("a", "b", "c", "1", " "):
+        store.add(key, [1.0, 0.0])
+    return {"store": store, "hash": HashEmbedder(dim=2),
+            "remote": RemoteEmbeddingClient("http://embedding.test/")}
+
+
+class TestStrictInputs:
+    """Each shipped provider takes a non-empty sequence of strings, not a
+    ``str``, with no blank input, and asks its source for nothing else."""
+
+    @pytest.fixture(autouse=True)
+    def no_service(self, monkeypatch):
+        def fail(client, body):
+            raise AssertionError(f"posted {body!r}")
+
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", fail)
+
+    @pytest.mark.parametrize("inputs, message", [
+        ("abc", "inputs must be a sequence of strings, got 'abc'"),
+        ([1], "inputs must be a sequence of strings, got [1]"),
+        ((), "non-empty"),
+        ([""], "non-empty"),
+        (["a", None], "inputs must be a sequence of strings, got ['a', None]"),
+        ({"a": 1}, "inputs must be a sequence of strings"),
+    ], ids=["str", "int-item", "empty", "blank", "none-item", "dict"])
+    @pytest.mark.parametrize("method", ["embed_texts", "embed_images"])
+    @pytest.mark.parametrize("name", ["store", "hash", "remote"])
+    def test_rejected_with_empty_input(self, name, method, inputs, message):
+        provider = shipped_providers()[name]
+        with pytest.raises(EmptyInputError, match=re.escape(message)) as err:
+            getattr(provider, method)(inputs)
+        assert err.value.code == "empty-input"
+
+    @pytest.mark.parametrize("name", ["store", "hash", "remote"])
+    def test_blank_rules_and_messages(self, name):
+        provider = shipped_providers()[name]
+        for inputs, message in (([], "texts must be non-empty"),
+                                ([" "], "each text must be a non-empty string")):
+            with pytest.raises(EmptyInputError, match=f"^{message}$"):
+                provider.embed_texts(inputs)
+        for inputs in ([], [""]):
+            with pytest.raises(EmptyInputError, match="^image_ref must be non-empty$"):
+                provider.embed_images(inputs)
+
+    @pytest.mark.parametrize("name", ["store", "hash"])
+    def test_a_tuple_is_a_sequence(self, name):
+        provider = shipped_providers()[name]
+        assert np.array_equal(provider.embed_texts(("a", "b")),
+                              provider.embed_texts(["a", "b"]))
+        assert np.array_equal(np.asarray(provider.embed_images(("c", " "))),
+                              np.asarray(provider.embed_images(["c", " "])))

@@ -87,11 +87,6 @@ class TestRemoteClient:
         b = client.embed_image("ref-x")
         assert np.array_equal(a, b)
 
-    def test_declared_dim_mismatch_detected(self, stub_url):
-        client = RemoteEmbeddingClient(stub_url, dim=99)
-        with pytest.raises(DimensionMismatchError):
-            client.embed_texts(["a"])
-
     def test_empty_input_rejected_client_side(self, stub_url):
         client = RemoteEmbeddingClient(stub_url)
         with pytest.raises(EmptyInputError):
@@ -375,7 +370,7 @@ class TestTransport:
         assert paths == ["/v1/embed?model=a%20b&x=1", "/"]
 
     def test_other_scheme_fails_on_the_first_call(self):
-        client = RemoteEmbeddingClient("ftp://embedding.test/", dim=4)
+        client = RemoteEmbeddingClient("ftp://embedding.test/")
         with pytest.raises(ProviderUnavailableError,
                            match="^embedding service at ftp://embedding.test/ "
                                  "unavailable: InvalidURL"):
@@ -478,7 +473,7 @@ class TestMalformedReply:
 
     def test_non_numeric_vector_is_a_schema_error(self, monkeypatch):
         self.world(monkeypatch)
-        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        client = RemoteEmbeddingClient("http://embedding.test/")
         with pytest.raises(SchemaError):
             client.embed_image("bad-ref")
 
@@ -486,13 +481,13 @@ class TestMalformedReply:
         reply = reply_of([[1.0, 0.0]])
         monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
                             lambda self, body: reply)
-        client = RemoteEmbeddingClient("http://embedding.test/", dim=2)
+        client = RemoteEmbeddingClient("http://embedding.test/")
         with pytest.raises(ProviderUnavailableError, match="not an object"):
             client.embed_texts(["dog"])
 
     def test_non_numeric_vector_fails_only_its_query(self, monkeypatch):
         index = self.world(monkeypatch)
-        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        client = RemoteEmbeddingClient("http://embedding.test/")
         queries = [("before", "dog-ref"), ("bad", "bad-ref"), ("after", "dog-ref")]
         results = classify_batch(queries, index, client, LexiconTagger(),
                                  ClassifierConfig(k=4))
@@ -502,7 +497,8 @@ class TestMalformedReply:
 
 class TestClientSettings:
     @pytest.mark.parametrize("setting", [
-        {"dim": True}, {"dim": 0}, {"dim": 2.0}, {"dim": "4"},
+        {"timeout": None}, {"timeout": 0.0}, {"timeout": -float("inf")},
+        {"timeout": [10]},
         {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")},
         {"timeout": float("inf")}, {"timeout": True}, {"timeout": "10"},
     ])
@@ -511,8 +507,32 @@ class TestClientSettings:
             RemoteEmbeddingClient("http://embedding.test/", **setting)
 
     def test_good_settings_are_kept(self):
-        client = RemoteEmbeddingClient("http://embedding.test/", dim=4, timeout=2)
-        assert (client.dim, client.timeout) == (4, 2)
+        client = RemoteEmbeddingClient("http://embedding.test/", timeout=2)
+        assert (client.dim, client.timeout) == (None, 2)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (("http://embedding.test/", 4), {}), (("http://embedding.test/", 4, 2.0), {}),
+        (("http://embedding.test/",), {"dim": 4}),
+    ], ids=["positional", "positional-timeout", "dim"])
+    def test_no_dim_and_keyword_only_settings(self, args, kwargs):
+        with pytest.raises(TypeError):
+            RemoteEmbeddingClient(*args, **kwargs)
+
+    def test_dim_is_learned_from_the_first_good_reply(self, monkeypatch):
+        replies = [reply_of({"dim": 4, "vectors": [[1.0, 0.0, 0.0]]}),
+                   reply_of({"dim": 3, "vectors": [[1.0, 0.0, 0.0]]}),
+                   reply_of({"dim": 4, "vectors": [[1.0, 0.0, 0.0, 0.0]]})]
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            lambda self, body: replies.pop(0))
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        with pytest.raises(DimensionMismatchError):
+            client.embed_images(["a"])  # vectors of 3 under a dim of 4
+        assert client.dim is None
+        assert client.embed_images(["a"]).shape == (1, 3)
+        assert client.dim == 3
+        with pytest.raises(DimensionMismatchError, match="dim 4, expected 3"):
+            client.embed_images(["a"])
+        assert client.dim == 3
 
     @pytest.mark.parametrize("dim", [True, 0, 4.0])
     def test_reply_dim_that_is_not_a_count(self, monkeypatch, dim):
@@ -588,8 +608,10 @@ class TestTextCache:
          ProviderUnavailableError),
     ], ids=["unreachable", "malformed", "dim-mismatch", "short-reply"])
     def test_failed_call_caches_nothing(self, monkeypatch, fault, error):
+        # the first reply, for "z", pins the dim at 4
+        pin = reply_of({"dim": 4, "vectors": stub_rows(["z"]).tolist()})
         good = reply_of({"dim": 4, "vectors": stub_rows(["a", "b"]).tolist()})
-        replies, sent = [fault, good], []
+        replies, sent = [pin, fault, good], []
 
         def scripted_exchange(self, body):
             sent.append(json.loads(body)["inputs"])
@@ -599,12 +621,13 @@ class TestTextCache:
             return reply
 
         monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", scripted_exchange)
-        client = RemoteEmbeddingClient("http://embedding.test/", dim=4)
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        client.embed_texts(["z"])
         with pytest.raises(error):
             client.embed_texts(["a", "b"])
         rows = client.embed_texts(["a", "b"])
         assert client.embed_texts(["b", "a"]).tobytes() == rows[::-1].tobytes()
-        assert sent == [["a", "b"], ["a", "b"]]
+        assert sent == [["z"], ["a", "b"], ["a", "b"]]
         assert rows.tobytes() == stub_rows(["a", "b"]).tobytes()
 
     def test_least_recently_used_text_is_evicted(self, stub_url, posts,

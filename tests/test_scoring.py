@@ -319,6 +319,28 @@ class TestClassifierConfig:
         assert (config.k, config.alpha, config.probes) == (3, 0.25, "all")
         assert ClassifierConfig(alpha=1, probes=2).probes == 2
 
+    @pytest.mark.parametrize("make", [ClassifierConfig, FilterConfig])
+    def test_assigning_any_field_raises(self, make):
+        config = make()
+        before = dataclasses.astuple(config)
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(make(), f.name))
+        assert dataclasses.astuple(config) == before
+
+    def test_a_checked_value_cannot_be_replaced(self):
+        config = ClassifierConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.alpha = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.filter.stages = "bogus"
+        assert (config.alpha, config.filter.stages) == (0.7, "all")
+        # a variant is made, and checked, by dataclasses.replace
+        with pytest.raises(EmptyInputError, match="stages"):
+            dataclasses.replace(config.filter, stages="bogus")
+        variant = dataclasses.replace(config, alpha=0.25)
+        assert (variant.alpha, config.alpha) == (0.25, 0.7)
+
 
 class TestClassify:
     def test_visual_only_picks_image_aligned_candidate(self, tagger):
@@ -507,8 +529,8 @@ class TestClassifyBatch:
             dim = store.dim
             embed_texts = staticmethod(store.embed_texts)
 
-            def embed_image(self, ref):
-                return ["x", 0.0, 0.0, 0.0]
+            def embed_images(self, refs):
+                return [["x", 0.0, 0.0, 0.0] for _ in refs]
 
         mixed = [("before", queries[0][1]), ("bad", "img/0"),
                  ("after", queries[1][1])]
@@ -551,10 +573,10 @@ class TestClassifyBatch:
             dim = store.dim
             embed_texts = staticmethod(store.embed_texts)
 
-            def embed_image(self, ref):
-                if ref == "img/crash":
+            def embed_images(self, refs):
+                if "img/crash" in refs:
                     raise RuntimeError("model crashed")
-                return store.embed_image(ref)
+                return store.embed_images(refs)
 
         mixed = [("before", "img/ok"), ("crash", "img/crash"), ("after", "img/ok")]
         results = classify_batch(mixed, index, CrashingProvider(), tagger,
@@ -577,13 +599,13 @@ class CountingStore:
         self.calls.append(list(texts))
         return self.store.embed_texts(texts)
 
-    def embed_image(self, ref):
-        return self.store.embed_image(ref)
+    def embed_images(self, refs):
+        return self.store.embed_images(refs)
 
 
 class CountingImages(CountingStore):
-    """CountingStore that also has ``embed_images`` and records the refs of
-    each of its calls."""
+    """CountingStore that also records the refs of each ``embed_images``
+    call."""
 
     def __init__(self, store):
         super().__init__(store)
@@ -648,20 +670,6 @@ class TestBatchPath:
         assert [item.prediction for item in items] == single + single
         assert items == classify_batch(batch, index, store, tagger)
 
-    def test_provider_without_embed_images(self, noisy_bench, index, tagger):
-        queries, store = noisy_bench.queries[:40], noisy_bench.store
-        provider = CountingStore(store)
-        sent = []
-
-        def embed_image(ref):
-            sent.append(ref)
-            return store.embed_image(ref)
-
-        provider.embed_image = embed_image
-        items = classify_batch(queries + queries[:5], index, provider, tagger)
-        assert sent == [ref for _, ref in queries]
-        assert items == classify_batch(queries + queries[:5], index, store, tagger)
-
     def test_vector_and_ref_queries_keep_input_order(self, noisy_bench, index,
                                                      tagger):
         store = noisy_bench.store
@@ -674,6 +682,33 @@ class TestBatchPath:
             classify(q, index, store, tagger) for _, q in batch
         ]
         assert provider.image_calls == [[q for _, q in batch if isinstance(q, str)]]
+
+    def test_window_of_vectors_makes_no_image_call(self, noisy_bench, index,
+                                                   tagger):
+        store = noisy_bench.store
+        batch = [(qid, store.vector(ref)) for qid, ref in noisy_bench.queries[:30]]
+        provider = CountingImages(store)
+        items = classify_batch(batch, index, provider, tagger)
+        assert provider.image_calls == []
+        assert items == classify_batch(batch, index, store, tagger)
+
+    def test_provider_without_embed_images_fails_only_its_ref_queries(
+        self, noisy_bench, index, tagger
+    ):
+        store = noisy_bench.store
+
+        class TextsOnly:
+            dim = store.dim
+            embed_texts = staticmethod(store.embed_texts)
+
+        batch = [(qid, store.vector(ref) if i % 2 else ref)
+                 for i, (qid, ref) in enumerate(noisy_bench.queries[:10])]
+        items = classify_batch(batch, index, TextsOnly(), tagger)
+        assert [item.error_code for item in items] == [
+            None if i % 2 else "provider-unavailable" for i in range(10)]
+        assert "embed_images" in items[0].error
+        assert [item.prediction for item in items[1::2]] == [
+            classify(q, index, store, tagger) for _, q in batch[1::2]]
 
     def test_missing_word_fails_only_the_queries_that_need_it(
         self, noisy_bench, index, tagger
