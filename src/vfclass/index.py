@@ -23,19 +23,25 @@ An index is immutable: its fields cannot be replaced, and
 and starts with an empty ``row_tokens`` memo (the candidate tokens of the
 rows queries hit; see ``scoring``).
 
-Retrieval scans in float32 and decides in float64, a window of queries
-at a time (:func:`retrieve_topk` is a window of one). ``index.vectors``
-stays in id order; on its first query, and only then, a partitioned index
-makes one copy of its rows in partition order, so each probed list is one
-contiguous slice (the inverted-file layout), scanned by one float32
-product over the window's queries that probe it. A flat index scans
-``index.vectors`` as one list, with no copy. For each query, every row
-whose float32 score is within twice the rounding bound of
-``_score_bound`` of its k-th float32 score is rescored in float64, one row
-at a time, and the top k of that shortlist are exactly the float64
-brute-force top k. Each row's float64 score is the same bits whichever
-scan or window found it. A window gives each query its hits as two
-arrays, rows and scores; :func:`retrieved` makes them captions.
+Retrieval scans in float32 and decides in float64, with one cut per
+window of queries (:func:`retrieve_topk` is a window of one).
+``index.vectors`` stays in id order; on its first query, and only then, a
+partitioned index makes one copy of its rows in partition order, so each
+probed list is one contiguous slice (the inverted-file layout), scanned by
+one float32 product over the window's queries that probe it. A flat index
+scans ``index.vectors`` as one list, with no copy. The window's float32
+scores are one (queries x rows) array, each query's lists end to end and
+padded with -inf to the longest. The cut takes every query's k-th score
+with one ``np.partition`` along the rows; keeps, with one float32
+comparison, every row within the layout's ``slack`` of it (twice the
+rounding bound of ``_score_bound``, plus the rounding of the subtraction);
+rescores those (query, row) pairs in float64 with one gather and one
+row-wise ``einsum``; and orders them with one ``np.lexsort`` by (query,
+-score, row), so each query's first k are exactly its float64 brute-force
+top k. The rescore is a row-wise ``einsum`` and not a BLAS product: a
+row's float64 score is the same bits whichever scan or window found it. A
+window gives each query its hits as two arrays, rows and scores;
+:func:`retrieved` makes them captions.
 
 An index of at least ``PROJECT_MIN`` rows x dim values first scans a
 projected copy of its rows (a lower-dimensional filter with a proven
@@ -52,13 +58,15 @@ float32 error of :func:`_projected_bound`, which counts ``P``'s measured
 departure from orthonormality. A query's nearest list is scanned first:
 the k-th float64 score among its ``PRUNE_ROWS`` rows of highest upper
 bound, less that error, is the floor, and every row of the probed lists
-whose upper bound reaches it is rescored in float64 and cut as above. So
-the top k are the same rows and the same bits. A query that keeps more
-than ``FALLBACK_SHARE`` of the rows it scanned, in its nearest list or in
-all of them, falls back to the full-width scan, so on data where the
-bound prunes nothing a partitioned query costs one projected list more than
-before (a flat index's nearest list is all of it). An index of fewer than
-``PROJECT_MIN_DIM`` dimensions scans its full-width rows only.
+whose upper bound reaches it (the floor rounded down to a float32) is
+rescored in float64, the window's kept (query, row) pairs in one cut as
+above. So the top k are the same rows and the same bits. A query that
+keeps more than ``FALLBACK_SHARE`` of the rows it scanned, in its nearest
+list or in all of them, falls back to the full-width scan, so on data
+where the bound prunes nothing a partitioned query costs one projected
+list more than before (a flat index's nearest list is all of it). An
+index of fewer than ``PROJECT_MIN_DIM`` dimensions scans its full-width
+rows only.
 """
 
 from __future__ import annotations
@@ -147,13 +155,16 @@ class RetrievedCaption:
 class _ScanLayout:
     """Rows in scan order: partition ``c`` is ``vectors[offsets[c]:offsets[c + 1]]``,
     scan position ``i`` holds index row ``rows[i]``, ``max_norm`` is the
-    largest row norm and ``bound`` the float32 rounding bound of
-    ``_score_bound`` for these rows."""
+    largest row norm, and ``slack`` what a floor is below a k-th float32
+    score: twice the bound of ``_score_bound`` for these rows, plus
+    ``2**-23 * max_norm`` for the float32 rounding of the subtraction (a
+    score and the slack together are at most ``2 * max_norm``), rounded up
+    to a float32."""
 
     vectors: np.ndarray
     rows: np.ndarray
     offsets: list[int]
-    bound: float
+    slack: np.float32
     max_norm: float
 
     @cached_property
@@ -251,7 +262,9 @@ class CaptionIndex:
         max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
         return _ScanLayout(
             vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
-            _score_bound(self.dim, max_norm), max_norm,
+            np.nextafter(np.float32(2 * _score_bound(self.dim, max_norm) + 2.0**-23 * max_norm),
+                         np.float32(np.inf)),
+            max_norm,
         )
 
 
@@ -421,8 +434,9 @@ def _score_bound(dim: int, max_norm: float) -> float:
       ``sum|x_j q_j| <= ||x|| * ||q||``;
     - the float64 product errs by at most ``dim * 2**-53 / (1 - dim * 2**-53)``,
       below ``u / 2`` for ``dim < 2**28``, and ``||q||`` is 1 to within a few
-      float64 ulps; one more ``u`` covers both, the float64 rounding of the
-      threshold, and underflow in float32 (at most ``(dim + 1) * 2**-149``).
+      float64 ulps; one more ``u`` covers both and underflow in float32 (at
+      most ``(dim + 1) * 2**-149``). The float32 rounding of the floor, a
+      k-th score less twice this bound, is the scan layout's to cover.
 
     So ``|s32 - s64| <= g(dim + 2) * max_norm``: about ``(dim + 2) * 2**-24``
     for unit rows. ``max_norm`` is measured on the rows, so the bound holds
@@ -498,9 +512,14 @@ def retrieve_window(
     vectors :func:`check_query` returns for ``k``, in order, as a pair of
     arrays: the hit rows and their scores, best first.
 
-    Each probed list is scanned by one float32 product over the queries
-    that probe it, at most ``SCAN_BLOCK // len(index)`` queries at a time,
-    so that no product holds more than ``SCAN_BLOCK`` scores.
+    The queries are cut at most ``SCAN_BLOCK // len(index)`` at a time, so
+    that no window of float32 scores holds more than ``SCAN_BLOCK`` of
+    them. Each probed list is scanned by one float32 product over the
+    window's queries that probe it, and the window's top k are taken by
+    one cut: one partition for every query's k-th float32 score, one
+    float32 comparison for the shortlist, one row-wise float64 rescore of
+    the shortlist's (query, row) pairs and one lexsort (see the module
+    docstring).
     """
     check_probes(probes)
     step = max(1, SCAN_BLOCK // max(1, len(index)))
@@ -511,31 +530,42 @@ def retrieve_window(
 
 def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
     layout = index._layout
-    probed = [range(len(layout.offsets) - 1)] * len(queries)  # a flat index is one list
     if index.structure == "partitioned":  # nearest list first
         n_probe = index.num_partitions
         if probes != "all":
             n_probe = min(n_probe, DEFAULT_PROBES if probes is None else probes)
         d2 = np.sum((index.centroids - queries[:, None]) ** 2, axis=2)
-        probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe].tolist()
+        probed = np.argsort(d2, axis=1, kind="stable")[:, :n_probe]
+    else:  # a flat index is one list
+        probed = np.zeros((len(queries), 1), dtype=np.int64)
+    if len(index) * index.dim < PROJECT_MIN or index.dim < PROJECT_MIN_DIM:
+        return _scan_full_width(layout, queries, probed, k)
     out: list = [None] * len(queries)
-    full = range(len(queries))
-    if len(index) * index.dim >= PROJECT_MIN and index.dim >= PROJECT_MIN_DIM:
-        full = _scan_projected(layout, queries, probed, k, out)
-    found = _products(layout.vectors, layout.offsets,
-                      queries[full].astype(np.float32), [probed[u] for u in full])
-    for u, f in zip(full, found):
-        s = np.concatenate(f)
-        floor = -np.inf
-        if s.size > k:
-            kth = s.size - k
-            s.partition(kth)  # in place: s is a copy, f keeps the scan order
-            floor = np.float64(s[kth]) - 2 * layout.bound
-        out[u] = _exact(layout, _above(layout, probed[u], f, floor), queries[u], k)
+    full = _scan_projected(layout, queries, probed, k, out)
+    if full.size:
+        for u, hits in zip(full.tolist(),
+                           _scan_full_width(layout, queries[full], probed[full], k)):
+            out[u] = hits
     return out
 
 
-def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> list[int]:
+def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> list:
+    """The hits of each query from its float32 products with the full-width
+    rows: the rows within the layout's ``slack`` of its k-th float32 score
+    are rescored in float64."""
+    window = _Window.of(layout.vectors, layout.offsets, queries.astype(np.float32), probed)
+    scores = window.scores
+    if scores.shape[1] > k:
+        top = scores.copy()
+        top.partition(scores.shape[1] - k, axis=1)
+        kth = top[:, -k]
+    else:  # every row scanned is in the top k
+        kth = np.full(len(queries), -np.inf, dtype=np.float32)
+    qi, positions = window.above(kth - layout.slack)
+    return _top(layout, queries, qi, positions, k)
+
+
+def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.ndarray:
     """Fill ``out`` with the hits of each query the projection prunes, and
     return the others, in order.
 
@@ -544,77 +574,130 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> list[i
     bound of :func:`_projected_bound`, is the floor: a row whose upper bound
     is below it cannot reach the top k. A query keeps every row at or above
     its floor, unless the rows kept, in its nearest list or in all its
-    lists, are more than ``FALLBACK_SHARE`` of those scanned.
+    lists, are more than ``FALLBACK_SHARE`` of those scanned. The kept
+    queries' lists are one window, cut once.
     """
     projection = layout.projection
     zq = projection.queries(queries)
-    nearest = _products(projection.vectors, layout.offsets, zq,
-                        [lists[:1] for lists in probed])
-    floors, full = {}, []
-    for u, ([ub], q, lists) in enumerate(zip(nearest, queries, probed)):
-        floor = -np.inf
-        if ub.size >= k:
-            m = min(ub.size, max(k, PRUNE_ROWS))
-            top = np.argpartition(ub, ub.size - m)[ub.size - m :]
-            exact = _rescore(layout, top + layout.offsets[lists[0]], q)
+    near = _Window.of(projection.vectors, layout.offsets, zq, probed[:, :1])
+    kth = np.full(len(queries), -np.inf)
+    for u, (ub, count, c) in enumerate(zip(near.scores, near.counts, probed[:, 0].tolist())):
+        if count >= k:
+            m = min(count, max(k, PRUNE_ROWS))
+            top = ub[:count].argpartition(count - m)[count - m :]
+            exact = _rescore(layout, top + layout.offsets[c], queries[u : u + 1].repeat(m, axis=0))
             # the k-th of these float64 scores is at most the k-th of all rows
-            floor = np.partition(exact, exact.size - k)[exact.size - k] - projection.bound
-        if np.count_nonzero(ub >= floor) > FALLBACK_SHARE * ub.size:
-            full.append(u)
-        else:
-            floors[u] = floor
-    rest = _products(projection.vectors, layout.offsets, zq[list(floors)],
-                     [probed[u][1:] for u in floors])
-    for (u, floor), found in zip(floors.items(), rest):
-        found = [*nearest[u], *found]
-        positions = _above(layout, probed[u], found, floor)
-        if positions.size > FALLBACK_SHARE * sum(f.size for f in found):
-            full.append(u)
-        else:
-            out[u] = _exact(layout, positions, queries[u], k)
-    return sorted(full)
+            kth[u] = np.partition(exact, m - k)[m - k]
+    # rounded to a float32 and one step down: at most the float64 floor
+    floor = np.nextafter((kth - projection.bound).astype(np.float32), -np.inf)
+    full = (np.count_nonzero(near.scores >= floor[:, None], axis=1)
+            > FALLBACK_SHARE * np.array(near.counts))
+    live = np.flatnonzero(~full)
+    window = _Window.of(projection.vectors, layout.offsets, zq[live], probed[live],
+                        first=near.scores[live])
+    qi, positions = window.above(floor[live])
+    full[live] = np.bincount(qi, minlength=live.size) > FALLBACK_SHARE * np.array(window.counts)
+    kept = ~full[live[qi]]
+    hits = _top(layout, queries[live], qi[kept], positions[kept], k)
+    for u, query_hits in zip(live.tolist(), hits):
+        if not full[u]:
+            out[u] = query_hits
+    return np.flatnonzero(full)
 
 
-def _products(vectors, offsets, q32, probed) -> list:
-    """For each query, its float32 products with the rows of each list it
-    probes, in probe order: one product per list over the queries that
-    probe it."""
-    users: dict[int, list[int]] = {}
-    for u, lists in enumerate(probed):
-        for c in lists:
-            users.setdefault(c, []).append(u)
-    scores = {}  # (query, list) -> that list's float32 scores for the query
-    for c, us in users.items():
-        block = vectors[offsets[c] : offsets[c + 1]]
-        if len(us) < GEMM_QUERIES:
-            scores.update(((u, c), block @ q32[u]) for u in us)
-        else:
-            # V @ Q.T: with a few queries, Q @ V.T is about twice as slow
-            product = block @ q32[us].T
-            scores.update(((u, c), product[:, j]) for j, u in enumerate(us))
-    return [[scores[u, c] for c in lists] for u, lists in enumerate(probed)]
+@dataclass(frozen=True)
+class _Window:
+    """A window's float32 products with the rows of the lists each query
+    probes: row ``u`` of ``scores`` holds query ``u``'s lists end to end,
+    in probe order, and, where they are shorter than the longest, -inf
+    (``padded``); ``counts`` is the number of rows each query scanned.
+    A (query, list) segment starts at flat index ``begin[i]`` of
+    ``scores``, and ``shift[i]`` added to a flat index in it gives the
+    scan position."""
+
+    scores: np.ndarray
+    counts: list[int]
+    padded: bool
+    begin: list[int]
+    shift: np.ndarray
+
+    @classmethod
+    def of(cls, vectors, offsets: list[int], q32: np.ndarray, probed: np.ndarray,
+           first: np.ndarray | None = None) -> _Window:
+        """One product per list over the queries that probe it; with
+        ``first``, the scores of a window of each query's first list, that
+        list's products are copied from it."""
+        segments, counts = [], []  # (query, list, first column) in probe order
+        users: dict[int, list[tuple[int, int]]] = {}
+        for u, lists in enumerate(probed.tolist()):
+            col = 0
+            for j, c in enumerate(lists):
+                segments.append((u, c, col))
+                if j or first is None:
+                    users.setdefault(c, []).append((u, col))
+                col += offsets[c + 1] - offsets[c]
+            counts.append(col)
+        width = max(counts, default=0)
+        scores = np.empty((len(counts), width), dtype=np.float32)
+        for u, count in enumerate(counts):
+            if count < width:
+                scores[u, count:] = -np.inf
+        if first is not None:  # past a query's first list, written over or padding
+            scores[:, : first.shape[1]] = first[:, :width]
+        for c, us in users.items():
+            block = vectors[offsets[c] : offsets[c + 1]]
+            if len(us) < GEMM_QUERIES:
+                for u, col in us:
+                    np.dot(block, q32[u], out=scores[u, col : col + len(block)])
+            else:
+                # V @ Q.T: with a few queries, Q @ V.T is about twice as slow
+                product = block @ q32.take([u for u, _ in us], axis=0).T
+                for j, (u, col) in enumerate(us):
+                    scores[u, col : col + len(block)] = product[:, j]
+        begin = [u * width + col for u, _, col in segments]
+        shift = [offsets[c] - b for (_, c, _), b in zip(segments, begin)]
+        return cls(scores, counts, min(counts, default=width) < width, begin,
+                   np.array(shift, dtype=np.int64))
+
+    def above(self, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The queries and scan positions of the scores at or above each
+        query's float32 ``floor``. In a padded window a floor of -inf is
+        raised to the lowest float32: the query keeps every row it scanned
+        and no padding."""
+        if self.padded:
+            floor = np.maximum(floor, -np.finfo(np.float32).max)
+        flat = (self.scores >= floor[:, None]).ravel().nonzero()[0]
+        qi = flat // self.scores.shape[1]
+        segment = qi  # with one list per query, a query's segment is the query
+        if len(self.begin) != len(self.scores):
+            segment = np.searchsorted(self.begin, flat, side="right") - 1
+        return qi, flat + self.shift[segment]
 
 
-def _above(layout: _ScanLayout, lists, found, floor) -> np.ndarray:
-    """The scan positions of the rows of ``lists`` whose score in ``found``
-    is at least ``floor``, a float64 so that the comparison is made in
-    float64."""
-    return np.concatenate([(f >= floor).nonzero()[0] + layout.offsets[c]
-                           for c, f in zip(lists, found)])
+def _rescore(layout: _ScanLayout, positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The float64 score of each row at ``positions`` against its row of
+    ``queries``: a row-wise einsum, whose bits do not depend on the other
+    rows, where a BLAS product's may."""
+    rows = layout.vectors.take(positions, axis=0).astype(np.float64)
+    return np.einsum("ij,ij->i", rows, queries)
 
 
-def _rescore(layout: _ScanLayout, positions: np.ndarray, q) -> np.ndarray:
-    return np.einsum("ij,j->i", layout.vectors[positions].astype(np.float64), q)
-
-
-def _exact(layout: _ScanLayout, positions: np.ndarray, q, k: int) -> tuple:
-    """The rows and float64 scores of the top k of ``positions``, a
-    shortlist that holds every row that can reach the float64 top k; its
-    first k in (-score, row) order are those in (-score, id) order."""
-    exact = _rescore(layout, positions, q)
+def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
+         k: int) -> list[tuple]:
+    """The rows and float64 scores of each query's top k among its pairs
+    (``qi``, ``positions``), a shortlist that holds every row that can
+    reach the query's float64 top k; its first k in (-score, row) order
+    are those in (-score, id) order."""
+    exact = _rescore(layout, positions, queries.take(qi, axis=0))
     rows = layout.rows[positions]
-    order = np.lexsort((rows, -exact))[:k]
-    return rows[order], exact[order].clip(-1.0, 1.0)
+    order = np.lexsort((rows, -exact, qi))
+    rows, exact = rows[order], exact[order].clip(-1.0, 1.0)
+    hits, start = [], 0
+    for count in np.bincount(qi, minlength=len(queries)).tolist():
+        stop = start + min(count, k)
+        hits.append((rows[start:stop], exact[start:stop]))
+        start += count
+    return hits
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:

@@ -232,16 +232,23 @@ class TestPrecomputedStore:
             assert np.array_equal(loaded.vector(key), store.vector(key))
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A save that fails mid-write, its new file written but not yet
+        synced, leaves the old file as it was and no partial file."""
         path = tmp_path / "vectors.vfce"
         save_store(self.make_store(), path)
         before = path.read_bytes()
+        written = []
 
-        def fail(dim, rows, keys):
-            raise RuntimeError("crash while writing")
+        def fail(fd):
+            written.append(os.fstat(fd).st_size)
+            raise OSError("crash while syncing")
 
-        monkeypatch.setattr(embedding_mod, "store_payload", fail)
-        with pytest.raises(RuntimeError):
-            save_store(self.make_store(), path)
+        monkeypatch.setattr(os, "fsync", fail)
+        other = self.make_store()
+        other.add("img_002", [1.0, 1.0, 0.0])
+        with pytest.raises(OSError, match="crash while syncing"):
+            save_store(other, path)
+        assert written[0] > len(before)  # the new file was written when the save failed
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vectors.vfce"]
 

@@ -554,6 +554,21 @@ def probed_oracle_ids(index, query, k, probes):
                            query, k)
 
 
+def in_windows(index, units, k, probes, window):
+    """The hits of ``units`` from :func:`retrieve_window`, ``window`` at a
+    time, as (rows, float.hex of scores) per query."""
+    return [(rows.tolist(), list(map(float.hex, scores.tolist())))
+            for start in range(0, len(units), window)
+            for rows, scores in retrieve_window(index, units[start:start + window], k, probes)]
+
+
+def alone(index, queries, k, probes):
+    """Each query's own :func:`retrieve_topk` hits, in the form of
+    :func:`in_windows`."""
+    return [([h.row for h in hits], [h.score.hex() for h in hits])
+            for hits in (retrieve_topk(index, q, k, probes) for q in queries)]
+
+
 class TestRetrieveWindow:
     """A window of queries gives each query the hits of its own
     ``retrieve_topk``, whatever the window's size or the product used."""
@@ -600,6 +615,38 @@ class TestRetrieveWindow:
                 assert ids == probed_oracle_ids(index, query, k, n_probe)
             ties += bool((scores[1:] == scores[:-1]).any())
         assert ties or k == 1  # the twins put exact ties in the windows
+
+    @pytest.mark.parametrize("window", [8, 40])
+    @pytest.mark.parametrize("structure, probes", [
+        ("flat", None), ("partitioned", 1), ("partitioned", "all")])
+    def test_the_same_query_twice_in_a_window(self, world, window, structure, probes):
+        """A query given twice in one window, side by side or apart, gets
+        its own hits both times."""
+        flat, part, queries = world
+        index = flat if structure == "flat" else part
+        twice = [q for pair in zip(queries[:12], queries[:12]) for q in pair]
+        twice += [*queries[20:26], *queries[20:26]]
+        units = [check_query(index, q, 10) for q in twice]
+        assert in_windows(index, units, 10, probes, window) == alone(index, twice, 10, probes)
+
+    @pytest.mark.parametrize("window", [8, 40])
+    @pytest.mark.parametrize("structure, probes, k", [
+        ("flat", None, 360), ("flat", None, 400), ("partitioned", 1, 45),
+        ("partitioned", 2, 90), ("partitioned", "all", 360)])
+    def test_k_at_or_above_the_rows_scanned(self, world, window, structure, probes, k):
+        """At k of at least the rows a query scans, the query keeps all of
+        them; with one or two probes of lists of 35 to 59 rows, a window
+        mixes such queries with queries that scan more than k rows."""
+        flat, part, queries = world
+        index = flat if structure == "flat" else part
+        units = [check_query(index, q, k) for q in queries]
+        got = in_windows(index, units, k, probes, window)
+        assert got == alone(index, queries, k, probes)
+        kept = {len(rows) for rows, _ in got}
+        if structure == "flat" or probes == "all":
+            assert kept == {len(index)}
+        else:
+            assert min(kept) < k == max(kept)
 
     def test_scan_block_of_one_query(self, world, monkeypatch):
         """With room for one query's scores, a window is scanned a query at
@@ -820,6 +867,46 @@ class TestProjectedScan:
             assert tied == sorted(tied)
             assert k == 1 or len({row % 5 for row in tied}) == 5  # over every list
 
+    @pytest.mark.parametrize("window", [8, 40])
+    def test_window_mixes_pruned_and_full_width_queries(self, projected, window):
+        """Queries near a cluster are pruned and random ones fall back to
+        the full-width scan; interleaved in one window, each gets its own
+        hits, and so does a query given twice."""
+        rng = np.random.default_rng(76)
+        centres = unit_rows(rng, 300, 32)
+        vectors = unit_rows_of(np.repeat(centres, 20, axis=0)
+                               + 0.05 * rng.standard_normal((6000, 32)))
+        records = [CaptionRecord(f"r{i:05d}", "x") for i in range(6000)]
+        store = PrecomputedStore(32)
+        store.add_many((r.id, v) for r, v in zip(records, vectors))
+        index = build_index(records, store, structure="partitioned", num_partitions=4)
+        near = centres[:20] + 0.02 * rng.standard_normal((20, 32))
+        queries = [q for pair in zip(near, rng.standard_normal((20, 32))) for q in pair]
+        queries[3] = queries[0]  # a pruned query twice in a window
+        queries[6] = queries[1]  # and one that falls back
+        for probes, k in ((1, 10), (2, 1), ("all", 10)):
+            units = [check_query(index, q, k) for q in queries]
+            projected.clear()
+            got = in_windows(index, units, k, probes, window)
+            assert all(0 < full < n for n, full in projected)  # every window mixes both
+            assert got == alone(index, queries, k, probes)
+
+    @pytest.mark.parametrize("window", [8, 40])
+    @pytest.mark.parametrize("share", [index_mod.FALLBACK_SHARE, 1.0])
+    def test_k_at_least_the_rows_scanned_in_windows(self, projected, monkeypatch, window,
+                                                    share):
+        """Lists of 10 and 20 rows: at k of 15, a query nearest the short
+        list has no floor, and a window mixes it with queries that have one."""
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", share)
+        rng = np.random.default_rng(77)
+        vectors = unit_rows(rng, 30, 8)
+        lists = [np.arange(0, 10), np.arange(10, 30)]
+        part = hand_index(vectors, lists, [vectors[m].mean(axis=0) for m in lists])
+        queries = list(rng.standard_normal((60, 8)))
+        for k, probes in ((15, 1), (25, 1), (30, 2), (50, "all")):
+            units = [check_query(part, q, k) for q in queries]
+            assert in_windows(part, units, k, probes, window) == alone(part, queries, k, probes)
+
     def test_isotropic_rows_fall_back(self, projected, monkeypatch):
         rng = np.random.default_rng(74)
         records, store = random_corpus(rng, 4000, 32)
@@ -938,16 +1025,22 @@ class TestSerialization:
             load_index(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A save that fails mid-write, its new file written but not yet
+        synced, leaves the old file as it was and no partial file."""
         path = tmp_path / "small.vfci"
         save_index(basis_index(), path)
         before = path.read_bytes()
+        written = []
 
-        def fail(data):
-            raise RuntimeError("crash while writing")
+        def fail(fd):
+            written.append(embedding_mod.os.fstat(fd).st_size)
+            raise OSError("crash while syncing")
 
-        monkeypatch.setattr(index_mod, "body_crc", fail)
-        with pytest.raises(RuntimeError):
-            save_index(basis_index(), path)
+        monkeypatch.setattr(embedding_mod.os, "fsync", fail)
+        other = dataclasses.replace(basis_index(), provider_identity="another provider")
+        with pytest.raises(OSError, match="crash while syncing"):
+            save_index(other, path)
+        assert written[0] > len(before)  # the new file was written when the save failed
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["small.vfci"]
 
