@@ -10,10 +10,16 @@ each candidate against the image and against the mean of the retrieved
 captions; a softmax over the candidates for each; the fusion
 ``alpha * visual + (1 - alpha) * textual``; and the ranking in
 (-fused, name) order.
+
+It also holds :func:`kmeans_partition`, the partitioned build's seeded
+k-means as plain float64 numpy, which ``test_index.py`` holds the build's
+float32 assignments to.
 """
 
 import math
 from collections import Counter
+
+import numpy as np
 
 from vfclass.candidates import caption_tokens, pos_tag
 
@@ -89,3 +95,36 @@ class Reference:
                  for v, t in zip(_softmax(visual), _softmax(textual))]
         ranked = sorted(zip(names, visual, textual, fused), key=lambda r: (-r[3], r[0]))
         return ranked[0][0], fallback, ranked, [(rid, s) for s, rid, _ in hits]
+
+
+def kmeans_partition(vectors, k, seed, iters):
+    """Seeded k-means over unit rows, every product and mean in float64:
+    farthest-point seeds after a first row drawn by ``seed``, ``iters``
+    Lloyd steps, each empty partition reseeded in its step onto the row
+    farthest from its centroid that no other partition took, and a final
+    assignment. Ties go to the lowest index. Returns (centroids, ascending
+    member rows per partition)."""
+    data = np.asarray(vectors, dtype=np.float64)
+    n = len(data)
+    k = min(k, n)
+    chosen = [int(np.random.default_rng(seed).integers(n))]
+    nearest = data @ data[chosen[0]]
+    while len(chosen) < k:
+        chosen.append(int(np.argmin(nearest)))
+        np.maximum(nearest, data @ data[chosen[-1]], out=nearest)
+    centroids = data[chosen]
+    for _ in range(iters):
+        d2 = -2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
+        assign = np.argmin(d2, axis=1)
+        spread = d2[np.arange(n), assign]
+        for c in range(k):
+            members = np.flatnonzero(assign == c)
+            if members.size:
+                centroids[c] = data[members].mean(axis=0)
+            else:
+                far = int(np.argmax(spread))
+                spread[far] = -np.inf
+                centroids[c] = data[far]
+                assign[far] = c
+    assign = np.argmin(-2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1), axis=1)
+    return centroids, [np.flatnonzero(assign == c) for c in range(k)]

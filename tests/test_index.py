@@ -3,12 +3,19 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vfclass
 import vfclass.embedding as embedding_mod
 import vfclass.index as index_mod
+from reference import kmeans_partition
 from vfclass.benchmark import make_benchmark, make_noisy_benchmark
 from vfclass.embedding import HashEmbedder, PrecomputedStore, hashed_vector
 from vfclass.errors import (
@@ -54,6 +61,34 @@ def random_corpus(rng, size, dim, prefix="rec"):
     for rid, vec in zip(ids, vectors):
         store.add(rid, vec)
     return records, store
+
+
+def clustered_rows(seed, size, dim, clusters=200):
+    """Unit float32 rows in ``clusters`` seeded clusters, noise of norm
+    about 0.5 around each direction."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((clusters, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    rows = directions[rng.integers(clusters, size=size)]
+    rows += 0.5 / np.sqrt(dim) * rng.standard_normal((size, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows.astype(np.float32)
+
+
+# builds a partitioned index of 20,000 clustered rows and saves it to argv[1]
+BUILD_AND_SAVE = """
+import sys
+import numpy as np
+from vfclass.embedding import PrecomputedStore
+from vfclass.index import CaptionRecord, build_index, save_index
+rng = np.random.default_rng(21)
+directions = rng.standard_normal((200, 64))
+rows = directions[rng.integers(200, size=20000)] + 0.1 * rng.standard_normal((20000, 64))
+records = [CaptionRecord(f"r{i:05d}", f"caption {i}") for i in range(len(rows))]
+store = PrecomputedStore(64)
+store.add_many(zip((r.id for r in records), rows))
+save_index(build_index(records, store, structure="partitioned", num_partitions=32), sys.argv[1])
+"""
 
 
 def basis_index():
@@ -127,6 +162,57 @@ class TestBuildIndex:
         # seeding, the Lloyd steps and the member order, not the centroids
         members = json.dumps([p.tolist() for p in build().partitions])
         assert hashlib.sha256(members.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size,dim,lists", [(20000, 64, 16), (10000, 128, 32)])
+    def test_partition_agrees_with_float64_kmeans(self, size, dim, lists):
+        # the build's float32 assignments may flip rows the float64 products
+        # would put in the other list, but only a few, at no cost in spread
+        rows = clustered_rows(size, size, dim)
+        centroids, members = index_mod._partition(rows, lists, seed=3)
+        ref_centroids, ref_members = kmeans_partition(rows, lists, 3, index_mod.KMEANS_ITERS)
+        assert np.array_equal(np.sort(np.concatenate(members)), np.arange(size))
+        assert all(np.all(np.diff(m) > 0) for m in members)
+
+        def labels(parts):
+            out = np.empty(size, dtype=np.intp)
+            for c, m in enumerate(parts):
+                out[m] = c
+            return out
+
+        def spread(cents, parts):
+            return sum(np.sum((rows[m].astype(np.float64) - c) ** 2)
+                       for c, m in zip(cents, parts))
+
+        assert np.count_nonzero(labels(members) != labels(ref_members)) <= 0.005 * size
+        assert spread(centroids, members) <= 1.0001 * spread(ref_centroids, ref_members)
+
+    def test_partitioned_build_makes_no_float64_copy_of_the_rows(self):
+        size, dim = 50000, 64
+        records = [CaptionRecord(f"r{i:05d}", f"caption {i}") for i in range(size)]
+        store = PrecomputedStore(dim)
+        store.add_many(zip((r.id for r in records), clustered_rows(5, size, dim)))
+        store.vector(records[0].id)  # the store joins its rows on first read
+        tracemalloc.start()
+        try:
+            build_index(records, store, structure="partitioned", num_partitions=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * dim * 8
+
+    def test_partitioned_file_same_at_one_and_two_blas_threads(self, tmp_path):
+        src = str(Path(vfclass.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            path = tmp_path / f"threads-{threads}.vfci"
+            proc = subprocess.run([sys.executable, "-c", BUILD_AND_SAVE, str(path)],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_duplicate_rows_reseed_empty_partitions(self):
         # 16 partitions over 5 distinct vectors: refinement must reseed
