@@ -91,8 +91,16 @@ def check_timeout(value):
 
 
 def _as_float64(values, name: str, shape: str) -> np.ndarray:
+    """``values`` as float64; what numpy reads as bools, strings or bytes
+    (also inside an array of objects, as a list holding an int beyond int64
+    is) is a :class:`SchemaError`, not a number."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype.kind in "bSU" or arr.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat):
+            raise SchemaError(f"{name} is not a numeric {shape}: it holds "
+                              f"bools, strings or bytes")
+        return arr.astype(np.float64, copy=False)
     except OverflowError as exc:  # an int beyond float64 is as bad as 1e400
         raise EmptyInputError(f"{name} contains non-finite values ({exc})") from exc
     except (TypeError, ValueError) as exc:
@@ -250,22 +258,22 @@ class PrecomputedStore:
     def __init__(self, dim: int, identity: str = "precomputed"):
         self.dim = check_count(dim, "dim")
         self.identity = identity
-        self._keys: list[str] = []
-        self._rows: dict[str, int] = {}
-        self._chunks: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+        self._rows: dict[str, int] = {}  # key -> row, in keys() and save order
+        # the first len(self) rows are the store's, and at most len(self) / 8 spare
+        self._matrix = np.empty((0, self.dim), dtype=np.float32)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._rows)
 
     def __contains__(self, key: str) -> bool:
         return key in self._rows
 
     def keys(self) -> list[str]:
-        return list(self._keys)
+        return list(self._rows)
 
     def add(self, key: str, vector) -> None:
-        """Register ``vector`` under ``key``, a ``str``; later adds overwrite."""
+        """Register ``vector`` under ``key``, a ``str``: a known key's row is
+        overwritten, a new key takes the next row (a full matrix grows by an eighth)."""
         if not isinstance(key, str):
             raise SchemaError(f"store key must be a string, got {key!r:.60}")
         arr = as_vector(vector, f"vector for {key!r}")
@@ -273,28 +281,17 @@ class PrecomputedStore:
             raise DimensionMismatchError(
                 f"vector for {key!r} has dim {arr.shape[0]}, store dim {self.dim}"
             )
-        row = arr.astype(np.float32)[None, :]
-        if key in self._rows:
-            self._materialize()
-            self._matrix[self._rows[key]] = row[0]
-            return
-        self._rows[key] = len(self._keys)
-        self._keys.append(key)
-        self._chunks.append(row)
-        self._matrix = None
+        row = self._rows.get(key, len(self._rows))
+        if row == len(self._matrix):
+            grown = np.empty((row + row // 8 + 1, self.dim), dtype=np.float32)
+            grown[:row] = self._matrix
+            self._matrix = grown
+        self._matrix[row] = arr
+        self._rows[key] = row
 
     def add_many(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
         for key, vec in items:
             self.add(key, vec)
-
-    def _materialize(self) -> np.ndarray:
-        if self._matrix is None:
-            if self._chunks:
-                self._matrix = np.concatenate(self._chunks, axis=0)
-            else:
-                self._matrix = np.empty((0, self.dim), dtype=np.float32)
-            self._chunks = [self._matrix]
-        return self._matrix
 
     def vector(self, key: str) -> np.ndarray:
         return self._gather([key])[0]
@@ -306,7 +303,7 @@ class PrecomputedStore:
                 f"store has no embedding for {len(missing)} key(s), "
                 f"first missing: {missing[0]!r}"
             )
-        return self._materialize()[[self._rows[k] for k in keys]].astype(np.float64)
+        return self._matrix[[self._rows[k] for k in keys]].astype(np.float64)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self._gather(_check_inputs(texts, "text"))
@@ -368,10 +365,11 @@ def write_file(path, *parts) -> None:
 
 def text_lines(path, what: str, skip=None):
     """Yield ``(lineno, line)``, without its end (``\\n``, ``\\r\\n`` or
-    ``\\r``), for each non-blank line of the UTF-8 text file at ``path``;
-    blank lines are numbered too. A line that is not UTF-8 is a SchemaError
-    naming ``what`` and the line, raised or, if given, passed to ``skip``."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    ``\\r``), for each non-blank line of the UTF-8 text file at ``path``,
+    less a byte-order mark that starts the file; blank lines are numbered
+    too. A line that is not UTF-8 is a SchemaError naming ``what`` and the
+    line, raised or, if given, passed to ``skip``."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -387,7 +385,7 @@ def text_lines(path, what: str, skip=None):
 
 
 def save_store(store: PrecomputedStore, path) -> None:
-    write_file(path, *store_payload(store.dim, store._materialize(), store.keys()))
+    write_file(path, *store_payload(store.dim, store._matrix[: len(store)], store.keys()))
 
 
 class _Reader:
@@ -417,12 +415,12 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack_from("<Q", self.data, self._skip(8))[0]
 
-    def string(self) -> str:
+    def string(self, what: str) -> str:
         start = self._skip(self.u32())
         try:
             return self.data[start : self.offset].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptFileError("malformed UTF-8 in key table") from exc
+            raise CorruptFileError(f"malformed UTF-8 in {what}") from exc
 
 
 def read_store_payload(reader: _Reader) -> tuple[int, np.ndarray, list[str]]:
@@ -441,7 +439,7 @@ def read_store_payload(reader: _Reader) -> tuple[int, np.ndarray, list[str]]:
     if dim == 0:
         raise CorruptFileError("store declares dim 0")
     rows = np.frombuffer(reader.take(count * dim * 4), dtype="<f4").reshape(count, dim)
-    keys = [reader.string() for _ in range(count)]
+    keys = [reader.string("key table") for _ in range(count)]
     if len(set(keys)) != len(keys):
         raise CorruptFileError("duplicate keys in store file")
     return dim, np.array(rows, dtype=np.float32), keys
@@ -455,10 +453,8 @@ def load_store(path, identity: str | None = None) -> PrecomputedStore:
     if reader.offset != len(data):
         raise CorruptFileError("trailing bytes after store payload")
     store = PrecomputedStore(dim, identity=identity or "precomputed")
-    store._keys = keys
     store._rows = {k: i for i, k in enumerate(keys)}
     store._matrix = rows
-    store._chunks = [rows]
     return store
 
 

@@ -65,17 +65,16 @@ that corpus), made once in about 0.1 s. The product of such a row with the
 query's own projected row bounds the row's score from above, to within the
 float32 error of :func:`_projected_bound`, which counts ``P``'s measured
 departure from orthonormality. A query's nearest list is scanned first:
-the k-th float64 score among its ``PRUNE_ROWS`` rows of highest upper
-bound, less that error, is the floor, and every row of the probed lists
-whose upper bound reaches it (the floor rounded down to a float32) is
-rescored in float64, the window's kept (query, row) pairs in one cut as
-above. So the top k are the same rows and the same bits. A query that
-keeps more than ``FALLBACK_SHARE`` of the rows it scanned, in its nearest
-list or in all of them, falls back to the full-width scan, so on data
-where the bound prunes nothing a partitioned query costs one projected
-list more than before (a flat index's nearest list is all of it). An
-index of fewer than ``PROJECT_MIN_DIM`` dimensions scans its full-width
-rows only.
+the lowest float64 score of its k rows of highest upper bound, less that
+error, is the floor, and every row of the probed lists whose upper bound
+reaches it (the floor rounded down to a float32) is rescored in float64,
+the window's kept (query, row) pairs in one cut as above. So the top k
+are the same rows and the same bits. A query that keeps more than
+``FALLBACK_SHARE`` of the rows it scanned, in its nearest list or in all
+of them, falls back to the full-width scan, so on data where the bound
+prunes nothing a partitioned query costs one projected list more than
+before (a flat index's nearest list is all of it). An index of fewer than
+``PROJECT_MIN_DIM`` dimensions scans its full-width rows only.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ PROJECT_MIN = 1 << 22
 # d=36, 280 -> 238 at d=40, 336 -> 245 at d=48, 403 -> 291 at d=64)
 PROJECT_MIN_DIM = 40
 PROJECT_SAMPLE = 4096  # rows, taken at a stride, whose SVD gives the basis
-PRUNE_ROWS = 32  # rows, at least k, rescored for the lower bound
 # a query keeping more of its scanned rows than this falls back to the
 # full-width scan: a kept row costs a gather and a float64 rescore, 17 times
 # a row of the full-width float32 scan (25k of 100k x 128 rows, one thread),
@@ -588,10 +586,10 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.nda
     """Fill ``out`` with the hits of each query the projection prunes, and
     return the others, in order.
 
-    Each query's nearest list is scanned first, and the k-th float64 score
-    of its ``max(k, PRUNE_ROWS)`` rows of highest upper bound, less the
-    bound of :func:`_projected_bound`, is the floor: a row whose upper bound
-    is below it cannot reach the top k. A query keeps every row at or above
+    Each query's nearest list is scanned first, and the lowest float64
+    score of its k rows of highest upper bound, less the bound of
+    :func:`_projected_bound`, is the floor: a row whose upper bound is below
+    it cannot reach the top k. A query keeps every row at or above
     its floor, unless the rows kept, in its nearest list or in all its
     lists, are more than ``FALLBACK_SHARE`` of those scanned. The kept
     queries' lists are one window, cut once.
@@ -602,11 +600,10 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.nda
     kth = np.full(len(queries), -np.inf)
     for u, (ub, count, c) in enumerate(zip(near.scores, near.counts, probed[:, 0].tolist())):
         if count >= k:
-            m = min(count, max(k, PRUNE_ROWS))
-            top = ub[:count].argpartition(count - m)[count - m :]
-            exact = _rescore(layout, top + layout.offsets[c], queries[u : u + 1].repeat(m, axis=0))
-            # the k-th of these float64 scores is at most the k-th of all rows
-            kth[u] = np.partition(exact, m - k)[m - k]
+            top = ub[:count].argpartition(count - k)[count - k :]
+            exact = _rescore(layout, top + layout.offsets[c], queries[u : u + 1].repeat(k, axis=0))
+            # the lowest of k rows' float64 scores is at most the k-th of all rows
+            kth[u] = exact.min()
     # rounded to a float32 and one step down: at most the float64 floor
     floor = np.nextafter((kth - projection.bound).astype(np.float32), -np.inf)
     full = (np.count_nonzero(near.scores >= floor[:, None], axis=1)
@@ -775,8 +772,9 @@ def load_index(path) -> CaptionIndex:
         raise CorruptFileError("index record ids are not in ascending order")
     if count and not np.allclose(np.sqrt(_squared_norms(vectors)), 1.0, atol=1e-5):
         raise CorruptFileError("index rows are not unit-normalized")
-    identity = reader.string()
-    records = [CaptionRecord(rid, reader.string(), reader.string()) for rid in ids]
+    identity = reader.string("provider identity")
+    records = [CaptionRecord(rid, reader.string("caption text"),
+                             reader.string("caption source")) for rid in ids]
     structure_code = reader.u8()
     centroids, partitions = None, []
     if structure_code == STRUCTURE_PARTITIONED:

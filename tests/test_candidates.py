@@ -16,6 +16,7 @@ from vfclass.candidates import (
     default_meta_words,
     default_stop_words,
     extract_candidates,
+    load_word_list,
     pos_tag,
     remove_noise,
     select_candidates,
@@ -128,6 +129,12 @@ class TestPosTag:
     def test_unknown_defaults_to_noun(self, tagger):
         assert pos_tag("zzxyq", tagger) == "noun"
 
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("zorp\tverb\nblick\tadjective\n", encoding="utf-8-sig")
+        bom_tagger = LexiconTagger(path)
+        assert [pos_tag(w, bom_tagger) for w in ("zorp", "blick")] == ["verb", "adjective"]
+
     def test_adjective(self, tagger):
         assert pos_tag("blue", tagger) == "adjective"
 
@@ -140,6 +147,13 @@ class TestPosTag:
     def test_empty_word_rejected(self, tagger):
         with pytest.raises(EmptyInputError):
             pos_tag("", tagger)
+
+
+def test_word_list_byte_order_mark_is_not_part_of_the_first_word(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("airplane\nthe\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfairplane")
+    assert load_word_list(path) == frozenset({"airplane", "the"})
 
 
 def select(tokens, tagger, config=None):

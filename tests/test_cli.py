@@ -565,6 +565,21 @@ class TestMalformedInput:
         code = run(["--config", str(conf), "stats", "--corpus", str(world["corpus"])])
         assert_json_error(code, capsys, expected)
 
+    def test_config_byte_order_mark_is_not_part_of_the_first_key(self, world,
+                                                                 built_index, tmp_path):
+        conf = tmp_path / "vfc.conf"
+        conf.write_text("k=3\nalpha=0.2\n", encoding="utf-8-sig")
+        outs = []
+        for args in (["--config", str(conf), "classify"],
+                     ["classify", "--k", "3", "--alpha", "0.2"]):
+            out = tmp_path / f"preds-{len(outs)}.jsonl"
+            assert run(args + ["--index", str(built_index), "--queries",
+                               str(world["queries"]), "--embeddings", str(world["store"]),
+                               "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0].splitlines()[0])["retrieved"]) == 3
+
     def test_unknown_config_key_exits_1(self, world, tmp_path, capsys):
         conf = tmp_path / "vfc.conf"
         conf.write_text("k=5\nalpah=0.2\n")

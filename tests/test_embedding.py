@@ -5,7 +5,9 @@ import hashlib
 import os
 import re
 import stat
+import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from vfclass.embedding import (
     PrecomputedStore,
     RemoteEmbeddingClient,
     as_matrix,
+    as_vector,
     cosine_similarity,
     hashed_vector,
     load_store,
@@ -73,10 +76,27 @@ class TestAsMatrix:
         [[1.0, 2.0], [3.0]],
         [[1.0, "x"]],
         [[1.0, {}]],
+        [["1", "2"]],
+        [[True, False]],
+        [[b"1"]],
+        [[2**70, "1.5"]],  # an int beyond int64 makes an array of objects
+        np.array([[True, False]]),
     ])
     def test_ragged_or_non_numeric_is_a_schema_error(self, values):
         with pytest.raises(SchemaError):
             as_matrix(values, "service vectors")
+
+    @pytest.mark.parametrize("values", [["1.5", "2"], [True, False], [b"1"],
+                                        [2**70, np.bool_(True)]])
+    def test_strings_and_bools_are_not_a_vector(self, values):
+        with pytest.raises(SchemaError, match="bools, strings or bytes"):
+            as_vector(values)
+
+    def test_numbers_numpy_reads_as_numbers_still_pass(self):
+        assert np.array_equal(as_vector([1, 2**70]), [1.0, 2.0**70])
+        assert as_vector(np.arange(3, dtype=np.int8)).dtype == np.float64
+        row = np.ones(4)
+        assert as_vector(row) is row  # a float64 array is not copied
 
     @pytest.mark.parametrize("values", [[], [[]], [1.0, 2.0]])
     def test_empty_or_not_two_dimensional_rejected(self, values):
@@ -221,6 +241,65 @@ class TestPrecomputedStore:
         store.add("dog", [0.5, 0.5, 0.0])
         assert np.allclose(store.vector("dog"), [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("vector", [["1", "0", "0"], [True, False, False]])
+    def test_vector_of_strings_or_bools_is_rejected(self, vector):
+        store = self.make_store()
+        for key in ("dog", "new"):
+            with pytest.raises(SchemaError, match=f"vector for '{key}'"):
+                store.add(key, vector)
+        assert store.keys() == ["dog", "cat", "img_001"]
+        assert np.array_equal(store.vector("dog"), [1.0, 0.0, 0.0])
+
+    def test_reads_between_adds_leave_the_saved_bytes(self, tmp_path):
+        """Reads, ``keys()``, ``len()`` and overwrites between the adds save
+        the bytes of the same adds made with no reads."""
+        rng = np.random.default_rng(4)
+        adds = [(f"k{i % 23}", rng.standard_normal(5)) for i in range(60)]
+        quiet, busy = PrecomputedStore(5), PrecomputedStore(5)
+        for key, vector in adds:
+            quiet.add(key, vector)
+        for i, (key, vector) in enumerate(adds):
+            busy.add(key, vector)
+            assert len(busy) == len(busy.keys())
+            busy.embed_texts(busy.keys()[:: 1 + i % 3])
+            assert np.array_equal(busy.vector(key), vector.astype(np.float32))
+        assert busy.keys() == quiet.keys() == [f"k{i}" for i in range(23)]
+        save_store(quiet, tmp_path / "quiet.vfce")
+        save_store(busy, tmp_path / "busy.vfce")
+        assert (tmp_path / "busy.vfce").read_bytes() == (
+            tmp_path / "quiet.vfce").read_bytes()
+
+    def test_adds_after_a_load_copy_no_rows(self, tmp_path):
+        """After a loaded store's first add, adds and lookups allocate less
+        than one copy of its rows, and its spare rows stay at most an eighth
+        of those it holds."""
+        rows = np.random.default_rng(5).standard_normal((4096, 32))
+        store = PrecomputedStore(32)
+        store.add_many((f"row{i}", row) for i, row in enumerate(rows))
+        save_store(store, tmp_path / "rows.vfce")
+        store = load_store(tmp_path / "rows.vfce")
+        held = store._matrix.nbytes
+        store.add("first", rows[0])
+        tracemalloc.start()
+        try:
+            for i in range(100):
+                store.add(f"extra{i}", rows[i])
+                assert np.array_equal(store.embed_texts([f"row{i}", f"extra{i}"]),
+                                      rows[[i, i]].astype(np.float32))
+                assert len(store._matrix) - len(store) <= len(store) / 8
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held
+        assert len(store) == 4096 + 101
+
+    def test_spare_rows_at_most_an_eighth(self):
+        store = PrecomputedStore(2)
+        for i in range(300):
+            store.add(f"k{i}", [1.0, float(i)])
+            assert len(store) <= len(store._matrix) <= len(store) * 9 / 8 + 1
+            assert len(store._matrix) - len(store) <= len(store) / 8
+
     def test_roundtrip(self, tmp_path):
         store = self.make_store()
         path = tmp_path / "vectors.vfce"
@@ -265,6 +344,20 @@ class TestPrecomputedStore:
         path = tmp_path / "vectors.vfce"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CorruptFileError):
+            load_store(path)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda d: d[:4] + struct.pack("<I", 2) + d[8:], "unsupported store version 2"),
+        (lambda d: d[:20] + b"\x01" + d[21:], "unsupported dtype code 1"),
+        (lambda d: d[:8] + struct.pack("<I", 0) + d[12:], "store declares dim 0"),
+        (lambda d: d[:-1] + b"\xff", "malformed UTF-8 in key table"),
+        (lambda d: d + b"\x00", "trailing bytes after store payload"),
+    ], ids=["version", "dtype", "dim-0", "key-utf8", "trailing"])
+    def test_malformed_header_or_keys_rejected(self, tmp_path, spoil, message):
+        path = tmp_path / "vectors.vfce"
+        save_store(self.make_store(), path)
+        path.write_bytes(spoil(path.read_bytes()))
+        with pytest.raises(CorruptFileError, match=f"^{message}$"):
             load_store(path)
 
 

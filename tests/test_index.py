@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -1077,6 +1079,29 @@ class TestSerialization:
         path = tmp_path / "bad.vfci"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(CorruptFileError):
+            load_index(path)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda head, body: (head[:11], None), "file too short to be an index"),
+        (lambda head, body: (head[:4] + struct.pack("<I", 2), body),
+         "unsupported index version 2"),
+        (lambda head, body: (head, body[:-1] + b"\x07"), "unknown structure code 7"),
+        (lambda head, body: (head, body + b"\x00"), "trailing bytes in index body"),
+        (lambda head, body: (head, body.replace(b"precomputed", b"pr\xffcomputed")),
+         "malformed UTF-8 in provider identity"),
+        (lambda head, body: (head, body.replace(b"second", b"s\xffcond")),
+         "malformed UTF-8 in caption text"),
+    ], ids=["too-short", "version", "structure", "trailing", "identity-utf8",
+            "text-utf8"])
+    def test_malformed_file_with_a_good_crc_rejected(self, tmp_path, spoil, message):
+        """Each check past the CRC, on a file whose CRC is recomputed."""
+        path = tmp_path / "small.vfci"
+        save_index(basis_index(), path)
+        data = path.read_bytes()
+        head, body = spoil(data[:8], data[8:-4])
+        path.write_bytes(head if body is None
+                         else head + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CorruptFileError, match=f"^{message}$"):
             load_index(path)
 
     def test_ten_thousand_record_corpus_roundtrips_unchanged(self, tmp_path):

@@ -66,6 +66,18 @@ class TestIngestCorpus:
         with pytest.raises(SchemaError, match="line 2"):
             ingest_corpus(path, strict=True)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "plain"])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, fmt):
+        lines = ([json.dumps({"id": "a", "text": "a dog"}),
+                  json.dumps({"id": "b", "text": "a cat"})] if fmt == "jsonl"
+                 else ["a dog", "a cat"])
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        records = ingest_corpus(marked, fmt=fmt, strict=True)
+        assert records == ingest_corpus(plain, fmt=fmt, strict=True)
+        assert records[0].text == "a dog"
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")

@@ -263,7 +263,9 @@ class TestFuse:
         ([], [], EmptyInputError),
         ([[0.1, 0.2]], [[0.3, 0.4]], EmptyInputError),
         (["a"], ["b"], SchemaError),
-    ], ids=["nan", "inf", "empty", "two-d", "text"])
+        (["1", "2"], [True, False], SchemaError),
+        ([0.1, 0.2], [True, False], SchemaError),
+    ], ids=["nan", "inf", "empty", "two-d", "text", "numeric-text", "bools"])
     def test_bad_scores_are_rejected(self, visual, textual, error):
         with pytest.raises(error):
             fuse(visual, textual, 0.5)
@@ -499,6 +501,20 @@ class TestClassifyBatch:
         assert results[0].prediction is not None
         assert results[1].prediction is None
         assert results[1].error_code == "unknown-image-ref"
+
+    @pytest.mark.parametrize("bad", [["1", "0", "0", "0"], [True, False, False, False],
+                                     np.array(["1.5", "0", "0", "0"])],
+                             ids=["str", "bool", "str-array"])
+    def test_vector_of_strings_or_bools_fails_alone(self, tagger, bad):
+        index, store, queries = self.world()
+        config = ClassifierConfig(k=4)
+        clean = classify_batch(queries, index, store, tagger, config)
+        mixed = classify_batch(queries[:5] + [("bad", bad)] + queries[5:], index, store,
+                               tagger, config)
+        assert mixed[5].prediction is None
+        assert mixed[5].error_code == "schema-violation"
+        assert "query embedding is not a numeric vector" in mixed[5].error
+        assert mixed[:5] + mixed[6:] == clean
 
     @pytest.mark.parametrize("entry", ["ab", ("a",), 1, (5, "missing/ref"),
                                        ("a", "b", "c"), None],
