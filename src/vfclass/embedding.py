@@ -143,6 +143,17 @@ def as_matrix(
     return arr
 
 
+def _as_float32(values: np.ndarray, name: str) -> np.ndarray:
+    """Finite, non-empty float64 ``values`` as float32; a value beyond
+    float32's range, which the cast would make infinite, is an
+    :class:`EmptyInputError`."""
+    # the cast rounds to nearest, ties to even: from 2**128 - 2**103, half
+    # an ulp above float32's largest value, a value rounds to inf
+    if np.abs(values).max() >= 2.0**128 - 2.0**103:
+        raise EmptyInputError(f"{name} has values beyond float32's range")
+    return values.astype(np.float32)
+
+
 def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
     """Checked float64 rows of ``dim`` (if given, else the first chunk's)
     for ``inputs``, one matrix per call of ``embed``, a bound provider
@@ -281,6 +292,7 @@ class PrecomputedStore:
             raise DimensionMismatchError(
                 f"vector for {key!r} has dim {arr.shape[0]}, store dim {self.dim}"
             )
+        arr = _as_float32(arr, f"vector for {key!r}")
         row = self._rows.get(key, len(self._rows))
         if row == len(self._matrix):
             grown = np.empty((row + row // 8 + 1, self.dim), dtype=np.float32)
@@ -581,9 +593,10 @@ class RemoteEmbeddingClient:
         if self.dim not in (None, dim):
             raise DimensionMismatchError(
                 f"service returned dim {dim}, expected {self.dim}")
-        matrix = as_matrix(vectors, "service vectors", dim, count=len(inputs))
+        matrix = _as_float32(as_matrix(vectors, "service vectors", dim, count=len(inputs)),
+                             "service vectors")
         self.dim = dim
-        return matrix.astype(np.float32)
+        return matrix
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         texts = _check_inputs(texts, "text")

@@ -34,13 +34,38 @@ rows queries hit; see ``scoring``).
 
 Retrieval scans in float32 and decides in float64, with one cut per
 window of queries (:func:`retrieve_topk` is a window of one).
-``index.vectors`` stays in id order; on its first query, and only then, a
-partitioned index makes one copy of its rows in partition order, so each
-probed list is one contiguous slice (the inverted-file layout), scanned by
-one float32 product over the window's queries that probe it. A flat index
-scans ``index.vectors`` as one list, with no copy. The window's float32
-scores are one (queries x rows) array, each query's lists end to end and
-padded with -inf to the longest. The cut takes every query's k-th score
+``index.vectors`` stays in id order, and the scan layout reads it through
+its scan order: partition order, a flat index's one list in row order.
+Each probed list is scanned by one float32 product over the window's
+queries that probe it, ``Q @ C`` for the list's (width x rows) block of
+columns ``C`` (the inverted-file layout). A partitioned index copies each
+list's rows column-major, each list one C-contiguous block, on its first
+full-width scan (n * dim * 4 bytes, as the row-major copy in partition
+order it made before); a flat index's rows are already in scan order, so
+its block is the transpose of ``index.vectors`` in place, and the product
+is ``V @ Q.T``: either way BLAS gets the rows as they lie. Per list of
+3,125 float32 rows, scanned cold (a pass over 32 such lists), one BLAS
+thread, in µs per product (median of 9):
+
+    width  queries  row-major, one GEMV per   column-major  row-major
+                    query below 4 (before)    ``Q @ C``     ``V @ Q.T``
+    52     1        35                        32            31
+    52     2        48                        35            90
+    52     4        94                        37            98
+    52     8        114                       90            118
+    128    1        167                       103           165
+    128    2        206                       301           245
+    128    4        267                       354           264
+    128    8        286                       402           282
+
+Column-major reads fastest at the projected width (below), or as fast for
+one query, and fastest for one query at full width, which a partitioned index's full-width scan mostly is
+(the queries the projection does not prune). Row-major reads fastest for
+several queries at full width, which a flat index's one list, probed by
+every query of a window, has; a partitioned list that 2 or more queries
+scan at full width reads up to 1.6 times slower than before. The window's
+float32 scores are one (queries x rows) array, each query's lists end to
+end and padded with -inf to the longest. The cut takes every query's k-th score
 with one ``np.partition`` along the rows; keeps, with one float32
 comparison, every row within the layout's ``slack`` of it (twice the
 rounding bound of ``_score_bound``, plus the rounding of the subtraction);
@@ -59,12 +84,13 @@ takes an orthonormal basis ``P`` (dim x width) from an SVD of
 ``PROJECT_SAMPLE`` rows taken at a stride: the fewest singular vectors
 that hold half of the sample's energy, rounded up so that a projected row
 is a whole number of 16-byte words (width 51 of 128 on the seeded 100k x
-128 corpus). It stores each row, in scan order, as the float32 row
-``[P.T x | ||x - P P.T x||]``: n * (width + 1) * 4 bytes more (20.8 MB for
-that corpus), made once in about 0.1 s. The product of such a row with the
-query's own projected row bounds the row's score from above, to within the
-float32 error of :func:`_projected_bound`, which counts ``P``'s measured
-departure from orthonormality. A query's nearest list is scanned first:
+128 corpus). It stores each row, in scan order, as the float32 column
+``[P.T x | ||x - P P.T x||]`` of its list's column-major block: n *
+(width + 1) * 4 bytes more (20.8 MB for that corpus), made once in about
+0.1 s. The product of such a column with the query's own projected row
+bounds the row's score from above, to within the float32 error of
+:func:`_projected_bound`, which counts ``P``'s measured departure from
+orthonormality. A query's nearest list is scanned first:
 the lowest float64 score of its k rows of highest upper bound, less that
 error, is the floor, and every row of the probed lists whose upper bound
 reaches it (the floor rounded down to a float32) is rescored in float64,
@@ -117,10 +143,6 @@ STRUCTURE_PARTITIONED = 1
 KMEANS_ITERS = 25
 DEFAULT_PROBES = 8
 SCAN_BLOCK = 1 << 20  # float32 scores one retrieval product holds at most (4 MiB)
-# a list that fewer queries probe gets one matrix-vector product per query:
-# with OpenBLAS, a float32 product over 2 or 3 query columns took longer
-# than 2 or 3 matrix-vector products (3,125 x 128 rows, one thread)
-GEMM_QUERIES = 4
 # an index of fewer rows x dim values (16 MiB of float32 rows) scans its
 # full-width rows only: below it, the rows a query scans were not read faster
 # through the projection (seeded clusters of 50 rows, 32 lists, probes 8,
@@ -160,13 +182,13 @@ class RetrievedCaption:
 
 @dataclass(frozen=True)
 class _ScanLayout:
-    """Rows in scan order: partition ``c`` is ``vectors[offsets[c]:offsets[c + 1]]``,
-    scan position ``i`` holds index row ``rows[i]``, ``max_norm`` is the
-    largest row norm, and ``slack`` what a floor is below a k-th float32
-    score: twice the bound of ``_score_bound`` for these rows, plus
-    ``2**-23 * max_norm`` for the float32 rounding of the subtraction (a
-    score and the slack together are at most ``2 * max_norm``), rounded up
-    to a float32."""
+    """The scan order of an index's ``vectors``: scan position ``i`` holds
+    index row ``rows[i]``, and partition ``c`` is scan positions
+    ``offsets[c]`` to ``offsets[c + 1]``; ``max_norm`` is the largest row
+    norm, and ``slack`` what a floor is below a k-th float32 score: twice
+    the bound of ``_score_bound`` for these rows, plus ``2**-23 *
+    max_norm`` for the float32 rounding of the subtraction (a score and the
+    slack together are at most ``2 * max_norm``), rounded up to a float32."""
 
     vectors: np.ndarray
     rows: np.ndarray
@@ -175,37 +197,67 @@ class _ScanLayout:
     max_norm: float
 
     @cached_property
+    def columns(self) -> list[np.ndarray]:
+        """Each list's full-width rows as a (dim x rows) array, for
+        :class:`_Window`. Rows already in scan order (a flat index) are
+        scanned in place, as the transpose of the row-major rows; other
+        rows are copied column-major by :func:`_columns` on the first
+        full-width scan."""
+        if np.array_equal(self.rows, np.arange(len(self.rows))):
+            return [self.vectors.T[:, a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+        return _columns(self.vectors, self.rows, self.offsets, self.vectors.shape[1],
+                        lambda rows: rows)
+
+    @cached_property
     def projection(self) -> _Projection:
         """The projected copy of the rows, made on the first query that
         scans it."""
-        return _Projection.of(self.vectors, _basis(self.vectors), self.max_norm)
+        return _Projection.of(self.vectors, self.rows, self.offsets,
+                              _basis(self.vectors, self.rows), self.max_norm)
+
+
+def _columns(vectors: np.ndarray, rows: np.ndarray, offsets: list[int], width: int,
+             convert) -> list[np.ndarray]:
+    """Each list of a scan layout as one C-contiguous (width x rows)
+    float32 block, a column per row in scan order: ``convert`` of that row
+    of ``vectors``, which it gets ``SCAN_BLOCK`` values at a time, so no
+    float64 copy of them all is made. Each list is a block of its own, not
+    a slice of one array of all the lists: with 128 columns, such a slice
+    took up to 1.9 times as long per product of 3 to 8 queries."""
+    step = max(1, SCAN_BLOCK // max(1, vectors.shape[1]))
+    blocks = []
+    for start, stop in zip(offsets, offsets[1:]):
+        block = np.empty((width, stop - start), dtype=np.float32)
+        for at in range(start, stop, step):
+            block[:, at - start : at - start + step] = convert(
+                vectors[rows[at : min(at + step, stop)]]).T
+        blocks.append(block)
+    return blocks
 
 
 @dataclass(frozen=True)
 class _Projection:
-    """The rows in scan order as ``[P.T @ x | ||x - P @ P.T @ x||]`` in
-    float32, for an orthonormal basis ``P`` (dim x width, float64), and the
-    bound of :func:`_projected_bound` on what the product of such a row
-    with :meth:`queries` may fall short of the row's float64 score."""
+    """The rows of a scan layout as ``[P.T @ x | ||x - P @ P.T @ x||]`` in
+    float32, a column-major block per list as :func:`_columns` makes them,
+    for an orthonormal basis ``P`` (dim x width, float64), and the bound of
+    :func:`_projected_bound` on what the product of :meth:`queries` with
+    such a column may fall short of the row's float64 score."""
 
     basis: np.ndarray
-    vectors: np.ndarray
+    columns: list[np.ndarray]
     bound: float
 
     @classmethod
-    def of(cls, vectors: np.ndarray, basis: np.ndarray, max_norm: float) -> _Projection:
+    def of(cls, vectors: np.ndarray, rows: np.ndarray, offsets: list[int],
+           basis: np.ndarray, max_norm: float) -> _Projection:
         width = basis.shape[1]
         # PᵀP - I is measured, not assumed, and so is the float64 rounding
         # of that product (each entry errs by at most dim * 2**-53)
         eta = (np.linalg.norm(basis.T @ basis - np.eye(width))
                + width * basis.shape[0] * 2.0**-52)
-        out = np.empty((len(vectors), width + 1), dtype=np.float32)
-        # SCAN_BLOCK values at a time: no float64 copy of all the rows is made
-        step = max(1, SCAN_BLOCK // max(1, vectors.shape[1]))
-        for start in range(0, len(vectors), step):
-            out[start : start + step] = _project(
-                vectors[start : start + step].astype(np.float64), basis)
-        return cls(basis, out, _projected_bound(width, eta, max_norm))
+        columns = _columns(vectors, rows, offsets, width + 1,
+                           lambda chunk: _project(chunk.astype(np.float64), basis))
+        return cls(basis, columns, _projected_bound(width, eta, max_norm))
 
     def queries(self, queries: np.ndarray) -> np.ndarray:
         """The float32 rows ``[P.T @ q | ||q - P @ P.T @ q||]`` of ``queries``."""
@@ -220,12 +272,13 @@ def _project(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.hstack([low, np.linalg.norm(x - low @ basis.T, axis=1)[:, None]])
 
 
-def _basis(vectors: np.ndarray) -> np.ndarray:
-    """The top right singular vectors of ``PROJECT_SAMPLE`` rows taken at a
-    stride: the fewest that hold at least half of the sample's energy, and
-    then more, up to 3 short of a multiple of 4, so that a projected row
-    (with its residual column) is a whole number of 16-byte words."""
-    sample = vectors[:: max(1, len(vectors) // PROJECT_SAMPLE)].astype(np.float64)
+def _basis(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The top right singular vectors of ``PROJECT_SAMPLE`` of ``vectors``'
+    ``rows``, taken in scan order at a stride: the fewest that hold at least
+    half of the sample's energy, and then more, up to 3 short of a multiple
+    of 4, so that a projected row (with its residual column) is a whole
+    number of 16-byte words."""
+    sample = vectors[rows[:: max(1, len(rows) // PROJECT_SAMPLE)]].astype(np.float64)
     _, sigma, vt = np.linalg.svd(sample, full_matrices=False)
     energy = np.cumsum(sigma**2)
     half = int(np.searchsorted(energy, energy[-1] / 2)) + 1
@@ -260,15 +313,13 @@ class CaptionIndex:
 
     @cached_property
     def _layout(self) -> _ScanLayout:
-        """The rows in scan order, made on the first query; a flat index is
-        one list, scanned in place."""
-        flat = self.structure == "flat"
-        lists = [np.arange(len(self))] if flat else self.partitions
+        """The scan order of the rows, made on the first query; a flat index
+        is one list."""
+        lists = [np.arange(len(self))] if self.structure == "flat" else self.partitions
         rows = np.concatenate([np.empty(0, np.int64), *lists])
-        vectors = self.vectors if flat else self.vectors[rows]
-        max_norm = float(np.sqrt(_squared_norms(vectors).max(initial=0.0)))
+        max_norm = float(np.sqrt(_squared_norms(self.vectors).max(initial=0.0)))
         return _ScanLayout(
-            vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
+            self.vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
             np.nextafter(np.float32(2 * _score_bound(self.dim, max_norm) + 2.0**-23 * max_norm),
                          np.float32(np.inf)),
             max_norm,
@@ -570,7 +621,7 @@ def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> list:
     """The hits of each query from its float32 products with the full-width
     rows: the rows within the layout's ``slack`` of its k-th float32 score
     are rescored in float64."""
-    window = _Window.of(layout.vectors, layout.offsets, queries.astype(np.float32), probed)
+    window = _Window.of(layout.columns, layout.offsets, queries.astype(np.float32), probed)
     scores = window.scores
     if scores.shape[1] > k:
         top = scores.copy()
@@ -596,12 +647,13 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.nda
     """
     projection = layout.projection
     zq = projection.queries(queries)
-    near = _Window.of(projection.vectors, layout.offsets, zq, probed[:, :1])
+    near = _Window.of(projection.columns, layout.offsets, zq, probed[:, :1])
     kth = np.full(len(queries), -np.inf)
     for u, (ub, count, c) in enumerate(zip(near.scores, near.counts, probed[:, 0].tolist())):
         if count >= k:
             top = ub[:count].argpartition(count - k)[count - k :]
-            exact = _rescore(layout, top + layout.offsets[c], queries[u : u + 1].repeat(k, axis=0))
+            exact = _rescore(layout.vectors, layout.rows[top + layout.offsets[c]],
+                             queries[u : u + 1].repeat(k, axis=0))
             # the lowest of k rows' float64 scores is at most the k-th of all rows
             kth[u] = exact.min()
     # rounded to a float32 and one step down: at most the float64 floor
@@ -609,7 +661,7 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.nda
     full = (np.count_nonzero(near.scores >= floor[:, None], axis=1)
             > FALLBACK_SHARE * np.array(near.counts))
     live = np.flatnonzero(~full)
-    window = _Window.of(projection.vectors, layout.offsets, zq[live], probed[live],
+    window = _Window.of(projection.columns, layout.offsets, zq[live], probed[live],
                         first=near.scores[live])
     qi, positions = window.above(floor[live])
     full[live] = np.bincount(qi, minlength=live.size) > FALLBACK_SHARE * np.array(window.counts)
@@ -638,11 +690,12 @@ class _Window:
     shift: np.ndarray
 
     @classmethod
-    def of(cls, vectors, offsets: list[int], q32: np.ndarray, probed: np.ndarray,
-           first: np.ndarray | None = None) -> _Window:
-        """One product per list over the queries that probe it; with
-        ``first``, the scores of a window of each query's first list, that
-        list's products are copied from it."""
+    def of(cls, columns: list[np.ndarray], offsets: list[int], q32: np.ndarray,
+           probed: np.ndarray, first: np.ndarray | None = None) -> _Window:
+        """One product per list, of the queries that probe it with the
+        list's ``columns`` (width x rows, a row per column, in scan order);
+        with ``first``, the scores of a window of each query's first list,
+        that list's products are copied from it."""
         segments, counts = [], []  # (query, list, first column) in probe order
         users: dict[int, list[tuple[int, int]]] = {}
         for u, lists in enumerate(probed.tolist()):
@@ -661,15 +714,13 @@ class _Window:
         if first is not None:  # past a query's first list, written over or padding
             scores[:, : first.shape[1]] = first[:, :width]
         for c, us in users.items():
-            block = vectors[offsets[c] : offsets[c + 1]]
-            if len(us) < GEMM_QUERIES:
-                for u, col in us:
-                    np.dot(block, q32[u], out=scores[u, col : col + len(block)])
-            else:
-                # V @ Q.T: with a few queries, Q @ V.T is about twice as slow
-                product = block @ q32.take([u for u, _ in us], axis=0).T
-                for j, (u, col) in enumerate(us):
-                    scores[u, col : col + len(block)] = product[:, j]
+            q, block = q32[[u for u, _ in us]], columns[c]
+            # BLAS gets the list's rows as they lie: a column-major block as
+            # Q @ C, rows in place (a transposed view) as V @ Q.T; the other
+            # way round, either took up to 3.6 times as long
+            product = q @ block if block.flags.c_contiguous else (block.T @ q.T).T
+            for (u, col), row in zip(us, product):
+                scores[u, col : col + len(row)] = row
         begin = [u * width + col for u, _, col in segments]
         shift = [offsets[c] - b for (_, c, _), b in zip(segments, begin)]
         return cls(scores, counts, min(counts, default=width) < width, begin,
@@ -690,12 +741,11 @@ class _Window:
         return qi, flat + self.shift[segment]
 
 
-def _rescore(layout: _ScanLayout, positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The float64 score of each row at ``positions`` against its row of
+def _rescore(vectors: np.ndarray, rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The float64 score of each of ``vectors``' ``rows`` against its row of
     ``queries``: a row-wise einsum, whose bits do not depend on the other
     rows, where a BLAS product's may."""
-    rows = layout.vectors.take(positions, axis=0).astype(np.float64)
-    return np.einsum("ij,ij->i", rows, queries)
+    return np.einsum("ij,ij->i", vectors.take(rows, axis=0).astype(np.float64), queries)
 
 
 def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
@@ -704,8 +754,8 @@ def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
     (``qi``, ``positions``), a shortlist that holds every row that can
     reach the query's float64 top k; its first k in (-score, row) order
     are those in (-score, id) order."""
-    exact = _rescore(layout, positions, queries.take(qi, axis=0))
     rows = layout.rows[positions]
+    exact = _rescore(layout.vectors, rows, queries.take(qi, axis=0))
     order = np.lexsort((rows, -exact, qi))
     rows, exact = rows[order], exact[order].clip(-1.0, 1.0)
     hits, start = [], 0

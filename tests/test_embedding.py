@@ -236,6 +236,19 @@ class TestPrecomputedStore:
         save_store(store, path)
         assert load_store(path).keys() == store.keys()
 
+    @pytest.mark.parametrize("key", ["dog", "new"])
+    def test_value_beyond_float32_is_rejected_on_add(self, key):
+        """A finite float64 that float32 cannot hold fails its add, naming
+        the key, and leaves the store as it was: a known key keeps its row."""
+        store = self.make_store()
+        with pytest.raises(EmptyInputError, match=f"^vector for '{key}' has values "
+                                                  "beyond float32's range"):
+            store.add(key, [1e39, 1.0, 0.0])
+        assert store.keys() == ["dog", "cat", "img_001"]
+        assert store.vector("dog").tolist() == [1.0, 0.0, 0.0]
+        store.add(key, [3.4e38, -3.4e38, 1.0])  # within range
+        assert np.isfinite(store.vector(key)).all()
+
     def test_overwrite_updates_vector(self):
         store = self.make_store()
         store.add("dog", [0.5, 0.5, 0.0])

@@ -773,8 +773,10 @@ def shortfall(rows, basis, query):
     """Each row's float64 score less its float32 projected upper bound, and
     the projection of the rows."""
     max_norm = float(np.sqrt(index_mod._squared_norms(rows).max()))
-    projection = index_mod._Projection.of(rows, basis, max_norm)
-    ub = projection.vectors @ projection.queries(query[None])[0]
+    projection = index_mod._Projection.of(rows, np.arange(len(rows)), [0, len(rows)],
+                                          basis, max_norm)
+    [columns] = projection.columns
+    ub = projection.queries(query[None])[0] @ columns
     return np.einsum("ij,j->i", rows.astype(np.float64), query) - ub, projection
 
 
@@ -824,7 +826,7 @@ class TestProjectedBound:
             query = rng.standard_normal(32)
             query /= np.linalg.norm(query)
             short, projection = shortfall(rows, basis, query)
-            assert projection.vectors[:, -1].max() < 1e-6
+            assert projection.columns[0][-1].max() < 1e-6
             assert short.max() <= projection.bound
 
 
@@ -918,7 +920,7 @@ class TestProjectedScan:
                 units = [check_query(index, q, k) for q in queries]
                 want = full_width_hits(index, units, k, probes, monkeypatch)
                 assert bits(retrieve_window(index, units, k, probes)) == want
-        assert part._layout.projection.vectors[:, -1].max() < 1e-6
+        assert max(block[-1].max() for block in part._layout.projection.columns) < 1e-6
 
     @pytest.mark.parametrize("share", [index_mod.FALLBACK_SHARE, 1.0])
     def test_k_at_least_the_rows_scanned(self, projected, monkeypatch, share):
@@ -1004,6 +1006,76 @@ class TestProjectedScan:
             want = full_width_hits(index, units, 10, probes, monkeypatch)
             assert bits(retrieve_window(index, units, 10, probes)) == want
         assert projected == [(30, 30)] * 3  # every query fell back
+
+
+def one_list_world():
+    """An index of 4 lists of 100 clustered rows in 48 dimensions, hand
+    built so that each list is one cluster, of every fourth row, and 8
+    queries nearest the first list's centroid, so that with one probe they
+    all probe it."""
+    rng = np.random.default_rng(78)
+    centres = unit_rows(rng, 4, 48)
+    vectors = unit_rows_of(np.tile(centres, (100, 1))
+                           + 0.1 * rng.standard_normal((400, 48)))
+    lists = [np.arange(c, 400, 4) for c in range(4)]
+    part = hand_index(vectors, lists, [vectors[m].mean(axis=0) for m in lists])
+    queries = list(centres[0] + 0.05 * rng.standard_normal((8, 48)))
+    return part, queries
+
+
+@pytest.mark.parametrize("path", ["full-width", "projected"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8])
+def test_one_list_probed_by_many_queries(monkeypatch, path, count):
+    """A window in which one list is probed by 1 to 8 queries, all of
+    them in one product: each query gets the hits of a window of one, to
+    the bits of each score, and at ``probes="all"`` the oracle's rows."""
+    if path == "projected":
+        monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
+        monkeypatch.setattr(index_mod, "PROJECT_MIN_DIM", 0)
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", 1.0)  # every query prunes
+    part, queries = one_list_world()
+    queries = queries[:count]
+    for k, probes in ((10, 1), (10, "all"), (150, "all")):
+        units = [check_query(part, q, k) for q in queries]
+        probed = np.argsort(
+            np.sum((part.centroids - np.array(units)[:, None]) ** 2, axis=2), axis=1)
+        assert (probed[:, 0] == 0).all()  # every query probes the first list
+        got = in_windows(part, units, k, probes, count)
+        assert got == alone(part, queries, k, probes)
+        if probes == "all":
+            assert [rows for rows, _ in got] == [[h.row for h in exact_topk(part, q, k)]
+                                                 for q in queries]
+    assert ("projection" in part._layout.__dict__) == (path == "projected")
+
+
+class TestScanCopies:
+    """A partitioned index scans ``index.vectors`` through its scan order,
+    with no row-major copy of them; a flat index scans them in place."""
+
+    def test_partitioned_layout_holds_the_index_rows(self):
+        part, queries = one_list_world()
+        retrieve_topk(part, queries[0], 5, probes=2)
+        assert part._layout.vectors is part.vectors
+        assert [block.flags.c_contiguous for block in part._layout.columns] == [True] * 4
+        assert [block.shape for block in part._layout.columns] == [(48, 100)] * 4
+
+    def test_flat_index_scans_its_rows_in_place(self):
+        rng = np.random.default_rng(79)
+        flat = hand_index(unit_rows(rng, 300, 16))
+        retrieve_topk(flat, rng.standard_normal(16), 5)
+        [block] = flat._layout.columns
+        assert block.base is flat.vectors
+
+    def test_no_full_width_copy_while_every_query_prunes(self, projected, monkeypatch):
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", 1.0)
+        part, queries = one_list_world()
+        for probes in (1, 2, "all"):
+            units = [check_query(part, q, 10) for q in queries]
+            retrieve_window(part, units, 10, probes)
+        assert sum(full for _, full in projected) == 0  # every query was pruned
+        assert part._layout.vectors is part.vectors
+        assert "projection" in part._layout.__dict__
+        assert "columns" not in part._layout.__dict__
 
 
 class TestFloat32ShortlistProjected(TestFloat32Shortlist):

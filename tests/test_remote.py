@@ -495,6 +495,40 @@ class TestMalformedReply:
         assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]
 
 
+    def test_value_beyond_float32_fails_only_its_call(self, monkeypatch):
+        """A finite reply value that float32 cannot hold fails its call; the
+        client learns no dim and caches nothing from it, and the next call
+        succeeds."""
+        replies = [reply_of({"dim": 2, "vectors": [[1e39, 1.0]]}),
+                   reply_of({"dim": 2, "vectors": [[0.5, 1.0]]})]
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            lambda self, body: replies.pop(0))
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        with pytest.raises(EmptyInputError,
+                           match="^service vectors has values beyond float32's range"):
+            client.embed_texts(["dog"])
+        assert client.dim is None
+        assert client.embed_texts(["dog"]).tolist() == [[0.5, 1.0]]
+        assert client.dim == 2
+
+    def test_value_beyond_float32_fails_only_its_query(self, monkeypatch):
+        index = self.world(monkeypatch)
+        store = RemoteEmbeddingClient._exchange.store
+
+        def overflowing(client, body):
+            vectors = [[1e39, 0.0, 0.0, 0.0] if key == "huge-ref" else store.vector(key).tolist()
+                       for key in json.loads(body)["inputs"]]
+            return reply_of({"dim": 4, "vectors": vectors})
+
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", overflowing)
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        queries = [("before", "dog-ref"), ("huge", "huge-ref"), ("after", "dog-ref")]
+        results = classify_batch(queries, index, client, LexiconTagger(),
+                                 ClassifierConfig(k=4))
+        assert [r.error_code for r in results] == [None, "empty-input", None]
+        assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]
+
+
 class TestClientSettings:
     @pytest.mark.parametrize("setting", [
         {"timeout": None}, {"timeout": 0.0}, {"timeout": -float("inf")},
