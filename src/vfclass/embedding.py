@@ -33,6 +33,7 @@ import weakref
 import zlib
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -93,11 +94,16 @@ def check_timeout(value):
 def _as_float64(values, name: str, shape: str) -> np.ndarray:
     """``values`` as float64; what numpy reads as bools, strings or bytes
     (also inside an array of objects, as a list holding an int beyond int64
-    is) is a :class:`SchemaError`, not a number."""
+    is, or among a list's numbers, as 1.0 or 0.0) is a :class:`SchemaError`."""
     try:
         arr = np.asarray(values)
+        items = values
+        for _ in range(arr.ndim - 1):  # the items of nested sequences, read lazily
+            items = chain.from_iterable(items)
         if arr.dtype.kind in "bSU" or arr.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat):
+                isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat) or (
+                arr.ndim and isinstance(values, (list, tuple))
+                and not {bool, np.bool_}.isdisjoint(map(type, items))):
             raise SchemaError(f"{name} is not a numeric {shape}: it holds "
                               f"bools, strings or bytes")
         return arr.astype(np.float64, copy=False)

@@ -58,24 +58,24 @@ thread, in µs per product (median of 9):
     128    4        267                       354           264
     128    8        286                       402           282
 
-Column-major reads fastest at the projected width (below), or as fast for
-one query, and fastest for one query at full width, which a partitioned index's full-width scan mostly is
-(the queries the projection does not prune). Row-major reads fastest for
-several queries at full width, which a flat index's one list, probed by
-every query of a window, has; a partitioned list that 2 or more queries
-scan at full width reads up to 1.6 times slower than before. The window's
-float32 scores are one (queries x rows) array, each query's lists end to
-end and padded with -inf to the longest. The cut takes every query's k-th score
-with one ``np.partition`` along the rows; keeps, with one float32
+Column-major reads fastest, or as fast, at the projected width (below), and
+fastest for one query at full width, as a partitioned index's full-width
+scan (the queries the projection does not prune) mostly is. Row-major reads
+fastest for several queries at full width, as a flat index's one list,
+probed by every query of a window, is; a partitioned list that 2 or more
+queries scan at full width reads up to 1.6 times slower than before. The
+window's float32 scores are one (queries x rows) array, each query's lists
+end to end and padded with -inf to the longest. The cut takes every query's
+k-th score with one ``np.partition`` along the rows; keeps, with one float32
 comparison, every row within the layout's ``slack`` of it (twice the
 rounding bound of ``_score_bound``, plus the rounding of the subtraction);
 rescores those (query, row) pairs in float64 with one gather and one
 row-wise ``einsum``; and orders them with one ``np.lexsort`` by (query,
 -score, row), so each query's first k are exactly its float64 brute-force
-top k. The rescore is a row-wise ``einsum`` and not a BLAS product: a
-row's float64 score is the same bits whichever scan or window found it. A
-window gives each query its hits as two arrays, rows and scores;
-:func:`retrieved` makes them captions.
+top k. The rescore is a row-wise ``einsum`` and not a BLAS product: a row's
+float64 score is the same bits whichever scan or window found it. A window
+gives each query its hits as two arrays, rows and scores; :func:`retrieved`
+makes them captions.
 
 An index of at least ``PROJECT_MIN`` rows x dim values first scans a
 projected copy of its rows (a lower-dimensional filter with a proven
@@ -90,17 +90,20 @@ is a whole number of 16-byte words (width 51 of 128 on the seeded 100k x
 0.1 s. The product of such a column with the query's own projected row
 bounds the row's score from above, to within the float32 error of
 :func:`_projected_bound`, which counts ``P``'s measured departure from
-orthonormality. A query's nearest list is scanned first:
-the lowest float64 score of its k rows of highest upper bound, less that
-error, is the floor, and every row of the probed lists whose upper bound
-reaches it (the floor rounded down to a float32) is rescored in float64,
-the window's kept (query, row) pairs in one cut as above. So the top k
-are the same rows and the same bits. A query that keeps more than
-``FALLBACK_SHARE`` of the rows it scanned, in its nearest list or in all
-of them, falls back to the full-width scan, so on data where the bound
-prunes nothing a partitioned query costs one projected list more than
-before (a flat index's nearest list is all of it). An index of fewer than
-``PROJECT_MIN_DIM`` dimensions scans its full-width rows only.
+orthonormality. The window's nearest lists, one per query, are scanned
+first as one window: the lowest float64 score of a query's k rows of
+highest upper bound, less that error, is its floor, and a row is kept if
+its upper bound reaches it (the floor rounded down to a float32). The
+nearest list alone decides: a query that keeps more than
+``FALLBACK_SHARE`` of its nearest list's rows, or whose nearest list has
+fewer than k rows and so gives no floor, falls back to the full-width
+scan, so on data where the bound prunes nothing a partitioned
+query costs one projected list more than before (a flat index's nearest
+list is all of it). The other queries scan their other probed lists as a
+second window, and the kept (query, row) pairs of both are rescored in
+float64 in one cut as above. So the top k are the same rows and the same
+bits. An index of fewer than ``PROJECT_MIN_DIM`` dimensions scans its
+full-width rows only.
 """
 
 from __future__ import annotations
@@ -582,12 +585,7 @@ def retrieve_window(
 
     The queries are cut at most ``SCAN_BLOCK // len(index)`` at a time, so
     that no window of float32 scores holds more than ``SCAN_BLOCK`` of
-    them. Each probed list is scanned by one float32 product over the
-    window's queries that probe it, and the window's top k are taken by
-    one cut: one partition for every query's k-th float32 score, one
-    float32 comparison for the shortlist, one row-wise float64 rescore of
-    the shortlist's (query, row) pairs and one lexsort (see the module
-    docstring).
+    them; each window is scanned and cut once (see the module docstring).
     """
     check_probes(probes)
     step = max(1, SCAN_BLOCK // max(1, len(index)))
@@ -608,13 +606,12 @@ def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
         probed = np.zeros((len(queries), 1), dtype=np.int64)
     if len(index) * index.dim < PROJECT_MIN or index.dim < PROJECT_MIN_DIM:
         return _scan_full_width(layout, queries, probed, k)
-    out: list = [None] * len(queries)
-    full = _scan_projected(layout, queries, probed, k, out)
+    hits, full = _scan_projected(layout, queries, probed, k)
     if full.size:
-        for u, hits in zip(full.tolist(),
-                           _scan_full_width(layout, queries[full], probed[full], k)):
-            out[u] = hits
-    return out
+        for u, query_hits in zip(full.tolist(),
+                                 _scan_full_width(layout, queries[full], probed[full], k)):
+            hits[u] = query_hits
+    return hits
 
 
 def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> list:
@@ -633,77 +630,75 @@ def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> list:
     return _top(layout, queries, qi, positions, k)
 
 
-def _scan_projected(layout: _ScanLayout, queries, probed, k: int, out) -> np.ndarray:
-    """Fill ``out`` with the hits of each query the projection prunes, and
-    return the others, in order.
+def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple[list, np.ndarray]:
+    """The hits of each query the projection prunes (none for the others),
+    and the queries that fall back to the full-width scan, in order.
 
-    Each query's nearest list is scanned first, and the lowest float64
-    score of its k rows of highest upper bound, less the bound of
-    :func:`_projected_bound`, is the floor: a row whose upper bound is below
-    it cannot reach the top k. A query keeps every row at or above
-    its floor, unless the rows kept, in its nearest list or in all its
-    lists, are more than ``FALLBACK_SHARE`` of those scanned. The kept
-    queries' lists are one window, cut once.
+    Each query's nearest list is scanned first, as one window, and the
+    lowest float64 score of its k rows of highest upper bound, less the
+    bound of :func:`_projected_bound`, is the floor: a row whose upper bound
+    is below it cannot reach the top k. The nearest list alone decides: a
+    query falls back when more than ``FALLBACK_SHARE`` of that list's rows
+    are at or above its floor, or the list has fewer than k rows and so no
+    floor. The others scan their other probed lists as a second window,
+    and the kept (query, row) pairs of both are cut once.
     """
     projection = layout.projection
     zq = projection.queries(queries)
     near = _Window.of(projection.columns, layout.offsets, zq, probed[:, :1])
     kth = np.full(len(queries), -np.inf)
-    for u, (ub, count, c) in enumerate(zip(near.scores, near.counts, probed[:, 0].tolist())):
-        if count >= k:
-            top = ub[:count].argpartition(count - k)[count - k :]
-            exact = _rescore(layout.vectors, layout.rows[top + layout.offsets[c]],
-                             queries[u : u + 1].repeat(k, axis=0))
-            # the lowest of k rows' float64 scores is at most the k-th of all rows
-            kth[u] = exact.min()
+    if near.scores.shape[1] >= k:
+        top = near.scores.argpartition(-k, axis=1)[:, -k:]
+        # a query of fewer than k rows gathers padding, clipped: it falls back
+        rows = layout.rows.take(top + np.take(layout.offsets, probed[:, :1]), mode="clip")
+        exact = _rescore(layout.vectors, rows.ravel(), queries.repeat(k, axis=0))
+        # the lowest of k rows' float64 scores is at most the k-th of all rows
+        kth = exact.reshape(-1, k).min(axis=1)
     # rounded to a float32 and one step down: at most the float64 floor
     floor = np.nextafter((kth - projection.bound).astype(np.float32), -np.inf)
-    full = (np.count_nonzero(near.scores >= floor[:, None], axis=1)
-            > FALLBACK_SHARE * np.array(near.counts))
+    qi, positions = near.above(floor)
+    # a nearest list of fewer than k rows gives no floor: an empty one would
+    # keep every row of the other lists
+    full = (near.counts < k) | (np.bincount(qi, minlength=len(queries))
+                                > FALLBACK_SHARE * near.counts)
     live = np.flatnonzero(~full)
-    window = _Window.of(projection.columns, layout.offsets, zq[live], probed[live],
-                        first=near.scores[live])
-    qi, positions = window.above(floor[live])
-    full[live] = np.bincount(qi, minlength=live.size) > FALLBACK_SHARE * np.array(window.counts)
-    kept = ~full[live[qi]]
-    hits = _top(layout, queries[live], qi[kept], positions[kept], k)
-    for u, query_hits in zip(live.tolist(), hits):
-        if not full[u]:
-            out[u] = query_hits
-    return np.flatnonzero(full)
+    rest = _Window.of(projection.columns, layout.offsets, zq[live], probed[live, 1:])
+    ri, rest_positions = rest.above(floor[live])
+    kept = ~full[qi]
+    hits = _top(layout, queries, np.concatenate([qi[kept], live[ri]]),
+                np.concatenate([positions[kept], rest_positions]), k)
+    return hits, np.flatnonzero(full)
 
 
 @dataclass(frozen=True)
 class _Window:
     """A window's float32 products with the rows of the lists each query
     probes: row ``u`` of ``scores`` holds query ``u``'s lists end to end,
-    in probe order, and, where they are shorter than the longest, -inf
-    (``padded``); ``counts`` is the number of rows each query scanned.
+    in probe order, and, where they are shorter than the longest, -inf;
+    ``counts`` is the number of rows each query scanned.
     A (query, list) segment starts at flat index ``begin[i]`` of
     ``scores``, and ``shift[i]`` added to a flat index in it gives the
-    scan position."""
+    scan position. The projected scan makes two: the nearest lists, which
+    alone decide fallback, then the other probed lists of the queries that
+    stay (see :func:`_scan_projected`)."""
 
     scores: np.ndarray
-    counts: list[int]
-    padded: bool
+    counts: np.ndarray
     begin: list[int]
     shift: np.ndarray
 
     @classmethod
     def of(cls, columns: list[np.ndarray], offsets: list[int], q32: np.ndarray,
-           probed: np.ndarray, first: np.ndarray | None = None) -> _Window:
+           probed: np.ndarray) -> _Window:
         """One product per list, of the queries that probe it with the
-        list's ``columns`` (width x rows, a row per column, in scan order);
-        with ``first``, the scores of a window of each query's first list,
-        that list's products are copied from it."""
+        list's ``columns`` (width x rows, a row per column, in scan order)."""
         segments, counts = [], []  # (query, list, first column) in probe order
         users: dict[int, list[tuple[int, int]]] = {}
         for u, lists in enumerate(probed.tolist()):
             col = 0
-            for j, c in enumerate(lists):
+            for c in lists:
                 segments.append((u, c, col))
-                if j or first is None:
-                    users.setdefault(c, []).append((u, col))
+                users.setdefault(c, []).append((u, col))
                 col += offsets[c + 1] - offsets[c]
             counts.append(col)
         width = max(counts, default=0)
@@ -711,8 +706,6 @@ class _Window:
         for u, count in enumerate(counts):
             if count < width:
                 scores[u, count:] = -np.inf
-        if first is not None:  # past a query's first list, written over or padding
-            scores[:, : first.shape[1]] = first[:, :width]
         for c, us in users.items():
             q, block = q32[[u for u, _ in us]], columns[c]
             # BLAS gets the list's rows as they lie: a column-major block as
@@ -723,16 +716,13 @@ class _Window:
                 scores[u, col : col + len(row)] = row
         begin = [u * width + col for u, _, col in segments]
         shift = [offsets[c] - b for (_, c, _), b in zip(segments, begin)]
-        return cls(scores, counts, min(counts, default=width) < width, begin,
-                   np.array(shift, dtype=np.int64))
+        return cls(scores, np.array(counts), begin, np.array(shift, dtype=np.int64))
 
     def above(self, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The queries and scan positions of the scores at or above each
-        query's float32 ``floor``. In a padded window a floor of -inf is
-        raised to the lowest float32: the query keeps every row it scanned
-        and no padding."""
-        if self.padded:
-            floor = np.maximum(floor, -np.finfo(np.float32).max)
+        query's float32 ``floor``. A floor of -inf is raised to the lowest
+        float32: the query keeps every row it scanned and no padding."""
+        floor = np.maximum(floor, -np.finfo(np.float32).max)
         flat = (self.scores >= floor[:, None]).ravel().nonzero()[0]
         qi = flat // self.scores.shape[1]
         segment = qi  # with one list per query, a query's segment is the query
@@ -767,10 +757,12 @@ def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
 
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
-    """Linear-scan oracle: full sort of every record by (-score, id)."""
+    """Linear-scan oracle: every row scored by :func:`_rescore`, in the bits
+    retrieval gives, then one sort of every record by (-score, id)."""
     q = check_query(index, query, k)
-    scores = [float(np.dot(row.astype(np.float64), q)) for row in index.vectors]
-    top = sorted(range(len(index)), key=lambda r: (-scores[r], index.records[r].id))[:k]
+    rows = np.arange(len(index))
+    scores = _rescore(index.vectors, rows, np.broadcast_to(q, index.vectors.shape)).tolist()
+    top = sorted(rows.tolist(), key=lambda r: (-scores[r], index.records[r].id))[:k]
     return retrieved(index, np.array(top), np.clip([scores[r] for r in top], -1.0, 1.0))
 
 

@@ -81,13 +81,16 @@ class TestAsMatrix:
         [[b"1"]],
         [[2**70, "1.5"]],  # an int beyond int64 makes an array of objects
         np.array([[True, False]]),
+        [[0.5, True]],  # numpy reads a bool among numbers as 1.0
+        [[0.5, 1.0], [np.False_, 0.5]],
     ])
     def test_ragged_or_non_numeric_is_a_schema_error(self, values):
         with pytest.raises(SchemaError):
             as_matrix(values, "service vectors")
 
     @pytest.mark.parametrize("values", [["1.5", "2"], [True, False], [b"1"],
-                                        [2**70, np.bool_(True)]])
+                                        [2**70, np.bool_(True)], [0.5, True],
+                                        [1, False], (0.5, np.True_)])
     def test_strings_and_bools_are_not_a_vector(self, values):
         with pytest.raises(SchemaError, match="bools, strings or bytes"):
             as_vector(values)
@@ -254,7 +257,8 @@ class TestPrecomputedStore:
         store.add("dog", [0.5, 0.5, 0.0])
         assert np.allclose(store.vector("dog"), [0.5, 0.5, 0.0])
 
-    @pytest.mark.parametrize("vector", [["1", "0", "0"], [True, False, False]])
+    @pytest.mark.parametrize("vector", [["1", "0", "0"], [True, False, False],
+                                        [0.5, True, 0.0]])
     def test_vector_of_strings_or_bools_is_rejected(self, vector):
         store = self.make_store()
         for key in ("dog", "new"):

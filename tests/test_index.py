@@ -657,6 +657,12 @@ def alone(index, queries, k, probes):
             for hits in (retrieve_topk(index, q, k, probes) for q in queries)]
 
 
+def alone_oracle(index, queries, k):
+    """Each query's :func:`exact_topk` hits, in the form of :func:`in_windows`."""
+    return [([h.row for h in hits], [h.score.hex() for h in hits])
+            for hits in (exact_topk(index, q, k) for q in queries)]
+
+
 class TestRetrieveWindow:
     """A window of queries gives each query the hits of its own
     ``retrieve_topk``, whatever the window's size or the product used."""
@@ -840,10 +846,10 @@ def projected(monkeypatch):
     counts = []
     scan = index_mod._scan_projected
 
-    def counted(layout, queries, probed, k, out):
-        full = scan(layout, queries, probed, k, out)
+    def counted(layout, queries, probed, k):
+        hits, full = scan(layout, queries, probed, k)
         counts.append((len(queries), len(full)))
-        return full
+        return hits, full
 
     monkeypatch.setattr(index_mod, "_scan_projected", counted)
     return counts
@@ -997,6 +1003,50 @@ class TestProjectedScan:
             units = [check_query(part, q, k) for q in queries]
             assert in_windows(part, units, k, probes, window) == alone(part, queries, k, probes)
 
+    def test_nearest_list_alone_decides_fallback(self, projected, monkeypatch):
+        """The nearest list keeps fewer than ``FALLBACK_SHARE`` of its rows,
+        and the other probed list, whose rows all outscore the nearest
+        list's k-th, keeps every row, more than ``FALLBACK_SHARE`` of the
+        rows both lists hold: the queries stay on the projected scan."""
+        rng = np.random.default_rng(80)
+        axis = np.eye(16)[0]
+        vectors = unit_rows_of(np.concatenate([
+            axis + 0.05 * rng.standard_normal((10, 16)),  # the nearest list's best
+            rng.standard_normal((990, 16)),
+            axis + 0.02 * rng.standard_normal((200, 16))]))  # the other list
+        part = hand_index(vectors, [np.arange(1000), np.arange(1000, 1200)],
+                          [axis, np.eye(16)[1]])
+        k = 5
+        queries = axis + 0.01 * rng.standard_normal((6, 16))
+        units = [check_query(part, q, k) for q in queries]
+        for unit in units:
+            scores = vectors.astype(np.float64) @ unit
+            assert (np.count_nonzero(scores[1000:] >= np.sort(scores[:1000])[-k])
+                    > index_mod.FALLBACK_SHARE * len(vectors))
+        for probes in (2, "all"):
+            want = full_width_hits(part, units, k, probes, monkeypatch)
+            assert bits(retrieve_window(part, units, k, probes)) == want
+            assert bits(retrieve_window(part, units[:1], k, probes)) == want[:1]
+        assert projected == [(6, 0), (1, 0)] * 2  # no query fell back
+
+    def test_empty_nearest_list_falls_back(self, projected, monkeypatch):
+        """A query whose nearest list is empty has no floor: it falls back
+        and does not rescore every row of its other lists, even where no
+        share of kept rows would make it."""
+        monkeypatch.setattr(index_mod, "FALLBACK_SHARE", 1.0)
+        rng = np.random.default_rng(81)
+        vectors = unit_rows(rng, 600, 16)
+        queries = rng.standard_normal((4, 16))
+        aim = queries[0] / np.linalg.norm(queries[0])
+        lists = [[], np.arange(0, 300), np.arange(300, 600)]
+        part = hand_index(vectors, lists, [aim, vectors[:300].mean(axis=0),
+                                           vectors[300:].mean(axis=0)])
+        units = [check_query(part, q, 5) for q in queries]
+        for probes in (2, "all"):
+            want = full_width_hits(part, units, 5, probes, monkeypatch)
+            assert bits(retrieve_window(part, units, 5, probes)) == want
+        assert [full for _, full in projected] == [1, 1]  # the first query
+
     def test_isotropic_rows_fall_back(self, projected, monkeypatch):
         rng = np.random.default_rng(74)
         records, store = random_corpus(rng, 4000, 32)
@@ -1028,7 +1078,8 @@ def one_list_world():
 def test_one_list_probed_by_many_queries(monkeypatch, path, count):
     """A window in which one list is probed by 1 to 8 queries, all of
     them in one product: each query gets the hits of a window of one, to
-    the bits of each score, and at ``probes="all"`` the oracle's rows."""
+    the bits of each score, and at ``probes="all"`` the oracle's rows and
+    score bits."""
     if path == "projected":
         monkeypatch.setattr(index_mod, "PROJECT_MIN", 0)
         monkeypatch.setattr(index_mod, "PROJECT_MIN_DIM", 0)
@@ -1043,8 +1094,7 @@ def test_one_list_probed_by_many_queries(monkeypatch, path, count):
         got = in_windows(part, units, k, probes, count)
         assert got == alone(part, queries, k, probes)
         if probes == "all":
-            assert [rows for rows, _ in got] == [[h.row for h in exact_topk(part, q, k)]
-                                                 for q in queries]
+            assert got == alone_oracle(part, queries, k)
     assert ("projection" in part._layout.__dict__) == (path == "projected")
 
 

@@ -262,7 +262,11 @@ class TestOneConnection:
 def mute_server(hold):
     """A server that reads each connection's request and never replies: it
     closes the connection, or with ``hold`` keeps it open until the test
-    ends. Yields its URL and the list of connections it accepted."""
+    ends. Yields its URL and the list of connections it accepted.
+
+    It reads the whole request, the headers up to the blank line and then
+    ``Content-Length`` bytes of body, which the client may send in two
+    writes: a socket closed with bytes unread sends a reset, not a FIN."""
     server = socket.create_server(("127.0.0.1", 0))
     server.settimeout(0.05)  # a blocked accept would not see the test end
     accepted, done = [], threading.Event()
@@ -274,8 +278,9 @@ def mute_server(hold):
             except TimeoutError:
                 continue
             accepted.append(conn)
-            with conn:
-                conn.recv(65536)
+            with conn, conn.makefile("rb") as request:
+                request.readline()  # the request line
+                request.read(int(http.client.parse_headers(request)["Content-Length"]))
                 if hold:
                     done.wait(10)
 
@@ -476,6 +481,20 @@ class TestMalformedReply:
         client = RemoteEmbeddingClient("http://embedding.test/")
         with pytest.raises(SchemaError):
             client.embed_image("bad-ref")
+
+    def test_bool_among_numbers_fails_only_its_call(self, monkeypatch):
+        """A JSON ``true`` among a reply's numbers is not read as 1.0: the
+        call fails, the client learns no dim from it, and the next call
+        succeeds."""
+        replies = [b'{"dim": 2, "vectors": [[0.5, true]]}',
+                   reply_of({"dim": 2, "vectors": [[0.5, 1.0]]})]
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            lambda self, body: replies.pop(0))
+        client = RemoteEmbeddingClient("http://embedding.test/")
+        with pytest.raises(SchemaError, match="^service vectors is not a numeric matrix"):
+            client.embed_texts(["dog"])
+        assert client.dim is None
+        assert client.embed_texts(["dog"]).tolist() == [[0.5, 1.0]]
 
     def test_reply_that_is_not_an_object(self, monkeypatch):
         reply = reply_of([[1.0, 0.0]])

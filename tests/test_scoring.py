@@ -503,8 +503,8 @@ class TestClassifyBatch:
         assert results[1].error_code == "unknown-image-ref"
 
     @pytest.mark.parametrize("bad", [["1", "0", "0", "0"], [True, False, False, False],
-                                     np.array(["1.5", "0", "0", "0"])],
-                             ids=["str", "bool", "str-array"])
+                                     np.array(["1.5", "0", "0", "0"]), [0.5, True, 0.0, 0.0]],
+                             ids=["str", "bool", "str-array", "mixed-bool"])
     def test_vector_of_strings_or_bools_fails_alone(self, tagger, bad):
         index, store, queries = self.world()
         config = ClassifierConfig(k=4)
