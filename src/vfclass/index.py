@@ -40,42 +40,28 @@ Each probed list is scanned by one float32 product over the window's
 queries that probe it, ``Q @ C`` for the list's (width x rows) block of
 columns ``C`` (the inverted-file layout). A partitioned index copies each
 list's rows column-major, each list one C-contiguous block, on its first
-full-width scan (n * dim * 4 bytes, as the row-major copy in partition
-order it made before); a flat index's rows are already in scan order, so
-its block is the transpose of ``index.vectors`` in place, and the product
-is ``V @ Q.T``: either way BLAS gets the rows as they lie. Per list of
-3,125 float32 rows, scanned cold (a pass over 32 such lists), one BLAS
-thread, in µs per product (median of 9):
-
-    width  queries  row-major, one GEMV per   column-major  row-major
-                    query below 4 (before)    ``Q @ C``     ``V @ Q.T``
-    52     1        35                        32            31
-    52     2        48                        35            90
-    52     4        94                        37            98
-    52     8        114                       90            118
-    128    1        167                       103           165
-    128    2        206                       301           245
-    128    4        267                       354           264
-    128    8        286                       402           282
-
+full-width scan (n * dim * 4 bytes); a flat index's rows are already in
+scan order, so its block is the transpose of ``index.vectors`` in place,
+and the product is ``V @ Q.T``: either way BLAS gets the rows as they lie.
 Column-major reads fastest, or as fast, at the projected width (below), and
-fastest for one query at full width, as a partitioned index's full-width
-scan (the queries the projection does not prune) mostly is. Row-major reads
-fastest for several queries at full width, as a flat index's one list,
-probed by every query of a window, is; a partitioned list that 2 or more
-queries scan at full width reads up to 1.6 times slower than before. The
-window's float32 scores are one (queries x rows) array, each query's lists
-end to end and padded with -inf to the longest. The cut takes every query's
-k-th score with one ``np.partition`` along the rows; keeps, with one float32
-comparison, every row within the layout's ``slack`` of it (twice the
-rounding bound of ``_score_bound``, plus the rounding of the subtraction);
-rescores those (query, row) pairs in float64 with one gather and one
-row-wise ``einsum``; and orders them with one ``np.lexsort`` by (query,
--score, row), so each query's first k are exactly its float64 brute-force
-top k. The rescore is a row-wise ``einsum`` and not a BLAS product: a row's
-float64 score is the same bits whichever scan or window found it. A window
-gives each query its hits as two arrays, rows and scores; :func:`retrieved`
-makes them captions.
+for one query at full width, as a partitioned index's full-width scan
+mostly is; row-major reads fastest for several queries at full width, as a
+flat index's one list, probed by every query of a window, is (README's
+retrieval notes give the measured products). The window's float32 scores
+are one (queries x rows) array, each query's lists end to end and padded
+with -inf to the longest.
+
+Each scan pass keeps the (query, scan position) pairs whose float32 score
+reaches the query's :func:`_floor`, one rule for every pass: a float64
+value at most each of the query's top-k scores, less the pass's proven
+bound, rounded to a float32 and one step down. :func:`_scan` then cuts the
+window once, over the pairs of every pass: one gather and one row-wise
+``einsum`` rescore them in float64, and one ``np.lexsort`` by (query,
+-score, row) orders them, so each query's first k are exactly its float64
+brute-force top k. The rescore is a row-wise ``einsum`` and not a BLAS
+product: a row's float64 score is the same bits whichever pass or window
+kept it. A window gives each query its hits as two arrays, rows and
+scores; :func:`retrieved` makes them captions.
 
 An index of at least ``PROJECT_MIN`` rows x dim values first scans a
 projected copy of its rows (a lower-dimensional filter with a proven
@@ -91,19 +77,17 @@ is a whole number of 16-byte words (width 51 of 128 on the seeded 100k x
 bounds the row's score from above, to within the float32 error of
 :func:`_projected_bound`, which counts ``P``'s measured departure from
 orthonormality. The window's nearest lists, one per query, are scanned
-first as one window: the lowest float64 score of a query's k rows of
-highest upper bound, less that error, is its floor, and a row is kept if
-its upper bound reaches it (the floor rounded down to a float32). The
+first as one window: the floor's value is the lowest float64 score of a
+query's k rows of highest upper bound, and its bound is that error. The
 nearest list alone decides: a query that keeps more than
 ``FALLBACK_SHARE`` of its nearest list's rows, or whose nearest list has
 fewer than k rows and so gives no floor, falls back to the full-width
-scan, so on data where the bound prunes nothing a partitioned
-query costs one projected list more than before (a flat index's nearest
-list is all of it). The other queries scan their other probed lists as a
-second window, and the kept (query, row) pairs of both are rescored in
-float64 in one cut as above. So the top k are the same rows and the same
-bits. An index of fewer than ``PROJECT_MIN_DIM`` dimensions scans its
-full-width rows only.
+scan (where the bound prunes nothing, a partitioned query so scans one
+projected list more; a flat index's nearest list is all of it). The
+others scan their other probed lists as a second window. The one cut
+takes the kept pairs of both windows and the full-width pairs of the
+queries that fell back. An index of fewer than ``PROJECT_MIN_DIM``
+dimensions scans its full-width rows only.
 """
 
 from __future__ import annotations
@@ -145,7 +129,9 @@ STRUCTURE_PARTITIONED = 1
 
 KMEANS_ITERS = 25
 DEFAULT_PROBES = 8
-SCAN_BLOCK = 1 << 20  # float32 scores one retrieval product holds at most (4 MiB)
+# values one block holds at most: a retrieval window's float32 scores, or rows
+# x dim of a scan copy's step, of the oracle's rescore or of score/fuse
+SCAN_BLOCK = 1 << 20
 # an index of fewer rows x dim values (16 MiB of float32 rows) scans its
 # full-width rows only: below it, the rows a query scans were not read faster
 # through the projection (seeded clusters of 50 rows, 32 lists, probes 8,
@@ -188,15 +174,11 @@ class _ScanLayout:
     """The scan order of an index's ``vectors``: scan position ``i`` holds
     index row ``rows[i]``, and partition ``c`` is scan positions
     ``offsets[c]`` to ``offsets[c + 1]``; ``max_norm`` is the largest row
-    norm, and ``slack`` what a floor is below a k-th float32 score: twice
-    the bound of ``_score_bound`` for these rows, plus ``2**-23 *
-    max_norm`` for the float32 rounding of the subtraction (a score and the
-    slack together are at most ``2 * max_norm``), rounded up to a float32."""
+    norm."""
 
     vectors: np.ndarray
     rows: np.ndarray
     offsets: list[int]
-    slack: np.float32
     max_norm: float
 
     @cached_property
@@ -219,15 +201,21 @@ class _ScanLayout:
                               _basis(self.vectors, self.rows), self.max_norm)
 
 
+def _per_block(size: int) -> int:
+    """How many items of ``size`` values each one block holds: at most
+    ``SCAN_BLOCK`` values, and at least one item."""
+    return max(1, SCAN_BLOCK // max(1, size))
+
+
 def _columns(vectors: np.ndarray, rows: np.ndarray, offsets: list[int], width: int,
              convert) -> list[np.ndarray]:
     """Each list of a scan layout as one C-contiguous (width x rows)
     float32 block, a column per row in scan order: ``convert`` of that row
-    of ``vectors``, which it gets ``SCAN_BLOCK`` values at a time, so no
-    float64 copy of them all is made. Each list is a block of its own, not
-    a slice of one array of all the lists: with 128 columns, such a slice
-    took up to 1.9 times as long per product of 3 to 8 queries."""
-    step = max(1, SCAN_BLOCK // max(1, vectors.shape[1]))
+    of ``vectors``, which it gets a block of rows at a time, so no float64
+    copy of them all is made. Each list is a block of its own, not a slice
+    of one array of all the lists: with 128 columns, such a slice took up
+    to 1.9 times as long per product of 3 to 8 queries."""
+    step = _per_block(vectors.shape[1])
     blocks = []
     for start, stop in zip(offsets, offsets[1:]):
         block = np.empty((width, stop - start), dtype=np.float32)
@@ -321,12 +309,8 @@ class CaptionIndex:
         lists = [np.arange(len(self))] if self.structure == "flat" else self.partitions
         rows = np.concatenate([np.empty(0, np.int64), *lists])
         max_norm = float(np.sqrt(_squared_norms(self.vectors).max(initial=0.0)))
-        return _ScanLayout(
-            self.vectors, rows, [0, *np.cumsum([m.size for m in lists]).tolist()],
-            np.nextafter(np.float32(2 * _score_bound(self.dim, max_norm) + 2.0**-23 * max_norm),
-                         np.float32(np.inf)),
-            max_norm,
-        )
+        return _ScanLayout(self.vectors, rows,
+                           [0, *np.cumsum([m.size for m in lists]).tolist()], max_norm)
 
 
 def _embed_records(records: list[CaptionRecord], provider) -> np.ndarray:
@@ -505,9 +489,10 @@ def _score_bound(dim: int, max_norm: float) -> float:
       ``sum|x_j q_j| <= ||x|| * ||q||``;
     - the float64 product errs by at most ``dim * 2**-53 / (1 - dim * 2**-53)``,
       below ``u / 2`` for ``dim < 2**28``, and ``||q||`` is 1 to within a few
-      float64 ulps; one more ``u`` covers both and underflow in float32 (at
-      most ``(dim + 1) * 2**-149``). The float32 rounding of the floor, a
-      k-th score less twice this bound, is the scan layout's to cover.
+      float64 ulps; one more ``u`` covers both, underflow in float32 (at
+      most ``(dim + 1) * 2**-149``) and the float64 rounding of the
+      full-width floor, a k-th float32 score less this bound twice, which
+      :func:`_floor` then rounds down to a float32.
 
     So ``|s32 - s64| <= g(dim + 2) * max_norm``: about ``(dim + 2) * 2**-24``
     for unit rows. ``max_norm`` is measured on the rows, so the bound holds
@@ -583,18 +568,19 @@ def retrieve_window(
     vectors :func:`check_query` returns for ``k``, in order, as a pair of
     arrays: the hit rows and their scores, best first.
 
-    The queries are cut at most ``SCAN_BLOCK // len(index)`` at a time, so
-    that no window of float32 scores holds more than ``SCAN_BLOCK`` of
-    them; each window is scanned and cut once (see the module docstring).
+    The queries are cut into windows of at most ``SCAN_BLOCK`` float32
+    scores (:func:`_per_block` of the index's rows); each window is scanned
+    and cut once (see the module docstring).
     """
     check_probes(probes)
-    step = max(1, SCAN_BLOCK // max(1, len(index)))
+    step = _per_block(len(index))
     chunks = (np.array(queries[start : start + step])
               for start in range(0, len(queries), step))
     return [hits for chunk in chunks for hits in _scan(index, chunk, k, probes)]
 
 
 def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
+    """The hits of a window: the pairs every scan pass keeps, cut once."""
     layout = index._layout
     if index.structure == "partitioned":  # nearest list first
         n_probe = index.num_partitions
@@ -605,43 +591,53 @@ def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
     else:  # a flat index is one list
         probed = np.zeros((len(queries), 1), dtype=np.int64)
     if len(index) * index.dim < PROJECT_MIN or index.dim < PROJECT_MIN_DIM:
-        return _scan_full_width(layout, queries, probed, k)
-    hits, full = _scan_projected(layout, queries, probed, k)
-    if full.size:
-        for u, query_hits in zip(full.tolist(),
-                                 _scan_full_width(layout, queries[full], probed[full], k)):
-            hits[u] = query_hits
-    return hits
-
-
-def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> list:
-    """The hits of each query from its float32 products with the full-width
-    rows: the rows within the layout's ``slack`` of its k-th float32 score
-    are rescored in float64."""
-    window = _Window.of(layout.columns, layout.offsets, queries.astype(np.float32), probed)
-    scores = window.scores
-    if scores.shape[1] > k:
-        top = scores.copy()
-        top.partition(scores.shape[1] - k, axis=1)
-        kth = top[:, -k]
-    else:  # every row scanned is in the top k
-        kth = np.full(len(queries), -np.inf, dtype=np.float32)
-    qi, positions = window.above(kth - layout.slack)
+        return _top(layout, queries, *_scan_full_width(layout, queries, probed, k), k)
+    qi, positions, full = _scan_projected(layout, queries, probed, k)
+    if full.size:  # the queries that fell back, mapped back into the window
+        fi, more = _scan_full_width(layout, queries[full], probed[full], k)
+        qi, positions = np.concatenate([qi, full[fi]]), np.concatenate([positions, more])
     return _top(layout, queries, qi, positions, k)
 
 
-def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple[list, np.ndarray]:
-    """The hits of each query the projection prunes (none for the others),
-    and the queries that fall back to the full-width scan, in order.
+def _floor(value: np.ndarray, bound: float) -> np.ndarray:
+    """``value - bound`` rounded to a float32 and one step down, so at most
+    it: for a float64 ``value`` at most each of a query's top-k scores, and
+    a ``bound`` on how far a row's float32 score falls below its float64
+    one, every top-k row's float32 score reaches it. A value of -inf gives
+    the lowest float32, which keeps every row scanned and no padding."""
+    return np.nextafter((value - bound).astype(np.float32), np.finfo(np.float32).min)
 
-    Each query's nearest list is scanned first, as one window, and the
-    lowest float64 score of its k rows of highest upper bound, less the
-    bound of :func:`_projected_bound`, is the floor: a row whose upper bound
-    is below it cannot reach the top k. The nearest list alone decides: a
-    query falls back when more than ``FALLBACK_SHARE`` of that list's rows
-    are at or above its floor, or the list has fewer than k rows and so no
-    floor. The others scan their other probed lists as a second window,
-    and the kept (query, row) pairs of both are cut once.
+
+def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> tuple:
+    """The (query, scan position) pairs of the full-width rows that can
+    reach each query's float64 top k. The k rows of highest float32 score
+    each score at least the k-th of them less :func:`_score_bound` in
+    float64: that is the :func:`_floor`'s value, and the bound its bound."""
+    window = _Window.of(layout.columns, layout.offsets, queries.astype(np.float32), probed)
+    if window.scores.shape[1] > k:
+        top = window.scores.copy()
+        top.partition(top.shape[1] - k, axis=1)
+        kth = top[:, -k]
+    else:  # every row scanned is in the top k
+        kth = np.full(len(queries), -np.inf, dtype=np.float32)
+    bound = _score_bound(queries.shape[1], layout.max_norm)
+    return window.above(_floor(np.subtract(kth, bound, dtype=np.float64), bound))
+
+
+def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple:
+    """The (query, scan position) pairs the projection keeps for the
+    queries it prunes, and the queries that fall back to the full-width
+    scan, in order.
+
+    Each query's nearest list is scanned first, as one window. The lowest
+    float64 score of its k rows of highest upper bound is the value of its
+    :func:`_floor`, and the bound of :func:`_projected_bound` the bound: a
+    row whose upper bound is below that floor cannot reach the top k. The
+    nearest list alone decides: a query falls back when more than
+    ``FALLBACK_SHARE`` of that list's rows are at or above its floor, or
+    the list has fewer than k rows and so no floor. The others scan their
+    other probed lists as a second window, and the kept pairs of both are
+    returned together.
     """
     projection = layout.projection
     zq = projection.queries(queries)
@@ -654,8 +650,7 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple[list,
         exact = _rescore(layout.vectors, rows.ravel(), queries.repeat(k, axis=0))
         # the lowest of k rows' float64 scores is at most the k-th of all rows
         kth = exact.reshape(-1, k).min(axis=1)
-    # rounded to a float32 and one step down: at most the float64 floor
-    floor = np.nextafter((kth - projection.bound).astype(np.float32), -np.inf)
+    floor = _floor(kth, projection.bound)
     qi, positions = near.above(floor)
     # a nearest list of fewer than k rows gives no floor: an empty one would
     # keep every row of the other lists
@@ -665,9 +660,8 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple[list,
     rest = _Window.of(projection.columns, layout.offsets, zq[live], probed[live, 1:])
     ri, rest_positions = rest.above(floor[live])
     kept = ~full[qi]
-    hits = _top(layout, queries, np.concatenate([qi[kept], live[ri]]),
-                np.concatenate([positions[kept], rest_positions]), k)
-    return hits, np.flatnonzero(full)
+    return (np.concatenate([qi[kept], live[ri]]),
+            np.concatenate([positions[kept], rest_positions]), np.flatnonzero(full))
 
 
 @dataclass(frozen=True)
@@ -720,9 +714,7 @@ class _Window:
 
     def above(self, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The queries and scan positions of the scores at or above each
-        query's float32 ``floor``. A floor of -inf is raised to the lowest
-        float32: the query keeps every row it scanned and no padding."""
-        floor = np.maximum(floor, -np.finfo(np.float32).max)
+        query's float32 ``floor``, a :func:`_floor`."""
         flat = (self.scores >= floor[:, None]).ravel().nonzero()[0]
         qi = flat // self.scores.shape[1]
         segment = qi  # with one list per query, a query's segment is the query
@@ -740,10 +732,11 @@ def _rescore(vectors: np.ndarray, rows: np.ndarray, queries: np.ndarray) -> np.n
 
 def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
          k: int) -> list[tuple]:
-    """The rows and float64 scores of each query's top k among its pairs
-    (``qi``, ``positions``), a shortlist that holds every row that can
-    reach the query's float64 top k; its first k in (-score, row) order
-    are those in (-score, id) order."""
+    """The one cut of a window: the rows and float64 scores of each query's
+    top k among its pairs (``qi``, ``positions``), in any order, a
+    shortlist that holds every row that can reach the query's float64 top
+    k; its first k in (-score, row) order are those in (-score, id)
+    order."""
     rows = layout.rows[positions]
     exact = _rescore(layout.vectors, rows, queries.take(qi, axis=0))
     order = np.lexsort((rows, -exact, qi))
@@ -758,12 +751,17 @@ def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
 
 def exact_topk(index: CaptionIndex, query, k: int) -> list[RetrievedCaption]:
     """Linear-scan oracle: every row scored by :func:`_rescore`, in the bits
-    retrieval gives, then one sort of every record by (-score, id)."""
+    retrieval gives, a block at a time; then the rows at or above the k-th
+    score, ties included, sorted by (-score, id)."""
     q = check_query(index, query, k)
-    rows = np.arange(len(index))
-    scores = _rescore(index.vectors, rows, np.broadcast_to(q, index.vectors.shape)).tolist()
-    top = sorted(rows.tolist(), key=lambda r: (-scores[r], index.records[r].id))[:k]
-    return retrieved(index, np.array(top), np.clip([scores[r] for r in top], -1.0, 1.0))
+    scores, step = np.empty(len(index)), _per_block(index.dim)
+    for start in range(0, len(index), step):
+        rows = np.arange(start, min(start + step, len(index)))
+        scores[rows] = _rescore(index.vectors, rows, np.broadcast_to(q, (len(rows), len(q))))
+    kth = np.partition(scores, -k)[-k] if k < len(scores) else -np.inf
+    top = sorted(np.flatnonzero(scores >= kth).tolist(),
+                 key=lambda r: (-scores[r], index.records[r].id))[:k]
+    return retrieved(index, np.array(top, dtype=np.int64), scores[top].clip(-1.0, 1.0))
 
 
 def _index_body(index: CaptionIndex) -> list:

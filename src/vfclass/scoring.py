@@ -28,11 +28,12 @@ Score/fuse then runs over the window's candidate rows at once: each row's
 two cosines are row-wise products with its own query's unit vector and
 caption centroid, and each query's softmaxes run over its own segment of
 rows, so a prediction does not depend on the window it arrives in. A
-window whose candidate rows times dim exceed ``SCORE_BLOCK`` is scored in
-chunks of whole queries. Between the stages a query is one record of named
-arrays, or the error that classifying it alone raises, which the later
-stages skip. A failed provider call is retried on each half of its
-queries, down to one query, which sends what a window of one does.
+window whose candidate rows times dim exceed ``index.SCAN_BLOCK`` is
+scored in chunks of whole queries. Between the stages a query is one
+record of named arrays, or the error that classifying it alone raises,
+which the later stages skip. A failed provider call is retried on each
+half of its queries, down to one query, which sends what a window of one
+does.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ from .errors import (
 from .index import (
     CaptionIndex,
     RetrievedCaption,
+    _per_block,
     check_probes,
     check_query,
     retrieve_window,
     retrieved,
 )
-
-SCORE_BLOCK = 1 << 20  # candidate rows x dim one score/fuse block holds at most
 
 
 @dataclass
@@ -291,8 +291,8 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
         else:
             w.vectors = vectors
     live = [w for w in live if w.error is None]
-    # whole queries, each block within SCORE_BLOCK candidate rows x dim
-    step = max(1, SCORE_BLOCK // max((w.vectors.size for w in live), default=1))
+    # whole queries, each block within index.SCAN_BLOCK candidate rows x dim
+    step = _per_block(max((w.vectors.size for w in live), default=1))
     for start in range(0, len(live), step):
         _score(live[start : start + step], index, config.alpha)
     return [w.error or w.prediction for w in window]

@@ -419,6 +419,34 @@ class TestRetrieveTopk:
             via_scan = exact_topk(index, query, 7)
             assert [h.record.id for h in via_probe] == [h.record.id for h in via_scan]
 
+    def test_exact_topk_scores_a_block_at_a_time(self, monkeypatch):
+        """With blocks of 2**14 values, the oracle's peak memory is well
+        under one float64 copy of the rows, and its hits and score bits
+        equal those of one block; each query ties with a twin row in
+        another block."""
+        rng = np.random.default_rng(24)
+        rows = unit_rows(rng, 4096, 64)
+        index = hand_index(np.concatenate([rows, rows[:40]]))
+        queries = [*rows[:40:8], *rng.standard_normal((5, 64))]
+
+        def oracle(k):
+            return [[(h.row, h.score.hex()) for h in exact_topk(index, q, k)]
+                    for q in queries]
+
+        whole = {k: oracle(k) for k in (1, 10, len(index))}
+        monkeypatch.setattr(index_mod, "SCAN_BLOCK", 1 << 14)
+        tracemalloc.start()
+        try:
+            blocks = oracle(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < index.vectors.nbytes / 2
+        assert blocks == whole[10]
+        assert {k: oracle(k) for k in (1, len(index))} == {
+            k: whole[k] for k in (1, len(index))}
+        assert all(hits[1][0] == hits[0][0] + 4096 for hits in whole[10][:5])  # twins
+
     def test_limited_probes_returns_sorted_subset(self):
         rng = np.random.default_rng(23)
         records, store = random_corpus(rng, 400, 8)
@@ -847,9 +875,9 @@ def projected(monkeypatch):
     scan = index_mod._scan_projected
 
     def counted(layout, queries, probed, k):
-        hits, full = scan(layout, queries, probed, k)
+        qi, positions, full = scan(layout, queries, probed, k)
         counts.append((len(queries), len(full)))
-        return hits, full
+        return qi, positions, full
 
     monkeypatch.setattr(index_mod, "_scan_projected", counted)
     return counts
@@ -1046,6 +1074,34 @@ class TestProjectedScan:
             want = full_width_hits(part, units, 5, probes, monkeypatch)
             assert bits(retrieve_window(part, units, 5, probes)) == want
         assert [full for _, full in projected] == [1, 1]  # the first query
+
+    def test_one_cut_per_window(self, projected, monkeypatch):
+        """Queries near the first list's few rows on the axis are pruned,
+        and queries nearest the other, isotropic list fall back; a window
+        of both is cut once, and each query gets the hits and score bits
+        of a window of one and of the full-width scan."""
+        rng = np.random.default_rng(82)
+        axis = np.eye(16)[0]
+        vectors = unit_rows_of(np.concatenate([
+            axis + 0.05 * rng.standard_normal((10, 16)), rng.standard_normal((1990, 16))]))
+        part = hand_index(vectors, [np.arange(1000), np.arange(1000, 2000)], [axis, -axis])
+        queries = [q for pair in zip(axis + 0.01 * rng.standard_normal((5, 16)),
+                                     rng.standard_normal((5, 16)) - 2 * axis) for q in pair]
+        calls = []
+        scan, top = index_mod._scan, index_mod._top
+        monkeypatch.setattr(index_mod, "_scan", lambda *args: calls.append("scan") or scan(*args))
+        monkeypatch.setattr(index_mod, "_top", lambda *args: calls.append("top") or top(*args))
+        for k, probes in ((5, 1), (10, 2), (5, "all")):
+            units = [check_query(part, q, k) for q in queries]
+            with monkeypatch.context() as patch:
+                patch.setattr(index_mod, "PROJECT_MIN", float("inf"))
+                want = in_windows(part, units, k, probes, len(units))
+            assert in_windows(part, units, k, probes, 1) == want
+            projected.clear()
+            calls.clear()
+            assert in_windows(part, units, k, probes, len(units)) == want
+            assert projected == [(10, 5)]  # the window mixes both
+            assert calls == ["scan", "top"]
 
     def test_isotropic_rows_fall_back(self, projected, monkeypatch):
         rng = np.random.default_rng(74)

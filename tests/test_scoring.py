@@ -1014,7 +1014,6 @@ class TestWindowScoring:
         same_as_alone(items, queries, index, store, tagger, ClassifierConfig())
 
     @pytest.mark.parametrize("module, limits", [
-        pytest.param(scoring_mod, {"SCORE_BLOCK": 1}, id="vfclass.scoring-SCORE_BLOCK"),
         pytest.param(index_mod, {"SCAN_BLOCK": 1}, id="vfclass.index-SCAN_BLOCK"),
         pytest.param(index_mod, {"PROJECT_MIN": 0, "PROJECT_MIN_DIM": 0},
                      id="vfclass.index-PROJECT_MIN"),
