@@ -19,6 +19,7 @@ Every file the package writes goes through :func:`write_file`.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import http.client
@@ -160,6 +161,41 @@ def _as_float32(values: np.ndarray, name: str) -> np.ndarray:
     return values.astype(np.float32)
 
 
+def encode_base64(rows) -> list[str]:
+    """One string per row of ``rows``, float64 values: the base64 of the
+    row's little-endian float32 bytes, cast as :func:`_as_float32` casts,
+    to nearest, ties to even. :func:`decode_base64` reads them back."""
+    rows = np.asarray(rows, dtype=np.float64).astype("<f4")
+    return [base64.b64encode(row.tobytes()).decode("ascii") for row in rows]
+
+
+def decode_base64(strings: list, name: str, dim: int, count: int) -> np.ndarray:
+    """The ``count x dim`` float32 rows of ``strings``, each the base64 of
+    one row's little-endian float32 bytes (:func:`encode_base64`). Each
+    fault raises what :func:`as_matrix` raises for it in number lists:
+    other than ``count`` strings a :class:`ProviderUnavailableError`, a
+    string that is not base64 a :class:`SchemaError`, one of other than
+    ``dim`` values a :class:`DimensionMismatchError` and a NaN or inf an
+    :class:`EmptyInputError`."""
+    if len(strings) != count:
+        raise ProviderUnavailableError(
+            f"{name}: provider returned {len(strings)} vectors for {count}"
+        )
+    try:
+        rows = [base64.b64decode(s, validate=True) for s in strings]
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise SchemaError(f"{name} is not base64 float32: {exc}") from exc
+    for row in rows:
+        if len(row) != 4 * dim:
+            raise DimensionMismatchError(
+                f"{name}: a row of {len(row)} bytes, expected {4 * dim} for dim {dim}"
+            )
+    matrix = np.frombuffer(b"".join(rows), dtype="<f4").reshape(count, dim)
+    if not np.isfinite(matrix).all():
+        raise EmptyInputError(f"{name}: non-finite values")
+    return matrix
+
+
 def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
     """Checked float64 rows of ``dim`` (if given, else the first chunk's)
     for ``inputs``, one matrix per call of ``embed``, a bound provider
@@ -238,9 +274,11 @@ def hashed_vector(text: str, modality: str = "text", dim: int = 64) -> np.ndarra
         hashlib.sha256(seed + b"\x00" + str(block).encode()).digest()
         for block in range(-(-dim // 4))
     ]
-    # 4 eight-byte words per digest, mapped into (-1, 1)
+    # 4 eight-byte words per digest, mapped into (-1, 1): finite, and each
+    # 0.0 with a chance of about 2**-53, so the norm needs no check
     words = np.frombuffer(b"".join(digests), "<u8")[:dim]
-    return normalize(words / 2.0**64 * 2.0 - 1.0)
+    raw = words / 2.0**64 * 2.0 - 1.0
+    return raw / float(np.linalg.norm(raw))
 
 
 def _check_inputs(items, modality: str) -> list[str]:
@@ -503,11 +541,15 @@ class _Link:
 class RemoteEmbeddingClient:
     """Embedding provider speaking the remote HTTP JSON contract.
 
-    POSTs ``{"inputs": [...], "modality": "text"|"image"}`` to ``base_url``
-    and expects ``{"dim": N, "vectors": [[...], ...]}``. ``dim`` is None
-    until the first good reply, which pins it; a later reply of another
-    dim is a :class:`DimensionMismatchError`. ``timeout`` (seconds, for
-    the connect and each read) and ``identity`` are keyword-only.
+    POSTs ``{"inputs": [...], "modality": "text"|"image",
+    "encoding_format": "base64"}`` to ``base_url`` and expects
+    ``{"dim": N, "vectors": [...]}``, one vector per input: each the base64
+    of its little-endian float32 bytes (:func:`decode_base64`) or, from a
+    service that ignores ``encoding_format``, each a list of numbers.
+    ``dim`` is None until the first good reply, which pins it; a later
+    reply of another dim is a :class:`DimensionMismatchError`. ``timeout``
+    (seconds, for the connect and each read) and ``identity`` are
+    keyword-only.
 
     Each thread that calls the client gets its own HTTP/1.1 connection
     (``http.client``), kept alive across calls. A reused connection that
@@ -519,9 +561,11 @@ class RemoteEmbeddingClient:
     against the system's CA store. :meth:`close`, or collecting the
     client, closes its connections.
 
-    Returned vectors are quantized to float32 (the engine's storage
-    precision) so a live run is bit-identical to a run against the same
-    vectors dumped to a binary store.
+    Returned vectors are float32 (the engine's storage precision): number
+    lists are cast to it, to nearest, ties to even, as the stub casts
+    before it encodes, so either form gives the same bits, and a live run
+    is bit-identical to a run against the same vectors dumped to a binary
+    store.
 
     ``embed_texts`` keeps the float32 rows of the last ``TEXT_CACHE_ROWS``
     distinct texts it was asked for, least recently used out first, and
@@ -576,7 +620,8 @@ class RemoteEmbeddingClient:
         return data
 
     def _post(self, inputs: Sequence[str], modality: str) -> np.ndarray:
-        payload = json.dumps({"inputs": list(inputs), "modality": modality})
+        payload = json.dumps({"inputs": list(inputs), "modality": modality,
+                              "encoding_format": "base64"})
         try:
             data = self._exchange(payload.encode())
         except (OSError, http.client.HTTPException) as exc:
@@ -599,8 +644,11 @@ class RemoteEmbeddingClient:
         if self.dim not in (None, dim):
             raise DimensionMismatchError(
                 f"service returned dim {dim}, expected {self.dim}")
-        matrix = _as_float32(as_matrix(vectors, "service vectors", dim, count=len(inputs)),
-                             "service vectors")
+        if all(isinstance(v, str) for v in vectors):
+            matrix = decode_base64(vectors, "service vectors", dim, len(inputs))
+        else:  # number lists, from a service that ignores encoding_format
+            matrix = _as_float32(as_matrix(vectors, "service vectors", dim,
+                                           count=len(inputs)), "service vectors")
         self.dim = dim
         return matrix
 

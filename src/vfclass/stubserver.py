@@ -3,7 +3,11 @@
 Serves the remote-provider HTTP contract with hash-derived vectors: the
 same (input, modality) pair always yields the same unit vector, so runs
 against the stub are exactly reproducible and can be compared against a
-pre-dumped binary store of the same vectors. It speaks HTTP/1.1 and keeps
+pre-dumped binary store of the same vectors. A request's
+``encoding_format`` picks the reply's form: ``"float"``, the default,
+sends each vector as a list of numbers, and ``"base64"`` as the base64 of
+its little-endian float32 bytes (:func:`vfclass.embedding.encode_base64`).
+It speaks HTTP/1.1 and keeps
 a connection open between requests; an error reply closes it, and so does
 ``_StubHandler.timeout`` seconds without a byte from the client.
 """
@@ -15,7 +19,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .embedding import check_count, hashed_vector, is_count
+from .embedding import check_count, encode_base64, hashed_vector, is_count
 from .errors import EmptyInputError, VfcError
 
 
@@ -51,9 +55,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             modality = body.get("modality", "text")
             if modality not in ("text", "image"):
                 raise ValueError("'modality' must be 'text' or 'image'")
+            encoding = body.get("encoding_format", "float")
+            if encoding not in ("float", "base64"):
+                raise ValueError("'encoding_format' must be 'float' or 'base64'")
             if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
                 raise ValueError("'inputs' must be a list of strings")
-            vectors = [hashed_vector(t, modality, self.dim).tolist() for t in items]
+            rows = [hashed_vector(t, modality, self.dim) for t in items]
+            vectors = (encode_base64(rows) if encoding == "base64"
+                       else [row.tolist() for row in rows])
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             self._reply(400, {"error": str(exc)})
             return

@@ -472,6 +472,20 @@ class TestHashedVector:
         vec = hashed_vector("a caption", "text", dim)
         assert hashlib.sha256(vec.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("text, modality, hexes", [
+        ("a caption", "text", ["0x1.6b2b5b388ca91p-2", "-0x1.37be202aebfb0p-3",
+                               "0x1.241977eea5719p-1", "0x1.732e31e07f78ap-1"]),
+        ("dog", "image", ["-0x1.958bfe1eec1f4p-2", "-0x1.9b60de2ea3a62p-1",
+                          "0x1.c72b53362ca59p-2"]),
+        ("", "text", ["-0x1.0000000000000p+0"]),
+        ("ünïcode", "text", ["0x1.4b31978fc624fp-5", "0x1.c07df8a8699d6p-1",
+                             "0x1.01fe7aa100664p-2", "0x1.0d6d6e23a169ep-3",
+                             "0x1.8cf45519f947fp-2"]),
+    ])
+    def test_float_hex_pinned(self, text, modality, hexes):
+        vec = hashed_vector(text, modality, len(hexes))
+        assert [x.hex() for x in vec] == hexes
+
     def test_hash_embedder_returns_a_matrix(self):
         got = HashEmbedder(dim=8).embed_texts(["dog", "cat", "dog"])
         assert got.shape == (3, 8)

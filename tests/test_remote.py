@@ -1,5 +1,6 @@
 """Remote embedding client against the deterministic stub service."""
 
+import base64
 import contextlib
 import gc
 import http.client
@@ -19,12 +20,17 @@ import numpy as np
 import pytest
 
 import vfclass.embedding as embedding_mod
+from vfclass import stubserver
 from vfclass.candidates import FilterConfig, LexiconTagger, extract_candidates
 from vfclass.cli import _prediction_json
 from vfclass.embedding import (
     EMBED_CHUNK,
     PrecomputedStore,
     RemoteEmbeddingClient,
+    _as_float32,
+    as_matrix,
+    decode_base64,
+    encode_base64,
     hashed_vector,
 )
 from vfclass.errors import (
@@ -32,6 +38,7 @@ from vfclass.errors import (
     EmptyInputError,
     ProviderUnavailableError,
     SchemaError,
+    VfcError,
 )
 from vfclass.index import CaptionRecord, build_index
 from vfclass.scoring import ClassifierConfig, classify, classify_batch
@@ -112,11 +119,72 @@ class TestRemoteClient:
         {"inputs": "a"},
         {"inputs": ["a"], "modality": "audio"},
         ["a"],
+        {"inputs": ["a"], "encoding_format": "binary"},
+        {"inputs": ["a"], "encoding_format": "BASE64"},
+        {"inputs": ["a"], "encoding_format": None},
+        {"inputs": ["a"], "encoding_format": 64},
+        {"inputs": ["a"], "encoding_format": ["base64"]},
     ])
     def test_stub_rejects_a_malformed_request(self, stub_url, body):
         status, reply = raw_post(stub_url, json.dumps(body).encode())
         assert status == 400
         assert "error" in reply
+
+    def test_request_without_encoding_format_gets_number_lists(self, stub_url):
+        status, reply = raw_post(stub_url, json.dumps({"inputs": ["a", "b"]}).encode())
+        assert status == 200
+        assert reply["vectors"] == [hashed_vector(t, "text", 4).tolist() for t in "ab"]
+
+    def test_client_asks_for_base64(self, stub_url, monkeypatch):
+        exchanged = []
+        exchange = RemoteEmbeddingClient._exchange
+
+        def recording_exchange(self, body):
+            reply = exchange(self, body)
+            exchanged.append((json.loads(body), json.loads(reply)))
+            return reply
+
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", recording_exchange)
+        rows = RemoteEmbeddingClient(stub_url).embed_images(["r1", "r2"])
+        [(request, reply)] = exchanged
+        assert request["encoding_format"] == "base64"
+        assert all(isinstance(v, str) for v in reply["vectors"])
+        want = [hashed_vector(r, "image", 4).astype(np.float32) for r in ("r1", "r2")]
+        assert np.array_equal(rows, np.array(want, dtype=np.float64))
+
+    def test_base64_and_number_lists_give_the_same_bits(self, stub_url, monkeypatch):
+        """The stub's float32 cast before it encodes and the client's cast of
+        number lists round the same float64 values to the same bits: to
+        nearest, ties to even."""
+        f32_max = float(np.finfo(np.float32).max)  # 2**128 - 2**104
+        values = [
+            0.0, -0.0, 5e-324, 0.1,
+            # float32 subnormals
+            2.0**-149, -2.0**-149, 3 * 2.0**-149, 2.0**-126 - 2.0**-149,
+            # halfway between two subnormals, and just above halfway
+            2.0**-150, 3 * 2.0**-150, -(5 * 2.0**-150), 2.0**-150 + 2.0**-170,
+            # halfway between two float32 values near 1, and just above
+            1 + 2.0**-24, 1 + 3 * 2.0**-24, -(1 + 3 * 2.0**-24), 1 + 2.0**-24 + 2.0**-52,
+            # the largest float32; the largest float64 that rounds to it; and
+            # halfway between it and the float32 below
+            f32_max, -f32_max, 2.0**128 - 2.0**103 - 2.0**75, 2.0**128 - 3 * 2.0**103,
+        ]
+        rows = np.array(values).reshape(-1, 4)
+        table = {f"v{i}": row for i, row in enumerate(rows)}
+        monkeypatch.setattr(stubserver, "hashed_vector",
+                            lambda text, modality, dim: table[text])
+        decoded = []
+        for encoding in ("base64", "float"):
+            status, reply = raw_post(stub_url, json.dumps(
+                {"inputs": list(table), "encoding_format": encoding}).encode())
+            assert status == 200
+            vectors = reply["vectors"]
+            decoded.append(
+                decode_base64(vectors, "vectors", 4, len(rows)) if encoding == "base64"
+                else _as_float32(as_matrix(vectors, "vectors", 4), "vectors"))
+        encoded, listed = decoded
+        assert encoded.dtype == listed.dtype == np.float32
+        assert encoded.view(np.uint32).tolist() == listed.view(np.uint32).tolist()
 
     @pytest.mark.parametrize("body", [
         b"[" * 100_000,
@@ -446,24 +514,68 @@ def reply_of(obj):
     return json.dumps(obj).encode()
 
 
+def b64(*values):
+    """The base64 of ``values`` as little-endian float32 bytes."""
+    return base64.b64encode(np.array(values, dtype="<f4").tobytes()).decode()
+
+
 class FakeService:
     """Stands in for ``RemoteEmbeddingClient._exchange``: answers from a
-    store, except that the vector for ``bad-ref`` has a non-numeric element.
-    An instance is not a descriptor, so it gets no client argument."""
+    store, as number lists or, with ``encode``, in base64, except that the
+    vector for ``bad-ref`` is ``bad`` (by default one with a non-numeric
+    element; None sends no vector for it). An instance is not a
+    descriptor, so it gets no client argument."""
 
-    def __init__(self, store):
-        self.store = store
+    def __init__(self, store, bad=(1.0, "x", 0.0, 0.0), encode=False):
+        self.store, self.bad, self.encode = store, bad, encode
 
     def __call__(self, body):
-        vectors = [
-            [1.0, "x", 0.0, 0.0] if key == "bad-ref" else self.store.vector(key).tolist()
-            for key in json.loads(body)["inputs"]
-        ]
+        vectors = []
+        for key in json.loads(body)["inputs"]:
+            if key != "bad-ref":
+                vec = self.store.vector(key)
+                vectors.append(encode_base64([vec])[0] if self.encode else vec.tolist())
+            elif self.bad is not None:
+                vectors.append(self.bad)
         return reply_of({"dim": self.store.dim, "vectors": vectors})
 
 
+# one fault of a reply for the texts ["dog", "cat"] (dim 2), in base64 and
+# in number lists, and its code
+REPLY_FAULTS = {
+    "not-base64": ([b64(0.5, 1.0), "*" + b64(1.0, 0.5)[1:]],
+                   [[0.5, 1.0], [1.0, "x"]], "schema-violation"),
+    "not-ascii": ([b64(0.5, 1.0), "é" + b64(1.0, 0.5)[1:]],
+                  [[0.5, 1.0], [1.0, "é"]], "schema-violation"),
+    "wrong-length": ([b64(0.5, 1.0, 0.0), b64(1.0, 0.5, 0.0)],
+                     [[0.5, 1.0, 0.0], [1.0, 0.5, 0.0]], "dimension-mismatch"),
+    "partial-value": ([base64.b64encode(bytes(9)).decode()] * 2,
+                      [[0.0, 0.0, 0.0]] * 2, "dimension-mismatch"),
+    "nan": ([b64(0.5, 1.0), b64(float("nan"), 0.5)],
+            [[0.5, 1.0], [float("nan"), 0.5]], "empty-input"),
+    "inf": ([b64(0.5, -float("inf")), b64(1.0, 0.5)],
+            [[0.5, -float("inf")], [1.0, 0.5]], "empty-input"),
+    "mixed": ([b64(0.5, 1.0), [1.0, 0.5]], [[0.5, 1.0], b64(1.0, 0.5)],
+              "schema-violation"),
+    "fewer-vectors": ([b64(0.5, 1.0)], [[0.5, 1.0]], "provider-unavailable"),
+}
+
+# the vector a service sends for "bad-ref" (dim 4), in a base64 reply and
+# in a number-list reply (None: no vector), and the code of its query; a
+# call of that one ref has a reply of one form, so "mixed" fails no query
+REF_FAULTS = {
+    "not-base64": ("****" + b64(1, 0, 0, 0)[4:], [1.0, "x", 0.0, 0.0],
+                   "schema-violation"),
+    "wrong-length": (b64(1, 0, 0), [1.0, 0.0, 0.0], "dimension-mismatch"),
+    "nan": (b64(1, float("nan"), 0, 0), [1.0, float("nan"), 0.0, 0.0], "empty-input"),
+    "inf": (b64(float("inf"), 0, 0, 0), [float("inf"), 0.0, 0.0, 0.0], "empty-input"),
+    "mixed": ([1.0, 0.0, 0.0, 0.0], b64(1, 0, 0, 0), None),
+    "fewer-vectors": (None, None, "provider-unavailable"),
+}
+
+
 class TestMalformedReply:
-    def world(self, monkeypatch):
+    def world(self, monkeypatch, **service):
         store = PrecomputedStore(4)
         e = np.eye(4)
         for key, vec in [("dog", e[0]), ("cat", e[1]), ("park", e[2]),
@@ -473,7 +585,8 @@ class TestMalformedReply:
                    for i in range(4)]
         for i, rec in enumerate(records):
             store.add(rec.id, e[i % 2])
-        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange", FakeService(store))
+        monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                            FakeService(store, **service))
         return build_index(records, store)
 
     def test_non_numeric_vector_is_a_schema_error(self, monkeypatch):
@@ -546,6 +659,38 @@ class TestMalformedReply:
                                  ClassifierConfig(k=4))
         assert [r.error_code for r in results] == [None, "empty-input", None]
         assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]
+
+    @pytest.mark.parametrize("encoded, listed, code", REPLY_FAULTS.values(),
+                             ids=REPLY_FAULTS)
+    def test_base64_fault_fails_only_its_call(self, monkeypatch, encoded, listed, code):
+        """A fault of a base64 reply fails its call with the code of the same
+        fault in number lists; the client learns no dim and caches nothing
+        from it, and the next call succeeds."""
+        good = {"base64": [b64(0.5, 1.0), b64(1.0, 0.5)],
+                "float": [[0.5, 1.0], [1.0, 0.5]]}
+        for form, bad in (("base64", encoded), ("float", listed)):
+            replies = [reply_of({"dim": 2, "vectors": bad}),
+                       reply_of({"dim": 2, "vectors": good[form]})]
+            monkeypatch.setattr(RemoteEmbeddingClient, "_exchange",
+                                lambda self, body: replies.pop(0))
+            client = RemoteEmbeddingClient("http://embedding.test/")
+            with pytest.raises(VfcError) as info:
+                client.embed_texts(["dog", "cat"])
+            assert info.value.code == code, form
+            assert client.dim is None and not client._texts
+            assert client.embed_texts(["dog", "cat"]).tolist() == good["float"]
+
+    @pytest.mark.parametrize("encoded, listed, code", REF_FAULTS.values(),
+                             ids=REF_FAULTS)
+    def test_base64_fault_fails_only_its_query(self, monkeypatch, encoded, listed, code):
+        queries = [("before", "dog-ref"), ("bad", "bad-ref"), ("after", "dog-ref")]
+        for bad, encode in ((encoded, True), (listed, False)):
+            index = self.world(monkeypatch, bad=bad, encode=encode)
+            client = RemoteEmbeddingClient("http://embedding.test/")
+            results = classify_batch(queries, index, client, LexiconTagger(),
+                                     ClassifierConfig(k=4))
+            assert [r.error_code for r in results] == [None, code, None]
+            assert [r.prediction.label for r in (results[0], results[2])] == ["dog", "dog"]
 
 
 class TestClientSettings:
