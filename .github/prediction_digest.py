@@ -1,4 +1,4 @@
-"""Print three sha256 digests of vfclass output, for comparing two commits.
+"""Print four sha256 digests of vfclass output, for comparing two commits.
 
 The first hashes ``classify_batch`` output over labels, fallback flags,
 ranked names with the bits of their scores, and retrieved ids with the bits
@@ -12,7 +12,11 @@ candidate stage 3: the flat index at stages "none", "remove" and
 "standardize", and at "all" with a min_count of 18, where 12 of the 200
 queries fall back. The third covers the member lists of both partitioned
 indexes, so a row that moves partition shows even where no prediction
-changes.
+changes. The fourth covers evaluation: the ``evaluate_predictions`` report
+as ``to_dict()`` JSON and ``to_csv()`` bytes, with ``cluster_accuracy`` in
+both modes, over three seeded label sets (fewer clusters than classes,
+more, and as many), plus ``hungarian``'s pairs on seeded integer matrices
+whose costs tie often.
 
 Run it once per source tree, with that tree's ``src`` first on the path::
 
@@ -21,12 +25,15 @@ Run it once per source tree, with that tree's ``src`` first on the path::
 """
 
 import hashlib
+import json
 
 import numpy as np
 
 from vfclass.benchmark import make_noisy_benchmark
 from vfclass.candidates import FilterConfig, LexiconTagger
-from vfclass.embedding import PrecomputedStore
+from vfclass.embedding import HashEmbedder, PrecomputedStore
+from vfclass.evaluation import (LabeledPrediction, cluster_accuracy,
+                                evaluate_predictions, hungarian)
 from vfclass.index import CaptionRecord, build_index
 from vfclass.scoring import ClassifierConfig, classify_batch
 
@@ -73,6 +80,43 @@ def update(digest, index, store, queries, config):
                 digest.update(repr(line).encode() + b"\n")
 
 
+def labeled(rng, clusters, classes, count=300):
+    """Predictions whose truths spread over ``classes`` labels and whose
+    predicted labels, mostly each class's own cluster, over ``clusters``;
+    every label and cluster occurs, so ``auto`` sees exactly these counts."""
+    words = ["arctic", "wolf", "crow", "green", "fern", "moss", "red", "fox"]
+
+    def names(n):
+        return [" ".join(rng.choice(words, 1 + i % 3)) + f" {i}" for i in range(n)]
+
+    truth_names, cluster_names = names(classes), names(clusters)
+    span = max(clusters, classes)
+    truth = np.concatenate([np.arange(span) % classes,
+                            rng.integers(classes, size=count - span)])
+    home = rng.integers(clusters, size=classes)
+    stray = rng.integers(clusters, size=count - span)
+    cluster = np.concatenate([np.arange(span) % clusters,
+                              np.where(rng.random(count - span) < 0.7,
+                                       home[truth[span:]], stray)])
+    order = rng.permutation(count)
+    return [LabeledPrediction(f"e{i:04d}", cluster_names[cluster[k]],
+                              truth_names[truth[k]]) for i, k in enumerate(order)]
+
+
+def evaluation_digest(seed=5):
+    digest, rng = hashlib.sha256(), np.random.default_rng(seed)
+    for clusters, classes in ((8, 11), (14, 9), (12, 12)):
+        preds = labeled(rng, clusters, classes)
+        report = evaluate_predictions(preds, HashEmbedder(32))
+        digest.update(json.dumps(report.to_dict()).encode() + report.to_csv().encode())
+        for mode in ("one-to-one", "many-to-one"):
+            digest.update(cluster_accuracy(preds, mode).hex().encode() + b"\n")
+    for n, m in ((6, 6), (4, 7), (7, 4), (9, 9)):
+        cost = rng.integers(0, 4, (n, m)).astype(np.float64)
+        digest.update(repr(hungarian(cost)).encode() + b"\n")
+    return digest.hexdigest()
+
+
 bench, tagger, digest = make_noisy_benchmark(seed=7), LexiconTagger(), hashlib.sha256()
 flat = build_index(bench.records, bench.store)
 part = build_index(bench.records, bench.store, structure="partitioned",
@@ -95,4 +139,4 @@ for filter_config in (FilterConfig(stages="none"), FilterConfig(stages="remove")
            ClassifierConfig(filter=filter_config))
 members = hashlib.sha256(repr([p.tolist() for index in (part, big)
                                for p in index.partitions]).encode())
-print(digest.hexdigest(), stage3.hexdigest(), members.hexdigest())
+print(digest.hexdigest(), stage3.hexdigest(), members.hexdigest(), evaluation_digest())

@@ -10,9 +10,11 @@ Three metric kernels:
   ground-truth classes (one-to-one via minimum-cost assignment, or
   many-to-one by cluster majority), and score the matched fraction.
 
-The assignment solver is an O(n^3) augmenting-path formulation with a
-deterministic tie-break: among all minimum-cost assignments it returns the
-lexicographically smallest pair list.
+The assignment solver is an O(n^2 m) augmenting-path formulation that
+returns the optimum's total; ``cluster_accuracy`` makes one solve.
+``hungarian`` returns the lexicographically smallest optimal pair list, and
+makes up to n * m solves for each pair it fixes, so it is meant for small
+matrices.
 """
 
 from __future__ import annotations
@@ -135,63 +137,65 @@ def hungarian(cost) -> list[tuple[int, int]]:
     if not np.all(np.isfinite(matrix)):
         raise EmptyInputError("cost matrix must be finite")
     n, m = matrix.shape
-    total_pairs = min(n, m)
     optimum = _assignment_value(matrix)
     tol = 1e-9 * max(1.0, float(np.abs(matrix).sum()))
 
     pairs: list[tuple[int, int]] = []
-    cols_left = list(range(m))
+    cols = list(range(m))
     fixed_cost = 0.0
-    row_start = 0
-    for step in range(total_pairs):
-        remaining = total_pairs - step
-        placed = False
-        # rows beyond n - remaining could not leave enough rows for the
-        # remaining pairs (the pair list is sorted by row)
-        for r in range(row_start, n - remaining + 1):
-            for c in cols_left:
-                rest_rows = range(r + 1, n)
-                rest_cols = [cc for cc in cols_left if cc != c]
-                if remaining > 1:
-                    sub = matrix[np.ix_(list(rest_rows), rest_cols)]
-                    completion = _assignment_value(sub)
-                else:
-                    completion = 0.0
-                candidate = fixed_cost + matrix[r, c] + completion
-                if candidate <= optimum + tol:
-                    pairs.append((r, c))
-                    cols_left.remove(c)
-                    fixed_cost += float(matrix[r, c])
-                    row_start = r + 1
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:  # pragma: no cover - defended by the solver's optimum
+
+    def completes(r: int, c: int) -> bool:
+        """Whether (r, c) after the fixed pairs still allows an optimum; the
+        completion of the last pair is empty and worth 0."""
+        rest = matrix[np.ix_(range(r + 1, n), [x for x in cols if x != c])]
+        return fixed_cost + matrix[r, c] + _assignment_value(rest) <= optimum + tol
+
+    for left in range(min(n, m), 0, -1):
+        # the pair list is sorted by row, and a row past n - left would
+        # leave too few rows for the other pairs
+        first = pairs[-1][0] + 1 if pairs else 0
+        pair = next(((r, c) for r in range(first, n - left + 1) for c in cols
+                     if completes(r, c)), None)
+        if pair is None:  # pragma: no cover - defended by the solver's optimum
             raise RuntimeError("assignment refinement failed to place a pair")
+        pairs.append(pair)
+        cols.remove(pair[1])
+        fixed_cost += float(matrix[pair])
     return pairs
 
 
-def contingency(preds: list[LabeledPrediction]) -> np.ndarray:
-    """Cluster-by-truth co-occurrence counts; rows and columns follow the
-    sorted predicted and truth labels, for determinism."""
+def _columns(
+    preds: list[LabeledPrediction],
+) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Intern both label columns: the sorted distinct predicted labels, the
+    sorted distinct truths, and each prediction's index into each."""
     if not preds:
         raise EmptyInputError("no predictions to evaluate")
-    row = {c: i for i, c in enumerate(sorted({p.predicted for p in preds}))}
-    col = {t: j for j, t in enumerate(sorted({p.truth for p in preds}))}
-    counts = np.zeros((len(row), len(col)), dtype=np.int64)
-    cells = ([row[p.predicted] for p in preds], [col[p.truth] for p in preds])
-    np.add.at(counts, cells, 1)
-    return counts
+    clusters = sorted({p.predicted for p in preds})
+    labels = sorted({p.truth for p in preds})
+    cluster_of = {c: i for i, c in enumerate(clusters)}
+    label_of = {t: j for j, t in enumerate(labels)}
+    ci = np.array([cluster_of[p.predicted] for p in preds], dtype=np.intp)
+    li = np.array([label_of[p.truth] for p in preds], dtype=np.intp)
+    return clusters, labels, ci, li
 
 
-def _resolve_mode(preds: list[LabeledPrediction], mode: str) -> str:
-    """Map ``auto`` to one-to-one when there are no more clusters than labels."""
-    if mode != "auto":
-        return mode
-    clusters = {p.predicted for p in preds}
-    labels = {p.truth for p in preds}
-    return "one-to-one" if len(clusters) <= len(labels) else "many-to-one"
+def _accuracy(clusters, labels, ci, li, mode: str) -> tuple[float, str]:
+    """Cluster accuracy of interned columns, and the mode it used: ``auto``
+    is one-to-one when there are no more clusters than labels."""
+    if mode == "auto":
+        mode = "one-to-one" if len(clusters) <= len(labels) else "many-to-one"
+    cells = ci * len(labels) + li
+    counts = np.bincount(cells, minlength=len(clusters) * len(labels))
+    counts = counts.reshape(len(clusters), len(labels))
+    if mode == "one-to-one":
+        # the counts are integers, so the optimum's float64 value is exact
+        matched = -_assignment_value(-counts.astype(np.float64))
+    elif mode == "many-to-one":
+        matched = counts.max(axis=1).sum()
+    else:
+        raise EmptyInputError(f"unknown cluster accuracy mode {mode!r}")
+    return int(matched) / len(ci), mode
 
 
 def cluster_accuracy(preds: list[LabeledPrediction], mode: str = "auto") -> float:
@@ -202,16 +206,7 @@ def cluster_accuracy(preds: list[LabeledPrediction], mode: str = "auto") -> floa
     ``auto`` picks one-to-one when there are no more clusters than labels,
     many-to-one otherwise.
     """
-    counts = contingency(preds)
-    mode = _resolve_mode(preds, mode)
-    if mode == "one-to-one":
-        # the counts are integers, so the optimum's float64 value is exact
-        matched = -_assignment_value(-counts.astype(np.float64))
-    elif mode == "many-to-one":
-        matched = counts.max(axis=1).sum()
-    else:
-        raise EmptyInputError(f"unknown cluster accuracy mode {mode!r}")
-    return int(matched) / int(counts.sum())
+    return _accuracy(*_columns(preds), mode)[0]
 
 
 def ground_to_vocabulary(
@@ -268,25 +263,28 @@ def evaluate_predictions(
     mode: str = "auto",
 ) -> EvaluationReport:
     """Compute all three metrics plus a per-class breakdown."""
-    if not preds:
-        raise EmptyInputError("no predictions to evaluate")
-    mode = _resolve_mode(preds, mode)
-    # each distinct (predicted, truth) pair is scored once
-    slot: dict[tuple[str, str], int] = {}
-    of_pair = [slot.setdefault((p.predicted, p.truth), len(slot)) for p in preds]
-    ious = np.array([semantic_iou(*pair) for pair in slot])[of_pair]
-    sims = _similarities(list(slot), sentence_embedder)[of_pair]
-    accuracy = cluster_accuracy(preds, mode)
-    classes = {t: j for j, t in enumerate(dict.fromkeys(p.truth for p in preds))}
-    of_pred = [classes[p.truth] for p in preds]
-    samples = np.bincount(of_pred)
+    clusters, labels, ci, li = columns = _columns(preds)
+    accuracy, mode = _accuracy(*columns, mode)
+    # each distinct (predicted, truth) pair is scored once, in first-seen
+    # order; slot maps each pair's cell of the contingency table to its
+    # place in that order
+    cells = ci * len(labels) + li
+    distinct = list(dict.fromkeys(cells.tolist()))
+    pairs = [(clusters[c // len(labels)], labels[c % len(labels)]) for c in distinct]
+    slot = np.zeros(len(clusters) * len(labels), dtype=np.intp)
+    slot[distinct] = np.arange(len(distinct))
+    of_pair = slot[cells]
+    ious = np.array([semantic_iou(*pair) for pair in pairs])[of_pair]
+    sims = _similarities(pairs, sentence_embedder)[of_pair]
+    samples = np.bincount(li)
     # bincount sums each class's values in input order
-    sim_means = np.bincount(of_pred, weights=sims) / samples
-    iou_means = np.bincount(of_pred, weights=ious) / samples
+    sim_means = np.bincount(li, weights=sims) / samples
+    iou_means = np.bincount(li, weights=ious) / samples
     per_class = {
-        t: {"samples": int(samples[j]), "semantic_similarity": float(sim_means[j]),
-            "semantic_iou": float(iou_means[j])}
-        for t, j in classes.items()
+        labels[j]: {"samples": int(samples[j]),
+                    "semantic_similarity": float(sim_means[j]),
+                    "semantic_iou": float(iou_means[j])}
+        for j in dict.fromkeys(li.tolist())
     }
     return EvaluationReport(
         cluster_accuracy=accuracy,

@@ -30,6 +30,19 @@ from vfclass.evaluation import (
 )
 
 
+def assignments(n, m):
+    """Every injective assignment of min(n, m) pairs, each sorted by row."""
+    if n <= m:
+        return (
+            tuple((i, p[i]) for i in range(n))
+            for p in itertools.permutations(range(m), n)
+        )
+    return (
+        tuple(sorted((p[j], j) for j in range(m)))
+        for p in itertools.permutations(range(n), m)
+    )
+
+
 def assignment_oracle(cost):
     """Brute force over every injective assignment of min(n, m) pairs.
 
@@ -37,23 +50,14 @@ def assignment_oracle(cost):
     costs, so equality checks are exact.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape
-    best = None
-    if n <= m:
-        assignments = (
-            tuple((i, p[i]) for i in range(n))
-            for p in itertools.permutations(range(m), n)
-        )
-    else:
-        assignments = (
-            tuple(sorted((p[j], j) for j in range(m)))
-            for p in itertools.permutations(range(n), m)
-        )
-    for pairs in assignments:
-        total = sum(cost[r, c] for r, c in pairs)
-        if best is None or total < best:
-            best = total
-    return best
+    return min(sum(cost[r, c] for r, c in pairs) for pairs in assignments(*cost.shape))
+
+
+def lexicographic_oracle(cost):
+    """The lexicographically smallest optimal pair list, by enumeration."""
+    cost = np.asarray(cost, dtype=np.float64)
+    return list(min((sum(cost[r, c] for r, c in pairs), pairs)
+                    for pairs in assignments(*cost.shape))[1])
 
 
 class PlantedEmbedder:
@@ -196,6 +200,14 @@ class TestHungarian:
         assert hungarian(np.zeros((3, 3))) == [(0, 0), (1, 1), (2, 2)]
         assert hungarian(np.zeros((2, 3))) == [(0, 0), (1, 1)]
         assert hungarian(np.zeros((3, 2))) == [(0, 0), (1, 1)]
+
+    def test_lexicographic_tie_break_rectangular(self):
+        # costs of 0-2 tie often; with n > m the refinement skips rows
+        rng = np.random.default_rng(67)
+        for n, m in itertools.product(range(1, 6), repeat=2):
+            for _ in range(6):
+                cost = rng.integers(0, 3, (n, m)).astype(np.float64)
+                assert hungarian(cost) == lexicographic_oracle(cost)
 
     def test_refinement_prefers_true_optimum_over_lexicographic(self):
         # (0,0)+(1,1) costs 1; the unique optimum is (0,1)+(1,0) at 0
@@ -459,6 +471,19 @@ class TestEvaluate:
         assert calls == distinct
         assert len(calls) < len(preds)
         assert report.semantic_iou == pytest.approx(0.525, abs=1e-12)
+
+    def test_unknown_mode_fails_before_embedding(self):
+        emb = CountingEmbedder(8)
+        with pytest.raises(EmptyInputError, match="unknown cluster accuracy mode"):
+            evaluate_predictions(golden_fixture(), emb, mode="bogus")
+        assert emb.calls == []
+
+    def test_per_class_keys_in_first_seen_truth_order(self):
+        truths = ["zebra", "ant", "moth", "ant", "zebra", "bee"]
+        preds = [LabeledPrediction(f"s{k}", "ant", t) for k, t in enumerate(truths)]
+        report = evaluate_predictions(preds, HashEmbedder(8))
+        assert list(report.per_class) == ["zebra", "ant", "moth", "bee"]
+        assert list(report.to_dict()["per_class"]) == ["zebra", "ant", "moth", "bee"]
 
     def test_csv_has_overall_and_class_rows(self):
         report = evaluate_predictions(golden_fixture(), golden_embedder())
