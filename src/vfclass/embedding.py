@@ -198,32 +198,32 @@ def decode_base64(strings: list, name: str, dim: int, count: int) -> np.ndarray:
 
 def _embed_chunks(embed, inputs: Sequence, name: str, dim: int | None = None):
     """Checked float64 rows of ``dim`` (if given, else the first chunk's)
-    for ``inputs``, one matrix per call of ``embed``, a bound provider
-    method such as ``provider.embed_texts``, on ``EMBED_CHUNK`` inputs in
-    order. A chunk of another dim is a :class:`DimensionMismatchError`.
-
-    A provider fault that is not a :class:`VfcError` is a
-    :class:`ProviderUnavailableError`, so it fails like a service fault.
-    """
+    for ``inputs``, one :func:`_embed_chunk` per ``EMBED_CHUNK`` inputs in
+    order; a chunk of another dim is a :class:`DimensionMismatchError`."""
     for start in range(0, len(inputs), EMBED_CHUNK):
-        chunk = inputs[start : start + EMBED_CHUNK]
-        try:
-            vectors = embed(chunk)
-        except VfcError:
-            raise
-        except Exception as exc:
-            raise ProviderUnavailableError(
-                f"{name}: provider failed: {exc!r}"
-            ) from exc
-        matrix = as_matrix(vectors, name, dim, count=len(chunk))
+        matrix = _embed_chunk(embed, inputs[start : start + EMBED_CHUNK], name, dim)
         dim = matrix.shape[1]
         yield matrix
 
 
+def _embed_chunk(embed, chunk: Sequence, name: str, dim: int | None = None):
+    """:func:`as_matrix` of one call of ``embed``, a bound provider method
+    such as ``provider.embed_texts``, on ``chunk``; a provider fault that is
+    not a :class:`VfcError` is a :class:`ProviderUnavailableError`."""
+    try:
+        vectors = embed(chunk)
+    except VfcError:
+        raise
+    except Exception as exc:
+        raise ProviderUnavailableError(f"{name}: provider failed: {exc!r}") from exc
+    return as_matrix(vectors, name, dim, count=len(chunk))
+
+
 def embed_rows(embed, inputs: Sequence[str], name: str) -> np.ndarray:
     """The rows of :func:`_embed_chunks` as one matrix; no inputs, no call."""
-    rows = list(_embed_chunks(embed, inputs, name))
-    return np.concatenate(rows) if rows else np.empty((0, 0))
+    if len(inputs) > EMBED_CHUNK:
+        return np.concatenate(list(_embed_chunks(embed, inputs, name)))
+    return _embed_chunk(embed, inputs, name) if inputs else np.empty((0, 0))
 
 
 def row_norms(matrix: np.ndarray, keys: Sequence[str], name: str) -> np.ndarray:
@@ -359,7 +359,7 @@ class PrecomputedStore:
                 f"store has no embedding for {len(missing)} key(s), "
                 f"first missing: {missing[0]!r}"
             )
-        return self._matrix[[self._rows[k] for k in keys]].astype(np.float64)
+        return self._matrix.take([self._rows[k] for k in keys], axis=0).astype(np.float64)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self._gather(_check_inputs(texts, "text"))

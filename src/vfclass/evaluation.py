@@ -84,6 +84,7 @@ def _solve_assignment(cost: np.ndarray) -> float:
     v = np.zeros(m + 1)
     match = np.zeros(m + 1, dtype=np.intp)  # match[j] = row (1-based) of column j
     way = np.zeros(m + 1, dtype=np.intp)
+    unassigned = np.arange(1, m + 1)  # the columns no row holds, ascending
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
@@ -96,16 +97,20 @@ def _solve_assignment(cost: np.ndarray) -> float:
             better = ~used[1:] & (cur < minv[1:])
             minv[1:][better] = cur[better]
             way[1:][better] = j0
-            # the free column of least reduced cost; argmin takes the
-            # lowest index on ties
+            # the free column of least reduced cost: of tied ones the lowest
+            # unassigned, which ends the search (Jonker-Volgenant), else the lowest
             free_minv = np.where(used, np.inf, minv)
             j0 = int(np.argmin(free_minv))
             delta = free_minv[j0]
+            if match[j0]:
+                free = unassigned[free_minv.take(unassigned).argmin()]
+                j0 = int(free) if free_minv[free] == delta else j0
             u[match[used]] += delta
             v[used] -= delta
             minv[~used] -= delta
             if match[j0] == 0:
                 break
+        unassigned = unassigned[unassigned != j0]
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]

@@ -41,15 +41,12 @@ queries that probe it, ``Q @ C`` for the list's (width x rows) block of
 columns ``C`` (the inverted-file layout). A partitioned index copies each
 list's rows column-major, each list one C-contiguous block, on its first
 full-width scan (n * dim * 4 bytes); a flat index's rows are already in
-scan order, so its block is the transpose of ``index.vectors`` in place,
-and the product is ``V @ Q.T``: either way BLAS gets the rows as they lie.
-Column-major reads fastest, or as fast, at the projected width (below), and
-for one query at full width, as a partitioned index's full-width scan
-mostly is; row-major reads fastest for several queries at full width, as a
-flat index's one list, probed by every query of a window, is (README's
-retrieval notes give the measured products). The window's float32 scores
-are one (queries x rows) array, each query's lists end to end and padded
-with -inf to the longest.
+scan order, so its block is the transpose of ``index.vectors`` in place.
+The window's float32 scores are one (queries x rows) array, each query's
+lists end to end and padded with -inf to the longest. A flat index's one
+list, which every query of a window scans whole, is the whole array: its
+product is the scores as BLAS writes them, with no copy (README's
+retrieval notes give the measured products).
 
 Each scan pass keeps the (query, scan position) pairs whose float32 score
 reaches the query's :func:`_floor`, one rule for every pass: a float64
@@ -445,16 +442,28 @@ def check_query(index: CaptionIndex, query, k: int) -> np.ndarray:
     if len(index) == 0:
         raise EmptyIndexError("index contains no records")
     check_count(k, "k")
-    q = as_vector(query, "query")
-    if q.shape[0] != index.dim:
-        raise DimensionMismatchError(
-            f"query dim {q.shape[0]} != index dim {index.dim}"
-        )
-    # normalize(q) would check q again
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return q / norm
+    units, [fault] = check_queries(index, [as_vector(query, "query")[None]])
+    if fault:
+        raise fault
+    return units[0]
+
+
+def check_queries(index: CaptionIndex, rows: list) -> tuple[np.ndarray, list]:
+    """The unit vectors of ``rows`` (finite float64 arrays of one row each)
+    stacked, and each row's fault: None, or the :class:`VfcError` that
+    :func:`check_query` raises for it alone, whose row the stack leaves out.
+    Each norm is ``np.linalg.norm``'s one BLAS dot, so its bits are too."""
+    faults = [EmptyIndexError("index contains no records") if len(index) == 0
+              else None if row.shape[1] == index.dim else DimensionMismatchError(
+                  f"query dim {row.shape[1]} != index dim {index.dim}") for row in rows]
+    at = [i for i, fault in enumerate(faults) if fault is None]
+    matrix = np.concatenate([rows[i] for i in at]) if at else np.empty((0, index.dim))
+    norms = np.sqrt(matrix[:, None] @ matrix[:, :, None])[:, 0]
+    if not norms.all():
+        for i in np.flatnonzero(norms == 0.0).tolist():
+            faults[at[i]] = ZeroVectorError("cannot normalize a zero vector")
+        matrix, norms = matrix[norms[:, 0] != 0.0], norms[norms != 0.0, None]
+    return matrix / norms, faults
 
 
 def check_probes(probes) -> None:
@@ -557,8 +566,9 @@ def retrieve_topk(
 def retrieved(index: CaptionIndex, rows, scores) -> list[RetrievedCaption]:
     """The :class:`RetrievedCaption` of each of ``rows``, arrays of index
     rows and their scores."""
-    return [RetrievedCaption(index.records[row], score, row)
-            for row, score in zip(rows.tolist(), scores.tolist())]
+    rows = rows.tolist()
+    return list(map(RetrievedCaption, map(index.records.__getitem__, rows),
+                    scores.tolist(), rows))
 
 
 def retrieve_window(
@@ -574,9 +584,8 @@ def retrieve_window(
     """
     check_probes(probes)
     step = _per_block(len(index))
-    chunks = (np.array(queries[start : start + step])
-              for start in range(0, len(queries), step))
-    return [hits for chunk in chunks for hits in _scan(index, chunk, k, probes)]
+    return [hits for start in range(0, len(queries), step)
+            for hits in _scan(index, np.asarray(queries[start : start + step]), k, probes)]
 
 
 def _scan(index: CaptionIndex, queries: np.ndarray, k: int, probes) -> list:
@@ -614,12 +623,8 @@ def _scan_full_width(layout: _ScanLayout, queries, probed, k: int) -> tuple:
     each score at least the k-th of them less :func:`_score_bound` in
     float64: that is the :func:`_floor`'s value, and the bound its bound."""
     window = _Window.of(layout.columns, layout.offsets, queries.astype(np.float32), probed)
-    if window.scores.shape[1] > k:
-        top = window.scores.copy()
-        top.partition(top.shape[1] - k, axis=1)
-        kth = top[:, -k]
-    else:  # every row scanned is in the top k
-        kth = np.full(len(queries), -np.inf, dtype=np.float32)
+    kth = (np.partition(window.scores, -k, axis=1)[:, -k] if window.scores.shape[1] > k
+           else np.full(len(queries), -np.inf))  # every row scanned is in the top k
     bound = _score_bound(queries.shape[1], layout.max_norm)
     return window.above(_floor(np.subtract(kth, bound, dtype=np.float64), bound))
 
@@ -654,8 +659,8 @@ def _scan_projected(layout: _ScanLayout, queries, probed, k: int) -> tuple:
     qi, positions = near.above(floor)
     # a nearest list of fewer than k rows gives no floor: an empty one would
     # keep every row of the other lists
-    full = (near.counts < k) | (np.bincount(qi, minlength=len(queries))
-                                > FALLBACK_SHARE * near.counts)
+    counts = np.array(near.counts)
+    full = (counts < k) | (np.bincount(qi, minlength=len(queries)) > FALLBACK_SHARE * counts)
     live = np.flatnonzero(~full)
     rest = _Window.of(projection.columns, layout.offsets, zq[live], probed[live, 1:])
     ri, rest_positions = rest.above(floor[live])
@@ -677,15 +682,16 @@ class _Window:
     stay (see :func:`_scan_projected`)."""
 
     scores: np.ndarray
-    counts: np.ndarray
+    counts: list[int]
     begin: list[int]
     shift: np.ndarray
 
     @classmethod
     def of(cls, columns: list[np.ndarray], offsets: list[int], q32: np.ndarray,
            probed: np.ndarray) -> _Window:
-        """One product per list, of the queries that probe it with the
-        list's ``columns`` (width x rows, a row per column, in scan order)."""
+        """One product ``Q @ C`` per list, of the queries that probe it with
+        the list's ``columns`` (width x rows, a row per column, in scan
+        order); a product that covers the whole window is its scores."""
         segments, counts = [], []  # (query, list, first column) in probe order
         users: dict[int, list[tuple[int, int]]] = {}
         for u, lists in enumerate(probed.tolist()):
@@ -697,20 +703,20 @@ class _Window:
             counts.append(col)
         width = max(counts, default=0)
         scores = np.empty((len(counts), width), dtype=np.float32)
+        for c, us in users.items():
+            q = q32 if len(us) == len(q32) else q32.take([u for u, _ in us], axis=0)
+            product = q @ columns[c]
+            if product.shape == scores.shape:  # the one list every query scans
+                scores = product
+                continue
+            for (u, col), row in zip(us, product):
+                scores[u, col : col + len(row)] = row
         for u, count in enumerate(counts):
             if count < width:
                 scores[u, count:] = -np.inf
-        for c, us in users.items():
-            q, block = q32[[u for u, _ in us]], columns[c]
-            # BLAS gets the list's rows as they lie: a column-major block as
-            # Q @ C, rows in place (a transposed view) as V @ Q.T; the other
-            # way round, either took up to 3.6 times as long
-            product = q @ block if block.flags.c_contiguous else (block.T @ q.T).T
-            for (u, col), row in zip(us, product):
-                scores[u, col : col + len(row)] = row
         begin = [u * width + col for u, _, col in segments]
         shift = [offsets[c] - b for (_, c, _), b in zip(segments, begin)]
-        return cls(scores, np.array(counts), begin, np.array(shift, dtype=np.int64))
+        return cls(scores, counts, begin, np.array(shift, dtype=np.int64))
 
     def above(self, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The queries and scan positions of the scores at or above each
@@ -737,10 +743,10 @@ def _top(layout: _ScanLayout, queries, qi: np.ndarray, positions: np.ndarray,
     shortlist that holds every row that can reach the query's float64 top
     k; its first k in (-score, row) order are those in (-score, id)
     order."""
-    rows = layout.rows[positions]
+    rows = layout.rows.take(positions)
     exact = _rescore(layout.vectors, rows, queries.take(qi, axis=0))
     order = np.lexsort((rows, -exact, qi))
-    rows, exact = rows[order], exact[order].clip(-1.0, 1.0)
+    rows, exact = rows.take(order), exact.take(order).clip(-1.0, 1.0)
     hits, start = [], 0
     for count in np.bincount(qi, minlength=len(queries)).tolist():
         stop = start + min(count, k)

@@ -9,20 +9,17 @@ the visual side. The label is the argmax of the fused distribution.
 Queries are classified in windows; :func:`classify` is a window of one.
 The window's distinct image refs are embedded together, ``EMBED_CHUNK``
 refs per ``provider.embed_images`` call (a window of vectors makes none),
-and its queries retrieve their captions together
-(:func:`~vfclass.index.retrieve_window`). Stages 1-2 of extraction run
-through the index's memo (``CaptionIndex.row_tokens``): a hit row is
-tokenized the first time a query hits it under the filter's stage-1/2
-settings (:func:`~vfclass.candidates.token_settings`), and its tokens,
-interned, live as long as the index: at most one tuple of tokens per row
-and distinct settings, with no eviction and no option.
-Stage 3 then runs once over the window's tokens
-(:func:`~vfclass.candidates.select_window`). The tagger is asked once per
-distinct token per window, and nothing it answers outlives the call. The
-window's distinct candidate texts are embedded together in the same way.
-The provider loop has already checked every row
-(:func:`~vfclass.embedding._embed_chunks`), so scoring checks only that
-the candidate dim is the query dim.
+and the provider loop checks every row it returns
+(:func:`~vfclass.embedding._embed_chunks`). The window's query rows are
+checked against the index together, for dim and zero norm, made unit
+(:func:`~vfclass.index.check_queries`), and retrieve their captions
+together (:func:`~vfclass.index.retrieve_window`). Stages 1-2 of
+extraction run through the index's memo of each hit row's tokens
+(``CaptionIndex.row_tokens``, see :mod:`vfclass.candidates`), and stage 3
+once over the window's tokens (:func:`~vfclass.candidates.select_window`):
+the tagger is asked once per distinct token per window, and nothing it
+answers outlives the call. The window's distinct candidate texts are
+embedded together in the same way, and must have the index's dim.
 
 Score/fuse then runs over the window's candidate rows at once: each row's
 two cosines are row-wise products with its own query's unit vector and
@@ -63,7 +60,7 @@ from .index import (
     RetrievedCaption,
     _per_block,
     check_probes,
-    check_query,
+    check_queries,
     retrieve_window,
     retrieved,
 )
@@ -143,13 +140,12 @@ def check_alpha(alpha):
     return alpha
 
 
-def _fuse(scores: np.ndarray, alpha: float, starts, sizes) -> np.ndarray:
+def _fuse(scores: np.ndarray, alpha: float, starts, seg) -> np.ndarray:
     """``alpha * s(visual) + (1-alpha) * s(textual)`` for ``scores`` =
-    ``[visual, textual]``, the softmax ``s`` taken over each segment
-    ``scores[:, start:start + size]``."""
-    top = np.maximum.reduceat(scores, starts, axis=1)
-    exp = np.exp(scores - top.repeat(sizes, axis=1))
-    visual, textual = exp / np.add.reduceat(exp, starts, axis=1).repeat(sizes, axis=1)
+    ``[visual, textual]``, the softmax ``s`` taken over each segment of
+    columns, which start at ``starts``; ``seg`` is each column's segment."""
+    exp = np.exp(scores - np.maximum.reduceat(scores, starts, axis=1).take(seg, axis=1))
+    visual, textual = exp / np.add.reduceat(exp, starts, axis=1).take(seg, axis=1)
     return alpha * visual + (1.0 - alpha) * textual
 
 
@@ -167,24 +163,27 @@ def fuse(visual, textual, alpha: float) -> list[float]:
     tex = as_vector(textual, "textual scores")
     if vis.shape != tex.shape:
         raise EmptyInputError("visual and textual score lists must have equal length")
-    return _fuse(np.stack([vis, tex]), alpha, [0], [vis.size]).tolist()
+    return _fuse(np.stack([vis, tex]), alpha, [0], np.zeros(vis.size, dtype=int)).tolist()
 
 
 def _embed_each(embed, groups, name) -> list:
     """Each group's rows, or the :class:`VfcError` embedding that group alone
     raises. The groups' distinct inputs go out together in first-seen order;
     a failed call is retried on each half of the groups, down to one group."""
-    distinct = list(dict.fromkeys(item for group in groups for item in group))
+    distinct = dict.fromkeys(chain.from_iterable(groups))
     try:
-        rows = embed_rows(embed, distinct, name)
+        rows = embed_rows(embed, list(distinct), name)
     except VfcError as err:
         if len(groups) == 1:
             return [err]
         half = len(groups) // 2
         return (_embed_each(embed, groups[:half], name)
                 + _embed_each(embed, groups[half:], name))
-    row = {item: i for i, item in enumerate(distinct)}
-    return [rows.take([row[item] for item in group], axis=0) for group in groups]
+    bounds = [0, *accumulate(map(len, groups))]
+    if len(distinct) < bounds[-1]:  # an input repeats: gather the rows in group order
+        distinct = dict(zip(distinct, range(len(distinct))))
+        rows = rows.take([distinct[item] for group in groups for item in group], axis=0)
+    return [rows[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _hit_tokens(index, found, config: FilterConfig) -> list:
@@ -207,7 +206,7 @@ class _Query:
     that failed holds its error, and the later stages skip it."""
 
     error: VfcError | None = None
-    unit: np.ndarray | None = None  # the unit query vector
+    unit: np.ndarray | None = None  # the query row, then its unit vector
     rows: np.ndarray | None = None  # the hit rows, best first
     scores: np.ndarray | None = None  # the hits' scores
     names: list[str] | None = None  # the candidate names, in name order
@@ -220,30 +219,33 @@ def _score(window: list[_Query], index, alpha: float) -> None:
     """Score/fuse over a window: give each query its :class:`Prediction`, or
     the :class:`ZeroVectorError` that scoring it alone raises."""
     sizes = [len(w.names) for w in window]
-    starts = [0, *accumulate(sizes)][:-1]
+    starts = np.array([0, *accumulate(sizes)][:-1])
+    seg = np.arange(len(window)).repeat(sizes)  # each candidate row's query
     counts = [0, *accumulate(len(w.rows) for w in window)][:-1]
-    hit_vecs = index.vectors[np.concatenate([w.rows for w in window])]
+    hit_vecs = index.vectors.take(np.concatenate([w.rows for w in window]), axis=0)
     # each query's vector, and the sum of its retrieved captions: a cosine
     # does not depend on scale, so these give the image's and the mean's
     targets = np.array([np.array([w.unit for w in window]),
-                        np.add.reduceat(hit_vecs, counts, dtype=np.float64)])
-    cands = np.concatenate([w.vectors for w in window])
-    norms = np.sqrt(np.einsum("kij,kij->ki", targets, targets))
-    scale = np.sqrt(np.einsum("ij,ij->i", cands, cands)) * norms.repeat(sizes, axis=1)
+                        np.add.reduceat(hit_vecs, counts, dtype=np.float64)]).take(seg, axis=1)
+    cands = np.concatenate([w.vectors for w in window])[None]
+    # one row-wise einsum: squared norms of a row and its targets, then products
+    dots = np.einsum("kij,kij->ki", np.concatenate([cands, targets, cands, cands]),
+                     np.concatenate([cands, targets, targets]))
+    norms = np.sqrt(dots[:3])
+    scale = norms[0] * norms[1:]
     scored = [True] * len(window)
     if not scale.all():
         ok = scale.all(axis=0)
         scale[:, ~ok] = 1.0  # the query fails, and its scores go unused
         scored = np.logical_and.reduceat(ok, starts).tolist()
-    cosines = np.einsum("ij,kij->ki", cands, targets.repeat(sizes, axis=1))
-    cosines = (cosines / scale).clip(-1.0, 1.0)
-    fused = _fuse(cosines, alpha, starts, sizes)
+    cosines = (dots[3:] / scale).clip(-1.0, 1.0)
+    fused = _fuse(cosines, alpha, starts, seg)
     # a stable sort: within a query, fused ties keep the sorted names' order
-    order = np.lexsort((-fused, np.repeat(starts, sizes)))
+    order = np.lexsort((-fused, seg))
     names = [name for w in window for name in w.names]
-    ranked = list(map(ScoreBreakdown, [names[i] for i in order.tolist()],
-                      *np.concatenate([cosines, fused[None]])[:, order].tolist()))
-    for w, a, n, good in zip(window, starts, sizes, scored):
+    ranked = list(map(ScoreBreakdown, map(names.__getitem__, order.tolist()),
+                      *np.concatenate([cosines, fused[None]]).take(order, axis=1).tolist()))
+    for w, a, n, good in zip(window, starts.tolist(), sizes, scored):
         if good:
             w.prediction = Prediction(ranked[a].candidate, ranked[a:a + n],
                                       retrieved(index, w.rows, w.scores), w.fallback)
@@ -263,31 +265,32 @@ def _classify_all(queries, index, provider, tagger, config) -> list:
                               "image embeddings"))
     for w, q in zip(window, queries):
         try:
-            image = (next(images) if isinstance(q, str)
-                     else [as_vector(q, "query embedding")])
-            if isinstance(image, VfcError):
-                raise image
-            w.unit = check_query(index, image[0], config.k)
+            row = next(images) if isinstance(q, str) else as_vector(q, "query embedding")[None]
         except VfcError as err:
-            w.error = err
+            row = err
+        w.error, w.unit = (row, None) if isinstance(row, VfcError) else (None, row)
     live = [w for w in window if w.error is None]
-    found = retrieve_window(index, [w.unit for w in live], config.k, config.probes)
+    units, faults = check_queries(index, [w.unit for w in live])
+    for w, fault in zip(live, faults):
+        w.error = fault
+    live = [w for w in live if w.error is None]
+    found = retrieve_window(index, units, config.k, config.probes)
     sets = select_window(_hit_tokens(index, found, config.filter), tagger, config.filter)
-    for w, (rows, scores), cands in zip(live, found, sets):
-        w.rows, w.scores = rows, scores
+    for w, unit, (rows, scores), cands in zip(live, units, found, sets):
+        w.unit, w.rows, w.scores = unit, rows, scores
         if isinstance(cands, VfcError):
             w.error = cands
         else:
             w.names, w.fallback = cands.names(), cands.fallback
     live = [w for w in live if w.error is None]
-    texts = [[template.format(name) for name in w.names] for w in live]
+    texts = [list(map(template.format, w.names)) for w in live]
     for w, vectors in zip(live, _embed_each(provider.embed_texts, texts,
                                             "candidate vectors")):
         if isinstance(vectors, VfcError):
             w.error = vectors
-        elif vectors.shape[1] != w.unit.shape[0]:
+        elif vectors.shape[1] != index.dim:
             w.error = DimensionMismatchError(
-                f"image dim {w.unit.shape[0]} != candidate dim {vectors.shape[1]}")
+                f"image dim {index.dim} != candidate dim {vectors.shape[1]}")
         else:
             w.vectors = vectors
     live = [w for w in live if w.error is None]

@@ -153,6 +153,29 @@ class TestHungarian:
             rows, cols = optimize.linear_sum_assignment(cost)
             assert _assignment_value(cost) == cost[rows, cols].sum()
 
+    @pytest.mark.parametrize("n, m", [(60, 60), (40, 70), (70, 40)])
+    def test_chance_level_contingency_matches_scipy(self, n, m):
+        # -counts of labels drawn at chance: most cells tie at 0 or -1, so
+        # the solver's searches meet tied minima at every step
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(n * m)
+        for size in (n * m // 4, n * m, 4 * n * m):
+            counts = np.zeros((n, m))
+            np.add.at(counts, (rng.integers(n, size=size), rng.integers(m, size=size)), 1)
+            rows, cols = optimize.linear_sum_assignment(-counts)
+            assert _assignment_value(-counts) == -counts[rows, cols].sum()
+
+    def test_small_integer_matrices_match_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            n, m = rng.integers(1, 8, 2)
+            cost = rng.integers(0, 3, (n, m)).astype(np.float64)
+            rows, cols = optimize.linear_sum_assignment(cost)
+            best = cost[rows, cols].sum()
+            assert _assignment_value(cost) == best
+            assert sum(cost[pair] for pair in hungarian(cost)) == best
+
     def test_identity_favoring_matrix(self):
         cost = np.ones((3, 3)) - np.eye(3)
         assert hungarian(cost) == [(0, 0), (1, 1), (2, 2)]

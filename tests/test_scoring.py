@@ -985,6 +985,42 @@ class TestFaultIsolation:
                 "dog": None, "odd": "dimension-mismatch", "dog-again": None}
             same_as_alone(items, window, index, provider, tagger, config)
 
+    def test_query_faults_of_one_window_check(self, tagger):
+        """A window's query rows are checked against the index together: a
+        provider row of zeros, one of another dim, and vector queries that
+        are zero, short or not finite each fail their own query, with the
+        code and message of a single classify, wherever they sit in the
+        window, and on an index without rows too."""
+        index, store = fault_world()
+        e = np.eye(6)
+
+        class FaultyImages:
+            """The store's vectors, but zeros for ``img/zero`` and a 7-d
+            row for ``img/wide``."""
+            dim = store.dim
+            embed_texts = store.embed_texts
+
+            def embed_images(self, refs):
+                return [np.zeros(6) if ref == "img/zero" else np.ones(7)
+                        if ref == "img/wide" else store.vector(ref) for ref in refs]
+
+        queries = [("ref", "img/dog"), ("zero-ref", "img/zero"),
+                   ("vec", e[0] + 0.01 * e[3]), ("wide-ref", "img/wide"),
+                   ("inf-vec", [math.inf, 0, 0, 0, 0, 0]), ("zero-vec", [0.0] * 6),
+                   ("short-vec", [1.0, 0.0]), ("ref-again", "img/dog")]
+        provider = FaultyImages()
+        config = ClassifierConfig(k=4)
+        empty = dataclasses.replace(index, records=[], vectors=np.empty((0, 6), np.float32))
+        for world, codes in [
+                (index, [None, "zero-vector", None, "dimension-mismatch", "empty-input",
+                         "zero-vector", "dimension-mismatch", None]),
+                (empty, ["empty-index"] * 4 + ["empty-input"] + ["empty-index"] * 3)]:
+            for start in range(len(queries)):
+                window = queries[start:] + queries[:start]
+                items = classify_batch(window, world, provider, tagger, config)
+                assert [item.error_code for item in items] == codes[start:] + codes[:start]
+                same_as_alone(items, window, world, provider, tagger, config)
+
 
 class TestWindowScoring:
     """Score/fuse runs over a window's candidate rows at once, and each
